@@ -74,20 +74,10 @@ type scalingPoint struct {
 }
 
 type scalingCurve struct {
-	NumCPU     int `json:"num_cpu"`
-	MaxProcs   int `json:"go_max_procs"`
-	DurationMS int `json:"duration_ms"`
-	// Points is the sharded server's curve; LegacySingleLockPPS is the frozen
-	// single-mutex server driven at the highest core count for comparison.
-	Points              []scalingPoint `json:"points"`
-	LegacySingleLockPPS float64        `json:"legacy_single_lock_pps"`
-}
-
-// acceptPath is the piece of the server surface the scaling driver exercises;
-// both the sharded Server and the single-mutex LegacyServer satisfy it.
-type acceptPath interface {
-	HandleAcceptObject(k bitkey.Key, estimatedDepth int) (core.AcceptObjectResult, error)
-	ManagesKey(k bitkey.Key) (bitkey.Group, bool)
+	NumCPU     int            `json:"num_cpu"`
+	MaxProcs   int            `json:"go_max_procs"`
+	DurationMS int            `json:"duration_ms"`
+	Points     []scalingPoint `json:"points"`
 }
 
 // parseCores parses a comma-separated core list ("1,2,4,8"). An empty spec
@@ -114,7 +104,7 @@ func parseCores(spec string) ([]int, error) {
 // measureAccept drives the ACCEPT_OBJECT path from `cores` goroutines (with
 // GOMAXPROCS pinned to match) for roughly the given duration and reports
 // throughput, per-op cost, allocation rate and sampled p99 latency.
-func measureAccept(srv acceptPath, keys []bitkey.Key, depths []int, cores int, dur time.Duration) scalingPoint {
+func measureAccept(srv *core.Server, keys []bitkey.Key, depths []int, cores int, dur time.Duration) scalingPoint {
 	prev := runtime.GOMAXPROCS(cores)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -135,7 +125,7 @@ func measureAccept(srv acceptPath, keys []bitkey.Key, depths []int, cores int, d
 			hist := metrics.NewLatencyHist()
 			hists[w] = hist
 			// Workers start on disjoint key offsets so they fan out across
-			// the lock stripes instead of marching in step.
+			// the counter cells instead of marching in step.
 			i := w * (len(keys) / cores)
 			var n int64
 			for !stop.Load() {
@@ -254,9 +244,8 @@ func main() {
 	})
 	speedup("route", routeLegacy, routeTrie)
 
-	// Server Work Table: trie-backed lookup (through the server mutex, as in
-	// production) vs. the legacy lock-free map probing — a handicap the trie
-	// path wins under anyway.
+	// Server Work Table: trie-backed lookup (through the server's read
+	// snapshot, as in production) vs. the legacy map probing.
 	server, err := core.NewServer("bench", cfg.KeyBits)
 	if err != nil {
 		log.Fatal(err)
@@ -334,9 +323,7 @@ func main() {
 	})
 
 	// Multi-core scaling curve: the parallel ACCEPT_OBJECT hot path against
-	// the sharded server's lock-free routing snapshot, one point per core
-	// count, plus the frozen single-mutex server at the highest core count as
-	// the contention baseline.
+	// the server's lock-free routing snapshot, one point per core count.
 	coreList, err := parseCores(*cores)
 	if err != nil {
 		log.Fatal(err)
@@ -347,15 +334,6 @@ func main() {
 	for i, k := range workload {
 		if g, ok := server.ManagesKey(k); ok {
 			depths[i] = g.Prefix.Bits
-		}
-	}
-	legacyServer, err := core.NewLegacyServer("bench-legacy", cfg.KeyBits)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, g := range partition {
-		if err := legacyServer.HandleAcceptKeyGroup(g, "seed"); err != nil {
-			log.Fatal(err)
 		}
 	}
 	curve := &scalingCurve{
@@ -372,10 +350,6 @@ func main() {
 		log.Printf("scaling/%d-core %14.0f pkt/s %8.1f ns/op %6.3f allocs/op p99 %.1fµs",
 			pt.Cores, pt.ThroughputPPS, pt.NsPerOp, pt.AllocsPerOp, pt.P99US)
 	}
-	maxCores := coreList[len(coreList)-1]
-	legacyPt := measureAccept(legacyServer, workload, depths, maxCores, *scalDur)
-	curve.LegacySingleLockPPS = legacyPt.ThroughputPPS
-	log.Printf("scaling/legacy-%d-core %8.0f pkt/s (single mutex)", maxCores, legacyPt.ThroughputPPS)
 	snap.Scaling = curve
 
 	if *gateFl > 0 {

@@ -5,11 +5,10 @@
 //	go run ./cmd/clashvet -only clockcheck,poolcheck ./...
 //
 // It loads and type-checks packages from source (no go/packages, no network),
-// runs every analyzer — clockcheck, poolcheck, wireevolve, hotpath,
-// lockorder — applies //clashvet:ignore directives, and prints surviving
-// diagnostics one per line as file:line:col: [analyzer] message. The exit
-// status is 1 when any diagnostic (including a malformed directive) remains,
-// so CI can gate on it.
+// runs every analyzer — clockcheck, poolcheck, wireevolve, hotpath — applies
+// //clashvet:ignore directives, and prints surviving diagnostics one per line
+// as file:line:col: [analyzer] message. The exit status is 1 when any
+// diagnostic (including a malformed directive) remains, so CI can gate on it.
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"clash/internal/analysis"
 	"clash/internal/analysis/clockcheck"
 	"clash/internal/analysis/hotpath"
-	"clash/internal/analysis/lockorder"
 	"clash/internal/analysis/poolcheck"
 	"clash/internal/analysis/wireevolve"
 )
@@ -30,7 +28,6 @@ import (
 var all = []*analysis.Analyzer{
 	clockcheck.Analyzer,
 	hotpath.Analyzer,
-	lockorder.Analyzer,
 	poolcheck.Analyzer,
 	wireevolve.Analyzer,
 }

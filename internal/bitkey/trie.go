@@ -18,7 +18,7 @@ import "math/bits"
 //
 // The lookup methods (LongestMatch, LongestMatchWhere, MaxCommonPrefix,
 // VisitMatches) allocate nothing. Trie is not safe for concurrent use; callers
-// provide synchronisation (see core.Router for a sharded-lock arrangement).
+// provide synchronisation (core.Router guards one with a sync.RWMutex).
 type Trie[V any] struct {
 	root trieNode[V]
 	size int

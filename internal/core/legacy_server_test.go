@@ -11,11 +11,9 @@ import (
 )
 
 // LegacyServer is the original single-mutex CLASH server: every operation —
-// including the ACCEPT_OBJECT hot path — funnels through one lock. It is kept
-// verbatim as the behavioural oracle for the sharded Server's parity property
-// tests and as the single-core baseline in clashbench's scaling curves, the
-// same role LegacyRouter and LegacyTable play for the trie structures. New
-// code should use Server.
+// including the ACCEPT_OBJECT hot path — funnels through one lock, with no
+// read snapshot and no counter cells. It is kept verbatim as the behavioural
+// oracle for Server's parity property test.
 type LegacyServer struct {
 	mu              sync.Mutex
 	id              ServerID

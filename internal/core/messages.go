@@ -113,7 +113,7 @@ type AcceptObjectReplyMsg struct {
 }
 
 // AcceptBatchMsg is the payload of MsgAcceptBatch: a vector of ACCEPT_OBJECT
-// bodies processed under one server-table lock acquisition.
+// bodies processed against one server read-snapshot load.
 type AcceptBatchMsg struct {
 	Objects []AcceptObjectMsg `json:"objects"`
 }

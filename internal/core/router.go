@@ -6,131 +6,33 @@ import (
 	"clash/internal/bitkey"
 )
 
-// routerShardBits selects how many leading key bits pick a router shard
-// (2^4 = 16 shards). Groups at least this deep land in the shard named by
-// their leading bits; shallower groups live in a shared fallback shard that is
-// only consulted after a deep miss, so the common case touches one lock.
-const routerShardBits = 4
-
-// routerShard is one lock-striped slice of the cache: a longest-prefix trie
-// over group prefixes plus a per-server index of the prefixes stored here, so
-// ForgetServer removes exactly the affected bindings instead of scanning the
-// whole cache.
-type routerShard struct {
-	mu       sync.RWMutex
-	trie     *bitkey.Trie[ServerID]
-	byServer map[ServerID]map[bitkey.Key]struct{}
-}
-
-func newRouterShard() *routerShard {
-	return &routerShard{
-		trie:     bitkey.NewTrie[ServerID](),
-		byServer: make(map[ServerID]map[bitkey.Key]struct{}),
-	}
-}
-
-func (sh *routerShard) learn(p bitkey.Key, server ServerID) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.trie.Get(p); ok && old != server {
-		sh.unindex(old, p)
-	}
-	sh.trie.Put(p, server)
-	set := sh.byServer[server]
-	if set == nil {
-		set = make(map[bitkey.Key]struct{})
-		sh.byServer[server] = set
-	}
-	set[p] = struct{}{}
-}
-
-func (sh *routerShard) forget(p bitkey.Key) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if server, ok := sh.trie.Delete(p); ok {
-		sh.unindex(server, p)
-	}
-}
-
-func (sh *routerShard) forgetServer(server ServerID) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for p := range sh.byServer[server] {
-		sh.trie.Delete(p)
-	}
-	delete(sh.byServer, server)
-}
-
-// unindex drops p from server's reverse-index set; callers hold sh.mu.
-func (sh *routerShard) unindex(server ServerID, p bitkey.Key) {
-	if set := sh.byServer[server]; set != nil {
-		delete(set, p)
-		if len(set) == 0 {
-			delete(sh.byServer, server)
-		}
-	}
-}
-
-func (sh *routerShard) route(k bitkey.Key) (bitkey.Group, ServerID, bool) {
-	sh.mu.RLock()
-	p, s, ok := sh.trie.LongestMatch(k)
-	sh.mu.RUnlock()
-	if !ok {
-		return bitkey.Group{}, NoServer, false
-	}
-	return bitkey.Group{Prefix: p}, s, true
-}
-
-func (sh *routerShard) len() int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.trie.Len()
-}
-
 // Router is the client-side cache that maps key groups to the servers that
 // manage them. After a client resolves the depth of a key once, it caches the
 // (group → server) binding and sends all subsequent packets of the virtual
 // stream directly, without DHT lookups, until it is redirected (paper §6: the
 // client "simply caches this server value").
 //
-// The cache is a set of lock-striped longest-prefix tries: Route is one
-// O(depth) zero-allocation walk under one reader lock (two on a miss of the
-// deep shard), Learn/Forget touch one shard, and ForgetServer uses a reverse
-// index so evicting a failed server is proportional to the bindings it owned,
-// not to the cache size.
+// The cache is one longest-prefix trie under one reader/writer lock: Route is
+// an O(depth) zero-allocation walk under the read lock, and ForgetServer uses
+// a per-server reverse index so evicting a failed server is proportional to
+// the bindings it owned, not to the cache size.
 //
 // Router is safe for concurrent use.
 type Router struct {
-	keyBits   int
-	shardBits int
-	shards    []*routerShard
-	// shallow holds groups shallower than shardBits, which span several
-	// shards; Route consults it only when the deep shard has no match (any
-	// deep match is by construction longer than every shallow one).
-	shallow *routerShard
+	keyBits int
+
+	mu       sync.RWMutex
+	trie     *bitkey.Trie[ServerID]
+	byServer map[ServerID]map[bitkey.Key]struct{}
 }
 
 // NewRouter creates an empty router cache for an N-bit key space.
 func NewRouter(keyBits int) *Router {
-	shardBits := routerShardBits
-	if keyBits < shardBits {
-		shardBits = 0
+	return &Router{
+		keyBits:  keyBits,
+		trie:     bitkey.NewTrie[ServerID](),
+		byServer: make(map[ServerID]map[bitkey.Key]struct{}),
 	}
-	r := &Router{
-		keyBits:   keyBits,
-		shardBits: shardBits,
-		shards:    make([]*routerShard, 1<<uint(shardBits)),
-		shallow:   newRouterShard(),
-	}
-	for i := range r.shards {
-		r.shards[i] = newRouterShard()
-	}
-	return r
-}
-
-// shardFor returns the shard for a prefix of at least shardBits bits.
-func (r *Router) shardFor(p bitkey.Key) *routerShard {
-	return r.shards[p.Value>>uint(p.Bits-r.shardBits)]
 }
 
 // Learn records that the given group is managed by the given server. Groups
@@ -140,29 +42,49 @@ func (r *Router) Learn(g bitkey.Group, server ServerID) {
 	if g.Prefix.Bits > r.keyBits {
 		return
 	}
-	if r.shardBits > 0 && g.Prefix.Bits >= r.shardBits {
-		r.shardFor(g.Prefix).learn(g.Prefix, server)
-		return
+	p := g.Prefix
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if old, ok := r.trie.Get(p); ok && old != server {
+		r.unindex(old, p)
 	}
-	r.shallow.learn(g.Prefix, server)
+	r.trie.Put(p, server)
+	set := r.byServer[server]
+	if set == nil {
+		set = make(map[bitkey.Key]struct{})
+		r.byServer[server] = set
+	}
+	set[p] = struct{}{}
 }
 
 // Forget drops the cached binding for a group (e.g. after a redirect).
 func (r *Router) Forget(g bitkey.Group) {
-	if r.shardBits > 0 && g.Prefix.Bits >= r.shardBits {
-		r.shardFor(g.Prefix).forget(g.Prefix)
-		return
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if server, ok := r.trie.Delete(g.Prefix); ok {
+		r.unindex(server, g.Prefix)
 	}
-	r.shallow.forget(g.Prefix)
 }
 
 // ForgetServer drops every binding that points at the given server (used when
 // a server leaves or fails).
 func (r *Router) ForgetServer(server ServerID) {
-	for _, sh := range r.shards {
-		sh.forgetServer(server)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for p := range r.byServer[server] {
+		r.trie.Delete(p)
 	}
-	r.shallow.forgetServer(server)
+	delete(r.byServer, server)
+}
+
+// unindex drops p from server's reverse-index set; callers hold r.mu.
+func (r *Router) unindex(server ServerID, p bitkey.Key) {
+	if set := r.byServer[server]; set != nil {
+		delete(set, p)
+		if len(set) == 0 {
+			delete(r.byServer, server)
+		}
+	}
 }
 
 // Route returns the cached (group, server) binding whose group contains the
@@ -172,19 +94,18 @@ func (r *Router) ForgetServer(server ServerID) {
 //
 //clash:hotpath
 func (r *Router) Route(k bitkey.Key) (bitkey.Group, ServerID, bool) {
-	if r.shardBits > 0 && k.Bits >= r.shardBits {
-		if g, s, ok := r.shardFor(k).route(k); ok {
-			return g, s, true
-		}
+	r.mu.RLock()
+	p, s, ok := r.trie.LongestMatch(k)
+	r.mu.RUnlock()
+	if !ok {
+		return bitkey.Group{}, NoServer, false
 	}
-	return r.shallow.route(k)
+	return bitkey.Group{Prefix: p}, s, true
 }
 
 // Len returns the number of cached bindings.
 func (r *Router) Len() int {
-	n := r.shallow.len()
-	for _, sh := range r.shards {
-		n += sh.len()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.trie.Len()
 }

@@ -10,15 +10,15 @@ import (
 	"clash/internal/bitkey"
 )
 
-// TestRouterForgetServerAcrossShards covers ForgetServer over bindings spread
-// across deep shards and the shallow fallback, including rebinding a group to
-// a different server (which must drop the old reverse-index entry).
+// TestRouterForgetServerAcrossShards covers ForgetServer over bindings at
+// shallow and deep prefixes, including rebinding a group to a different
+// server (which must drop the old reverse-index entry).
 func TestRouterForgetServerAcrossShards(t *testing.T) {
 	r := NewRouter(16)
 	groups := map[string]ServerID{
-		"0":        "a", // shallow (depth < shard bits)
+		"0":        "a", // shallow
 		"110":      "b", // shallow
-		"0110":     "a", // deep shard
+		"0110":     "a", // deep
 		"01101":    "b",
 		"10110011": "a",
 		"1111":     "c",
@@ -52,8 +52,8 @@ func TestRouterForgetServerAcrossShards(t *testing.T) {
 }
 
 // TestRouterConcurrent hammers Learn/Route/Forget/ForgetServer from many
-// goroutines; run with -race it checks the sharded locking, and afterwards it
-// verifies the reverse index and tries agree (ForgetServer must leave no
+// goroutines; run with -race it checks the locking, and afterwards it
+// verifies the reverse index and trie agree (ForgetServer must leave no
 // binding behind).
 func TestRouterConcurrent(t *testing.T) {
 	const keyBits = 32

@@ -59,36 +59,17 @@ type Counters struct {
 	ObjectsWrong    int
 }
 
-// serverShardBits selects how many leading prefix bits pick a work-table lock
-// shard (2^4 = 16 shards), matching the Router's striping. Entries at least
-// this deep are guarded by the shard named by their leading bits; shallower
-// entries share the shallow shard's lock.
-const serverShardBits = 4
+// counterCellBits selects how many leading key bits pick an object-counter
+// cell (2^4 = 16 cells).
+const counterCellBits = 4
 
-// serverShard is one lock stripe of the work table plus the per-stripe object
-// counters the lock-free publish path updates. The trailing pad keeps two
-// stripes' hot atomics off one cache line so concurrent publishes to disjoint
-// prefixes do not false-share.
-type serverShard struct {
-	mu sync.Mutex
-	// lockWaits counts acquisitions that found the lock contended (TryLock
-	// failed), surfaced per shard through ShardStats.
-	lockWaits atomic.Uint64
-	// ACCEPT_OBJECT outcome counters for keys whose leading bits name this
-	// shard.
-	objectsOK        atomic.Uint64
-	objectsCorrected atomic.Uint64
-	objectsWrong     atomic.Uint64
-	_                [24]byte
-}
-
-// lock acquires the stripe, counting contended acquisitions.
-func (sh *serverShard) lock() {
-	if sh.mu.TryLock() {
-		return
-	}
-	sh.lockWaits.Add(1)
-	sh.mu.Lock()
+// counterCell is one set of ACCEPT_OBJECT outcome counters, updated lock-free
+// by the publish path for keys whose leading bits name the cell. The trailing
+// pad keeps two cells' hot atomics off one cache line, so concurrent publishes
+// to disjoint prefixes do not false-share.
+type counterCell struct {
+	ok, corrected, wrong atomic.Uint64
+	_                    [40]byte
 }
 
 // snapEntry is one work-table row inside an immutable read snapshot: just
@@ -105,7 +86,7 @@ func snapIsActive(e snapEntry) bool { return e.active }
 // readSnapshot is an immutable copy of the routing-relevant work-table state,
 // published through an atomic pointer (RCU style): the publish hot path loads
 // it with one atomic read and walks it with zero locks and zero allocations,
-// while mutations build a fresh snapshot under the shard locks and swap it in.
+// while mutations build a fresh snapshot under the table lock and swap it in.
 type readSnapshot struct {
 	entries *bitkey.Trie[snapEntry]
 }
@@ -116,43 +97,42 @@ type readSnapshot struct {
 // the MapFunc they pass to ExecuteSplit and deliver the messages described by
 // the returned results.
 //
-// Server is safe for concurrent use, and the hot path scales across cores:
+// Server is safe for concurrent use:
 //
 //   - ACCEPT_OBJECT routing (HandleAcceptObject, HandleAcceptObjectBatch,
 //     ManagesKey) reads an immutable snapshot of the table through an atomic
 //     pointer — zero locks, zero allocations — and records outcome counters on
-//     per-shard padded atomics, so publishes to disjoint prefixes never touch
-//     the same cache line.
-//   - Per-group bookkeeping (load samples, child reports, snapshots of one
-//     entry) takes only the lock shard named by the group's leading
-//     serverShardBits bits, extending the Router's 16-way striping idiom.
-//   - Structural mutations (bootstrap, split, transfer, merge, release,
-//     restore) take every shard lock in a fixed order (shallow first, then
-//     shards 0..15), apply the change, rebuild the read snapshot and swap it —
-//     which is also what keeps Validate()'s prefix-free invariant global: no
-//     structural change is visible to any reader until the whole-table
-//     rebuild is published.
+//     padded per-prefix counter cells, so publishes to disjoint prefixes never
+//     touch the same cache line.
+//   - Every other operation takes the one table lock. Structural mutations
+//     (bootstrap, split, transfer, merge, release, restore) rebuild the read
+//     snapshot and swap it in before releasing the lock, so no reader ever
+//     sees a half-applied change and Validate()'s prefix-free invariant holds
+//     for every published snapshot.
 type Server struct {
 	id              ServerID
 	maxSplitRetries int
 	reportMaxAge    time.Duration
 
-	// table is the master Server Work Table. Trie structure (put/remove) only
-	// changes with every shard lock held; entry fields are guarded by the
-	// shard lock their prefix maps to, so a trie walk is safe under any one
-	// shard lock.
+	// mu guards table. lockWaits counts acquisitions that found it contended.
+	mu        sync.Mutex
+	lockWaits atomic.Uint64
 	table     *Table
-	shardBits int
-	shards    []*serverShard
-	// shallow guards entries shallower than shardBits, which span several
-	// shards' key ranges.
-	shallow *serverShard
 
 	snap  atomic.Pointer[readSnapshot]
 	swaps atomic.Uint64
 
-	// Control-plane counters (mutated under the all-shard lock, read lock-free
-	// by Counters).
+	// cellBits is the number of leading key bits that index cells:
+	// counterCellBits, or the key width when keys are shorter. Each cell is
+	// its own 64-byte allocation, which the allocator aligns to 64 bytes; an
+	// element of one array of cells need not start a cache line (in
+	// clashbench -cores 1,2 on a 2-vCPU box the array ran about 6% slower at
+	// two cores).
+	cellBits int
+	cells    [1 << counterCellBits]*counterCell
+
+	// Control-plane counters (mutated under the table lock, read lock-free by
+	// Counters).
 	splits, merges                atomic.Uint64
 	accepted, released, recovered atomic.Uint64
 }
@@ -166,21 +146,15 @@ func NewServer(id ServerID, keyBits int, opts ...ServerOption) (*Server, error) 
 	if err != nil {
 		return nil, err
 	}
-	shardBits := serverShardBits
-	if keyBits < shardBits {
-		shardBits = 0
-	}
 	s := &Server{
 		id:              id,
 		table:           table,
-		shardBits:       shardBits,
-		shards:          make([]*serverShard, 1<<uint(shardBits)),
-		shallow:         &serverShard{},
+		cellBits:        min(keyBits, counterCellBits),
 		maxSplitRetries: 16,
 		reportMaxAge:    15 * time.Minute,
 	}
-	for i := range s.shards {
-		s.shards[i] = &serverShard{}
+	for i := range s.cells {
+		s.cells[i] = new(counterCell)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -189,46 +163,27 @@ func NewServer(id ServerID, keyBits int, opts ...ServerOption) (*Server, error) 
 	return s, nil
 }
 
-// shardFor returns the lock stripe guarding the entry with the given prefix.
-func (s *Server) shardFor(p bitkey.Key) *serverShard {
-	if s.shardBits > 0 && p.Bits >= s.shardBits {
-		return s.shards[p.Value>>uint(p.Bits-s.shardBits)]
+// lock acquires the table lock, counting contended acquisitions.
+func (s *Server) lock() {
+	if s.mu.TryLock() {
+		return
 	}
-	return s.shallow
+	s.lockWaits.Add(1)
+	s.mu.Lock()
 }
 
-// counterShard returns the stripe whose object counters account for key k
-// (keys always carry the full keyBits, so the deep stripe always applies when
-// striping is on).
-func (s *Server) counterShard(k bitkey.Key) *serverShard {
-	if s.shardBits > 0 {
-		return s.shards[k.Value>>uint(k.Bits-s.shardBits)]
+// cellFor returns the index of the counter cell that accounts for key k.
+func (s *Server) cellFor(k bitkey.Key) int {
+	if k.Bits < s.cellBits {
+		return 0
 	}
-	return s.shallow
-}
-
-// lockAll acquires every shard lock in the fixed global order (shallow, then
-// deep shards ascending). Single-shard operations never take a second lock,
-// so the ordering cannot deadlock against them.
-func (s *Server) lockAll() {
-	s.shallow.lock()
-	for _, sh := range s.shards {
-		sh.lock()
-	}
-}
-
-// unlockAll releases every shard lock.
-func (s *Server) unlockAll() {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-	s.shallow.mu.Unlock()
+	return int(k.Value >> uint(k.Bits-s.cellBits))
 }
 
 // rebuildLocked rebuilds the immutable read snapshot from the master table
-// and publishes it. Callers hold every shard lock. Structural operations call
+// and publishes it. Callers hold the table lock. Structural operations call
 // it (via defer, before unlocking) so a new snapshot is visible the moment
-// the locks release; the publish path never observes a half-applied change.
+// the lock releases; the publish path never observes a half-applied change.
 func (s *Server) rebuildLocked() {
 	entries := bitkey.NewTrie[snapEntry]()
 	s.table.forEach(func(e *Entry) bool {
@@ -254,14 +209,10 @@ func (s *Server) Counters() Counters {
 		GroupsReleased:  int(s.released.Load()),
 		GroupsRecovered: int(s.recovered.Load()),
 	}
-	add := func(sh *serverShard) {
-		c.ObjectsOK += int(sh.objectsOK.Load())
-		c.ObjectsCorrect += int(sh.objectsCorrected.Load())
-		c.ObjectsWrong += int(sh.objectsWrong.Load())
-	}
-	add(s.shallow)
-	for _, sh := range s.shards {
-		add(sh)
+	for _, cell := range s.cells {
+		c.ObjectsOK += int(cell.ok.Load())
+		c.ObjectsCorrect += int(cell.corrected.Load())
+		c.ObjectsWrong += int(cell.wrong.Load())
 	}
 	return c
 }
@@ -270,63 +221,25 @@ func (s *Server) Counters() Counters {
 // (one per structural mutation batch).
 func (s *Server) SnapshotSwaps() uint64 { return s.swaps.Load() }
 
-// ShardStat is one lock stripe's occupancy and contention snapshot.
+// ShardStat is the work-table lock's contention snapshot. The name and the
+// one-row slice ShardStats returns are kept from the striped table so that
+// existing readers, such as the perfbench harness, keep compiling.
 type ShardStat struct {
-	// Shard is the stripe index; -1 is the shallow stripe shared by entries
-	// shallower than the striping depth.
-	Shard int
-	// Entries and Active count the work-table rows guarded by this stripe.
-	Entries int
-	Active  int
-	// LockWaits counts contended lock acquisitions on this stripe.
+	// LockWaits counts contended acquisitions of the table lock.
 	LockWaits uint64
-	// ObjectsOK / ObjectsCorrected / ObjectsWrong are the ACCEPT_OBJECT
-	// outcomes recorded against keys in this stripe's range.
-	ObjectsOK        uint64
-	ObjectsCorrected uint64
-	ObjectsWrong     uint64
 }
 
-// ShardStats returns per-stripe occupancy, contention and object counters,
-// shallow stripe first. It takes the all-shard lock briefly to count entries
-// consistently; the atomic counters are read as-is.
+// ShardStats returns one row for the server's single table lock.
 func (s *Server) ShardStats() []ShardStat {
-	out := make([]ShardStat, 0, len(s.shards)+1)
-	fill := func(idx int, sh *serverShard) ShardStat {
-		return ShardStat{
-			Shard:            idx,
-			LockWaits:        sh.lockWaits.Load(),
-			ObjectsOK:        sh.objectsOK.Load(),
-			ObjectsCorrected: sh.objectsCorrected.Load(),
-			ObjectsWrong:     sh.objectsWrong.Load(),
-		}
-	}
-	s.lockAll()
-	stats := make(map[*serverShard]*ShardStat, len(s.shards)+1)
-	out = append(out, fill(-1, s.shallow))
-	stats[s.shallow] = &out[0]
-	for i, sh := range s.shards {
-		out = append(out, fill(i, sh))
-		stats[sh] = &out[len(out)-1]
-	}
-	s.table.forEach(func(e *Entry) bool {
-		st := stats[s.shardFor(e.Group.Prefix)]
-		st.Entries++
-		if e.Active {
-			st.Active++
-		}
-		return true
-	})
-	s.unlockAll()
-	return out
+	return []ShardStat{{LockWaits: s.lockWaits.Load()}}
 }
 
 // Bootstrap installs a root key group on this server (an administrative
 // anchor; consolidation never collapses past it). It is how the initial
 // partition of the key space is assigned at system start.
 func (s *Server) Bootstrap(g bitkey.Group) error {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	if g.Depth() > s.table.KeyBits() {
 		return fmt.Errorf("%w: depth %d > %d", ErrDepthRange, g.Depth(), s.table.KeyBits())
 	}
@@ -341,16 +254,16 @@ func (s *Server) Bootstrap(g bitkey.Group) error {
 // Entries returns the Server Work Table rows sorted by depth then prefix
 // (the layout of the paper's Figure 2).
 func (s *Server) Entries() []Entry {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	return s.table.Entries()
 }
 
 // ActiveGroups returns the key groups this server currently manages (the
 // leaves of its part of the logical tree).
 func (s *Server) ActiveGroups() []bitkey.Group {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	return s.table.ActiveGroups()
 }
 
@@ -368,27 +281,27 @@ func (s *Server) ManagesKey(k bitkey.Key) (bitkey.Group, bool) {
 
 // Validate checks the table invariants (active groups are prefix-free).
 func (s *Server) Validate() error {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	return s.table.validateActivePrefixFree()
 }
 
-// objDeltas accumulates per-stripe object-counter increments so a batch
+// objDeltas accumulates one cell's object-counter increments so a batch
 // flushes one atomic add per touched counter instead of one per key.
 type objDeltas struct {
 	ok, corrected, wrong uint64
 }
 
-// flush adds the accumulated deltas to a stripe's atomic counters.
-func (d *objDeltas) flush(sh *serverShard) {
+// flush adds the accumulated deltas to a cell's atomic counters.
+func (d *objDeltas) flush(cell *counterCell) {
 	if d.ok != 0 {
-		sh.objectsOK.Add(d.ok)
+		cell.ok.Add(d.ok)
 	}
 	if d.corrected != 0 {
-		sh.objectsCorrected.Add(d.corrected)
+		cell.corrected.Add(d.corrected)
 	}
 	if d.wrong != 0 {
-		sh.objectsWrong.Add(d.wrong)
+		cell.wrong.Add(d.wrong)
 	}
 }
 
@@ -408,15 +321,15 @@ func (s *Server) HandleAcceptObject(k bitkey.Key, estimatedDepth int) (AcceptObj
 	var d objDeltas
 	res, err := s.acceptOnSnapshot(s.snap.Load(), k, estimatedDepth, &d)
 	if err == nil {
-		d.flush(s.counterShard(k))
+		d.flush(s.cells[s.cellFor(k)])
 	}
 	return res, err
 }
 
 // HandleAcceptObjectBatch processes a vector of ACCEPT_OBJECT requests
 // against one snapshot load (the server side of the batched publish path).
-// Keys are grouped per counter stripe as they stream through, so the batch
-// performs at most one atomic add per touched stripe counter rather than one
+// Keys are grouped per counter cell as they stream through, so the batch
+// performs at most one atomic add per touched cell counter rather than one
 // per key, and no lock is held at any point. results[i] and errs[i] describe
 // keys[i]; a per-item validation failure fills errs[i] and leaves results[i]
 // zero without affecting the other items.
@@ -429,20 +342,12 @@ func (s *Server) HandleAcceptObjectBatch(keys []bitkey.Key, depths []int) (resul
 	results = make([]AcceptObjectResult, len(keys))
 	errs = make([]error, len(keys))
 	snap := s.snap.Load()
-	var deltas [1 << serverShardBits]objDeltas
+	var deltas [1 << counterCellBits]objDeltas
 	for i, k := range keys {
-		d := &deltas[0]
-		if s.shardBits > 0 && k.Bits >= s.shardBits {
-			d = &deltas[k.Value>>uint(k.Bits-s.shardBits)]
-		}
-		results[i], errs[i] = s.acceptOnSnapshot(snap, k, depths[i], d)
+		results[i], errs[i] = s.acceptOnSnapshot(snap, k, depths[i], &deltas[s.cellFor(k)])
 	}
-	if s.shardBits > 0 {
-		for i := range deltas {
-			deltas[i].flush(s.shards[i])
-		}
-	} else {
-		deltas[0].flush(s.shallow)
+	for i := range deltas {
+		deltas[i].flush(s.cells[i])
 	}
 	return results, errs
 }
@@ -475,12 +380,9 @@ func (s *Server) acceptOnSnapshot(snap *readSnapshot, k bitkey.Key, estimatedDep
 // SetGroupLoad records the measured load fraction attributable to an active
 // group for the current measurement interval. The driver (the overlay's load
 // check, or the simulator) calls it before making split/merge decisions.
-// Only the group's lock stripe is taken, so load samples for groups in
-// different stripes record concurrently.
 func (s *Server) SetGroupLoad(g bitkey.Group, loadFraction float64) error {
-	sh := s.shardFor(g.Prefix)
-	sh.lock()
-	defer sh.mu.Unlock()
+	s.lock()
+	defer s.mu.Unlock()
 	e, ok := s.table.get(g)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownGroup, g)
@@ -494,8 +396,8 @@ func (s *Server) SetGroupLoad(g bitkey.Group, loadFraction float64) error {
 
 // GroupLoads returns the last recorded load fraction for every active group.
 func (s *Server) GroupLoads() map[string]float64 {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	out := make(map[string]float64)
 	s.table.forEach(func(e *Entry) bool {
 		if e.Active {
@@ -509,8 +411,8 @@ func (s *Server) GroupLoads() map[string]float64 {
 // TotalLoad returns the sum of the recorded loads of all active groups — the
 // server's overall load fraction.
 func (s *Server) TotalLoad() float64 {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	var sum float64
 	s.table.forEach(func(e *Entry) bool {
 		if e.Active {
@@ -523,8 +425,8 @@ func (s *Server) TotalLoad() float64 {
 
 // HottestActiveGroup returns the active group with the highest recorded load.
 func (s *Server) HottestActiveGroup() (bitkey.Group, float64, bool) {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	var (
 		best     *Entry
 		bestLoad float64
@@ -559,8 +461,8 @@ func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, erro
 	if mapFn == nil {
 		return nil, fmt.Errorf("clash: nil MapFunc")
 	}
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	defer s.rebuildLocked()
 
 	entry, ok := s.table.get(g)
@@ -651,8 +553,8 @@ func (s *Server) HandleAcceptKeyGroup(g bitkey.Group, parent ServerID) error {
 // returns ErrCovered instead of installing an overlap — the caller should
 // keep the message's query state locally and discard the group.
 func (s *Server) HandleAcceptKeyGroupEpoch(g bitkey.Group, parent ServerID, epoch uint64) error {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	defer s.rebuildLocked()
 	if g.Depth() > s.table.KeyBits() {
 		return fmt.Errorf("%w: depth %d", ErrDepthRange, g.Depth())
@@ -702,12 +604,10 @@ type GroupSnapshot struct {
 	Epoch  uint64
 }
 
-// SnapshotGroup captures the replicable state of one active entry. Only the
-// entry's lock stripe is taken.
+// SnapshotGroup captures the replicable state of one active entry.
 func (s *Server) SnapshotGroup(g bitkey.Group) (GroupSnapshot, bool) {
-	sh := s.shardFor(g.Prefix)
-	sh.lock()
-	defer sh.mu.Unlock()
+	s.lock()
+	defer s.mu.Unlock()
 	e, ok := s.table.get(g)
 	if !ok || !e.Active {
 		return GroupSnapshot{}, false
@@ -718,8 +618,8 @@ func (s *Server) SnapshotGroup(g bitkey.Group) (GroupSnapshot, bool) {
 // SnapshotActive captures the replicable state of every active entry, in
 // prefix order (the trie's deterministic visit order).
 func (s *Server) SnapshotActive() []GroupSnapshot {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	var out []GroupSnapshot
 	s.table.forEach(func(e *Entry) bool {
 		if e.Active {
@@ -742,8 +642,8 @@ func snapshotEntry(e *Entry) GroupSnapshot {
 // other active entries returns ErrCovered (install only the query state); a
 // snapshot conflicting with an inactive entry returns ErrAlreadyManaged.
 func (s *Server) RestoreGroup(snap GroupSnapshot) (bool, error) {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	defer s.rebuildLocked()
 	g := snap.Group
 	if g.Depth() > s.table.KeyBits() {
@@ -777,15 +677,14 @@ func (s *Server) RestoreGroup(snap GroupSnapshot) (bool, error) {
 // inactive entries is now held by a different server (the overlay re-homes
 // groups when DHT ownership changes). Stale child-load reports from the old
 // holder are invalidated so consolidation waits for the new holder's first
-// report. Only the parent entry's lock stripe is taken.
+// report.
 func (s *Server) HandleChildMoved(child bitkey.Group, newHolder ServerID) error {
 	parentGroup, ok := child.Parent()
 	if !ok {
 		return fmt.Errorf("%w: root group %v cannot move", ErrUnknownGroup, child)
 	}
-	sh := s.shardFor(parentGroup.Prefix)
-	sh.lock()
-	defer sh.mu.Unlock()
+	s.lock()
+	defer s.mu.Unlock()
 	e, ok := s.table.get(parentGroup)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownGroup, parentGroup)
@@ -805,8 +704,8 @@ func (s *Server) HandleChildMoved(child bitkey.Group, newHolder ServerID) error 
 // current workload so parents can consolidate). Reports to itself are
 // omitted — the local left-child load is read directly at merge time.
 func (s *Server) LoadReports() []LoadReport {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	var out []LoadReport
 	// The trie visit is already in prefix order, matching the sort the
 	// callers expect.
@@ -821,16 +720,14 @@ func (s *Server) LoadReports() []LoadReport {
 }
 
 // HandleLoadReport records a right-child load report on the inactive parent
-// entry that transferred the group. Only the parent entry's lock stripe is
-// taken, so reports for groups in different stripes record concurrently.
+// entry that transferred the group.
 func (s *Server) HandleLoadReport(rep LoadReport, now time.Time) error {
 	parentGroup, ok := rep.Group.Parent()
 	if !ok {
 		return fmt.Errorf("%w: report for root group %v", ErrUnknownGroup, rep.Group)
 	}
-	sh := s.shardFor(parentGroup.Prefix)
-	sh.lock()
-	defer sh.mu.Unlock()
+	s.lock()
+	defer s.mu.Unlock()
 	e, ok := s.table.get(parentGroup)
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrUnknownGroup, parentGroup)
@@ -859,8 +756,8 @@ type MergeProposal struct {
 // mergeThreshold (the underload threshold in the paper's experiments).
 // Proposals are ordered coldest first.
 func (s *Server) PlanMerges(mergeThreshold float64, now time.Time) []MergeProposal {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	var out []MergeProposal
 	s.table.forEach(func(e *Entry) bool {
 		prop, ok := s.mergeCandidateLocked(e, mergeThreshold, now)
@@ -885,8 +782,8 @@ func (s *Server) PlanMerges(mergeThreshold float64, now time.Time) []MergePropos
 // right holder has not reported recently enough for its identity to be
 // trusted.
 func (s *Server) ProposeMerge(parent bitkey.Group, now time.Time) (MergeProposal, error) {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	e, ok := s.table.get(parent)
 	if !ok {
 		return MergeProposal{}, fmt.Errorf("%w: %v", ErrUnknownGroup, parent)
@@ -899,8 +796,7 @@ func (s *Server) ProposeMerge(parent bitkey.Group, now time.Time) (MergeProposal
 }
 
 // mergeCandidateLocked evaluates one entry as a consolidation candidate; the
-// caller holds every shard lock (the check reads sibling entries across
-// stripes).
+// caller holds the table lock.
 func (s *Server) mergeCandidateLocked(e *Entry, mergeThreshold float64, now time.Time) (MergeProposal, bool) {
 	if e.Active || e.RightChild == NoServer {
 		return MergeProposal{}, false
@@ -943,8 +839,8 @@ func (s *Server) mergeCandidateLocked(e *Entry, mergeThreshold float64, now time
 // right child lives on this same server). The parent becomes an active leaf
 // again and the child entries are removed.
 func (s *Server) ExecuteMerge(parent bitkey.Group, now time.Time) (*MergeResult, error) {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	defer s.rebuildLocked()
 	e, ok := s.table.get(parent)
 	if !ok {
@@ -983,8 +879,8 @@ func (s *Server) ExecuteMerge(parent bitkey.Group, now time.Time) (*MergeResult,
 // the group has been split further on this server (the parent's view was
 // stale), in which case the driver must abort the merge.
 func (s *Server) HandleRelease(g bitkey.Group) error {
-	s.lockAll()
-	defer s.unlockAll()
+	s.lock()
+	defer s.mu.Unlock()
 	defer s.rebuildLocked()
 	e, ok := s.table.get(g)
 	if !ok {

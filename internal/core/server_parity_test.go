@@ -45,12 +45,12 @@ func parityMap(self ServerID) MapFunc {
 	}
 }
 
-// TestServerShardParityProperty drives the sharded Server and the retained
-// single-lock LegacyServer through identical randomized sequences of splits,
+// TestServerShardParityProperty drives Server and the single-lock
+// LegacyServer oracle through identical randomized sequences of splits,
 // merges, transfers, restores, releases, load reports and publishes, and
 // requires every return value and every observable table view to match. It
-// covers key widths on both sides of the shard striping threshold (keyBits <
-// serverShardBits collapses to the shallow stripe).
+// covers key widths on both sides of the counter-cell width (keyBits <
+// counterCellBits indexes fewer cells).
 func TestServerShardParityProperty(t *testing.T) {
 	for _, keyBits := range []int{3, 8, 14} {
 		for _, seed := range []int64{1, 2, 7, 42} {
@@ -64,7 +64,7 @@ func TestServerShardParityProperty(t *testing.T) {
 func runShardParity(t *testing.T, keyBits int, seed int64) {
 	t.Helper()
 	const self = ServerID("s1")
-	sharded := mustServer(t, self, keyBits)
+	srv := mustServer(t, self, keyBits)
 	legacy, err := NewLegacyServer(self, keyBits)
 	if err != nil {
 		t.Fatalf("NewLegacyServer: %v", err)
@@ -77,38 +77,38 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 	// Start from the same two roots covering the key space.
 	for _, root := range []string{"0*", "1*"} {
 		g := bitkey.MustParseGroup(root)
-		if e1, e2 := sharded.Bootstrap(g), legacy.Bootstrap(g); errString(e1) != errString(e2) {
+		if e1, e2 := srv.Bootstrap(g), legacy.Bootstrap(g); errString(e1) != errString(e2) {
 			t.Fatalf("bootstrap diverged: %v vs %v", e1, e2)
 		}
 	}
 
 	checkState := func(step int) {
 		t.Helper()
-		if !reflect.DeepEqual(sharded.Entries(), legacy.Entries()) {
-			t.Fatalf("step %d: Entries diverged\nsharded: %+v\nlegacy:  %+v", step, sharded.Entries(), legacy.Entries())
+		if !reflect.DeepEqual(srv.Entries(), legacy.Entries()) {
+			t.Fatalf("step %d: Entries diverged\nserver: %+v\nlegacy: %+v", step, srv.Entries(), legacy.Entries())
 		}
-		if !reflect.DeepEqual(sharded.ActiveGroups(), legacy.ActiveGroups()) {
+		if !reflect.DeepEqual(srv.ActiveGroups(), legacy.ActiveGroups()) {
 			t.Fatalf("step %d: ActiveGroups diverged", step)
 		}
-		if !reflect.DeepEqual(sharded.Counters(), legacy.Counters()) {
-			t.Fatalf("step %d: Counters diverged: %+v vs %+v", step, sharded.Counters(), legacy.Counters())
+		if !reflect.DeepEqual(srv.Counters(), legacy.Counters()) {
+			t.Fatalf("step %d: Counters diverged: %+v vs %+v", step, srv.Counters(), legacy.Counters())
 		}
-		if e1, e2 := sharded.Validate(), legacy.Validate(); errString(e1) != errString(e2) {
+		if e1, e2 := srv.Validate(), legacy.Validate(); errString(e1) != errString(e2) {
 			t.Fatalf("step %d: Validate diverged: %v vs %v", step, e1, e2)
 		}
-		if !reflect.DeepEqual(sharded.SnapshotActive(), legacy.SnapshotActive()) {
+		if !reflect.DeepEqual(srv.SnapshotActive(), legacy.SnapshotActive()) {
 			t.Fatalf("step %d: SnapshotActive diverged", step)
 		}
-		if !reflect.DeepEqual(sharded.LoadReports(), legacy.LoadReports()) {
+		if !reflect.DeepEqual(srv.LoadReports(), legacy.LoadReports()) {
 			t.Fatalf("step %d: LoadReports diverged", step)
 		}
-		if !reflect.DeepEqual(sharded.GroupLoads(), legacy.GroupLoads()) {
+		if !reflect.DeepEqual(srv.GroupLoads(), legacy.GroupLoads()) {
 			t.Fatalf("step %d: GroupLoads diverged", step)
 		}
-		if s1, s2 := sharded.TotalLoad(), legacy.TotalLoad(); s1 != s2 {
+		if s1, s2 := srv.TotalLoad(), legacy.TotalLoad(); s1 != s2 {
 			t.Fatalf("step %d: TotalLoad diverged: %v vs %v", step, s1, s2)
 		}
-		g1, l1, ok1 := sharded.HottestActiveGroup()
+		g1, l1, ok1 := srv.HottestActiveGroup()
 		g2, l2, ok2 := legacy.HottestActiveGroup()
 		if ok1 != ok2 || l1 != l2 || g1.String() != g2.String() {
 			t.Fatalf("step %d: HottestActiveGroup diverged", step)
@@ -125,7 +125,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 		switch op := rng.Intn(12); op {
 		case 0, 1: // single publish
 			k, d := randKey(rng, keyBits), rng.Intn(keyBits+2)-1 // includes invalid depths
-			r1, e1 := sharded.HandleAcceptObject(k, d)
+			r1, e1 := srv.HandleAcceptObject(k, d)
 			r2, e2 := legacy.HandleAcceptObject(k, d)
 			if !reflect.DeepEqual(r1, r2) || errString(e1) != errString(e2) {
 				t.Fatalf("step %d: accept(%v,%d) diverged: %+v/%v vs %+v/%v", step, k, d, r1, e1, r2, e2)
@@ -137,7 +137,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 			for i := range keys {
 				keys[i], depths[i] = randKey(rng, keyBits), rng.Intn(keyBits+1)
 			}
-			r1, e1 := sharded.HandleAcceptObjectBatch(keys, depths)
+			r1, e1 := srv.HandleAcceptObjectBatch(keys, depths)
 			r2, e2 := legacy.HandleAcceptObjectBatch(keys, depths)
 			if !reflect.DeepEqual(r1, r2) {
 				t.Fatalf("step %d: batch results diverged", step)
@@ -153,7 +153,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 				continue
 			}
 			g := actives[rng.Intn(len(actives))]
-			r1, e1 := sharded.ExecuteSplit(g, mapFn)
+			r1, e1 := srv.ExecuteSplit(g, mapFn)
 			r2, e2 := legacy.ExecuteSplit(g, mapFn)
 			if !reflect.DeepEqual(r1, r2) || errString(e1) != errString(e2) {
 				t.Fatalf("step %d: split(%v) diverged: %+v/%v vs %+v/%v", step, g, r1, e1, r2, e2)
@@ -162,7 +162,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 			g := randGroup(rng, keyBits)
 			parent := peers[rng.Intn(len(peers))]
 			epoch := uint64(rng.Intn(4))
-			e1 := sharded.HandleAcceptKeyGroupEpoch(g, parent, epoch)
+			e1 := srv.HandleAcceptKeyGroupEpoch(g, parent, epoch)
 			e2 := legacy.HandleAcceptKeyGroupEpoch(g, parent, epoch)
 			if errString(e1) != errString(e2) {
 				t.Fatalf("step %d: acceptKeyGroup(%v) diverged: %v vs %v", step, g, e1, e2)
@@ -174,7 +174,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 				IsRoot: rng.Intn(4) == 0,
 				Epoch:  uint64(rng.Intn(3)),
 			}
-			ok1, e1 := sharded.RestoreGroup(snap)
+			ok1, e1 := srv.RestoreGroup(snap)
 			ok2, e2 := legacy.RestoreGroup(snap)
 			if ok1 != ok2 || errString(e1) != errString(e2) {
 				t.Fatalf("step %d: restore(%v) diverged", step, snap.Group)
@@ -184,7 +184,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 			if actives := activeGroups(); len(actives) > 0 && rng.Intn(2) == 0 {
 				g = actives[rng.Intn(len(actives))]
 			}
-			if e1, e2 := sharded.HandleRelease(g), legacy.HandleRelease(g); errString(e1) != errString(e2) {
+			if e1, e2 := srv.HandleRelease(g), legacy.HandleRelease(g); errString(e1) != errString(e2) {
 				t.Fatalf("step %d: release(%v) diverged: %v vs %v", step, g, e1, e2)
 			}
 		case 7: // record a local load sample
@@ -193,7 +193,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 				g = actives[rng.Intn(len(actives))]
 			}
 			load := rng.Float64()
-			if e1, e2 := sharded.SetGroupLoad(g, load), legacy.SetGroupLoad(g, load); errString(e1) != errString(e2) {
+			if e1, e2 := srv.SetGroupLoad(g, load), legacy.SetGroupLoad(g, load); errString(e1) != errString(e2) {
 				t.Fatalf("step %d: setLoad(%v) diverged", step, g)
 			}
 		case 8: // right-child load report (target real transferred children when possible)
@@ -204,7 +204,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 					break
 				}
 			}
-			if e1, e2 := sharded.HandleLoadReport(rep, now), legacy.HandleLoadReport(rep, now); errString(e1) != errString(e2) {
+			if e1, e2 := srv.HandleLoadReport(rep, now), legacy.HandleLoadReport(rep, now); errString(e1) != errString(e2) {
 				t.Fatalf("step %d: loadReport(%v) diverged: %v vs %v", step, rep.Group, e1, e2)
 			}
 		case 9: // child re-homed
@@ -216,18 +216,18 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 					break
 				}
 			}
-			if e1, e2 := sharded.HandleChildMoved(child, holder), legacy.HandleChildMoved(child, holder); errString(e1) != errString(e2) {
+			if e1, e2 := srv.HandleChildMoved(child, holder), legacy.HandleChildMoved(child, holder); errString(e1) != errString(e2) {
 				t.Fatalf("step %d: childMoved(%v) diverged", step, child)
 			}
 		case 10: // consolidation planning + execution
 			threshold := rng.Float64() * 2
-			p1 := sharded.PlanMerges(threshold, now)
+			p1 := srv.PlanMerges(threshold, now)
 			p2 := legacy.PlanMerges(threshold, now)
 			if !reflect.DeepEqual(p1, p2) {
 				t.Fatalf("step %d: PlanMerges diverged: %+v vs %+v", step, p1, p2)
 			}
 			if len(p1) > 0 {
-				r1, e1 := sharded.ExecuteMerge(p1[0].Parent, now)
+				r1, e1 := srv.ExecuteMerge(p1[0].Parent, now)
 				r2, e2 := legacy.ExecuteMerge(p1[0].Parent, now)
 				if !reflect.DeepEqual(r1, r2) || errString(e1) != errString(e2) {
 					t.Fatalf("step %d: merge(%v) diverged", step, p1[0].Parent)
@@ -235,12 +235,12 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 			}
 		case 11: // point lookups
 			k := randKey(rng, keyBits)
-			g1, ok1 := sharded.ManagesKey(k)
+			g1, ok1 := srv.ManagesKey(k)
 			g2, ok2 := legacy.ManagesKey(k)
 			if ok1 != ok2 || g1.String() != g2.String() {
 				t.Fatalf("step %d: ManagesKey(%v) diverged", step, k)
 			}
-			pm1, e1 := sharded.ProposeMerge(randGroup(rng, keyBits), now)
+			pm1, e1 := srv.ProposeMerge(randGroup(rng, keyBits), now)
 			pm2, e2 := legacy.ProposeMerge(pm1.Parent, now)
 			_ = pm2
 			_ = e2
@@ -257,7 +257,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 // several goroutines while the control plane splits, transfers, merges and
 // releases groups. Run under -race this is the regression test for the RCU
 // snapshot swap; the final assertions check that no publish was lost by the
-// per-shard counter batching and that the table invariants held throughout.
+// per-cell counter batching and that the table invariants held throughout.
 func TestServerSplitDuringPublishStorm(t *testing.T) {
 	const keyBits = 14
 	s := mustServer(t, "s1", keyBits)
@@ -356,26 +356,8 @@ func TestServerSplitDuringPublishStorm(t *testing.T) {
 		t.Fatal("no snapshot swaps recorded despite structural churn")
 	}
 
-	// ShardStats must agree with the global views it decomposes.
-	stats := s.ShardStats()
-	var entries, active int
-	var ok, corrected, wrong uint64
-	for _, st := range stats {
-		entries += st.Entries
-		active += st.Active
-		ok += st.ObjectsOK
-		corrected += st.ObjectsCorrected
-		wrong += st.ObjectsWrong
-	}
-	if entries != len(s.Entries()) {
-		t.Fatalf("ShardStats entries %d != table %d", entries, len(s.Entries()))
-	}
-	if active != len(s.ActiveGroups()) {
-		t.Fatalf("ShardStats active %d != table %d", active, len(s.ActiveGroups()))
-	}
-	if int(ok) != c.ObjectsOK || int(corrected) != c.ObjectsCorrect || int(wrong) != c.ObjectsWrong {
-		t.Fatalf("ShardStats counters (%d/%d/%d) != Counters (%d/%d/%d)",
-			ok, corrected, wrong, c.ObjectsOK, c.ObjectsCorrect, c.ObjectsWrong)
+	if stats := s.ShardStats(); len(stats) != 1 {
+		t.Fatalf("ShardStats returned %d rows, want 1 for the table lock", len(stats))
 	}
 }
 

@@ -134,14 +134,6 @@ func (h *Hub) registerCollectors() {
 		"Build identity; the value is always 1. clashtop compares the labels "+
 			"across the fleet to report version skew.",
 		"version", "goversion", "gomaxprocs")
-	shardEntries := reg.GaugeVec("clash_server_shard_entries",
-		"Work-table rows guarded by each lock stripe (shard -1 is the shallow stripe).", "shard")
-	shardActive := reg.GaugeVec("clash_server_shard_active_groups",
-		"Active key groups guarded by each lock stripe.", "shard")
-	shardLockWaits := reg.CounterVec("clash_server_shard_lock_waits_total",
-		"Contended lock acquisitions per work-table stripe.", "shard")
-	shardObjects := reg.CounterVec("clash_server_shard_objects_total",
-		"ACCEPT_OBJECT outcomes recorded against each stripe's key range.", "shard", "status")
 	snapshotSwaps := reg.Counter("clash_server_snapshot_swaps_total",
 		"Routing read-snapshot rebuilds published by structural changes.")
 	info.With(h.node.Addr()).Set(1)
@@ -169,17 +161,6 @@ func (h *Hub) registerCollectors() {
 		groupLoad.Reset()
 		for g, l := range h.node.GroupLoads() {
 			groupLoad.With(g).Set(l)
-		}
-		// Shard labels are a small fixed set (the stripe count is a compile-time
-		// constant), so the vectors are filled in place without a Reset.
-		for _, st := range h.node.Server().ShardStats() {
-			label := strconv.Itoa(st.Shard)
-			shardEntries.With(label).Set(float64(st.Entries))
-			shardActive.With(label).Set(float64(st.Active))
-			shardLockWaits.With(label).Set(st.LockWaits)
-			shardObjects.With(label, "ok").Set(st.ObjectsOK)
-			shardObjects.With(label, "corrected").Set(st.ObjectsCorrected)
-			shardObjects.With(label, "wrong").Set(st.ObjectsWrong)
 		}
 		snapshotSwaps.Set(h.node.Server().SnapshotSwaps())
 

@@ -126,6 +126,30 @@ func (c *testCluster) holderIdx(t *testing.T) int {
 	return -1
 }
 
+// spreadOffBootstrap makes sure a node other than nodes[0], the node that
+// bootstrapped the roots, holds an active group. Chord positions hash the
+// ephemeral listen addresses, so every root can hash to nodes[0]; splitting
+// one of its groups hands the right child to whichever node the DHT maps that
+// child to. It reports whether a split was needed and fails the test when a
+// bounded number of splits never moves a group.
+func (c *testCluster) spreadOffBootstrap(t *testing.T) bool {
+	t.Helper()
+	for try := 0; ; try++ {
+		for _, n := range c.nodes[1:] {
+			if len(n.Server().ActiveGroups()) > 0 {
+				return try > 0
+			}
+		}
+		groups := c.nodes[0].Server().ActiveGroups()
+		if try == 32 || len(groups) == 0 {
+			t.Fatalf("no group moved off the bootstrap node after %d splits", try)
+		}
+		// ErrSplitExhausted (every retry mapped back here) just moves on to
+		// the next group.
+		_ = c.nodes[0].ForceSplit(groups[try%len(groups)])
+	}
+}
+
 func httpGet(t *testing.T, url string) (int, string) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -346,9 +370,15 @@ func TestHubRecoveryEvents(t *testing.T) {
 			t.Fatalf("Register %s: %v", q.ID, err)
 		}
 	}
-	// Replicate the registered state to successors.
+	// Replicate the registered state to successors. If a split had to put a
+	// group off the bootstrap node, one more load check replicates the new
+	// holder's state; the bootstrap node checks first, before the new
+	// holder's first load report, so it cannot merge the child straight back.
 	c.check(c.nodes)
 	c.check(c.nodes)
+	if c.spreadOffBootstrap(t) {
+		c.check(c.nodes)
+	}
 
 	var victim int
 	for i := 1; i < len(c.nodes); i++ {
@@ -358,7 +388,7 @@ func TestHubRecoveryEvents(t *testing.T) {
 		}
 	}
 	if victim == 0 {
-		t.Skip("no non-bootstrap node holds a group")
+		t.Fatal("no non-bootstrap node holds a group")
 	}
 	c.srvs[victim].Close()
 	if err := c.nodes[victim].Close(); err != nil {
@@ -421,6 +451,7 @@ func TestHubRecoveryEvents(t *testing.T) {
 // leaves the ring.
 func TestHubAdminDrainZeroLostCQ(t *testing.T) {
 	c := newTestCluster(t, 3)
+	c.spreadOffBootstrap(t)
 	cli := c.client(t)
 	queries := make([]cq.Query, 0, 4)
 	for i, rg := range []string{"00", "01", "10", "11"} {
@@ -444,7 +475,7 @@ func TestHubAdminDrainZeroLostCQ(t *testing.T) {
 
 	hi := c.holderIdx(t)
 	if hi == 0 {
-		t.Skip("only the bootstrap node (the client's contact) holds groups")
+		t.Fatal("only the bootstrap node (the client's contact) holds groups")
 	}
 	target := c.nodes[hi]
 	base := c.srvs[hi].URL

@@ -19,9 +19,9 @@ type BatchItem struct {
 
 // PublishBatch delivers many data packets with as few frames as possible:
 // items whose (group → server) binding is cached are grouped per server and
-// shipped in one TypeAcceptBatch frame each (one server-table lock
-// acquisition per frame on the remote side); cache misses and items the
-// server redirects fall back to the single-object depth-resolution path.
+// shipped in one TypeAcceptBatch frame each (one read-snapshot load per
+// frame on the remote side); cache misses and items the server redirects
+// fall back to the single-object depth-resolution path.
 // results[i] describes items[i]; a nil entry means errs[i] carries that
 // item's failure. The call itself only fails on empty input validation —
 // per-item failures never abort the rest of the batch.

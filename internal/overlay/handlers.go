@@ -123,9 +123,9 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 }
 
 // handleAcceptBatch is the vectored ACCEPT_OBJECT path: all objects pass
-// through the server state machine under one table-lock acquisition, then
-// the per-object side effects (metering, query matching, match push) run
-// outside the lock. The reply carries one entry per object in request order;
+// through the server state machine against one read-snapshot load, with no
+// lock taken, then the per-object side effects (metering, query matching,
+// match push) run. The reply carries one entry per object in request order;
 // per-object failures fill that entry's Error instead of failing the frame.
 //
 //clash:hotpath
@@ -164,9 +164,9 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 	results, errs := n.server.HandleAcceptObjectBatch(keys, depths)
 	var routeMicros int64
 	if traced {
-		// The batch passes the state machine under one lock acquisition, so
-		// a traced object inside it is attributed the whole batch duration
-		// (the time its delivery actually spent in routing).
+		// The batch passes the state machine as one unit against one
+		// snapshot, so a traced object inside it is attributed the whole
+		// batch duration (the time its delivery actually spent in routing).
 		routeMicros = n.cfg.Clock.Now().Sub(routeStart).Microseconds()
 	}
 	out := core.AcceptBatchReplyMsg{Replies: make([]core.AcceptObjectReplyMsg, len(req.Objects))}

@@ -99,6 +99,30 @@ func activeGroups(nodes []*Node) map[string]string {
 	return out
 }
 
+// spreadOffBootstrap makes sure a node other than nodes[0], the node that
+// bootstrapped the roots, holds an active group. Chord positions hash node
+// addresses, so on ephemeral ports every root can hash to nodes[0]; splitting
+// one of its groups hands the right child to whichever node the DHT maps that
+// child to. It reports whether a split was needed and fails the test when a
+// bounded number of splits never moves a group.
+func spreadOffBootstrap(t *testing.T, nodes []*Node) bool {
+	t.Helper()
+	for try := 0; ; try++ {
+		for _, n := range nodes[1:] {
+			if len(n.Server().ActiveGroups()) > 0 {
+				return try > 0
+			}
+		}
+		groups := nodes[0].Server().ActiveGroups()
+		if try == 32 || len(groups) == 0 {
+			t.Fatalf("no group moved off the bootstrap node after %d splits", try)
+		}
+		// ErrSplitExhausted (every retry mapped back here) just moves on to
+		// the next group.
+		_ = nodes[0].ForceSplit(groups[try%len(groups)])
+	}
+}
+
 // TestOverlayRootDistribution checks that bootstrap groups migrate to the
 // nodes their virtual keys hash to once the ring has formed.
 func TestOverlayRootDistribution(t *testing.T) {
@@ -281,8 +305,9 @@ func TestOverlayNodeFailureReroutesClients(t *testing.T) {
 	netw := NewMemNetwork()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 4, cfg)
+	spreadOffBootstrap(t, nodes)
 
-	// Find a node that holds at least one root group and a key inside it.
+	// Find a non-bootstrap node that holds a group and a key inside it.
 	groups := activeGroups(nodes)
 	var victim *Node
 	var victimGroup bitkey.Group
@@ -295,7 +320,7 @@ func TestOverlayNodeFailureReroutesClients(t *testing.T) {
 		}
 	}
 	if victim == nil {
-		t.Skip("all groups landed on the bootstrap node; ring too small")
+		t.Fatal("no group off the bootstrap node")
 	}
 
 	seeds := []string{nodes[0].Addr()}

@@ -90,7 +90,13 @@ func TestOverlayCrashRecoveryTCP(t *testing.T) {
 	check(nodes)
 	check(nodes)
 
-	// Kill a non-bootstrap node that holds at least one group.
+	// Kill a non-bootstrap node that holds at least one group. If a split
+	// had to create one, a further load check replicates the new holder's
+	// state; the bootstrap node checks first, before the new holder's first
+	// load report, so it cannot merge the child straight back.
+	if spreadOffBootstrap(t, nodes) {
+		check(nodes)
+	}
 	var victim *Node
 	for _, n := range nodes[1:] {
 		if len(n.Server().ActiveGroups()) > 0 {
@@ -99,7 +105,7 @@ func TestOverlayCrashRecoveryTCP(t *testing.T) {
 		}
 	}
 	if victim == nil {
-		t.Skip("no non-bootstrap node holds a group; ring degenerate for this key set")
+		t.Fatal("no non-bootstrap node holds a group")
 	}
 	lost := victim.Server().ActiveGroups()
 	lostQueries := victim.Engine().All()
@@ -118,7 +124,7 @@ func TestOverlayCrashRecoveryTCP(t *testing.T) {
 		}
 	}
 	for _, g := range lost {
-		if holder := holderOf(survivors, g); holder == "" {
+		if coverOf(survivors, g) == "" {
 			t.Fatalf("group %v not recovered by any survivor", g)
 		}
 	}
@@ -170,11 +176,25 @@ func TestOverlayCrashRecoveryTCP(t *testing.T) {
 
 func allRecovered(nodes []*Node, groups []bitkey.Group) bool {
 	for _, g := range groups {
-		if holderOf(nodes, g) == "" {
+		if coverOf(nodes, g) == "" {
 			return false
 		}
 	}
 	return true
+}
+
+// coverOf returns the address of the node whose active group contains g
+// ("" when none): g itself, or an ancestor that a recovered split child was
+// merged back into by its parent.
+func coverOf(nodes []*Node, g bitkey.Group) string {
+	for _, n := range nodes {
+		for _, ag := range n.Server().ActiveGroups() {
+			if ag.ContainsGroup(g) {
+				return n.Addr()
+			}
+		}
+	}
+	return ""
 }
 
 // holderOf returns the address of the node with g active ("" when none).
@@ -424,6 +444,7 @@ func TestRecoverOwnStateAfterRestart(t *testing.T) {
 	netw := NewMemNetwork()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 3, cfg)
+	spreadOffBootstrap(t, nodes)
 
 	var victim *Node
 	for _, n := range nodes[1:] {
@@ -433,7 +454,7 @@ func TestRecoverOwnStateAfterRestart(t *testing.T) {
 		}
 	}
 	if victim == nil {
-		t.Skip("no non-bootstrap holder")
+		t.Fatal("no non-bootstrap holder")
 	}
 	g := victim.Server().ActiveGroups()[0]
 	q := cq.Query{ID: "q-own", Region: g}
@@ -476,6 +497,7 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 	netw := NewMemNetwork()
 	cfg := testConfig()
 	nodes := buildOverlay(t, netw, 3, cfg)
+	spreadOffBootstrap(t, nodes)
 
 	var victim *Node
 	for _, n := range nodes[1:] {
@@ -485,7 +507,7 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 		}
 	}
 	if victim == nil {
-		t.Skip("no non-bootstrap holder")
+		t.Fatal("no non-bootstrap holder")
 	}
 	// Park a query in an undeliverable transfer on the victim: the query is
 	// out of the engine (invisible to the per-group snapshot) and lives only

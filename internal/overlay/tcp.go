@@ -242,11 +242,15 @@ func (ws *writeScratch) drainWrite(conn net.Conn, stats *transportStats, first [
 	}
 write:
 	ws.bufs = append(ws.bufs[:0], ws.owned...)
+	// Count before the syscall: the peer may answer a request, and its caller
+	// read Stats, before WriteTo returns here.
+	for _, b := range ws.owned {
+		stats.countOut(len(b))
+	}
 	//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
 	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := ws.bufs.WriteTo(conn) // writev: one syscall for the whole batch
 	for i, b := range ws.owned {
-		stats.countOut(len(b))
 		wirecodec.PutBuf(b)
 		ws.owned[i] = nil
 	}

@@ -61,8 +61,8 @@ type Handler func(msgType string, payload []byte) ([]byte, error)
 // TransportStats is a snapshot of one transport's cumulative counters,
 // surfaced through the node status endpoint and printed by clashload.
 type TransportStats struct {
-	// FramesIn / FramesOut count complete frames read and written (requests
-	// and replies alike).
+	// FramesIn / FramesOut count complete frames read and handed to the
+	// connection for writing (requests and replies alike).
 	FramesIn  uint64 `json:"framesIn"`
 	FramesOut uint64 `json:"framesOut"`
 	// BytesIn / BytesOut count frame bytes, headers included.
