@@ -15,7 +15,7 @@
 // Explicit copies (append([]byte(nil), buf...), bytes.Clone, string
 // conversion) produce fresh values and pass untouched. Returning the buffer
 // is legal: the Handler contract transfers ownership back to the transport.
-// Deliberate ownership handoffs (e.g. a writer loop that recycles queued
+// Deliberate ownership handoffs (e.g. a queue whose consumer recycles the
 // buffers itself) carry //clashvet:ignore poolcheck <reason> directives.
 //
 // Tracked pooled sources: results of wirecodec.GetBuf, and []byte parameters

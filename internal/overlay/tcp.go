@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -25,11 +26,9 @@ const (
 	tcpShedWait = 2 * time.Second
 	// tcpMuxIdle is how long an outbound multiplexed connection may sit with
 	// no call in flight before the client closes it itself. It is well below
-	// the server-side idle timeout for the same reason the old pool's
-	// tcpPoolIdle was: the side that reaps first must be the client, so a
-	// request is never written into a socket the peer's reaper may already
-	// have closed (such a write "succeeds" into the dead buffer and cannot
-	// safely be retried).
+	// the server-side idle timeout so the client always reaps first: a request
+	// written into a socket the peer already closed "succeeds" into the dead
+	// buffer and cannot safely be retried.
 	tcpMuxIdle = time.Minute
 	// serverMaxConcurrent bounds how many pipelined requests one inbound
 	// connection may have dispatched at once; excess requests wait for a
@@ -77,17 +76,18 @@ func (c TCPConfig) withDefaults() TCPConfig {
 }
 
 // errMuxClosed marks a Call that failed because the shared connection closed
-// before the request frame was handed to the writer loop. The request never
-// touched the socket, so retrying on a fresh connection is safe.
+// before its frame writer took the request frame. The request never touched
+// the socket, so retrying on a fresh connection is safe.
 var errMuxClosed = errors.New("overlay: connection closed before write")
 
 // TCPTransport is the production transport: one listening socket answering
 // framed requests, plus one multiplexed outbound connection per peer.
 // Concurrent Calls to the same address pipeline their frames onto that single
-// connection — a writer loop serialises request frames, a demux reader loop
-// matches replies to waiting calls by sequence ID — so N in-flight calls cost
-// one socket, not N lockstep exchanges. Inbound requests are dispatched
-// concurrently, so replies leave in completion order, not arrival order.
+// connection — callers write through a shared frameWriter that combines
+// concurrent frames into one writev, and a demux reader loop matches replies
+// to waiting calls by sequence ID — so N in-flight calls cost one socket, not
+// N lockstep exchanges. Inbound requests are dispatched concurrently to
+// reused workers, so replies leave in completion order, not arrival order.
 type TCPTransport struct {
 	ln    net.Listener
 	addr  string
@@ -203,152 +203,180 @@ func (t *TCPTransport) numServing() int {
 	return len(t.serving)
 }
 
-// frameQueueDepth is the writer-loop channel capacity on both sides of a
-// connection; frameWriteBatch caps how many queued frames one writev
-// coalesces.
+// frameReadBuffer sizes each connection's small read buffer: a header and a
+// short payload arrive in one read, longer payloads bypass it. Each inbound
+// connection keeps at most idleDispatchWorkers dispatch workers parked.
 const (
-	frameQueueDepth = 256
-	frameWriteBatch = 64
+	frameReadBuffer     = 256
+	idleDispatchWorkers = 4
 )
 
-// writeScratch is a writer loop's reusable batching state: owned keeps the
-// collected frames for stats/pool return after net.Buffers.WriteTo has
-// consumed the bufs view. One writer goroutine owns each instance, so the
-// per-flush slices are reused instead of reallocated.
-type writeScratch struct {
-	bufs  net.Buffers
-	owned [][]byte
+// frameWriter serialises frames onto one connection without a goroutine of
+// its own: the caller that finds the socket idle writes its frame, and every
+// frame queued meanwhile by callers that then returned, in one writev. A
+// taken frame reaches the socket, or onFail tears the connection down.
+type frameWriter struct {
+	conn    net.Conn
+	stats   *transportStats
+	timeout time.Duration
+	onFail  func()
+
+	mu      sync.Mutex
+	queue   [][]byte // frames waiting for the flushing caller
+	writing bool     // a caller is flushing
+	failed  bool     // a write failed: framing is lost, nothing more is sent
+
+	// Owned by the flushing caller. WriteTo consumes vec, so each flush
+	// rebuilds it from vecBuf, whose backing array survives.
+	batch, vecBuf [][]byte
+	vec           net.Buffers
 }
 
-func newWriteScratch() *writeScratch {
-	return &writeScratch{
-		bufs:  make(net.Buffers, 0, frameWriteBatch),
-		owned: make([][]byte, 0, frameWriteBatch),
+// write hands buf (a pooled frame) to the writer. It reports false when the
+// connection had already failed: buf was recycled without being sent.
+func (w *frameWriter) write(buf []byte) bool {
+	w.mu.Lock()
+	if w.failed {
+		w.mu.Unlock()
+		wirecodec.PutBuf(buf)
+		return false
 	}
+	w.queue = append(w.queue, buf)
+	if w.writing {
+		w.mu.Unlock()
+		return true
+	}
+	w.writing = true
+	ok := true
+	for ok && len(w.queue) > 0 {
+		w.batch, w.queue = w.queue, w.batch[:0]
+		w.mu.Unlock()
+		ok = w.flush()
+		w.mu.Lock()
+	}
+	w.writing, w.failed = false, !ok
+	if !ok {
+		w.queue = nil // frames queued behind the failed write are never sent
+		defer w.onFail()
+	}
+	w.mu.Unlock()
+	return true
 }
 
-// drainWrite writes one frame plus everything else already queued in a
-// single writev, returning the frames' pooled buffers afterwards. It reports
-// whether the write succeeded.
-func (ws *writeScratch) drainWrite(conn net.Conn, stats *transportStats, first []byte, ch <-chan []byte, writeTimeout time.Duration) bool {
-	ws.owned = append(ws.owned[:0], first)
-	for len(ws.owned) < frameWriteBatch {
-		select {
-		case b := <-ch:
-			ws.owned = append(ws.owned, b)
-		default:
-			goto write
-		}
-	}
-write:
-	ws.bufs = append(ws.bufs[:0], ws.owned...)
+// flush writes the batch in one writev and recycles its frames.
+func (w *frameWriter) flush() bool {
+	w.vecBuf = append(w.vecBuf[:0], w.batch...)
+	w.vec = w.vecBuf
 	// Count before the syscall: the peer may answer a request, and its caller
 	// read Stats, before WriteTo returns here.
-	for _, b := range ws.owned {
-		stats.countOut(len(b))
+	for _, b := range w.batch {
+		w.stats.countOut(len(b))
 	}
 	//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
-	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := ws.bufs.WriteTo(conn) // writev: one syscall for the whole batch
-	for i, b := range ws.owned {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	_, err := w.vec.WriteTo(w.conn)
+	for i, b := range w.batch {
 		wirecodec.PutBuf(b)
-		ws.owned[i] = nil
+		w.batch[i] = nil
 	}
 	return err == nil
 }
 
+// inbound is one served connection's reply writer and dispatch state.
+type inbound struct {
+	t    *TCPTransport
+	w    *frameWriter
+	sem  chan struct{}  // bounds dispatched requests (cfg.MaxConcurrent)
+	hwg  sync.WaitGroup // dispatched requests whose reply is not yet written
+	jobs chan frame     // unbuffered: a send succeeds only into a parked worker
+	idle atomic.Int32   // workers parked on jobs
+}
+
+// writeReply frames and writes one reply. An oversized reply becomes a framed
+// error, whose text always fits: a dropped frame would leave the caller
+// waiting out its timeout and retrying forever.
+func (in *inbound) writeReply(seq uint64, typ byte, payload []byte) {
+	buf, err := appendFrame(wirecodec.GetBuf(), seq, typ, payload)
+	if err != nil {
+		buf, _ = appendFrame(buf[:0], seq, typeReplyErr, []byte(err.Error()))
+	}
+	in.w.write(buf)
+}
+
+// worker serves request f and then, unless idleDispatchWorkers are parked
+// already, parks for the next one. Each reply is written before its request's
+// dispatch slot and shutdown count are released. Closing jobs at connection
+// shutdown releases the parked workers.
+func (in *inbound) worker(f frame) {
+	defer in.t.wg.Done()
+	for {
+		in.t.mu.Lock()
+		h := in.t.handler
+		in.t.mu.Unlock()
+		reply, herr := dispatch(h, typeName(f.typ), f.payload)
+		if herr != nil {
+			in.writeReply(f.seq, typeReplyErr, []byte(herr.Error()))
+		} else {
+			in.writeReply(f.seq, typeReplyOK, reply)
+			wirecodec.PutBuf(reply) // handed over by the handler; the frame holds a copy
+		}
+		wirecodec.PutBuf(f.payload)
+		f = frame{} // a parked worker pins no payload
+		<-in.sem
+		in.hwg.Done()
+		var ok bool
+		if in.idle.Add(1) <= idleDispatchWorkers {
+			f, ok = <-in.jobs
+		}
+		if in.idle.Add(-1); !ok {
+			return
+		}
+	}
+}
+
 // serveConn answers framed requests on one inbound connection until the peer
-// hangs up, framing corrupts, or the idle deadline passes. Requests are
-// dispatched concurrently (bounded by cfg.MaxConcurrent) and each reply
-// carries its request's sequence ID, so a slow handler never head-of-line
-// blocks the requests pipelined behind it; a per-connection writer loop
-// coalesces queued replies into single writev calls. A request that cannot
-// get a dispatch slot within cfg.ShedWait is shed with a framed shed reply —
-// wedged handlers cost the peer a bounded wait, not an unbounded queue.
+// hangs up, framing corrupts, or the idle deadline passes. Requests are read
+// through a small buffer and dispatched concurrently (bounded by
+// cfg.MaxConcurrent) to reused workers; each reply carries its request's
+// sequence ID, so a slow handler never head-of-line blocks the requests
+// pipelined behind it. A request that cannot get a dispatch slot within
+// cfg.ShedWait is shed with a framed shed reply — wedged handlers cost the
+// peer a bounded wait, not an unbounded queue.
 func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
-	var (
-		hwg     sync.WaitGroup
-		sem     = make(chan struct{}, t.cfg.MaxConcurrent)
-		writeCh = make(chan []byte, frameQueueDepth)
-		done    = make(chan struct{})
-		wdone   = make(chan struct{})
-	)
-	// Reply writer loop: drains queued frames ahead of shutdown, so every
-	// reply a handler produced is flushed before the connection winds down.
-	go func() {
-		defer close(wdone)
-		ws := newWriteScratch()
-		for {
-			select {
-			case buf := <-writeCh:
-				if !ws.drainWrite(conn, &t.stats, buf, writeCh, t.cfg.CallTimeout) {
-					// The peer stopped reading; tear the connection down so
-					// the read loop exits too.
-					conn.Close()
-					return
-				}
-			default:
-				select {
-				case buf := <-writeCh:
-					if !ws.drainWrite(conn, &t.stats, buf, writeCh, t.cfg.CallTimeout) {
-						conn.Close()
-						return
-					}
-				case <-done:
-					return
-				}
-			}
-		}
-	}()
+	in := &inbound{
+		t:    t,
+		w:    &frameWriter{conn: conn, stats: &t.stats, timeout: t.cfg.CallTimeout, onFail: func() { conn.Close() }},
+		sem:  make(chan struct{}, t.cfg.MaxConcurrent),
+		jobs: make(chan frame),
+	}
 	defer func() {
-		// Let in-flight handlers finish and the writer drain their replies
-		// before the socket closes: a peer that half-closed its write side
-		// after pipelining requests still receives every reply. On a dead
-		// connection the writer's write error closes the socket itself, so
-		// this drain cannot wedge (handlers fall through to wdone).
-		hwg.Wait()
-		close(done)
-		<-wdone
+		// Workers write each reply before hwg.Done, so a peer that half-closed
+		// after pipelining requests still gets every reply. A dead peer fails
+		// the write within its deadline, so this wait cannot wedge.
+		in.hwg.Wait()
+		close(in.jobs)
 		conn.Close()
 		t.mu.Lock()
 		delete(t.serving, conn)
 		t.mu.Unlock()
 	}()
-	writeReply := func(seq uint64, typ byte, payload []byte) {
-		buf, err := appendFrame(wirecodec.GetBuf(), seq, typ, payload)
-		if err != nil {
-			// An oversized reply must still answer its sequence ID — a
-			// dropped frame would leave the caller waiting out its timeout
-			// and retrying forever. The error text always fits.
-			buf, err = appendFrame(buf[:0], seq, typeReplyErr, []byte(err.Error()))
-			if err != nil {
-				wirecodec.PutBuf(buf)
-				return
-			}
-		}
-		select {
-		case writeCh <- buf:
-		case <-wdone:
-			wirecodec.PutBuf(buf)
-		}
-	}
+	br := bufio.NewReaderSize(conn, frameReadBuffer)
 	for {
 		//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
 		_ = conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
-		// Request payloads live in pooled buffers end-to-end: the socket read
-		// lands in a pooled buffer, the handler decodes it in place, and the
-		// dispatch goroutine returns it to the pool once the reply frame has
-		// been built (appendFrame copies). readFrameInto always hands the
-		// buffer back through f.payload, so every path below recycles it.
-		f, err := readFrameInto(conn, wirecodec.GetBuf())
+		// Request payloads live in pooled buffers end-to-end: the handler
+		// decodes in place and the worker recycles the buffer once the reply
+		// frame (a copy) is built. readFrameInto hands the buffer back through
+		// f.payload on every path, so every path below recycles it.
+		f, err := readFrameInto(br, wirecodec.GetBuf())
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The oversized payload was skipped and framing is intact:
 				// answer with a framed error and keep the connection (and
 				// every pipelined call on it) alive.
 				t.stats.oversizedDrops.Add(1)
-				writeReply(f.seq, typeReplyErr, []byte(err.Error()))
+				in.writeReply(f.seq, typeReplyErr, []byte(err.Error()))
 				wirecodec.PutBuf(f.payload)
 				continue
 			}
@@ -357,11 +385,8 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			return
 		}
 		t.stats.countIn(frameHeaderSize + len(f.payload))
-		t.mu.Lock()
-		h := t.handler
-		t.mu.Unlock()
 		select {
-		case sem <- struct{}{}:
+		case in.sem <- struct{}{}:
 		default:
 			// Every dispatch slot is taken: wait a bounded time, then shed.
 			// The peer gets a distinct framed reply so it knows the handler
@@ -369,30 +394,22 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			//clashvet:ignore clockcheck real-socket overload shedding waits in wall time; TCP never runs under the simulator
 			shedTimer := time.NewTimer(t.cfg.ShedWait)
 			select {
-			case sem <- struct{}{}:
+			case in.sem <- struct{}{}:
 				shedTimer.Stop()
 			case <-shedTimer.C:
 				t.stats.shed.Add(1)
-				writeReply(f.seq, typeReplyShed, []byte("server overloaded: request shed"))
+				in.writeReply(f.seq, typeReplyShed, []byte("server overloaded: request shed"))
 				wirecodec.PutBuf(f.payload)
 				continue
 			}
 		}
-		hwg.Add(1)
-		go func(f frame) {
-			defer hwg.Done()
-			defer func() { <-sem }()
-			reply, herr := dispatch(h, typeName(f.typ), f.payload)
-			if herr != nil {
-				writeReply(f.seq, typeReplyErr, []byte(herr.Error()))
-			} else {
-				writeReply(f.seq, typeReplyOK, reply)
-				// The handler transferred reply ownership; the frame encoder
-				// copied it, so it can feed the next reply.
-				wirecodec.PutBuf(reply)
-			}
-			wirecodec.PutBuf(f.payload)
-		}(f)
+		in.hwg.Add(1)
+		select {
+		case in.jobs <- f:
+		default:
+			t.wg.Add(1)
+			go in.worker(f)
+		}
 	}
 }
 
@@ -403,16 +420,31 @@ type callResult struct {
 	err     error
 }
 
-// muxConn is one multiplexed outbound connection: a writer loop draining
-// request frames, a reader loop demultiplexing replies into the in-flight
-// map by sequence ID.
-type muxConn struct {
-	t    *TCPTransport
-	addr string
-	conn net.Conn
+// callWaiter is one call's reply channel and timeout timer, recycled only
+// once the reply arrived with the timer still pending. After a timeout the
+// channel may yet receive a late deliver, and under go 1.22 timer semantics a
+// fired timer's send may still be in flight when Stop returns, so such a
+// waiter is dropped instead of drained.
+type callWaiter struct {
+	ch    chan callResult
+	timer *time.Timer
+}
 
-	writeCh  chan []byte // encoded request frames (pooled buffers)
-	closeCh  chan struct{}
+var callWaiters = sync.Pool{New: func() any {
+	//clashvet:ignore clockcheck real-RPC timeout on a kernel socket; TCP never runs under the simulator
+	tm := time.NewTimer(time.Hour)
+	tm.Stop()
+	return &callWaiter{ch: make(chan callResult, 1), timer: tm}
+}}
+
+// muxConn is one multiplexed outbound connection: callers write their request
+// frames through a shared frameWriter, and a reader loop demultiplexes
+// replies into the in-flight map by sequence ID.
+type muxConn struct {
+	t        *TCPTransport
+	addr     string
+	conn     net.Conn
+	w        *frameWriter
 	failOnce sync.Once
 
 	// lastUsed is the UnixNano of the last call registration or reply frame,
@@ -436,10 +468,11 @@ func newMuxConn(t *TCPTransport, addr string, conn net.Conn) *muxConn {
 		t:        t,
 		addr:     addr,
 		conn:     conn,
-		writeCh:  make(chan []byte, frameQueueDepth),
-		closeCh:  make(chan struct{}),
 		inflight: make(map[uint64]chan callResult),
 	}
+	m.w = &frameWriter{conn: conn, stats: &t.stats, timeout: t.cfg.CallTimeout, onFail: func() {
+		m.fail(fmt.Errorf("%s: write failed", addr))
+	}}
 	m.touch()
 	return m
 }
@@ -448,13 +481,6 @@ func (m *muxConn) isClosed() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.closed
-}
-
-// idle reports whether no call is awaiting a reply.
-func (m *muxConn) idle() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.inflight) == 0
 }
 
 // fail closes the connection and fails every in-flight call. It is safe to
@@ -466,7 +492,6 @@ func (m *muxConn) fail(err error) {
 		waiting := m.inflight
 		m.inflight = make(map[uint64]chan callResult)
 		m.mu.Unlock()
-		close(m.closeCh)
 		m.conn.Close()
 		for _, ch := range waiting {
 			ch <- callResult{err: err}
@@ -474,41 +499,16 @@ func (m *muxConn) fail(err error) {
 	})
 }
 
-// writeLoop serialises request frames onto the socket, coalescing queued
-// frames into single writev calls.
-func (m *muxConn) writeLoop() {
-	defer m.t.wg.Done()
-	ws := newWriteScratch()
-	for {
-		select {
-		case buf := <-m.writeCh:
-			if !ws.drainWrite(m.conn, &m.t.stats, buf, m.writeCh, m.t.cfg.CallTimeout) {
-				m.fail(fmt.Errorf("%s: write failed", m.addr))
-				return
-			}
-		case <-m.closeCh:
-			// Frames still queued belong to calls fail() already errored;
-			// recycle their buffers.
-			for {
-				select {
-				case buf := <-m.writeCh:
-					wirecodec.PutBuf(buf)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
 // readLoop demultiplexes reply frames to the in-flight calls and reaps the
-// connection after tcpMuxIdle without traffic.
+// connection after tcpMuxIdle without traffic. Frames are read through a
+// small buffer, so a header and its payload usually cost one read.
 func (m *muxConn) readLoop() {
 	defer m.t.wg.Done()
+	br := bufio.NewReaderSize(m.conn, frameReadBuffer)
 	for {
 		//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
 		_ = m.conn.SetReadDeadline(time.Now().Add(tcpMuxIdle))
-		f, err := readFrame(m.conn)
+		f, err := readFrame(br)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// Only the oversized reply's call fails; the connection and
@@ -525,7 +525,10 @@ func (m *muxConn) readLoop() {
 					// registered late in the window); re-arm and keep going.
 					continue
 				}
-				if m.idle() {
+				m.mu.Lock()
+				idle := len(m.inflight) == 0
+				m.mu.Unlock()
+				if idle {
 					// Clean idle self-reap: nothing is in flight (calls time
 					// out and deregister long before tcpMuxIdle), so closing
 					// now is invisible; failing with errMuxClosed lets a
@@ -562,44 +565,39 @@ func (m *muxConn) deliver(seq uint64, res callResult) {
 // call performs one pipelined exchange on the shared connection, waiting at
 // most timeout for the reply.
 func (m *muxConn) call(typ byte, payload []byte, timeout time.Duration) ([]byte, error) {
+	cw := callWaiters.Get().(*callWaiter)
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
+		callWaiters.Put(cw)
 		return nil, errMuxClosed
 	}
 	m.nextSeq++
 	seq := m.nextSeq
-	ch := make(chan callResult, 1)
-	m.inflight[seq] = ch
+	m.inflight[seq] = cw.ch
 	m.mu.Unlock()
 	m.touch()
 
-	buf := wirecodec.GetBuf()
-	buf, err := appendFrame(buf, seq, typ, payload)
+	// fail() may now error cw.ch at any time: early returns drop cw.
+	buf, err := appendFrame(wirecodec.GetBuf(), seq, typ, payload)
 	if err != nil {
 		wirecodec.PutBuf(buf)
 		m.abandon(seq)
 		return nil, err
 	}
-	// Hand the frame to the writer loop: a successful send means the writer
-	// owns the frame (it reaches the socket or the whole connection fails,
-	// erroring this call through its in-flight channel), while losing to
-	// closeCh means the request never left this goroutine and is safe to
-	// retry elsewhere.
-	select {
-	//clashvet:ignore poolcheck deliberate ownership handoff: the writer loop recycles the frame after writev (or the conn dies and errors the call)
-	case m.writeCh <- buf:
-	case <-m.closeCh:
-		wirecodec.PutBuf(buf)
+	// A taken frame reaches the socket or the connection fails, erroring this
+	// call through cw.ch; a refused one never left, so a retry is safe.
+	if !m.w.write(buf) {
 		m.abandon(seq)
 		return nil, errMuxClosed
 	}
 
-	//clashvet:ignore clockcheck real-RPC timeout on a kernel socket; TCP never runs under the simulator
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	cw.timer.Reset(timeout)
 	select {
-	case res := <-ch:
+	case res := <-cw.ch:
+		if cw.timer.Stop() {
+			callWaiters.Put(cw)
+		}
 		if res.err != nil {
 			return nil, res.err
 		}
@@ -610,7 +608,7 @@ func (m *muxConn) call(typ byte, payload []byte, timeout time.Duration) ([]byte,
 			return nil, fmt.Errorf("%w: %s: %s", ErrShed, m.addr, res.payload)
 		}
 		return res.payload, nil
-	case <-timer.C:
+	case <-cw.timer.C:
 		m.abandon(seq)
 		m.t.stats.timeouts.Add(1)
 		return nil, fmt.Errorf("%w: call %s after %s", ErrDeadline, m.addr, timeout)
@@ -677,9 +675,8 @@ func (t *TCPTransport) getMux(addr string) (mc *muxConn, fresh bool, err error) 
 	}
 	t.dialed[addr] = true
 	t.muxes[addr] = mc
-	t.wg.Add(2)
+	t.wg.Add(1)
 	t.mu.Unlock()
-	go mc.writeLoop()
 	go mc.readLoop()
 	return mc, true, nil
 }
@@ -702,8 +699,11 @@ func (t *TCPTransport) CallOpts(addr, msgType string, payload []byte, opts CallO
 	}
 	t.stats.inFlight.Add(1)
 	defer t.stats.inFlight.Add(-1)
-	//clashvet:ignore clockcheck RTT of a real socket call is wall-clock by definition
-	start := time.Now()
+	var start time.Time
+	if opts.RTT != nil {
+		//clashvet:ignore clockcheck RTT of a real socket call is wall-clock by definition
+		start = time.Now()
+	}
 	mc, fresh, err := t.getMux(addr)
 	if err != nil {
 		return nil, err

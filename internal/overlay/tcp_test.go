@@ -1,0 +1,362 @@
+package overlay
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"clash/internal/wirecodec"
+)
+
+// echoHandler answers every request with "r:" followed by its payload.
+func echoHandler(_ string, payload []byte) ([]byte, error) {
+	return append([]byte("r:"), payload...), nil
+}
+
+// listenPair starts a server transport with handler h and a client transport.
+func listenPair(t *testing.T, h Handler) (srv, cli *TCPTransport) {
+	t.Helper()
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetHandler(h)
+	cli, err = ListenTCP("127.0.0.1:0")
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	return srv, cli
+}
+
+// readReplies reads n reply frames from r and checks that each answers one
+// of want's sequence IDs with the expected payload, in any order.
+func readReplies(t *testing.T, r io.Reader, want map[uint64][]byte) {
+	t.Helper()
+	for n := len(want); n > 0; n-- {
+		f, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("reading reply (%d outstanding): %v", n, err)
+		}
+		exp, ok := want[f.seq]
+		if !ok {
+			t.Fatalf("unexpected or duplicate reply seq %d", f.seq)
+		}
+		if f.typ != typeReplyOK || !bytes.Equal(f.payload, exp) {
+			t.Fatalf("seq %d reply = (%#x, %q), want (typeReplyOK, %q)", f.seq, f.typ, f.payload, exp)
+		}
+		delete(want, f.seq)
+	}
+}
+
+// TestTCPHalfCloseFlushesReplies pins serveConn's shutdown promise: a peer
+// that pipelines requests and then half-closes its write side still receives
+// every reply, including those whose handlers were still running at EOF.
+func TestTCPHalfCloseFlushesReplies(t *testing.T) {
+	const n = 64
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetHandler(func(msgType string, payload []byte) ([]byte, error) {
+		time.Sleep(5 * time.Millisecond) // still running when EOF arrives
+		return echoHandler(msgType, payload)
+	})
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var reqs []byte
+	want := make(map[uint64][]byte, n)
+	for i := uint64(1); i <= n; i++ {
+		msg := []byte(fmt.Sprintf("half-%d", i))
+		if reqs, err = appendFrame(reqs, i, typePing, msg); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = append([]byte("r:"), msg...)
+	}
+	if _, err := conn.Write(reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	readReplies(t, conn, want)
+	// With every reply flushed, the server closes its side.
+	if _, err := readFrame(conn); !errors.Is(err, io.EOF) {
+		t.Errorf("after the last reply: %v, want EOF", err)
+	}
+}
+
+// waitGoroutines polls until cond accepts the live goroutine count or the
+// deadline passes, and returns the last count seen.
+func waitGoroutines(cond func(int) bool) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if cond(n) || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestTCPDispatchWorkersSettle bounds the goroutines a burst leaves behind:
+// after 200 concurrent calls on one connection, at most idleDispatchWorkers
+// dispatch workers stay parked next to the fixed loops, and Close returns the
+// goroutine count to its baseline.
+func TestTCPDispatchWorkersSettle(t *testing.T) {
+	const (
+		calls = 200
+		wave  = 32 // requests held at once, so the burst needs many workers
+		// Two accept loops, the server's read loop, the client's demux loop.
+		fixedLoops = 4
+	)
+	base := runtime.NumGoroutine()
+	var (
+		mu      sync.Mutex
+		arrived int
+		release = make(chan struct{})
+	)
+	srv, cli := listenPair(t, func(msgType string, payload []byte) ([]byte, error) {
+		mu.Lock()
+		arrived++
+		if arrived == wave {
+			close(release)
+		}
+		mu.Unlock()
+		select {
+		case <-release:
+		case <-time.After(10 * time.Second):
+			return nil, fmt.Errorf("wave never completed")
+		}
+		return echoHandler(msgType, payload)
+	})
+
+	var wg sync.WaitGroup
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			msg := []byte(fmt.Sprintf("b%03d", i))
+			reply, err := cli.Call(srv.Addr(), TypePing, msg)
+			if err == nil && string(reply) != "r:"+string(msg) {
+				err = fmt.Errorf("call %d got %q", i, reply)
+			}
+			if err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := srv.numServing(); got != 1 {
+		t.Errorf("server connections = %d, want 1", got)
+	}
+
+	limit := base + fixedLoops + idleDispatchWorkers
+	if n := waitGoroutines(func(n int) bool { return n <= limit }); n > limit {
+		t.Errorf("goroutines after the burst = %d, want <= %d (baseline %d + %d loops + %d idle workers)",
+			n, limit, base, fixedLoops, idleDispatchWorkers)
+	}
+	cli.Close()
+	srv.Close()
+	if n := waitGoroutines(func(n int) bool { return n <= base }); n > base {
+		t.Errorf("goroutines after Close = %d, want <= baseline %d", n, base)
+	}
+}
+
+// TestTCPFramingThroughBufferedReader feeds both read loops frames packed
+// many to a write and a frame split one byte per write, with payloads on
+// both sides of the read buffer's size.
+func TestTCPFramingThroughBufferedReader(t *testing.T) {
+	payload := func(i int) []byte {
+		if i%5 == 0 {
+			return bytes.Repeat([]byte{byte('a' + i%26)}, 3*frameReadBuffer+i)
+		}
+		return []byte(fmt.Sprintf("p%d", i))
+	}
+	writeBytewise := func(conn net.Conn, frame []byte) error {
+		for i := range frame {
+			if _, err := conn.Write(frame[i : i+1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	t.Run("server", func(t *testing.T) {
+		srv, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.SetHandler(echoHandler)
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+
+		var packed []byte
+		want := make(map[uint64][]byte)
+		for i := 1; i <= 40; i++ {
+			if packed, err = appendFrame(packed, uint64(i), typePing, payload(i)); err != nil {
+				t.Fatal(err)
+			}
+			want[uint64(i)] = append([]byte("r:"), payload(i)...)
+		}
+		if _, err := conn.Write(packed); err != nil {
+			t.Fatal(err)
+		}
+		readReplies(t, conn, want)
+
+		for _, i := range []int{41, 45} { // a small and a large payload
+			split, err := appendFrame(nil, uint64(i), typePing, payload(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeBytewise(conn, split); err != nil {
+				t.Fatal(err)
+			}
+			readReplies(t, conn, map[uint64][]byte{uint64(i): append([]byte("r:"), payload(i)...)})
+		}
+	})
+
+	t.Run("client", func(t *testing.T) {
+		// A hand-rolled peer answers the transport's requests: first a batch
+		// of replies in one write, then replies dribbled a byte at a time.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		cli, err := ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+
+		const batch = 40
+		peerErr := make(chan error, 1)
+		go func() {
+			peerErr <- func() error {
+				conn, err := ln.Accept()
+				if err != nil {
+					return err
+				}
+				defer conn.Close()
+				var replies []byte
+				for i := 0; i < batch; i++ {
+					f, err := readFrame(conn)
+					if err != nil {
+						return err
+					}
+					if replies, err = appendFrame(replies, f.seq, typeReplyOK, f.payload); err != nil {
+						return err
+					}
+				}
+				if _, err := conn.Write(replies); err != nil {
+					return err
+				}
+				for i := 0; i < 2; i++ {
+					f, err := readFrame(conn)
+					if err != nil {
+						return err
+					}
+					split, err := appendFrame(nil, f.seq, typeReplyOK, f.payload)
+					if err != nil {
+						return err
+					}
+					if err := writeBytewise(conn, split); err != nil {
+						return err
+					}
+				}
+				// Hold the connection until the client hangs up.
+				_, err = io.Copy(io.Discard, conn)
+				return err
+			}()
+		}()
+
+		call := func(i int) error {
+			reply, err := cli.CallOpts(ln.Addr().String(), TypePing, payload(i), CallOpts{Timeout: 10 * time.Second})
+			if err != nil {
+				return fmt.Errorf("call %d: %w", i, err)
+			}
+			if !bytes.Equal(reply, payload(i)) {
+				return fmt.Errorf("call %d reply = %d bytes, want %d", i, len(reply), len(payload(i)))
+			}
+			return nil
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, batch)
+		for i := 1; i <= batch; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if err := call(i); err != nil {
+					errs <- err
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		for _, i := range []int{41, 45} {
+			if err := call(i); err != nil {
+				t.Error(err)
+			}
+		}
+		cli.Close()
+		if err := <-peerErr; err != nil {
+			t.Errorf("peer: %v", err)
+		}
+	})
+}
+
+// TestTCPCallAllocs caps the allocations of one loopback Call, counted on
+// both ends: request framing, the server's read, dispatch and reply, and the
+// client's demux. Pooled frames, reused dispatch workers and recycled call
+// waiters leave the reply payload the caller keeps and one frame header per
+// side, which readFrameInto reads through an io.Reader.
+func TestTCPCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// Like every real handler (marshalMsg), reply in a pooled buffer.
+	srv, cli := listenPair(t, func(string, []byte) ([]byte, error) {
+		return append(wirecodec.GetBuf(), "pong"...), nil
+	})
+	defer srv.Close()
+	defer cli.Close()
+	payload := []byte("ping")
+	call := func() {
+		if _, err := cli.Call(srv.Addr(), TypePing, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call() // dial, spawn the parked worker, warm the pools
+	}
+	const ceiling = 4
+	if allocs := testing.AllocsPerRun(500, call); allocs > ceiling {
+		t.Errorf("allocations per Call = %v, want <= %d", allocs, ceiling)
+	}
+}

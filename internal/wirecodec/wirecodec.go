@@ -195,10 +195,17 @@ func (r *Reader) String() string {
 
 // bufPool recycles encode scratch buffers. Buffers start at 512 bytes and
 // grow with use; oversized ones (a rare huge state transfer) are dropped
-// instead of pinned.
-var bufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 512); return &b },
-}
+// instead of pinned. The pool stores *[]byte so a Put does not box a slice
+// header; the empty *[]byte holders themselves cycle through holderPool, so a
+// steady-state GetBuf/PutBuf pair allocates nothing.
+var (
+	bufPool = sync.Pool{
+		New: func() any { b := make([]byte, 0, 512); return &b },
+	}
+	holderPool = sync.Pool{
+		New: func() any { return new([]byte) },
+	}
+)
 
 // maxPooledBuf bounds the capacity of buffers returned to the pool.
 const maxPooledBuf = 1 << 20
@@ -206,7 +213,11 @@ const maxPooledBuf = 1 << 20
 // GetBuf returns an empty scratch buffer from the pool. Append to it freely
 // (reassigning on growth) and hand the final slice back with PutBuf.
 func GetBuf() []byte {
-	return (*bufPool.Get().(*[]byte))[:0]
+	h := bufPool.Get().(*[]byte)
+	b := (*h)[:0]
+	*h = nil
+	holderPool.Put(h)
+	return b
 }
 
 // PutBuf returns a buffer obtained from GetBuf (or grown from one) to the
@@ -215,6 +226,7 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledBuf {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	h := holderPool.Get().(*[]byte)
+	*h = b[:0]
+	bufPool.Put(h)
 }

@@ -139,6 +139,24 @@ func TestBufPool(t *testing.T) {
 	PutBuf(make([]byte, 0, maxPooledBuf+1))
 }
 
+// TestBufPoolAllocFree pins the package doc's promise: once warm, a
+// GetBuf/PutBuf cycle allocates nothing (neither the buffer nor the *[]byte
+// holder the pool stores).
+func TestBufPoolAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	PutBuf(GetBuf())
+	allocs := testing.AllocsPerRun(1000, func() {
+		b := GetBuf()
+		b = append(b, 1, 2, 3)
+		PutBuf(b)
+	})
+	if allocs != 0 {
+		t.Errorf("GetBuf/PutBuf allocations = %v, want 0", allocs)
+	}
+}
+
 func TestEncodeAllocFree(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAA}, 256)
 	buf := GetBuf()
