@@ -1,7 +1,7 @@
 // Package benchutil generates the deterministic synthetic workloads shared by
-// the in-package benchmarks and the cmd/clashbench harness: a prefix-free set
-// of key groups produced by random splitting (the shape CLASH's split protocol
-// yields) and uniform identifier keys to resolve against it.
+// the core and cq benchmarks and gate tests: a prefix-free set of key groups
+// produced by random splitting (the shape CLASH's split protocol yields) and
+// uniform identifier keys to resolve against it.
 package benchutil
 
 import (

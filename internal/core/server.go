@@ -125,9 +125,9 @@ type Server struct {
 	// cellBits is the number of leading key bits that index cells:
 	// counterCellBits, or the key width when keys are shorter. Each cell is
 	// its own 64-byte allocation, which the allocator aligns to 64 bytes; an
-	// element of one array of cells need not start a cache line (in
-	// clashbench -cores 1,2 on a 2-vCPU box the array ran about 6% slower at
-	// two cores).
+	// element of one array of cells need not start a cache line (driving
+	// HandleAcceptObject from two goroutines on a 2-vCPU box, one array of
+	// cells ran about 6% slower).
 	cellBits int
 	cells    [1 << counterCellBits]*counterCell
 
