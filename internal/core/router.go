@@ -37,12 +37,20 @@ func NewRouter(keyBits int) *Router {
 
 // Learn records that the given group is managed by the given server. Groups
 // deeper than the key space are ignored: the pre-trie Route capped its probes
-// at keyBits, so such a binding could never be returned.
+// at keyBits, so such a binding could never be returned. Re-learning an
+// unchanged binding (every cache-hit publish does) returns under the read
+// lock: the trie and the reverse index already agree on it.
 func (r *Router) Learn(g bitkey.Group, server ServerID) {
 	if g.Prefix.Bits > r.keyBits {
 		return
 	}
 	p := g.Prefix
+	r.mu.RLock()
+	old, ok := r.trie.Get(p)
+	r.mu.RUnlock()
+	if ok && old == server {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.trie.Get(p); ok && old != server {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"clash/internal/bitkey"
@@ -55,5 +56,33 @@ func TestRouterForgetServer(t *testing.T) {
 	}
 	if _, srv, ok := r.Route(bitkey.MustParse("0100000")); !ok || srv != "b" {
 		t.Errorf("surviving binding lost: %v %v", srv, ok)
+	}
+}
+
+// TestRouterRelearn pins Learn's read-locked early return: re-learning an
+// unchanged binding leaves the reverse index as it was, and rebinding a group
+// to a new server still un-indexes the old one, so forgetting the old server
+// keeps the rebound group.
+func TestRouterRelearn(t *testing.T) {
+	r := NewRouter(7)
+	g := bitkey.MustParseGroup("01*")
+	r.Learn(g, "a")
+	r.Learn(bitkey.MustParseGroup("10*"), "a")
+	before := fmt.Sprint(r.byServer)
+	r.Learn(g, "a")
+	if after := fmt.Sprint(r.byServer); after != before {
+		t.Errorf("re-learning an unchanged binding changed the index: %s -> %s", before, after)
+	}
+
+	r.Learn(g, "b")
+	if _, indexed := r.byServer["a"][g.Prefix]; indexed {
+		t.Error("rebinding left the group indexed under its old server")
+	}
+	r.ForgetServer("a")
+	if got, srv, ok := r.Route(bitkey.MustParse("0100000")); !ok || srv != "b" || !got.Equal(g) {
+		t.Errorf("after ForgetServer(old): Route = %v %v %v, want %v b", got, srv, ok, g)
+	}
+	if r.Len() != 1 {
+		t.Errorf("Len = %d, want 1 (only the rebound group)", r.Len())
 	}
 }

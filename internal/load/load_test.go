@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"clash/internal/bitkey"
 )
 
 func TestNewModelValidation(t *testing.T) {
@@ -70,75 +72,31 @@ func TestThresholds(t *testing.T) {
 
 func TestMeterSnapshotResetsRatesKeepsQueries(t *testing.T) {
 	m := NewMeter(10)
-	m.RecordPackets("011*", 50)
-	m.AddQueries("011*", 3)
+	g := bitkey.MustParseGroup("011*")
+	m.RecordPackets(g, 50)
+	m.AddQueries(g, 3)
 	snap := m.Snapshot()
-	if got := snap["011*"]; got.DataRate != 5 || got.Queries != 3 {
+	if got := snap[g]; got.DataRate != 5 || got.Queries != 3 {
 		t.Fatalf("first snapshot = %+v, want rate 5 queries 3", got)
 	}
 	snap2 := m.Snapshot()
-	if got := snap2["011*"]; got.DataRate != 0 || got.Queries != 3 {
+	if got := snap2[g]; got.DataRate != 0 || got.Queries != 3 {
 		t.Fatalf("second snapshot = %+v, want rate reset to 0, queries kept", got)
 	}
-	m.AddQueries("011*", -3)
-	if got := m.Snapshot()["011*"]; got.Queries != 0 {
+	m.AddQueries(g, -3)
+	if got := m.Snapshot()[g]; got.Queries != 0 {
 		t.Fatalf("queries not removed: %+v", got)
 	}
 }
 
 func TestMeterDrop(t *testing.T) {
 	m := NewMeter(1)
-	m.RecordPackets("0*", 5)
-	m.SetQueries("0*", 2)
-	m.Drop("0*")
+	g := bitkey.MustParseGroup("0*")
+	m.RecordPackets(g, 5)
+	m.SetQueries(g, 2)
+	m.Drop(g)
 	if len(m.Snapshot()) != 0 {
 		t.Error("Drop did not remove the group")
-	}
-}
-
-func TestRankOrdersHottestFirst(t *testing.T) {
-	model := DefaultModel(100)
-	samples := map[string]Sample{
-		"00*": {DataRate: 10},
-		"01*": {DataRate: 90},
-		"10*": {DataRate: 40},
-		"11*": {DataRate: 40},
-	}
-	ranked := Rank(model, samples)
-	if len(ranked) != 4 {
-		t.Fatalf("len = %d, want 4", len(ranked))
-	}
-	if ranked[0].Group != "01*" {
-		t.Errorf("hottest = %s, want 01*", ranked[0].Group)
-	}
-	if ranked[3].Group != "00*" {
-		t.Errorf("coldest = %s, want 00*", ranked[3].Group)
-	}
-	// Ties broken deterministically by label.
-	if ranked[1].Group != "10*" || ranked[2].Group != "11*" {
-		t.Errorf("tie break wrong: %v", ranked)
-	}
-	if got := Total(ranked); math.Abs(got-1.8) > 1e-9 {
-		t.Errorf("Total = %g, want 1.8", got)
-	}
-}
-
-func TestPickSplitAndColdest(t *testing.T) {
-	ranked := []GroupLoad{{"a", 0.9}, {"b", 0.5}, {"c", 0.1}}
-	if g, ok := PickSplit(SplitHottest, ranked, nil); !ok || g.Group != "a" {
-		t.Errorf("PickSplit hottest = %v,%v", g, ok)
-	}
-	if g, ok := PickSplit(SplitRandom, ranked, func(n int) int { return n - 1 }); !ok || g.Group != "c" {
-		t.Errorf("PickSplit random = %v,%v", g, ok)
-	}
-	if g, ok := PickColdest(ranked); !ok || g.Group != "c" {
-		t.Errorf("PickColdest = %v,%v", g, ok)
-	}
-	if _, ok := PickSplit(SplitHottest, nil, nil); ok {
-		t.Error("PickSplit on empty ranking should return false")
-	}
-	if _, ok := PickColdest(nil); ok {
-		t.Error("PickColdest on empty ranking should return false")
 	}
 }
 

@@ -1,24 +1,27 @@
 package load
 
 import (
-	"sort"
 	"sync"
 	"time"
+
+	"clash/internal/bitkey"
 )
 
 // Meter accumulates per-group work measurements over a measurement interval.
-// A server (live overlay) or the simulator records packet arrivals and query
-// registrations against group labels; at each load-check period the owner
-// reads the per-group samples, converts them to loads with a Model and resets
-// the rate counters for the next interval.
+// An overlay node (live or under the simulator) records packet arrivals and
+// query registrations against key groups; at each load-check period the
+// owner reads the per-group samples, converts them to loads with a Model and
+// resets the rate counters for the next interval. Groups are the map keys
+// themselves (bitkey.Group is comparable), so recording a packet formats no
+// label and allocates nothing once the group has an entry.
 //
 // Meter is safe for concurrent use so the live overlay can record arrivals
 // from many connection goroutines.
 type Meter struct {
 	mu      sync.Mutex
-	arrived map[string]float64 // packets observed this interval, per group
-	queries map[string]int     // currently registered queries, per group
-	window  float64            // nominal interval length in seconds
+	arrived map[bitkey.Group]float64 // packets observed this interval, per group
+	queries map[bitkey.Group]int     // currently registered queries, per group
+	window  float64                  // nominal interval length in seconds
 
 	// now, when set, timestamps snapshots so rates are computed over the
 	// actual elapsed interval instead of the nominal window (see
@@ -45,8 +48,8 @@ func NewMeterClock(windowSeconds float64, now func() time.Time) *Meter {
 		windowSeconds = 1
 	}
 	m := &Meter{
-		arrived: make(map[string]float64),
-		queries: make(map[string]int),
+		arrived: make(map[bitkey.Group]float64),
+		queries: make(map[bitkey.Group]int),
 		window:  windowSeconds,
 		now:     now,
 	}
@@ -57,14 +60,14 @@ func NewMeterClock(windowSeconds float64, now func() time.Time) *Meter {
 }
 
 // RecordPackets adds n packet arrivals for a group in the current interval.
-func (m *Meter) RecordPackets(group string, n float64) {
+func (m *Meter) RecordPackets(group bitkey.Group, n float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.arrived[group] += n
 }
 
 // SetQueries sets the current number of stored queries for a group.
-func (m *Meter) SetQueries(group string, n int) {
+func (m *Meter) SetQueries(group bitkey.Group, n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n <= 0 {
@@ -75,7 +78,7 @@ func (m *Meter) SetQueries(group string, n int) {
 }
 
 // AddQueries adjusts the stored-query count for a group by delta.
-func (m *Meter) AddQueries(group string, delta int) {
+func (m *Meter) AddQueries(group bitkey.Group, delta int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := m.queries[group] + delta
@@ -87,7 +90,7 @@ func (m *Meter) AddQueries(group string, delta int) {
 }
 
 // Drop removes all state for a group (after it has been transferred away).
-func (m *Meter) Drop(group string) {
+func (m *Meter) Drop(group bitkey.Group) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.arrived, group)
@@ -99,7 +102,7 @@ func (m *Meter) Drop(group string) {
 // long-lived state). With a clock (NewMeterClock) the rate denominator is the
 // clamped elapsed time since the previous snapshot; without one it is the
 // nominal window.
-func (m *Meter) Snapshot() map[string]Sample {
+func (m *Meter) Snapshot() map[bitkey.Group]Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	window := m.window
@@ -109,7 +112,7 @@ func (m *Meter) Snapshot() map[string]Sample {
 		m.lastSnap = t
 		window = min(max(elapsed, m.window/2), m.window*2)
 	}
-	out := make(map[string]Sample, len(m.arrived)+len(m.queries))
+	out := make(map[bitkey.Group]Sample, len(m.arrived)+len(m.queries))
 	for g, pkts := range m.arrived {
 		s := out[g]
 		s.DataRate = pkts / window
@@ -120,74 +123,6 @@ func (m *Meter) Snapshot() map[string]Sample {
 		s.Queries = q
 		out[g] = s
 	}
-	m.arrived = make(map[string]float64)
+	m.arrived = make(map[bitkey.Group]float64)
 	return out
-}
-
-// GroupLoad pairs a group label with its measured load fraction.
-type GroupLoad struct {
-	Group string
-	Load  float64
-}
-
-// Rank converts per-group samples into load fractions and returns them sorted
-// from hottest to coldest, breaking ties by group label for determinism.
-func Rank(model Model, samples map[string]Sample) []GroupLoad {
-	out := make([]GroupLoad, 0, len(samples))
-	for g, s := range samples {
-		out = append(out, GroupLoad{Group: g, Load: model.Load(s)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Load != out[j].Load {
-			return out[i].Load > out[j].Load
-		}
-		return out[i].Group < out[j].Group
-	})
-	return out
-}
-
-// Total sums the load fractions of a ranking.
-func Total(groups []GroupLoad) float64 {
-	var sum float64
-	for _, g := range groups {
-		sum += g.Load
-	}
-	return sum
-}
-
-// SplitPolicy selects which key group an overloaded server should split.
-type SplitPolicy int
-
-// Split policies. The paper splits the hottest group; RandomSplit exists for
-// the ablation benchmarks.
-const (
-	SplitHottest SplitPolicy = iota + 1
-	SplitRandom
-)
-
-// PickSplit returns the group to split under the given policy from a ranking
-// (hottest first). The rand function is only used by SplitRandom and must
-// return a value in [0, n). It returns false if the ranking is empty.
-func PickSplit(policy SplitPolicy, ranked []GroupLoad, randIntn func(int) int) (GroupLoad, bool) {
-	if len(ranked) == 0 {
-		return GroupLoad{}, false
-	}
-	switch policy {
-	case SplitRandom:
-		if randIntn == nil {
-			return ranked[0], true
-		}
-		return ranked[randIntn(len(ranked))], true
-	default:
-		return ranked[0], true
-	}
-}
-
-// PickColdest returns the coldest group of a ranking (the paper's
-// consolidation candidate). It returns false if the ranking is empty.
-func PickColdest(ranked []GroupLoad) (GroupLoad, bool) {
-	if len(ranked) == 0 {
-		return GroupLoad{}, false
-	}
-	return ranked[len(ranked)-1], true
 }

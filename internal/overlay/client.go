@@ -194,8 +194,10 @@ func decodeAccept(reply *core.AcceptObjectReplyMsg) (core.AcceptObjectResult, er
 // traceID, when non-zero, marks the object as sampled for request tracing;
 // parentSpan and hop are the span context of the delivery so far (the
 // previous probe's server span and how many probes preceded this one), which
-// the contacted server chains its own span under.
-func (c *Client) acceptObject(addr string, key bitkey.Key, depth int, kind core.ObjectKind, payload []byte, traceID, parentSpan uint64, hop int) (core.AcceptObjectResult, *core.AcceptObjectReplyMsg, error) {
+// the contacted server chains its own span under. It encodes and decodes the
+// concrete messages directly and returns the reply by value: passing them
+// through call's wireMsg interface would heap-allocate both on every probe.
+func (c *Client) acceptObject(addr string, key bitkey.Key, depth int, kind core.ObjectKind, payload []byte, traceID, parentSpan uint64, hop int) (core.AcceptObjectResult, core.AcceptObjectReplyMsg, error) {
 	req := core.AcceptObjectMsg{
 		KeyValue:   key.Value,
 		KeyBits:    key.Bits,
@@ -206,15 +208,21 @@ func (c *Client) acceptObject(addr string, key bitkey.Key, depth int, kind core.
 		ParentSpan: parentSpan,
 		Hop:        hop,
 	}
+	buf := req.MarshalWire(wirecodec.GetBuf())
+	data, err := c.tr.Call(addr, TypeAcceptObject, buf)
+	wirecodec.PutBuf(buf)
+	if err != nil {
+		return core.AcceptObjectResult{}, core.AcceptObjectReplyMsg{}, err
+	}
 	var reply core.AcceptObjectReplyMsg
-	if err := call(c.tr, addr, TypeAcceptObject, &req, &reply); err != nil {
-		return core.AcceptObjectResult{}, nil, err
+	if err := reply.UnmarshalWire(data); err != nil {
+		return core.AcceptObjectResult{}, core.AcceptObjectReplyMsg{}, fmt.Errorf("overlay: decode %s reply: %w", TypeAcceptObject, err)
 	}
 	res, err := decodeAccept(&reply)
 	if err != nil {
-		return core.AcceptObjectResult{}, nil, err
+		return core.AcceptObjectResult{}, core.AcceptObjectReplyMsg{}, err
 	}
-	return res, &reply, nil
+	return res, reply, nil
 }
 
 // PublishResult summarises one delivered object.
@@ -247,7 +255,7 @@ func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (
 	traceID := c.nextTraceID()
 	var parentSpan uint64
 	hop := 0
-	chain := func(reply *core.AcceptObjectReplyMsg) {
+	chain := func(reply core.AcceptObjectReplyMsg) {
 		hop++
 		if reply.SpanID != 0 {
 			parentSpan = reply.SpanID
@@ -318,8 +326,9 @@ func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (
 // identifier key and returns where it landed and which continuous queries it
 // matched.
 func (c *Client) Publish(key bitkey.Key, attrs map[string]float64, payload []byte) (*PublishResult, error) {
+	// Direct call rather than marshalMsg, which would box msg into wireMsg.
 	msg := dataMsg{Attrs: attrs, Payload: payload}
-	data := marshalMsg(&msg)
+	data := msg.MarshalWire(wirecodec.GetBuf())
 	defer wirecodec.PutBuf(data)
 	return c.deliver(key, core.ObjectData, data)
 }

@@ -1,19 +1,24 @@
 package overlay
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"clash/internal/core"
 )
 
-// FuzzReadFrame feeds arbitrary byte streams to the frame parser: it must
-// error on malformed input, never panic, never return a payload longer than
-// the input, and always round-trip what appendFrame produced.
+// FuzzReadFrame feeds arbitrary byte streams to both frame decoders: the
+// bufio stream reader (TCP) and the in-place slice decoder (MemNetwork). They
+// must agree on every input — the same seq, type and payload, or the same
+// error class — and the stream reader must error on malformed input, never
+// panic, never return a payload longer than the input, and always
+// round-trip what appendFrame produced.
 func FuzzReadFrame(f *testing.F) {
 	seed := func(seq uint64, typ byte, payload []byte) {
 		buf, err := appendFrame(nil, seq, typ, payload)
@@ -34,9 +39,25 @@ func FuzzReadFrame(f *testing.F) {
 	binary.BigEndian.PutUint32(trunc[0:4], 1<<20)
 	trunc[12] = wireVersion
 	f.Add(trunc[:])
+	// Empty input, a partial header, an unknown version, trailing bytes.
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
+	var badVersion [frameHeaderSize]byte
+	badVersion[12] = wireVersion + 1
+	f.Add(badVersion[:])
+	two, _ := appendFrame(nil, 2, typePing, []byte("a"))
+	two, _ = appendFrame(two, 3, typePing, []byte("b"))
+	f.Add(two)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := readFrame(bytes.NewReader(data))
+		got, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		inPlace, ierr := decodeFrame(data)
+		if c, ic := frameErrClass(err), frameErrClass(ierr); c != ic {
+			t.Fatalf("stream reader: %v (%s); slice decoder: %v (%s)", err, c, ierr, ic)
+		}
+		if frameErrClass(err) != "short" && (got.seq != inPlace.seq || got.typ != inPlace.typ) {
+			t.Fatalf("headers differ: stream (%d, %#x), in place (%d, %#x)", got.seq, got.typ, inPlace.seq, inPlace.typ)
+		}
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) && len(data) >= frameHeaderSize {
 				// Recoverable skip: the header must have been decoded.
@@ -46,6 +67,9 @@ func FuzzReadFrame(f *testing.F) {
 				}
 			}
 			return
+		}
+		if !bytes.Equal(got.payload, inPlace.payload) {
+			t.Fatalf("payloads differ: stream %x, in place %x", got.payload, inPlace.payload)
 		}
 		if len(got.payload) > len(data) {
 			t.Fatalf("payload %d bytes from %d-byte input", len(got.payload), len(data))
@@ -59,6 +83,24 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, data[:len(enc)])
 		}
 	})
+}
+
+// frameErrClass buckets a frame decode error for the parity check: the
+// stream reader reports a short input as io.EOF or io.ErrUnexpectedEOF
+// depending on where the bytes ran out, so both count as "short".
+func frameErrClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrBadFrame):
+		return "bad frame"
+	case errors.Is(err, ErrFrameTooLarge):
+		return "too large"
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+		return "short"
+	default:
+		return "other: " + err.Error()
+	}
 }
 
 // FuzzCodecRoundTrip feeds arbitrary bytes to every MarshalWire/UnmarshalWire

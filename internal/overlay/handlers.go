@@ -293,7 +293,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 	var matchMicros int64
 	switch req.Kind {
 	case core.ObjectData:
-		n.meter.RecordPackets(res.Group.String(), 1)
+		n.meter.RecordPackets(res.Group, 1)
 		var data dataMsg
 		if len(req.Payload) > 0 {
 			if err := data.UnmarshalWire(req.Payload); err != nil {
@@ -343,7 +343,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 				return core.AcceptObjectReplyMsg{}, false, err
 			}
 		} else {
-			n.meter.AddQueries(res.Group.String(), 1)
+			n.meter.AddQueries(res.Group, 1)
 			registered = true
 		}
 		if st.Subscriber != "" {
@@ -568,7 +568,7 @@ func (n *Node) handleReleaseKeyGroup(payload []byte) ([]byte, error) {
 		}
 		return marshalMsg(&reply), nil
 	}
-	n.meter.Drop(g.String())
+	n.meter.Drop(g)
 	// Releasing a group shrinks the replicable state; push the new snapshot
 	// so the successors stop holding the released range under this origin.
 	n.replicate()

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -16,8 +15,8 @@ import (
 // MemNetwork is an in-memory transport fabric: endpoints created from the
 // same network reach each other by address without sockets. Every Call still
 // round-trips the request and the reply through the binary frame codec
-// (appendFrame/readFrame, sequence ID included), so the serialisation path is
-// byte-identical to TCP. Endpoints can be marked down to exercise failure
+// (appendFrame/decodeFrame, sequence ID included), so the serialisation path
+// is byte-identical to TCP. Endpoints can be marked down to exercise failure
 // handling, and per-type call counts let tests assert on message complexity.
 // SetLink optionally applies a network link model (latency/jitter/loss) to
 // every crossing message, so -inproc smoke runs stop being a zero-RTT
@@ -235,14 +234,15 @@ func (e *MemEndpoint) CallOpts(addr, msgType string, payload []byte, opts CallOp
 	e.stats.inFlight.Add(1)
 	defer e.stats.inFlight.Add(-1)
 
-	// The request direction mirrors TCP's pooled server path: the decoded
-	// request payload lives in a pooled buffer owned by this call and goes
-	// back to the pool once dispatch (and the reply round trip) is done.
-	req, err := e.frameRoundTrip(seq, typ, payload, &e.stats, wirecodec.GetBuf())
+	// The request direction mirrors TCP's pooled server path: the request
+	// payload is decoded in place from a pooled frame buffer owned by this
+	// call, which goes back to the pool once dispatch (and the reply round
+	// trip) is done.
+	req, reqBuf, err := e.frameRoundTrip(seq, typ, payload, &e.stats)
 	if err != nil {
 		return nil, err
 	}
-	defer wirecodec.PutBuf(req.payload)
+	defer wirecodec.PutBuf(reqBuf)
 	target, err := e.net.route(addr, typeName(req.typ))
 	if err != nil {
 		return nil, err
@@ -295,39 +295,36 @@ func (e *MemEndpoint) CallOpts(addr, msgType string, payload []byte, opts CallOp
 	return rf.payload, nil
 }
 
-// frameRoundTrip encodes one frame and decodes it back, exercising the codec
-// and counting the caller's outbound side. The decoded payload is read into
-// `into` (pass a pooled buffer on the request direction, where the payload's
-// lifetime ends with the dispatch; pass nil on the reply direction, whose
-// payload escapes to the application). On success the caller owns f.payload;
-// on error it has already been recycled.
-func (e *MemEndpoint) frameRoundTrip(seq uint64, typ byte, payload []byte, out *transportStats, into []byte) (frame, error) {
-	buf := wirecodec.GetBuf()
-	// Deferred as a closure so the buffer that actually went back to the
-	// pool is the grown one appendFrame returns, not the 512-byte original.
-	defer func() { wirecodec.PutBuf(buf) }()
-	buf, err := appendFrame(buf, seq, typ, payload)
-	if err != nil {
-		wirecodec.PutBuf(into)
-		return frame{}, err
+// frameRoundTrip encodes one frame into a pooled buffer, counts the caller's
+// outbound side, and decodes the frame back in place (decodeFrame), so the
+// codec runs without a reader, a header copy or a payload copy. On success
+// the returned buffer owns the encoding and f.payload aliases it: the caller
+// recycles the buffer with wirecodec.PutBuf once the payload is dead. On
+// error the buffer has already been recycled.
+func (e *MemEndpoint) frameRoundTrip(seq uint64, typ byte, payload []byte, out *transportStats) (frame, []byte, error) {
+	buf, err := appendFrame(wirecodec.GetBuf(), seq, typ, payload)
+	if err == nil {
+		out.countOut(len(buf))
+		var f frame
+		if f, err = decodeFrame(buf); err == nil {
+			return f, buf, nil
+		}
 	}
-	out.countOut(len(buf))
-	f, err := readFrameInto(bytes.NewReader(buf), into)
-	if err != nil {
-		wirecodec.PutBuf(f.payload)
-		return frame{}, err
-	}
-	return f, nil
+	wirecodec.PutBuf(buf)
+	return frame{}, nil, err
 }
 
 // replyRoundTrip encodes the reply frame on the target side and decodes it on
 // the caller side, mirroring TCP's reply direction for the counters. The
-// decoded reply payload is freshly allocated — it escapes to the caller.
+// reply payload escapes to the caller, so it is copied out of the pooled
+// frame once.
 func (t *MemEndpoint) replyRoundTrip(seq uint64, typ byte, payload []byte, caller *MemEndpoint) (frame, error) {
-	f, err := t.frameRoundTrip(seq, typ, payload, &t.stats, nil)
+	f, buf, err := t.frameRoundTrip(seq, typ, payload, &t.stats)
 	if err != nil {
 		return frame{}, err
 	}
+	f.payload = append([]byte(nil), f.payload...)
+	wirecodec.PutBuf(buf)
 	caller.stats.countIn(frameHeaderSize + len(f.payload))
 	return f, nil
 }

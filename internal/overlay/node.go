@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -451,10 +452,12 @@ func (n *Node) mapGroup(vk bitkey.Key) (core.ServerID, error) {
 // LoadCheck runs one CLASH load-check period (paper §5): it promotes replicas
 // of dead peers, retries pending transfers and orphaned query placements,
 // reconciles group ownership with the current ring, converts the meter's
-// samples into per-group loads, splits the hottest group when overloaded
-// (with a real ACCEPT_KEYGROUP transfer), sends load reports to parents,
-// consolidates cold sibling pairs, re-pushes the node's key-group replicas to
-// its successors, and records the metrics series.
+// per-group samples (keyed by bitkey.Group) into the server's per-group
+// loads, splits the server's hottest active group when overloaded (with a
+// real ACCEPT_KEYGROUP transfer), sends load reports to parents, consolidates
+// cold sibling pairs, re-pushes the node's key-group replicas to its
+// successors, and records the metrics series, load.hottest being the highest
+// load among the metered groups.
 func (n *Node) LoadCheck(now time.Time) {
 	n.recoverFromReplicas()
 	n.retryPending()
@@ -471,9 +474,8 @@ func (n *Node) LoadCheck(now time.Time) {
 
 	samples := n.meter.Snapshot()
 	for _, g := range n.server.ActiveGroups() {
-		_ = n.server.SetGroupLoad(g, n.cfg.Model.Load(samples[g.String()]))
+		_ = n.server.SetGroupLoad(g, n.cfg.Model.Load(samples[g]))
 	}
-	ranked := load.Rank(n.cfg.Model, samples)
 	total := n.server.TotalLoad()
 
 	if !n.draining.Load() && n.cfg.Thresholds.IsOverloaded(total) {
@@ -483,7 +485,7 @@ func (n *Node) LoadCheck(now time.Time) {
 	n.tryMerge(now)
 	n.gcReplicas()
 	n.replicate()
-	n.record(now, total, ranked)
+	n.record(now, total, samples)
 }
 
 // splitRetryBudget bounds how often a split re-extends a self-mapped right
@@ -548,7 +550,7 @@ func (n *Node) splitGroup(g bitkey.Group) error {
 	if err != nil {
 		return err
 	}
-	n.meter.Drop(res.Split.String())
+	n.meter.Drop(res.Split)
 	n.resetQueryCount(res.Kept)
 	n.emit(Event{Type: EventSplit, Group: g.String(),
 		Detail: "kept=" + res.Kept.String() + " split=" + res.Split.String()})
@@ -626,9 +628,9 @@ func (n *Node) installQueries(states []queryState) {
 }
 
 // resetQueryCount re-derives the meter's stored-query count for a group from
-// the engine (labels change across splits and merges).
+// the engine (the queries under a group change across splits and merges).
 func (n *Node) resetQueryCount(g bitkey.Group) {
-	n.meter.SetQueries(g.String(), len(n.engine.QueriesInGroup(g)))
+	n.meter.SetQueries(g, len(n.engine.QueriesInGroup(g)))
 }
 
 // acceptKeyGroupPayload builds the ACCEPT_KEYGROUP wire payload for a group
@@ -678,7 +680,7 @@ func (n *Node) deliverTransfer(p pendingTransfer) {
 	}
 	if _, err := n.caller.call(string(tr.To), TypeAcceptKeyGroup, payload); err != nil {
 		if IsRemote(err) {
-			n.meter.Drop(tr.Group.String())
+			n.meter.Drop(tr.Group)
 			n.orphanQueries(p.queries)
 			return
 		}
@@ -694,7 +696,7 @@ func (n *Node) deliverTransfer(p pendingTransfer) {
 		n.mu.Unlock()
 		return
 	}
-	n.meter.Drop(tr.Group.String())
+	n.meter.Drop(tr.Group)
 	if p.attempts > 0 {
 		// A parked retry may have been re-routed away from the split-time
 		// target the parent recorded; tell the parent who actually holds the
@@ -803,7 +805,7 @@ func (n *Node) transferGroup(e core.Entry, owner core.ServerID) int {
 			// the group here — that is how a range ends up active on two
 			// nodes — just re-home the extracted queries and drop the
 			// meter entry with the group.
-			n.meter.Drop(e.Group.String())
+			n.meter.Drop(e.Group)
 			n.orphanQueries(states)
 			return 1
 		}
@@ -820,7 +822,7 @@ func (n *Node) transferGroup(e core.Entry, owner core.ServerID) int {
 		}
 		return 0
 	}
-	n.meter.Drop(e.Group.String())
+	n.meter.Drop(e.Group)
 	n.notifyChildMoved(e.Group, e.Parent, owner)
 	return 1
 }
@@ -953,8 +955,8 @@ func (n *Node) reclaim(r pendingReclaim, now time.Time) {
 	n.installQueries(returned)
 	left, right, serr := res.Merged.Split()
 	if serr == nil {
-		n.meter.Drop(left.String())
-		n.meter.Drop(right.String())
+		n.meter.Drop(left)
+		n.meter.Drop(right)
 	}
 	n.resetQueryCount(res.Merged)
 	n.emit(Event{Type: EventMerge, Group: res.Merged.String(), Peer: string(prop.RightHolder)})
@@ -973,13 +975,18 @@ func verdictString(s chord.PeerState) string {
 }
 
 // record appends this period's samples to the metrics series: total load,
-// hottest-group load from the ranking, table/engine sizes and the cumulative
-// protocol counters.
-func (n *Node) record(now time.Time, total float64, ranked []load.GroupLoad) {
+// the highest load among the metered groups (active or not; skipped when no
+// group was metered), table and engine sizes and the cumulative protocol
+// counters.
+func (n *Node) record(now time.Time, total float64, samples map[bitkey.Group]load.Sample) {
 	t := now.Sub(n.start).Seconds()
 	n.series.Observe("load.total", t, total)
-	if len(ranked) > 0 {
-		n.series.Observe("load.hottest", t, ranked[0].Load)
+	if len(samples) > 0 {
+		hottest := math.Inf(-1)
+		for _, s := range samples {
+			hottest = max(hottest, n.cfg.Model.Load(s))
+		}
+		n.series.Observe("load.hottest", t, hottest)
 	}
 	n.series.Observe("groups.active", t, float64(len(n.server.ActiveGroups())))
 	n.series.Observe("queries.stored", t, float64(n.engine.Len()))

@@ -1,0 +1,123 @@
+package overlay
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"clash/internal/bitkey"
+	"clash/internal/core"
+	"clash/internal/cq"
+	"clash/internal/load"
+	"clash/internal/wirecodec"
+)
+
+// publishFixture is a warmed 3-node in-memory overlay with inline match push
+// and one registered continuous query over region 001*, plus one key that
+// region covers and one no region covers.
+type publishFixture struct {
+	nodes     []*Node
+	client    *Client
+	covered   bitkey.Key
+	uncovered bitkey.Key
+}
+
+func newPublishFixture(t *testing.T) *publishFixture {
+	t.Helper()
+	netw := NewMemNetwork()
+	cfg := testConfig()
+	cfg.InlineMatchPush = true
+	nodes := buildOverlay(t, netw, 3, cfg)
+	client, err := NewClient(netw.Endpoint("client-1"), cfg.KeyBits, nodes[0].cfg.Space, nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := cq.Query{
+		ID:         "q-fast",
+		Region:     bitkey.MustParseGroup("001"),
+		Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}},
+	}
+	if _, err := client.Register(q); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	return &publishFixture{
+		nodes:     nodes,
+		client:    client,
+		covered:   bitkey.Key{Value: 0b001<<13 | 0x0123, Bits: cfg.KeyBits},
+		uncovered: bitkey.Key{Value: 0b110<<13 | 0x0123, Bits: cfg.KeyBits},
+	}
+}
+
+// TestPublishAllocs caps the allocations of one cache-hit Publish on the
+// in-memory fabric, counted end to end: client encode, both frame round
+// trips, the node's decode, accept, meter and match, and the reply decode.
+// The key lies under the registered query's region and its predicate fails,
+// so the engine runs but pushes nothing.
+func TestPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f := newPublishFixture(t)
+	attrs := map[string]float64{"speed": 10}
+	publish := func() {
+		res, err := f.client.Publish(f.covered, attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Probes != 1 || len(res.Matches) != 0 {
+			t.Fatalf("probes %d, matches %v; want a cache hit and no match", res.Probes, res.Matches)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		publish() // learn the route, grow the meter map, warm the pools
+	}
+	// Measured 5 with go1.24: the decoded attribute map and its key string,
+	// the reply payload the caller keeps and the PublishResult. CI builds
+	// with go 1.22, where the count has not been measured (small maps differ
+	// there), so the ceiling keeps one allocation of headroom; a group label
+	// formatted for the load meter costs 2 more.
+	const ceiling = 6
+	if allocs := testing.AllocsPerRun(500, publish); allocs > ceiling {
+		t.Errorf("allocations per Publish = %v, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestMalformedDataPayloadRejected pins that a node validates every data
+// payload: a malformed one fails with "bad data payload" whether or not a
+// continuous-query region covers its key, and a well-formed packet on an
+// uncovered key is metered exactly once.
+func TestMalformedDataPayloadRejected(t *testing.T) {
+	f := newPublishFixture(t)
+	hostileCount := wirecodec.AppendInt(nil, 1000)
+	hostileCount = append(hostileCount, make([]byte, 20)...)
+	full := (&dataMsg{Attrs: map[string]float64{"speed": 80}, Payload: []byte("evt")}).MarshalWire(nil)
+	// Cut inside the float: count (1) + name ("speed", 6 bytes) + 3 of 8.
+	truncatedFloat := full[:1+6+3]
+	for _, key := range []bitkey.Key{f.covered, f.uncovered} {
+		for name, payload := range map[string][]byte{"hostile-count": hostileCount, "truncated-float": truncatedFloat} {
+			_, err := f.client.deliver(key, core.ObjectData, payload)
+			var re *RemoteError
+			if !errors.As(err, &re) || !strings.Contains(re.Msg, "bad data payload") {
+				t.Errorf("key %s, %s: err = %v, want a remote bad data payload error", key, name, err)
+			}
+		}
+	}
+
+	var node *Node
+	var g bitkey.Group
+	for _, n := range f.nodes {
+		if held, ok := n.Server().ManagesKey(f.uncovered); ok {
+			node, g = n, held
+		}
+	}
+	if node == nil {
+		t.Fatalf("no node manages %s", f.uncovered)
+	}
+	node.meter = load.NewMeter(1) // nominal 1 s window: rate == packet count
+	if _, err := f.client.Publish(f.uncovered, map[string]float64{"speed": 80}, []byte("evt")); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.meter.Snapshot()[g].DataRate; got != 1 {
+		t.Errorf("metered %v packets for %s, want 1", got, g)
+	}
+}

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -37,7 +38,7 @@ func listenPair(t *testing.T, h Handler) (srv, cli *TCPTransport) {
 
 // readReplies reads n reply frames from r and checks that each answers one
 // of want's sequence IDs with the expected payload, in any order.
-func readReplies(t *testing.T, r io.Reader, want map[uint64][]byte) {
+func readReplies(t *testing.T, r *bufio.Reader, want map[uint64][]byte) {
 	t.Helper()
 	for n := len(want); n > 0; n-- {
 		f, err := readFrame(r)
@@ -91,9 +92,10 @@ func TestTCPHalfCloseFlushesReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	readReplies(t, conn, want)
+	br := bufio.NewReader(conn)
+	readReplies(t, br, want)
 	// With every reply flushed, the server closes its side.
-	if _, err := readFrame(conn); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(br); !errors.Is(err, io.EOF) {
 		t.Errorf("after the last reply: %v, want EOF", err)
 	}
 }
@@ -212,6 +214,7 @@ func TestTCPFramingThroughBufferedReader(t *testing.T) {
 		}
 		defer conn.Close()
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		br := bufio.NewReader(conn)
 
 		var packed []byte
 		want := make(map[uint64][]byte)
@@ -224,7 +227,7 @@ func TestTCPFramingThroughBufferedReader(t *testing.T) {
 		if _, err := conn.Write(packed); err != nil {
 			t.Fatal(err)
 		}
-		readReplies(t, conn, want)
+		readReplies(t, br, want)
 
 		for _, i := range []int{41, 45} { // a small and a large payload
 			split, err := appendFrame(nil, uint64(i), typePing, payload(i))
@@ -234,7 +237,7 @@ func TestTCPFramingThroughBufferedReader(t *testing.T) {
 			if err := writeBytewise(conn, split); err != nil {
 				t.Fatal(err)
 			}
-			readReplies(t, conn, map[uint64][]byte{uint64(i): append([]byte("r:"), payload(i)...)})
+			readReplies(t, br, map[uint64][]byte{uint64(i): append([]byte("r:"), payload(i)...)})
 		}
 	})
 
@@ -261,9 +264,10 @@ func TestTCPFramingThroughBufferedReader(t *testing.T) {
 					return err
 				}
 				defer conn.Close()
+				br := bufio.NewReader(conn)
 				var replies []byte
 				for i := 0; i < batch; i++ {
-					f, err := readFrame(conn)
+					f, err := readFrame(br)
 					if err != nil {
 						return err
 					}
@@ -275,7 +279,7 @@ func TestTCPFramingThroughBufferedReader(t *testing.T) {
 					return err
 				}
 				for i := 0; i < 2; i++ {
-					f, err := readFrame(conn)
+					f, err := readFrame(br)
 					if err != nil {
 						return err
 					}
@@ -333,9 +337,9 @@ func TestTCPFramingThroughBufferedReader(t *testing.T) {
 
 // TestTCPCallAllocs caps the allocations of one loopback Call, counted on
 // both ends: request framing, the server's read, dispatch and reply, and the
-// client's demux. Pooled frames, reused dispatch workers and recycled call
-// waiters leave the reply payload the caller keeps and one frame header per
-// side, which readFrameInto reads through an io.Reader.
+// client's demux. Pooled frames, reused dispatch workers, recycled call
+// waiters and frame headers decoded in each connection's read buffer leave
+// one allocation: the reply payload the caller keeps.
 func TestTCPCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -355,7 +359,11 @@ func TestTCPCallAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		call() // dial, spawn the parked worker, warm the pools
 	}
-	const ceiling = 4
+	// Measured 1 with go1.24. CI builds with go 1.22, whose timers (the
+	// pooled callWaiter holds one) differ and where the count has not been
+	// measured, so the ceiling keeps one allocation of headroom; the
+	// escaping header array this gate guards against costs 2 more.
+	const ceiling = 2
 	if allocs := testing.AllocsPerRun(500, call); allocs > ceiling {
 		t.Errorf("allocations per Call = %v, want <= %d", allocs, ceiling)
 	}

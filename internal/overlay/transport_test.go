@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -31,15 +32,21 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("appendFrame(%d): %v", tc.seq, err)
 		}
-		got, err := readFrame(bytes.NewReader(buf))
+		streamed, err := readFrame(bufio.NewReader(bytes.NewReader(buf)))
 		if err != nil {
 			t.Fatalf("readFrame(%d): %v", tc.seq, err)
 		}
-		if got.seq != tc.seq || got.typ != tc.typ {
-			t.Errorf("frame = (%d, %#x), want (%d, %#x)", got.seq, got.typ, tc.seq, tc.typ)
+		inPlace, err := decodeFrame(buf)
+		if err != nil {
+			t.Fatalf("decodeFrame(%d): %v", tc.seq, err)
 		}
-		if !bytes.Equal(got.payload, tc.payload) {
-			t.Errorf("payload mismatch for seq %d: got %d bytes, want %d", tc.seq, len(got.payload), len(tc.payload))
+		for _, got := range []frame{streamed, inPlace} {
+			if got.seq != tc.seq || got.typ != tc.typ {
+				t.Errorf("frame = (%d, %#x), want (%d, %#x)", got.seq, got.typ, tc.seq, tc.typ)
+			}
+			if !bytes.Equal(got.payload, tc.payload) {
+				t.Errorf("payload mismatch for seq %d: got %d bytes, want %d", tc.seq, len(got.payload), len(tc.payload))
+			}
 		}
 	}
 }
@@ -64,9 +71,13 @@ func TestFrameGoldenBytes(t *testing.T) {
 }
 
 func TestFrameRejectsBadInput(t *testing.T) {
-	// Truncated header.
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0})); err == nil {
-		t.Error("readFrame accepted truncated header")
+	stream := func(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
+	// A clean close before a frame is io.EOF; one inside a header is not.
+	if _, err := readFrame(stream(nil)); err != io.EOF {
+		t.Errorf("readFrame(empty) = %v, want io.EOF", err)
+	}
+	if _, err := readFrame(stream([]byte{0, 0})); err != io.ErrUnexpectedEOF {
+		t.Errorf("readFrame(truncated header) = %v, want io.ErrUnexpectedEOF", err)
 	}
 	// Unknown version is unrecoverable framing corruption.
 	buf, err := appendFrame(nil, 1, typePing, nil)
@@ -75,7 +86,7 @@ func TestFrameRejectsBadInput(t *testing.T) {
 	}
 	bad := append([]byte(nil), buf...)
 	bad[12] = 99
-	if _, err := readFrame(bytes.NewReader(bad)); !errors.Is(err, ErrBadFrame) {
+	if _, err := readFrame(stream(bad)); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("readFrame(bad version) = %v, want ErrBadFrame", err)
 	}
 	// Oversized payload on the write side is rejected before any I/O.
@@ -107,14 +118,15 @@ func TestFrameOversizeRecoverable(t *testing.T) {
 	}
 	stream.Write(good)
 
-	f, err := readFrame(&stream)
+	br := bufio.NewReader(&stream)
+	f, err := readFrame(br)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("readFrame(oversized) = %v, want ErrFrameTooLarge", err)
 	}
 	if f.seq != 42 || f.typ != typeAcceptObject {
 		t.Errorf("oversized header = (%d, %#x), want (42, accept_object)", f.seq, f.typ)
 	}
-	f, err = readFrame(&stream)
+	f, err = readFrame(br)
 	if err != nil {
 		t.Fatalf("readFrame after oversized: %v", err)
 	}
@@ -365,7 +377,8 @@ func TestTCPOversizedFrameKeepsConnection(t *testing.T) {
 	if _, err := io.CopyN(conn, zeroReader{}, int64(huge)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFrame(conn)
+	br := bufio.NewReader(conn)
+	f, err := readFrame(br)
 	if err != nil {
 		t.Fatalf("reading error reply: %v", err)
 	}
@@ -381,7 +394,7 @@ func TestTCPOversizedFrameKeepsConnection(t *testing.T) {
 	if _, err := conn.Write(good); err != nil {
 		t.Fatal(err)
 	}
-	f, err = readFrame(conn)
+	f, err = readFrame(br)
 	if err != nil {
 		t.Fatalf("reading reply after oversized frame: %v", err)
 	}

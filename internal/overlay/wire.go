@@ -28,6 +28,7 @@
 package overlay
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -233,10 +234,53 @@ func appendFrame(dst []byte, seq uint64, typ byte, payload []byte) ([]byte, erro
 	return append(dst, payload...), nil
 }
 
+// parseFrameHeader decodes the fixed frame header at the start of hdr (at
+// least frameHeaderSize bytes): the frame's sequence ID and type, and the
+// declared payload length. It is the one header decoder both the in-place
+// slice decoder and the stream reader use. An unknown version is
+// ErrBadFrame.
+func parseFrameHeader(hdr []byte) (f frame, n uint32, err error) {
+	n = binary.BigEndian.Uint32(hdr[0:4])
+	f.seq = binary.BigEndian.Uint64(hdr[4:12])
+	f.typ = hdr[13]
+	if ver := hdr[12]; ver != wireVersion {
+		return f, n, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, ver, wireVersion)
+	}
+	return f, n, nil
+}
+
+// decodeFrame decodes the frame at the start of b in place: the returned
+// payload aliases b, so nothing is copied or allocated. Bytes past the frame
+// are ignored. It fails like readFrameInto on a stream holding the same
+// bytes: io.EOF on empty input, io.ErrUnexpectedEOF on a short header or
+// payload, ErrBadFrame on an unknown version, and ErrFrameTooLarge (with the
+// decoded header) when the declared length exceeds maxFrameSize.
+func decodeFrame(b []byte) (frame, error) {
+	if len(b) < frameHeaderSize {
+		if len(b) == 0 {
+			return frame{}, io.EOF
+		}
+		return frame{}, io.ErrUnexpectedEOF
+	}
+	f, n, err := parseFrameHeader(b)
+	if err != nil {
+		return f, err
+	}
+	b = b[frameHeaderSize:]
+	if uint64(n) > uint64(len(b)) {
+		return f, io.ErrUnexpectedEOF
+	}
+	if n > maxFrameSize {
+		return f, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	f.payload = b[:n:n]
+	return f, nil
+}
+
 // readFrame reads one frame from r. The payload is freshly allocated, so it
 // may escape to application code (the client-side demux path hands reply
 // payloads to callers that keep them).
-func readFrame(r io.Reader) (frame, error) {
+func readFrame(r *bufio.Reader) (frame, error) {
 	return readFrameInto(r, nil)
 }
 
@@ -246,24 +290,29 @@ func readFrame(r io.Reader) (frame, error) {
 // decode and dispatch and back to the pool after the reply is flushed. The
 // returned frame's payload is buf, grown as needed, on EVERY return path
 // (even errors), so the caller can always recycle f.payload with PutBuf. A
-// nil buf allocates fresh (readFrame's behaviour).
+// nil buf allocates fresh (readFrame's behaviour). The header is decoded in
+// r's own buffer (Peek, then Discard), so reading it allocates nothing.
 //
-// When the advertised payload exceeds maxFrameSize, the payload is discarded
-// from the stream and the decoded header is returned alongside
-// ErrFrameTooLarge: framing stays intact, so the caller can answer with a
-// framed error and keep the connection. Any other error (short read, unknown
-// version) is unrecoverable.
-func readFrameInto(r io.Reader, buf []byte) (frame, error) {
-	f := frame{payload: buf[:0]}
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return f, err
+// A stream that ends cleanly before a frame returns io.EOF, one that ends
+// inside a header io.ErrUnexpectedEOF. When the advertised payload exceeds
+// maxFrameSize, the payload is discarded from the stream and the decoded
+// header is returned alongside ErrFrameTooLarge: framing stays intact, so the
+// caller can answer with a framed error and keep the connection. Any other
+// error (short read, unknown version) is unrecoverable.
+func readFrameInto(r *bufio.Reader, buf []byte) (frame, error) {
+	hdr, err := r.Peek(frameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return frame{payload: buf[:0]}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	f.seq = binary.BigEndian.Uint64(hdr[4:12])
-	f.typ = hdr[13]
-	if ver := hdr[12]; ver != wireVersion {
-		return f, fmt.Errorf("%w: version %d, want %d", ErrBadFrame, ver, wireVersion)
+	f, n, err := parseFrameHeader(hdr)
+	f.payload = buf[:0]
+	// Peek guaranteed the header bytes are buffered, so Discard cannot fail.
+	_, _ = r.Discard(frameHeaderSize)
+	if err != nil {
+		return f, err
 	}
 	if n > maxFrameSize {
 		// Recoverable: skip the oversized payload so the stream stays framed.
