@@ -46,10 +46,16 @@ func (g Group) Depth() int { return g.Prefix.Bits }
 
 // String renders the group in the paper's wildcard notation ("0110*").
 func (g Group) String() string {
-	if g.Prefix.Bits == 0 {
-		return "*"
+	return string(g.AppendString(make([]byte, 0, g.Prefix.Bits+1)))
+}
+
+// AppendString appends the group's wildcard notation (String) to b without
+// building an intermediate string.
+func (g Group) AppendString(b []byte) []byte {
+	for i := 0; i < g.Prefix.Bits; i++ {
+		b = append(b, '0'+byte(g.Prefix.Bit(i)))
 	}
-	return g.Prefix.String() + "*"
+	return append(b, '*')
 }
 
 // Contains reports whether identifier key k belongs to the group, i.e. the

@@ -2,6 +2,7 @@ package bitkey
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,18 @@ func TestPropertyParentChildRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestGroupAppendString(t *testing.T) {
+	for _, s := range []string{"*", "0*", "1*", "0110*", "1111111111111111*"} {
+		g := MustParseGroup(s)
+		if got := string(g.AppendString([]byte("g="))); got != "g="+s {
+			t.Errorf("AppendString = %q, want %q", got, "g="+s)
+		}
+	}
+	full := NewGroup(Key{Value: 1<<63 | 1, Bits: MaxBits})
+	if got := string(full.AppendString(nil)); got != "1"+strings.Repeat("0", 62)+"1*" {
+		t.Errorf("64-bit AppendString = %q", got)
 	}
 }

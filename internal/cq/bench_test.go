@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -62,6 +63,37 @@ func BenchmarkCQMatchParallel(b *testing.B) {
 		for pb.Next() {
 			e.Match(events[i%uint64(len(events))])
 			i++
+		}
+	})
+}
+
+// BenchmarkQueryMarshal compares the reflection-free encoder, appending into
+// a reused buffer as a replica push does, with encoding/json on the same
+// query.
+func BenchmarkQueryMarshal(b *testing.B) {
+	q := Query{
+		ID:         "q-00042",
+		Region:     bitkey.MustParseGroup("0110101*"),
+		Predicates: []Predicate{{Attr: "speed", Op: OpGe, Value: 30.5}},
+	}
+	b.Run("append", func(b *testing.B) {
+		buf := make([]byte, 0, 256)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = q.AppendJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		ref := q
+		ref.RegionPrefix = q.Region.String()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(ref); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

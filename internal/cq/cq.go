@@ -14,7 +14,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"clash/internal/bitkey"
@@ -148,10 +151,84 @@ func (q Query) Matches(ev Event) bool {
 	return true
 }
 
-// Marshal serialises the query to JSON (used for state transfer).
+// Marshal serialises the query to JSON (used for registration payloads,
+// state transfer and replica pushes). The RegionPrefix field is ignored: the
+// region is always rendered from Region. The bytes equal what json.Marshal
+// produces for the query with RegionPrefix set from Region.
 func (q Query) Marshal() ([]byte, error) {
-	q.RegionPrefix = q.Region.String()
-	return json.Marshal(q)
+	// Room for the fixed syntax, a 24-digit float per predicate and the
+	// strings unescaped, so the common query encodes in one allocation.
+	n := 40 + len(q.ID) + q.Region.Depth()
+	for _, p := range q.Predicates {
+		n += 56 + len(p.Attr)
+	}
+	return q.AppendJSON(make([]byte, 0, n))
+}
+
+// AppendJSON appends the query's Marshal encoding to b without reflection.
+// A non-finite predicate value is an error, as in encoding/json; b is then
+// returned unextended.
+func (q Query) AppendJSON(b []byte) ([]byte, error) {
+	start := len(b)
+	b = append(b, `{"id":`...)
+	b = appendJSONString(b, q.ID)
+	b = append(b, `,"region":"`...)
+	b = q.Region.AppendString(b) // only '0', '1' and '*': nothing to escape
+	b = append(b, '"')
+	if len(q.Predicates) > 0 {
+		b = append(b, `,"predicates":[`...)
+		for i, p := range q.Predicates {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+				return b[:start], fmt.Errorf("cq: marshal query %q: unsupported value %v", q.ID, p.Value)
+			}
+			b = append(b, `{"attr":`...)
+			b = appendJSONString(b, p.Attr)
+			b = append(b, `,"op":`...)
+			b = strconv.AppendInt(b, int64(p.Op), 10)
+			b = append(b, `,"value":`...)
+			b = appendJSONFloat(b, p.Value)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII other than
+// '"', '\\' and the HTML-escaped '<', '>', '&' is copied as is; any other
+// string is handed whole to json.Marshal, which owns the rules for escapes,
+// invalid UTF-8 and U+2028/U+2029.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s) // a string always encodes
+			return append(b, enc...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends a finite f exactly as encoding/json formats a
+// float64: shortest round-trip digits, exponent form below 1e-6 and from 1e21
+// on, with a single-digit negative exponent unpadded ("1e-7", not "1e-07").
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // UnmarshalQuery parses a query serialised with Marshal.
@@ -303,9 +380,11 @@ func (e *Engine) All() []Query {
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, compareIDs)
 	return out
 }
+
+func compareIDs(a, b Query) int { return strings.Compare(a.ID, b.ID) }
 
 // QueriesInGroup returns (without removing) the queries whose identifier key
 // falls inside the given key group, ordered by ID.
@@ -315,7 +394,30 @@ func (e *Engine) QueriesInGroup(g bitkey.Group) []Query {
 	return e.collectInGroup(g)
 }
 
+// CountInGroup returns how many queries QueriesInGroup would return, without
+// copying or sorting them.
+func (e *Engine) CountInGroup(g bitkey.Group) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := 0
+	e.visitInGroup(g, func(qs map[string]Query) { n += len(qs) })
+	return n
+}
+
 func (e *Engine) collectInGroup(g bitkey.Group) []Query {
+	var out []Query
+	e.visitInGroup(g, func(qs map[string]Query) {
+		for _, q := range qs {
+			out = append(out, q)
+		}
+	})
+	slices.SortFunc(out, compareIDs)
+	return out
+}
+
+// visitInGroup calls fn with every region bucket whose queries' identifier
+// keys fall inside g. Callers hold e.mu.
+func (e *Engine) visitInGroup(g bitkey.Group, fn func(map[string]Query)) {
 	// A region's identifier key is its virtual key (prefix padded with
 	// zeroes), so a region falls inside g in exactly two cases:
 	//
@@ -326,27 +428,19 @@ func (e *Engine) collectInGroup(g bitkey.Group) []Query {
 	//     prefix is all zeroes): nodes on the path to g's prefix.
 	// A group deeper than the key space contains no identifier keys at all.
 	if g.Prefix.Bits > e.keyBits {
-		return nil
-	}
-	var out []Query
-	collect := func(qs map[string]Query) {
-		for _, q := range qs {
-			out = append(out, q)
-		}
+		return
 	}
 	e.byRegion.VisitSubtree(g.Prefix, func(_ bitkey.Key, qs map[string]Query) bool {
-		collect(qs)
+		fn(qs)
 		return true
 	})
 	gp := g.Prefix
 	e.byRegion.VisitMatches(gp, func(p bitkey.Key, qs map[string]Query) bool {
 		if p.Bits < gp.Bits && gp.Value&((1<<uint(gp.Bits-p.Bits))-1) == 0 {
-			collect(qs)
+			fn(qs)
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // ExtractGroup removes and returns the queries whose identifier key falls

@@ -75,6 +75,11 @@ func TestQueryMarshalRoundTrip(t *testing.T) {
 	if got.ID != q.ID || !got.Region.Equal(q.Region) || len(got.Predicates) != 2 {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
+	// Marshal sizes its buffer up front: a query needing no escapes costs
+	// exactly the returned slice.
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = q.Marshal() }); allocs != 1 {
+		t.Errorf("Marshal allocates %v times, want 1", allocs)
+	}
 	if _, err := UnmarshalQuery([]byte("{bad")); err == nil {
 		t.Error("garbage accepted")
 	}
@@ -266,6 +271,45 @@ func TestOpString(t *testing.T) {
 	for op, want := range ops {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", op, got, want)
+		}
+	}
+}
+
+// TestCountInGroupMatchesCollect checks CountInGroup and QueriesInGroup
+// against a brute-force scan over identifier keys, for regions both deeper
+// and shallower than the group (the latter count only when their zero
+// padding lands inside it).
+func TestCountInGroupMatchesCollect(t *testing.T) {
+	const bits = 8
+	rng := rand.New(rand.NewSource(5))
+	e := mustEngine(t, bits)
+	var all []Query
+	for i := 0; i < 200; i++ {
+		d := rng.Intn(bits + 1)
+		q := Query{ID: fmt.Sprintf("q%03d", i), Region: bitkey.NewGroup(bitkey.MustNew(uint64(rng.Intn(1<<d)), d))}
+		if err := e.Register(q); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, q)
+	}
+	for d := 0; d <= bits+1; d++ {
+		for v := 0; v < 1<<d && v < 1<<bits; v += 1 + rng.Intn(3) {
+			g := bitkey.NewGroup(bitkey.Key{Value: uint64(v), Bits: d})
+			want := 0
+			for _, q := range all {
+				if ik, err := q.IdentifierKey(bits); err == nil && g.Contains(ik) {
+					want++
+				}
+			}
+			got := e.QueriesInGroup(g)
+			if n := e.CountInGroup(g); n != want || len(got) != want {
+				t.Fatalf("group %v: CountInGroup %d, QueriesInGroup %d, want %d", g, n, len(got), want)
+			}
+			for i := 1; i < len(got); i++ {
+				if got[i-1].ID >= got[i].ID {
+					t.Fatalf("group %v: QueriesInGroup not sorted by ID at %d", g, i)
+				}
+			}
 		}
 	}
 }

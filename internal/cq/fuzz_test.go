@@ -1,0 +1,89 @@
+package cq
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"testing"
+	"unicode/utf8"
+
+	"clash/internal/bitkey"
+)
+
+// FuzzQueryMarshal checks the reflection-free encoder against encoding/json,
+// the reference it replaced: Marshal must produce json.Marshal's exact bytes
+// (or fail exactly when it fails, on a non-finite value) for any ID,
+// attribute name, operator, value and region, and its output must round-trip
+// through UnmarshalQuery.
+func FuzzQueryMarshal(f *testing.F) {
+	f.Add("q-0001", "speed", 50.0, int64(OpGt), uint64(0b011), uint8(3), uint8(1))
+	f.Add("", "", 0.0, int64(0), uint64(0), uint8(0), uint8(0))
+	f.Add("é<b>&amp;", "a\"b\\c", -0.0, int64(-3), uint64(0xffff), uint8(16), uint8(2))
+	f.Add("\xff\xfe\x00", "\x01\x1f\x7f\u2028\u2029", 1e-7, int64(OpEq), uint64(1), uint8(64), uint8(2))
+	f.Add("tab\there\nnl", "\b\f\r", 1e21, int64(OpLe), uint64(5), uint8(7), uint8(1))
+	f.Add("big", "tiny", 5e-324, int64(OpNe), uint64(0), uint8(1), uint8(1))
+	f.Add("max", "min", math.MaxFloat64, int64(OpGe), uint64(2), uint8(2), uint8(2))
+	f.Add("edge", "lo", 9.999999e-7, int64(OpLt), uint64(0), uint8(5), uint8(1))
+	f.Add("edge", "hi", 999999999999999999999.0, int64(OpLt), uint64(0), uint8(5), uint8(1))
+	f.Add("frac", "x", -123.456e-5, int64(OpLt), uint64(0), uint8(5), uint8(1))
+	f.Add("nan", "x", math.NaN(), int64(OpEq), uint64(0), uint8(1), uint8(1))
+	f.Add("inf", "x", math.Inf(-1), int64(OpEq), uint64(0), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, id, attr string, value float64, op int64, prefix uint64, bits, preds uint8) {
+		depth := int(bits) % (bitkey.MaxBits + 1)
+		if depth < bitkey.MaxBits {
+			prefix &= 1<<uint(depth) - 1
+		}
+		q := Query{ID: id, Region: bitkey.NewGroup(bitkey.Key{Value: prefix, Bits: depth})}
+		for i := 0; i < int(preds%3); i++ {
+			// A second predicate flips the sign and renames the attribute,
+			// so both separators and negative values are covered.
+			q.Predicates = append(q.Predicates, Predicate{Attr: attr + string(rune('a'+i)), Op: Op(op) + Op(i), Value: value * float64(1-2*i)})
+		}
+
+		ref := q
+		ref.RegionPrefix = q.Region.String()
+		want, wantErr := json.Marshal(ref)
+		got, err := q.Marshal()
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("Marshal error %v, json.Marshal error %v", err, wantErr)
+		}
+		appended, appendErr := q.AppendJSON([]byte("prefix"))
+		if err != nil {
+			if appendErr == nil || string(appended) != "prefix" {
+				t.Fatalf("failed AppendJSON returned %q, %v; want the input back and an error", appended, appendErr)
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Marshal mismatch:\n got %s\nwant %s", got, want)
+		}
+		if appendErr != nil || string(appended) != "prefix"+string(want) {
+			t.Fatalf("AppendJSON = %q, %v; want the encoding appended", appended, appendErr)
+		}
+
+		back, err := UnmarshalQuery(got)
+		if err != nil {
+			t.Fatalf("UnmarshalQuery(%s): %v", got, err)
+		}
+		if !back.Region.Equal(q.Region) || len(back.Predicates) != len(q.Predicates) {
+			t.Fatalf("round trip %+v, want %+v", back, q)
+		}
+		for i, p := range back.Predicates {
+			if p.Op != q.Predicates[i].Op || p.Value != q.Predicates[i].Value {
+				t.Fatalf("predicate %d round trip %+v, want %+v", i, p, q.Predicates[i])
+			}
+		}
+		// Invalid UTF-8 is replaced by U+FFFD on the way out, as
+		// encoding/json does; valid strings survive exactly.
+		if !utf8.ValidString(id) || !utf8.ValidString(attr) {
+			return
+		}
+		if back.ID != id {
+			t.Fatalf("id round trip %q, want %q", back.ID, id)
+		}
+		again, err := back.Marshal()
+		if err != nil || !bytes.Equal(again, got) {
+			t.Fatalf("re-marshal %s, %v; want %s", again, err, got)
+		}
+	})
+}

@@ -179,22 +179,21 @@ func httpPost(t *testing.T, url string) (int, string) {
 }
 
 // awaitEvent connects to an /events stream and reads until an event of the
-// wanted type arrives (replay included via ?since=0) or the timeout expires.
-func awaitEvent(t *testing.T, baseURL, evType string, timeout time.Duration) overlay.Event {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+// wanted type arrives (replay included via ?since=0), ctx ends or the stream
+// does. It reports failure as an error rather than through t, so it can run
+// on its own goroutine.
+func awaitEvent(ctx context.Context, baseURL, evType string) (overlay.Event, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/events?since=0", nil)
 	if err != nil {
-		t.Fatal(err)
+		return overlay.Event{}, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("GET /events: %v", err)
+		return overlay.Event{}, fmt.Errorf("GET /events: %w", err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/events content-type = %q", ct)
+		return overlay.Event{}, fmt.Errorf("/events content-type = %q", ct)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -204,14 +203,24 @@ func awaitEvent(t *testing.T, baseURL, evType string, timeout time.Duration) ove
 		}
 		var ev overlay.Event
 		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			t.Fatalf("bad event JSON %q: %v", line, err)
+			return overlay.Event{}, fmt.Errorf("bad event JSON %q: %w", line, err)
 		}
 		if ev.Type == evType {
-			return ev
+			return ev, nil
 		}
 	}
-	t.Fatalf("event %q not seen on %s/events: %v", evType, baseURL, sc.Err())
-	return overlay.Event{}
+	return overlay.Event{}, fmt.Errorf("event %q not seen on %s/events: %v", evType, baseURL, sc.Err())
+}
+
+// shallowestSplittable returns the shallowest group above full depth.
+func shallowestSplittable(groups []bitkey.Group, keyBits int) (bitkey.Group, bool) {
+	best, ok := bitkey.Group{}, false
+	for _, g := range groups {
+		if g.Depth() < keyBits && (!ok || g.Depth() < best.Depth()) {
+			best, ok = g, true
+		}
+	}
+	return best, ok
 }
 
 // TestHubControlPlane drives a live 3-node TCP cluster through traced
@@ -235,22 +244,49 @@ func TestHubControlPlane(t *testing.T) {
 	hi := c.holderIdx(t)
 	base := c.srvs[hi].URL
 
-	// Live event stream: subscribe first, then trigger the split.
-	evCh := make(chan overlay.Event, 1)
+	// Live event stream: subscribe first, then trigger the split. Ending
+	// the test cancels the stream, so a failure below never leaves it open
+	// for the servers' Close to wait on.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type awaited struct {
+		ev  overlay.Event
+		err error
+	}
+	evCh := make(chan awaited, 1)
 	go func() {
-		evCh <- awaitEvent(t, base, overlay.EventSplit, 10*time.Second)
+		ev, err := awaitEvent(ctx, base, overlay.EventSplit)
+		evCh <- awaited{ev, err}
 	}()
 	// Give the stream a moment to attach so the test exercises live fan-out
 	// (replay would still catch the event either way).
 	time.Sleep(50 * time.Millisecond)
 
-	group := c.nodes[hi].Server().ActiveGroups()[0]
-	code, body := httpPost(t, base+"/admin/split/"+group.String())
-	if code != http.StatusOK {
-		t.Fatalf("admin split: %d %s", code, body)
+	// A split keeps splitting the right child while the DHT maps it back to
+	// this node. When one node owns nearly the whole ring, that chain can
+	// reach full depth without moving anything: the split answers 409 and
+	// emits no event, but leaves the chain's groups active. The shallowest
+	// active group (the longest chain left) is tried next, up to 32 times.
+	var group bitkey.Group
+	var failures []string
+	for {
+		g, ok := shallowestSplittable(c.nodes[hi].Server().ActiveGroups(), c.cfg.KeyBits)
+		if !ok || len(failures) == 32 {
+			t.Fatalf("admin split: no group of node %d split: %v", hi, failures)
+		}
+		code, body := httpPost(t, base+"/admin/split/"+g.String())
+		if code == http.StatusOK {
+			group = g
+			break
+		}
+		failures = append(failures, fmt.Sprintf("%v: %d %s", g, code, body))
 	}
 	select {
-	case ev := <-evCh:
+	case got := <-evCh:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		ev := got.ev
 		if ev.Group != group.String() {
 			t.Errorf("split event group = %q, want %q", ev.Group, group)
 		}
@@ -262,7 +298,7 @@ func TestHubControlPlane(t *testing.T) {
 	}
 
 	// Metrics: parseable, linted, and carrying the expected families.
-	code, body = httpGet(t, base+"/metrics")
+	code, body := httpGet(t, base+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
 	}
@@ -415,7 +451,12 @@ func TestHubRecoveryEvents(t *testing.T) {
 		t.Fatal("no survivor promoted a replica")
 	}
 
-	ev := awaitEvent(t, c.srvs[recovered].URL, overlay.EventRecovery, 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	ev, err := awaitEvent(ctx, c.srvs[recovered].URL, overlay.EventRecovery)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ev.Peer != c.nodes[victim].Addr() {
 		t.Errorf("recovery event peer = %q, want victim %q", ev.Peer, c.nodes[victim].Addr())
 	}

@@ -110,11 +110,11 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 		// A new continuous query is state worth surviving a crash: push the
 		// updated replica snapshot to the successors right away, so even a
 		// query registered moments before its holder dies is recoverable.
-		// This is a full-snapshot push per registration — O(stored queries)
-		// marshaling on a control-plane path; batch registrations coalesce
-		// to one push per frame (handleAcceptBatch). A sampled registration
-		// threads its span context onto the push so the replica holders'
-		// spans join the trace tree.
+		// This is a full-snapshot push per registration, re-encoding every
+		// stored query (see replica.go for what keeps that cheap); batch
+		// registrations coalesce to one push per frame (handleAcceptBatch).
+		// A sampled registration threads its span context onto the push so
+		// the replica holders' spans join the trace tree.
 		n.replicateSpan(spanRef{TraceID: req.TraceID, Parent: reply.SpanID, Hop: req.Hop + 1})
 	}
 	// Direct call rather than marshalMsg: boxing the reply into wireMsg would

@@ -630,7 +630,7 @@ func (n *Node) installQueries(states []queryState) {
 // resetQueryCount re-derives the meter's stored-query count for a group from
 // the engine (the queries under a group change across splits and merges).
 func (n *Node) resetQueryCount(g bitkey.Group) {
-	n.meter.SetQueries(g, len(n.engine.QueriesInGroup(g)))
+	n.meter.SetQueries(g, n.engine.CountInGroup(g))
 }
 
 // acceptKeyGroupPayload builds the ACCEPT_KEYGROUP wire payload for a group

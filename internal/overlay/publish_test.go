@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -119,5 +120,46 @@ func TestMalformedDataPayloadRejected(t *testing.T) {
 	}
 	if got := node.meter.Snapshot()[g].DataRate; got != 1 {
 		t.Errorf("metered %v packets for %s, want 1", got, g)
+	}
+}
+
+// TestRegisterAllocsFlat bounds how a Register's allocations grow with the
+// number of queries its group already stores. Every registration pushes the
+// node's full replica snapshot to two successors, so a per-query allocation
+// anywhere on that path (encoding the queries, building the group records,
+// storing the received copy) multiplies with the stored state.
+func TestRegisterAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f := newPublishFixture(t)
+	stored := 1 // the fixture's q-fast, in the same group
+	register := func() {
+		q := cq.Query{
+			ID:         fmt.Sprintf("q-%05d", stored),
+			Region:     bitkey.MustParseGroup("001"),
+			Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}},
+		}
+		if _, err := f.client.Register(q); err != nil {
+			t.Fatalf("Register %s: %v", q.ID, err)
+		}
+		stored++
+	}
+	allocsAt := func(n int) float64 {
+		for stored < n {
+			register()
+		}
+		return testing.AllocsPerRun(20, register)
+	}
+	const lo, hi = 100, 400
+	aLo, aHi := allocsAt(lo), allocsAt(hi)
+	perQuery := (aHi - aLo) / (hi - lo)
+	t.Logf("allocs per Register: %.0f at %d stored queries, %.0f at %d (%.3f per stored query)", aLo, lo, aHi, hi, perQuery)
+	// Measured 0.04 with go1.24: slice and buffer growth, logarithmic in the
+	// stored queries. One allocation per query per push (a per-record copy
+	// on the receiver, say) reads 2 or more.
+	const ceiling = 0.5
+	if perQuery > ceiling {
+		t.Errorf("allocations per Register grow by %.3f per stored query, want <= %.1f", perQuery, ceiling)
 	}
 }

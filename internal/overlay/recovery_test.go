@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -549,5 +550,52 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 	}
 	if !found() {
 		t.Fatal("loose (parked) query did not survive the parking node's crash")
+	}
+}
+
+// TestStoredReplicaOwnsItsBytes pins that a stored replica set is a copy: the
+// transport recycles a request's payload buffer once the handler returns, so
+// overwriting that buffer afterwards must not change what a recovery pull
+// gets back.
+func TestStoredReplicaOwnsItsBytes(t *testing.T) {
+	netw := NewMemNetwork()
+	n, err := NewNode(netw.Endpoint("node-0"), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	rec := func(id string) []byte {
+		q := cq.Query{ID: id, Region: bitkey.MustParseGroup("01")}
+		data, err := q.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return (&queryState{Query: data, Subscriber: "client-1"}).MarshalWire(nil)
+	}
+	push := replicateMsg{
+		Origin:      "node-9",
+		Incarnation: 3,
+		Version:     7,
+		Groups: []replicaGroupRec{
+			{GroupValue: 0b01, GroupBits: 2, Parent: "node-8", Epoch: 2, Queries: [][]byte{rec("q-a"), rec("q-b")}},
+			{GroupValue: 0b1, GroupBits: 1, IsRoot: true, Epoch: 1, Queries: [][]byte{rec("q-c")}},
+		},
+		Loose: [][]byte{rec("q-d")},
+	}
+	want := push.MarshalWire(nil)
+
+	payload := bytes.Clone(want)
+	if _, err := n.handleReplicate(payload); err != nil {
+		t.Fatalf("handleReplicate: %v", err)
+	}
+	for i := range payload {
+		payload[i] = 0xff
+	}
+	got, err := n.handleRecoverKeyGroups((&recoverMsg{Origin: "node-9"}).MarshalWire(nil))
+	if err != nil {
+		t.Fatalf("handleRecoverKeyGroups: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("recovered replica set changed after the push buffer was reused:\n got %x\nwant %x", got, want)
 	}
 }

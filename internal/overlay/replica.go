@@ -12,6 +12,7 @@ import (
 	"clash/internal/chord"
 	"clash/internal/core"
 	"clash/internal/cq"
+	"clash/internal/wirecodec"
 )
 
 // Key-group replication and crash recovery.
@@ -24,6 +25,13 @@ import (
 // full-state replacement ordered by (incarnation, version), so a group the
 // origin shed simply disappears from the replica without tombstone
 // bookkeeping.
+//
+// Every push re-encodes all of the node's stored queries, so its cost grows
+// with the stored state, not with the change that triggered it. The encode
+// path is kept lean for that reason: queries are appended as JSON without
+// reflection (cq.Query.AppendJSON), each group's records share one buffer,
+// and the receiver stores one owned copy of the whole push instead of one per
+// record.
 //
 // Recovery runs two ways:
 //
@@ -77,24 +85,40 @@ func (n *Node) replicationTargets() []string {
 	return out
 }
 
-// snapshotQueries captures (without removing) the queries stored in g with
-// their subscriber addresses — the replication mirror of extractQueries.
-func (n *Node) snapshotQueries(g bitkey.Group) []queryState {
+// snapshotQueries returns the queryState wire records of the queries stored
+// in g, with their subscriber addresses — the replication mirror of
+// extractQueries. The records are appended into one buffer and returned as
+// sub-slices of it, so a group costs a few allocations however many queries
+// it holds.
+func (n *Node) snapshotQueries(g bitkey.Group) [][]byte {
 	qs := n.engine.QueriesInGroup(g)
 	if len(qs) == 0 {
 		return nil
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make([]queryState, 0, len(qs))
+	var buf []byte
+	recs := make([][]byte, 0, len(qs))
+	js := wirecodec.GetBuf()
 	for _, q := range qs {
-		data, err := q.Marshal()
-		if err != nil {
+		var err error
+		if js, err = q.AppendJSON(js[:0]); err != nil {
 			continue
 		}
-		out = append(out, queryState{Query: data, Subscriber: n.subscribers[q.ID]})
+		st := queryState{Query: js, Subscriber: n.subscribers[q.ID]}
+		start := len(buf)
+		buf = st.MarshalWire(buf)
+		recs = append(recs, buf[start:])
 	}
-	return out
+	wirecodec.PutBuf(js)
+	// buf may have moved while it grew: the records are contiguous, so
+	// re-slice each one, by its length, from the final buffer.
+	off := 0
+	for i, r := range recs {
+		recs[i] = buf[off : off+len(r) : off+len(r)]
+		off += len(r)
+	}
+	return recs
 }
 
 // snapshotReplicaGroups builds the wire records for this node's full
@@ -106,17 +130,14 @@ func (n *Node) snapshotReplicaGroups() []replicaGroupRec {
 	}
 	out := make([]replicaGroupRec, 0, len(snaps))
 	for _, s := range snaps {
-		rec := replicaGroupRec{
+		out = append(out, replicaGroupRec{
 			GroupValue: s.Group.Prefix.Value,
 			GroupBits:  s.Group.Prefix.Bits,
 			Parent:     string(s.Parent),
 			IsRoot:     s.IsRoot,
 			Epoch:      s.Epoch,
-		}
-		for _, st := range n.snapshotQueries(s.Group) {
-			rec.Queries = append(rec.Queries, st.MarshalWire(nil))
-		}
-		out = append(out, rec)
+			Queries:    n.snapshotQueries(s.Group),
+		})
 	}
 	return out
 }
@@ -219,8 +240,11 @@ func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 	if obs != nil {
 		codecStart = n.cfg.Clock.Now()
 	}
+	// The payload lives in a pooled buffer the transport recycles after this
+	// handler returns, and the decoded records alias what they are decoded
+	// from: decoding from one copy makes the stored set own its bytes.
 	var msg replicateMsg
-	if err := msg.UnmarshalWire(payload); err != nil {
+	if err := msg.UnmarshalWire(bytes.Clone(payload)); err != nil {
 		return nil, err
 	}
 	traced := obs != nil && msg.TraceID != 0
@@ -247,7 +271,8 @@ func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 }
 
 // storeReplica applies one replicate push, reporting whether the set was
-// stored (false: self/empty origin or stale version).
+// stored (false: self/empty origin or stale version). The stored set keeps
+// msg's records, which must not alias a pooled buffer.
 func (n *Node) storeReplica(msg *replicateMsg) bool {
 	if msg.Origin == "" || msg.Origin == n.Addr() {
 		return false
@@ -261,18 +286,6 @@ func (n *Node) storeReplica(msg *replicateMsg) bool {
 			cur.seen = now // stale content, but still proof the origin lives
 			return false
 		}
-	}
-	// The decoded records alias the request payload, which lives in a pooled
-	// buffer the transport recycles after this handler returns; the stored
-	// copy must own its bytes.
-	for gi := range msg.Groups {
-		qs := msg.Groups[gi].Queries
-		for qi := range qs {
-			qs[qi] = bytes.Clone(qs[qi])
-		}
-	}
-	for li := range msg.Loose {
-		msg.Loose[li] = bytes.Clone(msg.Loose[li])
 	}
 	n.replicas[msg.Origin] = &replicaSet{
 		incarnation: msg.Incarnation,

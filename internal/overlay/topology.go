@@ -161,7 +161,7 @@ func (n *Node) TopoInfo() TopoNode {
 			Parent:  string(e.Parent),
 			Epoch:   e.Epoch,
 			Load:    loads[e.Group.String()],
-			Queries: len(n.engine.QueriesInGroup(e.Group)),
+			Queries: n.engine.CountInGroup(e.Group),
 		})
 	}
 	n.mu.Lock()
