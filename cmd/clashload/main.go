@@ -138,7 +138,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 		// Engage the link model after boot (the measurement run starts from
 		// a converged overlay; the simulator does the same).
 		if latency > 0 || loss > 0 {
-			if err := netw.SetLink(link.WAN(latency, loss), randSeed); err != nil {
+			if err := netw.SetLink(link.WAN(latency, loss), rand.New(rand.NewSource(randSeed))); err != nil {
 				return err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clash/internal/hub"
+	"clash/internal/metrics"
 	"clash/internal/overlay"
 )
 
@@ -53,6 +54,45 @@ weird_label{a="x\"y",b="line\nz",c="back\\slash"} 42
 	} {
 		if _, err := parseMetrics(strings.NewReader(bad)); err == nil {
 			t.Errorf("parseMetrics accepted %q", bad)
+		}
+	}
+}
+
+// TestPromParsersAgree feeds the same sample lines to both consumers of the
+// exposition format, the linter and the scrape parser: each line is either
+// accepted by both, with the same value, or rejected by both.
+func TestPromParsersAgree(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		ok   bool
+		want float64
+	}{
+		{`m 1`, true, 1},
+		{`m{a="x\"y",b="line\nz"} 2.5`, true, 2.5},
+		{`m +Inf`, true, math.Inf(1)},
+		{`m Inf`, true, math.Inf(1)},
+		{`m -Inf`, true, math.Inf(-1)},
+		{`m 3 1700000000000`, true, 3},
+		{`m{a="bad\q"} 1`, false, 0},
+		{`m{a=unquoted} 1`, false, 0},
+		{`m{9a="x"} 1`, false, 0},
+		{`m{a="x" 1`, false, 0},
+		{`m not_a_number`, false, 0},
+		{`m`, false, 0},
+		{`m 1 2 3`, false, 0},
+	} {
+		lintErrs := metrics.LintPrometheus(strings.NewReader("# TYPE m gauge\n" + tc.line + "\n"))
+		scraped, err := parseMetrics(strings.NewReader(tc.line + "\n"))
+		if got := len(lintErrs) == 0; got != tc.ok {
+			t.Errorf("%q: LintPrometheus accepted=%v (%v), want %v", tc.line, got, lintErrs, tc.ok)
+		}
+		if got := err == nil; got != tc.ok {
+			t.Errorf("%q: parseMetrics accepted=%v (%v), want %v", tc.line, got, err, tc.ok)
+		}
+		if tc.ok && err == nil {
+			if v, _ := scraped.Value("m", nil); v != tc.want {
+				t.Errorf("%q: parseMetrics value %v, want %v", tc.line, v, tc.want)
+			}
 		}
 	}
 }

@@ -6,8 +6,9 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
+
+	"clash/internal/metrics"
 )
 
 // inf marks the +Inf histogram bucket bound.
@@ -25,10 +26,10 @@ type Metrics struct {
 	samples []Sample
 }
 
-// parseMetrics parses the Prometheus text exposition format (the subset our
-// registry emits: HELP/TYPE comments and `name{labels} value` samples). It is
-// the scrape-side twin of metrics.LintPrometheus — the linter validates the
-// grammar on the way out, this reads values back in on the way into clashtop.
+// parseMetrics reads a Prometheus text exposition (HELP/TYPE comments and
+// samples) through metrics.ParsePromSample, the parser LintPrometheus checks
+// the registry's output with, so a scrape reads back exactly the grammar the
+// linter accepts.
 func parseMetrics(r io.Reader) (*Metrics, error) {
 	m := &Metrics{}
 	sc := bufio.NewScanner(r)
@@ -36,13 +37,20 @@ func parseMetrics(r io.Reader) (*Metrics, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		s, err := parsePromSample(line)
+		name, labels, v, err := metrics.ParsePromSample(line)
 		if err != nil {
 			return nil, fmt.Errorf("metrics line %d: %w", lineNo, err)
+		}
+		s := Sample{Name: name, Value: v}
+		if len(labels) > 0 {
+			s.Labels = make(map[string]string, len(labels))
+			for _, l := range labels {
+				s.Labels[l.Key] = l.Val
+			}
 		}
 		m.samples = append(m.samples, s)
 	}
@@ -50,81 +58,6 @@ func parseMetrics(r io.Reader) (*Metrics, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// parsePromSample parses one `name{k="v",...} value` line.
-func parsePromSample(line string) (Sample, error) {
-	s := Sample{}
-	rest := line
-	if i := strings.IndexAny(rest, "{ "); i < 0 {
-		return s, fmt.Errorf("no value separator in %q", line)
-	} else {
-		s.Name = rest[:i]
-		rest = rest[i:]
-	}
-	if strings.HasPrefix(rest, "{") {
-		end := strings.LastIndex(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parsePromLabels(rest[1:end])
-		if err != nil {
-			return s, fmt.Errorf("%v in %q", err, line)
-		}
-		s.Labels = labels
-		rest = rest[end+1:]
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-	if err != nil {
-		return s, fmt.Errorf("bad value in %q: %v", line, err)
-	}
-	s.Value = v
-	return s, nil
-}
-
-// parsePromLabels parses `k="v",k2="v2"` with \\, \" and \n escapes.
-func parsePromLabels(s string) (map[string]string, error) {
-	out := make(map[string]string)
-	for len(s) > 0 {
-		eq := strings.Index(s, "=")
-		if eq < 0 {
-			return nil, fmt.Errorf("label without '='")
-		}
-		key := strings.TrimSpace(s[:eq])
-		s = s[eq+1:]
-		if !strings.HasPrefix(s, `"`) {
-			return nil, fmt.Errorf("unquoted label value")
-		}
-		s = s[1:]
-		var val strings.Builder
-		closed := false
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if c == '\\' && i+1 < len(s) {
-				i++
-				switch s[i] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(s[i])
-				}
-				continue
-			}
-			if c == '"' {
-				closed = true
-				s = s[i+1:]
-				break
-			}
-			val.WriteByte(c)
-		}
-		if !closed {
-			return nil, fmt.Errorf("unterminated label value")
-		}
-		out[key] = val.String()
-		s = strings.TrimPrefix(strings.TrimSpace(s), ",")
-		s = strings.TrimSpace(s)
-	}
-	return out, nil
 }
 
 // Select returns every sample of the named family member (exact name match,
@@ -189,7 +122,7 @@ func (mb mergedBuckets) addHistogram(m *Metrics, name, byLabel string) {
 		if !ok {
 			continue
 		}
-		le, err := parseLE(leStr)
+		le, err := metrics.ParsePromFloat(leStr)
 		if err != nil {
 			continue
 		}
@@ -198,13 +131,6 @@ func (mb mergedBuckets) addHistogram(m *Metrics, name, byLabel string) {
 		}
 		mb[key][le] += uint64(s.Value)
 	}
-}
-
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return inf, nil
-	}
-	return strconv.ParseFloat(s, 64)
 }
 
 // quantiles computes the given quantiles from a merged cumulative bucket set

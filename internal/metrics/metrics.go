@@ -1,102 +1,20 @@
 // Package metrics provides the lightweight measurement primitives used by the
-// live overlay's status reporting, the experiment harness and the planned
-// simulator: time series sampled on the
-// simulation clock, summary statistics, and integer histograms (for the
-// workload key-frequency plots of Figure 3).
+// live overlay's status reporting, the hub and the simulator: bounded time
+// series (Set), HDR latency histograms (LatencyHist) and their Summary, and a
+// Prometheus text registry with its exposition linter.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Point is one (time, value) sample. Time is in seconds of simulated time.
+// Point is one (time, value) sample. Time is in seconds on the recording
+// clock (virtual time in the simulator).
 type Point struct {
 	Time  float64 `json:"t"`
 	Value float64 `json:"v"`
 }
 
-// TimeSeries is an append-only series of samples.
+// TimeSeries is a named series of samples in time order (see Set).
 type TimeSeries struct {
 	Name   string  `json:"name"`
 	Points []Point `json:"points"`
-}
-
-// NewTimeSeries creates a named, empty series.
-func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{Name: name} }
-
-// Append adds a sample at the given time.
-func (ts *TimeSeries) Append(t, v float64) {
-	ts.Points = append(ts.Points, Point{Time: t, Value: v})
-}
-
-// Len returns the number of samples.
-func (ts *TimeSeries) Len() int { return len(ts.Points) }
-
-// Last returns the most recent sample (zero Point when empty).
-func (ts *TimeSeries) Last() Point {
-	if len(ts.Points) == 0 {
-		return Point{}
-	}
-	return ts.Points[len(ts.Points)-1]
-}
-
-// Max returns the maximum value in the series (0 when empty).
-func (ts *TimeSeries) Max() float64 {
-	maxV := math.Inf(-1)
-	for _, p := range ts.Points {
-		if p.Value > maxV {
-			maxV = p.Value
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return 0
-	}
-	return maxV
-}
-
-// Mean returns the mean value of the series (0 when empty).
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range ts.Points {
-		sum += p.Value
-	}
-	return sum / float64(len(ts.Points))
-}
-
-// MeanOver returns the mean of samples with Time in [from, to) (0 if none).
-func (ts *TimeSeries) MeanOver(from, to float64) float64 {
-	var sum float64
-	n := 0
-	for _, p := range ts.Points {
-		if p.Time >= from && p.Time < to {
-			sum += p.Value
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// MaxOver returns the maximum of samples with Time in [from, to) (0 if none).
-func (ts *TimeSeries) MaxOver(from, to float64) float64 {
-	maxV := math.Inf(-1)
-	for _, p := range ts.Points {
-		if p.Time >= from && p.Time < to && p.Value > maxV {
-			maxV = p.Value
-		}
-	}
-	if math.IsInf(maxV, -1) {
-		return 0
-	}
-	return maxV
 }
 
 // Summary holds descriptive statistics of a sample set.
@@ -108,137 +26,4 @@ type Summary struct {
 	P50   float64
 	P95   float64
 	P99   float64
-}
-
-// Summarize computes a Summary of the values (zero Summary when empty).
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	return Summary{
-		Count: len(sorted),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-		Mean:  sum / float64(len(sorted)),
-		P50:   percentile(sorted, 0.50),
-		P95:   percentile(sorted, 0.95),
-		P99:   percentile(sorted, 0.99),
-	}
-}
-
-// percentile returns the p-quantile of an ascending-sorted slice using the
-// nearest-rank method.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// IntHistogram counts occurrences per integer bucket (e.g. key frequency per
-// 8-bit base value in Figure 3).
-type IntHistogram struct {
-	Name    string
-	buckets []int64
-}
-
-// NewIntHistogram creates a histogram with the given number of buckets.
-func NewIntHistogram(name string, buckets int) *IntHistogram {
-	if buckets < 1 {
-		buckets = 1
-	}
-	return &IntHistogram{Name: name, buckets: make([]int64, buckets)}
-}
-
-// Add increments bucket i (out-of-range adds are clamped to the edges).
-func (h *IntHistogram) Add(i int) {
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-}
-
-// Buckets returns a copy of the bucket counts.
-func (h *IntHistogram) Buckets() []int64 {
-	out := make([]int64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// Total returns the total number of samples recorded.
-func (h *IntHistogram) Total() int64 {
-	var sum int64
-	for _, c := range h.buckets {
-		sum += c
-	}
-	return sum
-}
-
-// MaxBucket returns the index and count of the fullest bucket.
-func (h *IntHistogram) MaxBucket() (int, int64) {
-	bestI, bestC := 0, int64(0)
-	for i, c := range h.buckets {
-		if c > bestC {
-			bestI, bestC = i, c
-		}
-	}
-	return bestI, bestC
-}
-
-// SkewRatio returns max bucket count divided by the mean bucket count — a
-// simple measure of how skewed the distribution is (1.0 means perfectly
-// uniform).
-func (h *IntHistogram) SkewRatio() float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(h.buckets))
-	_, maxC := h.MaxBucket()
-	return float64(maxC) / mean
-}
-
-// Table renders series as aligned text columns: one row per sample time of
-// the first series, one column per series. It is the rendering the planned
-// simulator harness will use to print the paper's figures as text.
-func Table(header string, series ...*TimeSeries) string {
-	var b strings.Builder
-	b.WriteString(header)
-	b.WriteByte('\n')
-	b.WriteString(fmt.Sprintf("%-12s", "time"))
-	for _, s := range series {
-		b.WriteString(fmt.Sprintf("%-18s", s.Name))
-	}
-	b.WriteByte('\n')
-	if len(series) == 0 || series[0].Len() == 0 {
-		return b.String()
-	}
-	for i, p := range series[0].Points {
-		b.WriteString(fmt.Sprintf("%-12.1f", p.Time))
-		for _, s := range series {
-			if i < len(s.Points) {
-				b.WriteString(fmt.Sprintf("%-18.3f", s.Points[i].Value))
-			} else {
-				b.WriteString(fmt.Sprintf("%-18s", "-"))
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

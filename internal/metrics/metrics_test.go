@@ -1,152 +1,42 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// TestTimeSeriesBasics pins the JSON shape a series has in node status
+// reports.
 func TestTimeSeriesBasics(t *testing.T) {
-	ts := NewTimeSeries("load")
-	if ts.Len() != 0 || ts.Max() != 0 || ts.Mean() != 0 {
-		t.Error("empty series should report zeros")
+	ts := TimeSeries{Name: "load", Points: []Point{{Time: 0, Value: 1}, {Time: 60, Value: 2.5}}}
+	b, err := json.Marshal(ts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := ts.Last(); got != (Point{}) {
-		t.Errorf("Last on empty = %+v", got)
-	}
-	ts.Append(0, 1)
-	ts.Append(60, 3)
-	ts.Append(120, 2)
-	if ts.Len() != 3 {
-		t.Errorf("Len = %d", ts.Len())
-	}
-	if got := ts.Last(); got.Time != 120 || got.Value != 2 {
-		t.Errorf("Last = %+v", got)
-	}
-	if ts.Max() != 3 {
-		t.Errorf("Max = %g", ts.Max())
-	}
-	if ts.Mean() != 2 {
-		t.Errorf("Mean = %g", ts.Mean())
+	const want = `{"name":"load","points":[{"t":0,"v":1},{"t":60,"v":2.5}]}`
+	if string(b) != want {
+		t.Errorf("JSON = %s, want %s", b, want)
 	}
 }
 
-func TestTimeSeriesWindows(t *testing.T) {
-	ts := NewTimeSeries("x")
-	for i := 0; i < 10; i++ {
-		ts.Append(float64(i*10), float64(i))
-	}
-	if got := ts.MeanOver(0, 50); got != 2 {
-		t.Errorf("MeanOver(0,50) = %g, want 2", got)
-	}
-	if got := ts.MaxOver(50, 100); got != 9 {
-		t.Errorf("MaxOver(50,100) = %g, want 9", got)
-	}
-	if got := ts.MeanOver(1000, 2000); got != 0 {
-		t.Errorf("MeanOver outside range = %g, want 0", got)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	if got := Summarize(nil); got.Count != 0 {
-		t.Errorf("Summarize(nil) = %+v", got)
-	}
-	values := make([]float64, 100)
-	for i := range values {
-		values[i] = float64(i + 1) // 1..100
-	}
-	s := Summarize(values)
-	if s.Count != 100 || s.Min != 1 || s.Max != 100 {
-		t.Errorf("summary = %+v", s)
-	}
-	if math.Abs(s.Mean-50.5) > 1e-9 {
-		t.Errorf("mean = %g, want 50.5", s.Mean)
-	}
-	if s.P50 != 50 || s.P95 != 95 || s.P99 != 99 {
-		t.Errorf("percentiles = %g %g %g", s.P50, s.P95, s.P99)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	values := []float64{3, 1, 2}
-	Summarize(values)
-	if values[0] != 3 || values[1] != 1 || values[2] != 2 {
-		t.Errorf("input mutated: %v", values)
-	}
-}
-
-func TestIntHistogram(t *testing.T) {
-	h := NewIntHistogram("keys", 4)
-	for i := 0; i < 10; i++ {
-		h.Add(1)
-	}
-	h.Add(3)
-	h.Add(-5) // clamped to 0
-	h.Add(99) // clamped to 3
-	if got := h.Total(); got != 13 {
-		t.Errorf("Total = %d, want 13", got)
-	}
-	b := h.Buckets()
-	if b[0] != 1 || b[1] != 10 || b[2] != 0 || b[3] != 2 {
-		t.Errorf("Buckets = %v", b)
-	}
-	i, c := h.MaxBucket()
-	if i != 1 || c != 10 {
-		t.Errorf("MaxBucket = %d,%d", i, c)
-	}
-	// mean bucket = 13/4 = 3.25; skew = 10/3.25
-	if got := h.SkewRatio(); math.Abs(got-10/3.25) > 1e-9 {
-		t.Errorf("SkewRatio = %g", got)
-	}
-	if NewIntHistogram("tiny", 0) == nil {
-		t.Error("zero-bucket histogram should be coerced, not nil")
-	}
-	empty := NewIntHistogram("e", 3)
-	if empty.SkewRatio() != 0 {
-		t.Error("empty histogram skew should be 0")
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	a := NewTimeSeries("clash")
-	b := NewTimeSeries("dht6")
-	a.Append(0, 0.5)
-	a.Append(60, 0.6)
-	b.Append(0, 1.5)
-	out := Table("Figure 4a", a, b)
-	if !strings.Contains(out, "Figure 4a") || !strings.Contains(out, "clash") || !strings.Contains(out, "dht6") {
-		t.Errorf("missing headers in:\n%s", out)
-	}
-	if !strings.Contains(out, "0.600") {
-		t.Errorf("missing value in:\n%s", out)
-	}
-	// Second series is shorter: the missing cell renders as "-".
-	if !strings.Contains(out, "-") {
-		t.Errorf("missing placeholder in:\n%s", out)
-	}
-	if got := Table("empty"); !strings.Contains(got, "time") {
-		t.Errorf("empty table malformed: %q", got)
-	}
-}
-
+// TestPropertySummaryBounds checks that a histogram's Summary is ordered for
+// any sample set: Min ≤ Mean ≤ Max and P50 ≤ P95 ≤ P99.
 func TestPropertySummaryBounds(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
+	f := func(raw []int64) bool {
+		h := NewLatencyHist()
 		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			// Keep magnitudes bounded so the mean cannot overflow or lose the
-			// ordering property to floating-point rounding.
-			vals = append(vals, math.Mod(v, 1e6))
+			// Bounded magnitudes keep the float sum exact enough that the
+			// mean cannot fall outside [Min, Max] by rounding.
+			h.Record(v % 1e9)
 		}
-		s := Summarize(vals)
-		if len(vals) == 0 {
+		s := h.Summary()
+		if h.Count() == 0 {
 			return s.Count == 0
 		}
-		return s.Min <= s.Mean && s.Mean <= s.Max && s.Min <= s.P50 && s.P50 <= s.Max &&
-			s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max
+		return s.Min <= s.Mean && s.Mean <= s.Max && s.P50 <= s.P95 && s.P95 <= s.P99 &&
+			!math.IsNaN(s.Mean)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

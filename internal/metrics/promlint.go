@@ -78,8 +78,9 @@ func LintPrometheus(r io.Reader) []error {
 			continue
 		}
 
-		name, labels, value, ok := parseSample(line, fail)
-		if !ok {
+		name, labels, value, err := ParsePromSample(line)
+		if err != nil {
+			fail("%v", err)
 			continue
 		}
 		fam, suffix := sampleFamily(name, types)
@@ -98,11 +99,11 @@ func LintPrometheus(r io.Reader) []error {
 		var le string
 		nonLE := make([]string, 0, len(labels))
 		for _, l := range labels {
-			if l.key == "le" {
-				le = l.val
+			if l.Key == "le" {
+				le = l.Val
 				continue
 			}
-			nonLE = append(nonLE, l.key+"="+l.val)
+			nonLE = append(nonLE, l.Key+"="+l.Val)
 		}
 		sort.Strings(nonLE)
 		key := fam + "\xff" + strings.Join(nonLE, "\xff")
@@ -117,7 +118,7 @@ func LintPrometheus(r io.Reader) []error {
 				fail("%s_bucket sample missing le label", fam)
 				continue
 			}
-			bound, err := parseLE(le)
+			bound, err := ParsePromFloat(le)
 			if err != nil {
 				fail("%s_bucket has bad le %q", fam, le)
 				continue
@@ -142,7 +143,6 @@ func LintPrometheus(r io.Reader) []error {
 			bounds = append(bounds, b)
 		}
 		sort.Float64s(bounds)
-		prev := -math.MaxFloat64
 		prevCount := -1.0
 		hasInf := false
 		for _, b := range bounds {
@@ -150,12 +150,11 @@ func LintPrometheus(r io.Reader) []error {
 			if c < prevCount {
 				errs = append(errs, fmt.Errorf("%s: bucket counts not cumulative (le=%v count %v < %v)", fam, b, c, prevCount))
 			}
-			prev, prevCount = b, c
+			prevCount = c
 			if math.IsInf(b, 1) {
 				hasInf = true
 			}
 		}
-		_ = prev
 		if !hasInf {
 			errs = append(errs, fmt.Errorf("%s: histogram missing +Inf bucket", fam))
 		} else if h.hasCnt && h.buckets[math.Inf(1)] != h.count {
@@ -171,60 +170,53 @@ func LintPrometheus(r io.Reader) []error {
 	return errs
 }
 
-// labelPair is one parsed key="value".
-type labelPair struct{ key, val string }
+// PromLabel is one parsed key="value" pair of a sample's label set.
+type PromLabel struct{ Key, Val string }
 
-// parseSample parses `name{labels} value [timestamp]`, reporting problems
-// through fail. ok is false when the line was unusable.
-func parseSample(line string, fail func(string, ...any)) (name string, labels []labelPair, value float64, ok bool) {
+// ParsePromSample parses one exposition sample line, `name{labels} value
+// [timestamp]`. Metric and label names must be valid, label values may use
+// only the \\, \" and \n escapes, and the value accepts the +Inf, Inf and
+// -Inf spellings. It is the one sample parser of the repo: LintPrometheus
+// checks a scrape with it and clashtop's collector reads values through it.
+func ParsePromSample(line string) (name string, labels []PromLabel, value float64, err error) {
 	rest := line
 	end := strings.IndexAny(rest, "{ ")
 	if end < 0 {
-		fail("sample %q missing value", line)
-		return "", nil, 0, false
+		return "", nil, 0, fmt.Errorf("sample %q missing value", line)
 	}
 	name = rest[:end]
 	if !validName(name, true) {
-		fail("invalid metric name %q", name)
-		return "", nil, 0, false
+		return "", nil, 0, fmt.Errorf("invalid metric name %q", name)
 	}
 	rest = rest[end:]
 	if rest[0] == '{' {
 		close := strings.LastIndexByte(rest, '}')
 		if close < 0 {
-			fail("unterminated label set in %q", line)
-			return "", nil, 0, false
+			return "", nil, 0, fmt.Errorf("unterminated label set in %q", line)
 		}
-		var lerr error
-		labels, lerr = parseLabels(rest[1:close])
-		if lerr != nil {
-			fail("bad labels in %q: %v", line, lerr)
-			return "", nil, 0, false
+		if labels, err = parseLabels(rest[1:close]); err != nil {
+			return "", nil, 0, fmt.Errorf("bad labels in %q: %v", line, err)
 		}
 		rest = rest[close+1:]
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 || len(fields) > 2 {
-		fail("sample %q: want value [timestamp]", line)
-		return "", nil, 0, false
+		return "", nil, 0, fmt.Errorf("sample %q: want value [timestamp]", line)
 	}
-	v, err := parseLE(fields[0])
-	if err != nil {
-		fail("sample %q: bad value %q", line, fields[0])
-		return "", nil, 0, false
+	if value, err = ParsePromFloat(fields[0]); err != nil {
+		return "", nil, 0, fmt.Errorf("sample %q: bad value %q", line, fields[0])
 	}
 	if len(fields) == 2 {
 		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-			fail("sample %q: bad timestamp %q", line, fields[1])
-			return "", nil, 0, false
+			return "", nil, 0, fmt.Errorf("sample %q: bad timestamp %q", line, fields[1])
 		}
 	}
-	return name, labels, v, true
+	return name, labels, value, nil
 }
 
 // parseLabels parses the inside of a {…} label set.
-func parseLabels(s string) ([]labelPair, error) {
-	var out []labelPair
+func parseLabels(s string) ([]PromLabel, error) {
+	var out []PromLabel
 	for s != "" {
 		eq := strings.IndexByte(s, '=')
 		if eq < 0 {
@@ -265,14 +257,15 @@ func parseLabels(s string) ([]labelPair, error) {
 		if !closed {
 			return nil, fmt.Errorf("unterminated label value for %s", key)
 		}
-		out = append(out, labelPair{key: key, val: val.String()})
+		out = append(out, PromLabel{Key: key, Val: val.String()})
 		s = strings.TrimPrefix(s, ",")
 	}
 	return out, nil
 }
 
-// parseLE parses a sample or le value, accepting the +Inf/-Inf spellings.
-func parseLE(s string) (float64, error) {
+// ParsePromFloat parses a sample value or an le bound, accepting the +Inf,
+// Inf and -Inf spellings.
+func ParsePromFloat(s string) (float64, error) {
 	switch s {
 	case "+Inf", "Inf":
 		return math.Inf(1), nil

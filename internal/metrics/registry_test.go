@@ -246,7 +246,7 @@ func TestLabelEscapingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseLabels(%q): %v", inner, err)
 	}
-	if len(pairs) != 1 || pairs[0].key != "k" || pairs[0].val != hostile {
+	if len(pairs) != 1 || pairs[0].Key != "k" || pairs[0].Val != hostile {
 		t.Errorf("round trip = %+v, want k=%q", pairs, hostile)
 	}
 }

@@ -20,7 +20,7 @@ func TestSetObserveAndSnapshot(t *testing.T) {
 	if snap[0].Name != "load.total" || snap[1].Name != "counter.splits" {
 		t.Errorf("order = %s, %s", snap[0].Name, snap[1].Name)
 	}
-	if snap[0].Len() != 2 || snap[0].Last().Value != 0.7 {
+	if len(snap[0].Points) != 2 || snap[0].Points[1].Value != 0.7 {
 		t.Errorf("load.total = %+v", snap[0])
 	}
 
@@ -56,7 +56,7 @@ func TestSetConcurrent(t *testing.T) {
 	wg.Wait()
 	total := 0
 	for _, ts := range s.Snapshot() {
-		total += ts.Len()
+		total += len(ts.Points)
 	}
 	if total != 8*200 {
 		t.Errorf("total samples = %d, want %d", total, 8*200)
@@ -69,18 +69,18 @@ func TestSetCapsSeriesLength(t *testing.T) {
 		s.Observe("x", float64(i), float64(i))
 	}
 	ts := s.Get("x")
-	if ts.Len() != SetMaxPoints {
-		t.Fatalf("series has %d points, want exactly %d", ts.Len(), SetMaxPoints)
+	if len(ts.Points) != SetMaxPoints {
+		t.Fatalf("series has %d points, want exactly %d", len(ts.Points), SetMaxPoints)
 	}
 	// The ring window keeps exactly the newest SetMaxPoints samples.
 	if got := ts.Points[0].Value; got != float64(2*SetMaxPoints) {
 		t.Errorf("oldest retained value = %v, want %v", got, 2*SetMaxPoints)
 	}
-	if got := ts.Last().Value; got != float64(3*SetMaxPoints-1) {
+	if got := ts.Points[len(ts.Points)-1].Value; got != float64(3*SetMaxPoints-1) {
 		t.Errorf("last value = %v, want %v", got, 3*SetMaxPoints-1)
 	}
 	// Points stay in time order after trims.
-	for i := 1; i < ts.Len(); i++ {
+	for i := 1; i < len(ts.Points); i++ {
 		if ts.Points[i].Time <= ts.Points[i-1].Time {
 			t.Fatalf("points out of order at %d: %v after %v", i, ts.Points[i], ts.Points[i-1])
 		}

@@ -17,7 +17,6 @@ import (
 // idle deadline reaps connections whose peer went away.
 const (
 	tcpDialTimeout = 3 * time.Second
-	tcpCallTimeout = 10 * time.Second
 	tcpIdleTimeout = 5 * time.Minute
 	// tcpShedWait bounds how long an inbound request may wait for a dispatch
 	// slot before the server sheds it with a framed shed reply. Without the
@@ -61,7 +60,7 @@ func (c TCPConfig) withDefaults() TCPConfig {
 		c.DialTimeout = tcpDialTimeout
 	}
 	if c.CallTimeout <= 0 {
-		c.CallTimeout = tcpCallTimeout
+		c.CallTimeout = defaultCallTimeout
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = tcpIdleTimeout

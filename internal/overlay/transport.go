@@ -125,16 +125,22 @@ func (s *transportStats) snapshot() TransportStats {
 	}
 }
 
+// defaultCallTimeout is the deadline of a call whose CallOpts leave it zero,
+// unless TCPConfig.CallTimeout sets another.
+const defaultCallTimeout = 10 * time.Second
+
 // CallOpts tunes one Call. The zero value is the transport's legacy behavior
 // (its default deadline, no latency report).
 type CallOpts struct {
-	// Timeout bounds the whole exchange. Zero means the transport default
-	// (tcpCallTimeout on TCP, unbounded on the instantaneous fabrics).
+	// Timeout bounds the whole exchange. Zero means the transport default:
+	// TCPConfig.CallTimeout on TCP, defaultCallTimeout on a MemNetwork
+	// (whose calls never expire while no link model or fault is installed).
 	Timeout time.Duration
 	// RTT, when non-nil, receives the observed round-trip latency of a
-	// successful exchange. Transports that model latency rather than incur it
-	// (the simulator's) report the modeled value here; wall-clock transports
-	// may leave it untouched and let the caller measure elapsed time.
+	// successful exchange. A MemNetwork on the simulator's clock models
+	// latency rather than incurring it and reports the modeled value here,
+	// for remote errors too; wall-clock transports may leave it untouched and
+	// let the caller measure elapsed time.
 	RTT *time.Duration
 }
 
@@ -144,9 +150,9 @@ type CallOpts struct {
 // Calls to the same address must be able to share one underlying connection
 // (pipelining): a Call never waits for an unrelated Call's reply.
 //
-// Two implementations exist: MemNetwork endpoints for deterministic in-process
-// tests and TCPTransport for real deployments. Both speak the same framed wire
-// protocol (wire.go).
+// Two implementations exist: MemNetwork endpoints for in-process tests,
+// benchmarks and the simulator, and TCPTransport for real deployments. Both
+// speak the same framed wire protocol (wire.go).
 type Transport interface {
 	// Addr returns the endpoint's address, which doubles as its identity:
 	// the chord ring position is the hash of this address and the CLASH

@@ -7,12 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"clash/internal/core"
+	"clash/internal/sim/link"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -190,6 +193,188 @@ func TestMemTransportCallAndFailures(t *testing.T) {
 	}
 	if bst := b.Stats(); bst.FramesIn == 0 {
 		t.Errorf("target stats not counted: %+v", bst)
+	}
+}
+
+// TestMemFaultsLive exercises the fault state on the wall clock: a partition
+// and its heal, and a down caller refused as well as a down target.
+func TestMemFaultsLive(t *testing.T) {
+	net := NewMemNetwork()
+	a := net.Endpoint("a")
+	net.Endpoint("b").SetHandler(func(string, []byte) ([]byte, error) { return nil, nil })
+
+	net.SetPartition("b", 1)
+	if _, err := a.Call("b", TypePing, nil); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("cross-partition call = %v, want ErrUnreachable", err)
+	}
+	net.Heal()
+	if _, err := a.Call("b", TypePing, nil); err != nil {
+		t.Errorf("after Heal: %v", err)
+	}
+	net.SetDown("a", true)
+	if _, err := a.Call("b", TypePing, nil); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("call from a down endpoint = %v, want ErrUnreachable", err)
+	}
+	net.SetDown("a", false)
+	if _, err := a.Call("b", TypePing, nil); err != nil {
+		t.Errorf("after SetDown(false): %v", err)
+	}
+}
+
+// TestMemAsymBlockedDeadline checks that a blackholed direction on the wall
+// clock surfaces as the caller's deadline expiring, not as a hard failure.
+func TestMemAsymBlockedDeadline(t *testing.T) {
+	net := NewMemNetwork()
+	a := net.Endpoint("a")
+	var runs atomic.Int32
+	net.Endpoint("b").SetHandler(func(string, []byte) ([]byte, error) {
+		runs.Add(1)
+		return nil, nil
+	})
+	net.SetAsymGroup("b", 1)
+	net.SetAsymBlocked(1, 0, true) // replies from b to a vanish
+
+	const timeout = 20 * time.Millisecond
+	start := time.Now()
+	_, err := a.CallOpts("b", TypePing, nil, CallOpts{Timeout: timeout})
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("blocked reply direction = %v, want ErrDeadline", err)
+	}
+	if waited := time.Since(start); waited < timeout {
+		t.Errorf("deadline surfaced after %s, before the %s timeout", waited, timeout)
+	}
+	if runs.Load() != 1 {
+		t.Errorf("handler ran %d times, want 1 (the request direction is open)", runs.Load())
+	}
+	if got := a.Stats().Timeouts; got != 1 {
+		t.Errorf("Timeouts = %d, want 1", got)
+	}
+	net.HealAsym()
+	if _, err := a.CallOpts("b", TypePing, nil, CallOpts{Timeout: timeout}); err != nil {
+		t.Errorf("after HealAsym: %v", err)
+	}
+}
+
+// TestMemLossPastDeadline checks that a lost message whose drop timeout
+// overruns the call's deadline surfaces at the deadline as ErrDeadline, as a
+// real caller's timer would, not as a loss after the drop timeout.
+func TestMemLossPastDeadline(t *testing.T) {
+	net := NewMemNetwork()
+	m := link.Model{Loss: 0.99, DropTimeout: time.Minute}
+	if err := net.SetLink(m, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	a := net.Endpoint("a")
+	net.Endpoint("b").SetHandler(func(string, []byte) ([]byte, error) { return nil, nil })
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.CallOpts("b", TypePing, nil, CallOpts{Timeout: 20 * time.Millisecond})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrDeadline) {
+			t.Errorf("lost request = %v, want ErrDeadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("call waited out the drop timeout past its 20ms deadline")
+	}
+}
+
+// TestMemLateDuplicateDroppedWhenClosed checks Reorder on the wall clock: a
+// late duplicate reaches an open endpoint a second time, and is dropped by an
+// endpoint closed before it arrived.
+func TestMemLateDuplicateDroppedWhenClosed(t *testing.T) {
+	net := NewMemNetwork()
+	m := link.Model{DropTimeout: 10 * time.Millisecond, Reorder: 0.99}
+	if err := net.SetLink(m, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	a := net.Endpoint("a")
+	var closedRuns, openRuns atomic.Int32
+	closed := net.Endpoint("closed")
+	closed.SetHandler(func(string, []byte) ([]byte, error) {
+		closedRuns.Add(1)
+		return nil, nil
+	})
+	net.Endpoint("open").SetHandler(func(string, []byte) ([]byte, error) {
+		openRuns.Add(1)
+		return nil, nil
+	})
+
+	if _, err := a.Call("closed", TypePing, nil); err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	if _, err := a.Call("open", TypePing, nil); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for openRuns.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if openRuns.Load() != 2 {
+		t.Fatalf("open endpoint ran its handler %d times, want 2 (the late duplicate)", openRuns.Load())
+	}
+	time.Sleep(20 * time.Millisecond)
+	if closedRuns.Load() != 1 {
+		t.Errorf("closed endpoint ran its handler %d times, want 1", closedRuns.Load())
+	}
+}
+
+// TestMemFaultsConcurrent drives the link model and the fault state from
+// several goroutines at once: concurrent callers share the fabric's PRNG,
+// latency histograms and counters while another goroutine flips faults.
+func TestMemFaultsConcurrent(t *testing.T) {
+	net := NewMemNetwork()
+	m := link.Model{Jitter: time.Microsecond, Loss: 0.1, DropTimeout: time.Microsecond, Dup: 0.1, Reorder: 0.1}
+	if err := net.SetLink(m, rand.New(rand.NewSource(3))); err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	net.Endpoint("b").SetHandler(func(string, []byte) ([]byte, error) {
+		runs.Add(1)
+		return nil, nil
+	})
+	const callers, calls = 4, 200
+	stop := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			net.SetSlow("b", float64(1+i%2))
+			net.SetPartition("b", i%2)
+			net.SetDown("b", i%3 == 0)
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ep := net.Endpoint(fmt.Sprintf("a%d", c))
+			for i := 0; i < calls; i++ {
+				_, err := ep.CallOpts("b", TypePing, []byte("x"), CallOpts{Timeout: time.Second})
+				if err != nil && !errors.Is(err, ErrUnreachable) {
+					t.Errorf("call: %v", err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-flipped
+	if got := net.Calls(TypePing); got != callers*calls {
+		t.Errorf("Calls(ping) = %d, want %d", got, callers*calls)
+	}
+	if h := net.Latency(TypePing); h == nil || h.Count() == 0 || runs.Load() < int64(h.Count()) {
+		t.Errorf("latency histogram %v inconsistent with %d handler runs", h, runs.Load())
 	}
 }
 

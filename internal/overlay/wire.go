@@ -189,10 +189,6 @@ const (
 	wireVersion = 1
 	// frameHeaderSize is the fixed header: length + seq + version + type.
 	frameHeaderSize = 4 + 8 + 1 + 1
-	// FrameOverhead is the per-message framing cost in bytes, exported so
-	// transports outside this package (the simulator's) account frame bytes
-	// the same way the real ones do.
-	FrameOverhead = frameHeaderSize
 	// maxFrameSize bounds a frame payload to keep a malformed or hostile
 	// peer from forcing an unbounded allocation.
 	maxFrameSize = 16 << 20

@@ -1,11 +1,11 @@
 // Package sim is the deterministic discrete-event simulator for the CLASH
 // overlay: a virtual clock, a priority event queue and a seeded PRNG drive
 // unmodified overlay.Nodes (via the clock.Clock they are configured with) over
-// a simulated transport (Net) with per-link latency, jitter, loss and
-// partitions. A thousand-node overlay runs an hour of virtual protocol time
-// in seconds of wall clock, and two runs with the same seed are
-// bit-identical — every figure the scenario harness (Run, cmd/clashsim)
-// records is reproducible.
+// an overlay.MemNetwork on the engine's clock, with per-link latency,
+// jitter, loss, partitions and gray faults. A thousand-node overlay runs an
+// hour of virtual protocol time in seconds of wall clock, and two runs with
+// the same seed are bit-identical — every figure the scenario harness (Run,
+// cmd/clashsim) records is reproducible.
 //
 // The engine is single-threaded by construction: events execute one at a time
 // in (time, sequence) order, so there is no scheduling nondeterminism to
@@ -13,8 +13,9 @@
 // measurement-interval granularity — maintenance rounds, load checks,
 // traffic bursts and churn are scheduled events on the virtual clock, while
 // individual message exchanges execute inline at their issue instant with
-// their latency sampled into statistics (see Net). Nothing in the simulated
-// path reads the wall clock or sleeps.
+// their latency sampled into statistics and charged to
+// overlay.MemNetwork.TraceCall. Nothing in the simulated path reads the wall
+// clock or sleeps.
 package sim
 
 import (

@@ -1,10 +1,10 @@
 // Package link models one-way network link behavior — propagation latency
-// with jitter and independent per-message loss — shared by the deterministic
-// simulator transport (internal/sim) and the in-memory overlay transport's
-// optional latency injection (overlay.MemNetwork.SetLink, clashload
-// -inproc -latency). The model deliberately has no clock of its own: callers
-// sample it with their PRNG and apply the result on whatever timeline they
-// run (virtual event time in the simulator, real time.Sleep in -inproc runs).
+// with jitter, independent per-message loss, duplicates and late delivery —
+// as overlay.MemNetwork.SetLink applies it, in the simulator (internal/sim)
+// and in clashload -inproc -latency runs. The model deliberately has no clock
+// of its own: callers sample it with their PRNG and apply the result on
+// whatever timeline they run (virtual event time in the simulator, real
+// sleeps in -inproc runs).
 package link
 
 import (
@@ -27,14 +27,12 @@ type Model struct {
 	// message will never be answered (the virtual analogue of a call
 	// timeout). Zero means the loss surfaces immediately.
 	DropTimeout time.Duration `json:"drop_timeout,omitempty"`
-	// Dup is the independent probability in [0, 1) that a delivered message
-	// is duplicated — the copy arrives too (gray-fault injection; only the
-	// simulator transport honors it).
+	// Dup is the independent probability in [0, 1) that a delivered request
+	// is duplicated — the copy arrives too (gray-fault injection).
 	Dup float64 `json:"dup,omitempty"`
 	// Reorder is the independent probability in [0, 1) that a delivered
-	// message spawns a late duplicate — a stale copy arriving DropTimeout
-	// after the original (gray-fault injection; only the simulator transport
-	// honors it).
+	// request spawns a late duplicate — a stale copy arriving DropTimeout
+	// after the original (gray-fault injection).
 	Reorder float64 `json:"reorder,omitempty"`
 }
 

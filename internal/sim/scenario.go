@@ -330,7 +330,7 @@ type simNode struct {
 type runner struct {
 	sc     Scenario
 	eng    *Engine
-	net    *Net
+	net    *overlay.MemNetwork
 	nodes  []*simNode
 	client *overlay.Client
 
@@ -373,8 +373,9 @@ func Run(sc Scenario) (*Result, error) {
 	// the real model engages when the run starts.
 	bootLink := sc.Link
 	bootLink.Loss = 0
-	net, err := NewNet(eng, bootLink)
-	if err != nil {
+	net := overlay.NewMemNetwork()
+	net.SetClock(eng)
+	if err := net.SetLink(bootLink, eng.Rand()); err != nil {
 		return nil, err
 	}
 	if err := sc.Link.Validate(); err != nil {
@@ -390,7 +391,7 @@ func Run(sc Scenario) (*Result, error) {
 	if err := r.boot(); err != nil {
 		return nil, err
 	}
-	if err := net.SetModel(sc.Link); err != nil {
+	if err := net.SetLink(sc.Link, eng.Rand()); err != nil {
 		return nil, err
 	}
 	// Gray slowness engages with the real link model: the overlay converges

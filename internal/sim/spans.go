@@ -42,7 +42,7 @@ var hopCarrier = map[string]string{
 // buildSpanReport groups the collected spans by trace, checks each trace's
 // tree for completeness and attaches the per-hop virtual-latency summaries.
 // It returns nil when no spans were recorded (tracing disabled).
-func buildSpanReport(spans []overlay.Span, net *Net) *SpanReport {
+func buildSpanReport(spans []overlay.Span, net *overlay.MemNetwork) *SpanReport {
 	if len(spans) == 0 {
 		return nil
 	}
