@@ -264,9 +264,24 @@ func TestProbeCoverage(t *testing.T) {
 		t.Errorf("gap not flagged: %+v", p)
 	}
 
-	overlap := testTopo(topoNode("a", 1, "a", "0*", "00*", "1*"))
-	if p := probeCoverage(overlap); p.OK {
-		t.Errorf("overlap not flagged: %+v", p)
+	// A nested overlap is one violation; the keys after it are covered, so
+	// no gap may be reported, whatever order the groups arrive in.
+	for _, nested := range [][]string{{"0*", "00*", "1*"}, {"00*", "0*", "1*"}, {"0*", "010*", "1*"}} {
+		p := probeCoverage(testTopo(topoNode("a", 1, "a", nested...)))
+		if p.OK || len(p.Violations) != 1 || !strings.HasPrefix(p.Violations[0], "overlap") {
+			t.Errorf("nested overlap %v: want exactly one overlap, got %+v", nested, p)
+		}
+	}
+
+	// A group active on two nodes is an overlap even though the two copies
+	// share one name.
+	dup := testTopo(
+		topoNode("a", 1, "b", "0*", "1*"),
+		topoNode("b", 2, "a", "1*"),
+	)
+	if p := probeCoverage(dup); p.OK || len(p.Violations) != 1 ||
+		!strings.Contains(p.Violations[0], "held by b and a") {
+		t.Errorf("group held by two nodes: want one overlap naming both holders, got %+v", p)
 	}
 
 	root := testTopo(topoNode("a", 1, "a", "*"))

@@ -2,11 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"clash/internal/bitkey"
 	"clash/internal/hub"
-	"clash/internal/overlay"
+	"clash/internal/invariant"
 )
 
 // Probe is one cluster invariant check result.
@@ -41,82 +40,46 @@ func RunProbes(topo *hub.TopologyView) []Probe {
 }
 
 // probeCoverage checks the CLASH structural invariant that the active key
-// groups tile the key space exactly: sorted by prefix value, each group must
-// begin where the previous one ended, with no gap and no overlap, and the
-// last must wrap back to zero. (The paper's split/merge rules preserve this;
-// a violation means a transfer lost or duplicated a group.)
+// groups tile the key space exactly. It reads every node's own group list,
+// so a group active on two nodes counts twice. (The paper's split/merge
+// rules preserve the tiling; a violation means a transfer lost or
+// duplicated a group.)
 func probeCoverage(topo *hub.TopologyView) Probe {
 	p := Probe{Name: "coverage"}
 	if !topo.Complete {
 		p.Detail = "ring walk incomplete; coverage not evaluable"
 		return p
 	}
-	type tile struct {
-		name  string
-		start uint64 // prefix bits left-aligned in 64
-		width uint64 // 2^(64-depth); 0 means the whole space (depth 0)
-	}
-	tiles := make([]tile, 0, len(topo.Groups))
-	for name := range topo.Groups {
-		g, err := bitkey.ParseGroup(name)
-		if err != nil {
-			p.Violations = append(p.Violations, fmt.Sprintf("unparseable group %q: %v", name, err))
-			continue
+	var groups []bitkey.Group
+	var holders []string
+	for _, n := range topo.Nodes {
+		for _, tg := range n.Groups {
+			g, err := bitkey.ParseGroup(tg.Group)
+			if err != nil {
+				p.Violations = append(p.Violations, fmt.Sprintf("unparseable group %q on %s: %v", tg.Group, n.Addr, err))
+				continue
+			}
+			groups = append(groups, g)
+			holders = append(holders, n.Addr)
 		}
-		d := g.Depth()
-		tiles = append(tiles, tile{
-			name:  name,
-			start: g.Prefix.Value << (64 - uint(d)),
-			width: uint64(1) << (64 - uint(d)),
-		})
 	}
 	if len(p.Violations) > 0 {
 		p.Detail = "group names did not parse"
 		return p
 	}
-	if len(tiles) == 0 {
-		p.Detail = "no active key groups anywhere in the ring"
-		return p
-	}
-	sort.Slice(tiles, func(i, j int) bool { return tiles[i].start < tiles[j].start })
-	// Walk the tiles with a wrapping cursor: starting from 0 and adding each
-	// width must visit every start exactly and land back on 0.
-	var cursor uint64
-	ok := true
-	for _, t := range tiles {
-		if t.start != cursor {
-			ok = false
-			if len(p.Violations) < maxProbeViolations {
-				kind := "gap"
-				if t.start < cursor {
-					kind = "overlap"
-				}
-				p.Violations = append(p.Violations,
-					fmt.Sprintf("%s before group %s (expected prefix start %#016x, got %#016x)",
-						kind, t.name, cursor, t.start))
-			}
-			// Resynchronise so one bad tile doesn't cascade into noise.
-			cursor = t.start
+	record(&p, invariant.Tiling(groups), func(v invariant.Violation) string {
+		switch {
+		case v.With >= 0:
+			return fmt.Sprintf("%v (held by %s and %s)", v, holders[v.At], holders[v.With])
+		case v.At >= 0:
+			return fmt.Sprintf("%v (held by %s)", v, holders[v.At])
 		}
-		cursor += t.width
-		if t.width == 0 && len(tiles) > 1 { // depth-0 root next to other groups
-			ok = false
-			p.Violations = append(p.Violations,
-				fmt.Sprintf("root group %s coexists with %d other groups", t.name, len(tiles)-1))
-		}
-	}
-	if cursor != 0 {
-		ok = false
-		if len(p.Violations) < maxProbeViolations {
-			p.Violations = append(p.Violations,
-				fmt.Sprintf("tail gap: last group ends at %#016x, not at the wrap point", cursor))
-		}
-	}
-	p.OK = ok && len(p.Violations) == 0
+		return v.String()
+	})
 	if p.OK {
-		p.Detail = fmt.Sprintf("%d groups tile the key space exactly", len(tiles))
+		p.Detail = fmt.Sprintf("%d groups tile the key space exactly", len(groups))
 	} else {
-		p.Detail = fmt.Sprintf("%d groups do not tile the key space", len(tiles))
+		p.Detail = fmt.Sprintf("%d groups do not tile the key space", len(groups))
 	}
 	return p
 }
@@ -129,30 +92,33 @@ func probeSuccessors(topo *hub.TopologyView) Probe {
 		p.Detail = "ring walk incomplete; successor order not evaluable"
 		return p
 	}
-	nodes := append([]overlay.TopoNode(nil), topo.Nodes...)
-	if len(nodes) == 0 {
+	if len(topo.Nodes) == 0 {
 		p.Detail = "topology walk returned no nodes"
 		return p
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for i, n := range nodes {
-		want := nodes[(i+1)%len(nodes)].Addr
-		got := ""
+	members := make([]invariant.Member, len(topo.Nodes))
+	for i, n := range topo.Nodes {
+		members[i] = invariant.Member{Addr: n.Addr, ID: n.ID}
 		if len(n.Successors) > 0 {
-			got = n.Successors[0]
-		}
-		if got != want && len(p.Violations) < maxProbeViolations {
-			p.Violations = append(p.Violations,
-				fmt.Sprintf("%s: first successor %q, ring order expects %q", n.Addr, got, want))
+			members[i].Successor = n.Successors[0]
 		}
 	}
-	p.OK = len(p.Violations) == 0
+	record(&p, invariant.RingOrder(members), invariant.Violation.String)
 	if p.OK {
-		p.Detail = fmt.Sprintf("%d-node ring successor order consistent", len(nodes))
+		p.Detail = fmt.Sprintf("%d-node ring successor order consistent", len(members))
 	} else {
 		p.Detail = "successor pointers disagree with Chord ID order"
 	}
 	return p
+}
+
+// record sets p.OK from vs and keeps at most maxProbeViolations of them,
+// each rendered by format.
+func record(p *Probe, vs []invariant.Violation, format func(invariant.Violation) string) {
+	p.OK = len(vs) == 0
+	for _, v := range vs[:min(len(vs), maxProbeViolations)] {
+		p.Violations = append(p.Violations, format(v))
+	}
 }
 
 // probeReplicas checks crash-recovery health: in a multi-node ring, every

@@ -97,8 +97,9 @@ func (s *LegacyServer) ManagesKey(k bitkey.Key) (bitkey.Group, bool) {
 // Validate checks the table invariants (active groups are prefix-free).
 func (s *LegacyServer) Validate() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table.validateActivePrefixFree()
+	groups := s.table.ActiveGroups()
+	s.mu.Unlock()
+	return prefixFree(groups)
 }
 
 // HandleAcceptObject processes an ACCEPT_OBJECT request under the single

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"clash/internal/bitkey"
+	"clash/internal/invariant"
 )
 
 // ErrSplitExhausted is returned when a split keeps mapping the right child
@@ -279,11 +280,20 @@ func (s *Server) ManagesKey(k bitkey.Key) (bitkey.Group, bool) {
 	return e.group, true
 }
 
-// Validate checks the table invariants (active groups are prefix-free).
+// Validate checks the table invariant: the active groups are prefix-free.
 func (s *Server) Validate() error {
 	s.lock()
-	defer s.mu.Unlock()
-	return s.table.validateActivePrefixFree()
+	groups := s.table.ActiveGroups()
+	s.mu.Unlock()
+	return prefixFree(groups)
+}
+
+// prefixFree reports the first overlap among one server's active groups.
+func prefixFree(groups []bitkey.Group) error {
+	if vs := invariant.PrefixFree(groups); len(vs) > 0 {
+		return fmt.Errorf("core: active groups not prefix-free: %v", vs[0])
+	}
+	return nil
 }
 
 // objDeltas accumulates one cell's object-counter increments so a batch

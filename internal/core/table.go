@@ -174,22 +174,3 @@ func (t *Table) coveredBy(g bitkey.Group) bool {
 	})
 	return covered
 }
-
-// validateActivePrefixFree checks the core table invariant: no active group's
-// prefix is a prefix of another active group. It returns an error describing
-// the first violation found. Tests and the drivers' consistency checks
-// call this.
-//
-// ActiveGroups is sorted so that a prefix immediately precedes its extensions;
-// checking adjacent pairs therefore finds any containment in O(n) after the
-// O(n) sorted walk (O(n log n) overall including the slice growth), replacing
-// the previous O(n²) pairwise scan.
-func (t *Table) validateActivePrefixFree() error {
-	actives := t.ActiveGroups()
-	for i := 1; i < len(actives); i++ {
-		if actives[i-1].ContainsGroup(actives[i]) {
-			return fmt.Errorf("active group %v contains active group %v", actives[i-1], actives[i])
-		}
-	}
-	return nil
-}

@@ -91,11 +91,11 @@ func TestTableValidateActivePrefixFree(t *testing.T) {
 	}
 	tab.put(&Entry{Group: bitkey.MustParseGroup("011*"), Active: true})
 	tab.put(&Entry{Group: bitkey.MustParseGroup("0101*"), Active: true})
-	if err := tab.validateActivePrefixFree(); err != nil {
+	if err := prefixFree(tab.ActiveGroups()); err != nil {
 		t.Errorf("disjoint active groups flagged: %v", err)
 	}
 	tab.put(&Entry{Group: bitkey.MustParseGroup("0110*"), Active: true})
-	if err := tab.validateActivePrefixFree(); err == nil {
+	if err := prefixFree(tab.ActiveGroups()); err == nil {
 		t.Error("nested active groups not flagged")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"clash/internal/bitkey"
 	"clash/internal/chord"
 	"clash/internal/cq"
+	"clash/internal/invariant"
 	"clash/internal/load"
 	"clash/internal/metrics"
 	"clash/internal/overlay"
@@ -560,6 +561,14 @@ func TestHubAdminDrainZeroLostCQ(t *testing.T) {
 	}
 	if target.Engine().Len() != 0 {
 		t.Fatalf("drained node still stores %d queries", target.Engine().Len())
+	}
+	// The drain moved groups without losing or duplicating any.
+	var groups []bitkey.Group
+	for _, n := range c.nodes {
+		groups = append(groups, n.Server().ActiveGroups()...)
+	}
+	if vs := invariant.Tiling(groups); len(vs) > 0 {
+		t.Fatalf("active groups %v do not tile the key space after the drain: %v", groups, vs)
 	}
 
 	// The drain left a begin event and at least one moved event on the bus.

@@ -2,8 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"clash/internal/bitkey"
 	"clash/internal/core"
@@ -129,117 +127,5 @@ func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, 
 			c.router.Forget(groups[j])
 			*slow = append(*slow, i)
 		}
-	}
-}
-
-// Batcher accumulates published packets and flushes them as batched frames
-// when the buffer reaches size packets or interval elapses, whichever comes
-// first. Publish is safe for concurrent use; a size-triggered flush runs on
-// the publishing goroutine (providing natural backpressure), the interval
-// flush on a background goroutine.
-type Batcher struct {
-	c        *Client
-	size     int
-	onResult func(item BatchItem, res *PublishResult, err error)
-
-	mu     sync.Mutex
-	buf    []BatchItem
-	closed bool
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewBatcher creates a batcher flushing at size packets or every interval.
-// onResult (optional) is invoked once per published item with its outcome.
-func (c *Client) NewBatcher(size int, interval time.Duration, onResult func(BatchItem, *PublishResult, error)) *Batcher {
-	if size < 1 {
-		size = 1
-	}
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	b := &Batcher{
-		c:        c,
-		size:     size,
-		onResult: onResult,
-		buf:      make([]BatchItem, 0, size),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go b.flushLoop(interval)
-	return b
-}
-
-// Publish queues one data packet. When the queue reaches the flush size, the
-// whole batch is published synchronously on this goroutine.
-func (b *Batcher) Publish(key bitkey.Key, attrs map[string]float64, payload []byte) error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	b.buf = append(b.buf, BatchItem{Key: key, Attrs: attrs, Payload: payload})
-	var batch []BatchItem
-	if len(b.buf) >= b.size {
-		batch = b.buf
-		b.buf = make([]BatchItem, 0, b.size)
-	}
-	b.mu.Unlock()
-	if batch != nil {
-		b.publish(batch)
-	}
-	return nil
-}
-
-// Flush publishes everything currently queued.
-func (b *Batcher) Flush() {
-	b.mu.Lock()
-	batch := b.buf
-	if len(batch) > 0 {
-		b.buf = make([]BatchItem, 0, b.size)
-	}
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.publish(batch)
-	}
-}
-
-// Close stops the interval flusher and publishes the remaining queue.
-func (b *Batcher) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.closed = true
-	b.mu.Unlock()
-	close(b.stop)
-	<-b.done
-	b.Flush()
-	return nil
-}
-
-func (b *Batcher) flushLoop(interval time.Duration) {
-	defer close(b.done)
-	t := b.c.clk.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C():
-			b.Flush()
-		case <-b.stop:
-			return
-		}
-	}
-}
-
-func (b *Batcher) publish(batch []BatchItem) {
-	results, errs := b.c.PublishBatch(batch)
-	if b.onResult == nil {
-		return
-	}
-	for i := range batch {
-		b.onResult(batch[i], results[i], errs[i])
 	}
 }

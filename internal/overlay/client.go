@@ -7,7 +7,6 @@ import (
 
 	"clash/internal/bitkey"
 	"clash/internal/chord"
-	"clash/internal/clock"
 	"clash/internal/core"
 	"clash/internal/cq"
 	"clash/internal/wirecodec"
@@ -44,10 +43,6 @@ type Client struct {
 	seeds   []string
 	router  *core.Router
 
-	// clk drives the client's periodic machinery (Batcher interval flushes);
-	// the simulator swaps in its virtual source via SetClock.
-	clk clock.Clock
-
 	lastDepth atomic.Int64
 	seedIdx   atomic.Int64
 	drops     atomic.Int64
@@ -77,17 +72,12 @@ func NewClient(tr Transport, keyBits int, space chord.Space, seeds ...string) (*
 		space:     space,
 		seeds:     append([]string(nil), seeds...),
 		router:    core.NewRouter(keyBits),
-		clk:       clock.Real(),
 		matches:   make(chan Match, matchBuffer),
 		traceSalt: uint64(space.HashString(tr.Addr())) << 32,
 	}
 	tr.SetHandler(c.handle)
 	return c, nil
 }
-
-// SetClock replaces the client's time source for interval-driven machinery.
-// Call before creating batchers.
-func (c *Client) SetClock(clk clock.Clock) { c.clk = clk }
 
 // SetTraceEvery samples every Nth delivered object for request tracing: the
 // sampled object carries a non-zero trace ID in its ACCEPT_OBJECT frames, and

@@ -10,6 +10,7 @@ import (
 	"clash/internal/chord"
 	"clash/internal/core"
 	"clash/internal/cq"
+	"clash/internal/invariant"
 	"clash/internal/load"
 )
 
@@ -87,6 +88,19 @@ func sumCounters(nodes []*Node) core.Counters {
 		sum.ObjectsWrong += c.ObjectsWrong
 	}
 	return sum
+}
+
+// assertTiling fails the test unless the nodes' active groups tile the key
+// space exactly.
+func assertTiling(t *testing.T, nodes []*Node) {
+	t.Helper()
+	var groups []bitkey.Group
+	for _, n := range nodes {
+		groups = append(groups, n.Server().ActiveGroups()...)
+	}
+	if vs := invariant.Tiling(groups); len(vs) > 0 {
+		t.Fatalf("active groups %v do not tile the key space: %v", groups, vs)
+	}
 }
 
 func activeGroups(nodes []*Node) map[string]string {
@@ -296,6 +310,7 @@ func TestOverlayEndToEnd(t *testing.T) {
 	if len(st.Series) == 0 {
 		t.Error("status carries no metrics series")
 	}
+	assertTiling(t, nodes)
 }
 
 // TestOverlayNodeFailureReroutesClients checks that a client whose cached

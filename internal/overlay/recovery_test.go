@@ -136,6 +136,7 @@ func TestOverlayCrashRecoveryTCP(t *testing.T) {
 	if recovered == 0 {
 		t.Fatal("no survivor promoted a replica (GroupsRecovered == 0)")
 	}
+	assertTiling(t, survivors)
 
 	// The dead node's queries must now be served by the survivors: a
 	// matching packet into each lost query's region reports the query and

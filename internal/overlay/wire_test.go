@@ -3,9 +3,7 @@ package overlay
 import (
 	"bytes"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"clash/internal/bitkey"
 	"clash/internal/cq"
@@ -202,45 +200,6 @@ func TestBatchThroughOverlay(t *testing.T) {
 	}
 	if matched != n/4 {
 		t.Errorf("matched %d items, want %d", matched, n/4)
-	}
-}
-
-// TestBatcherFlushes exercises the size- and interval-triggered flushes.
-func TestBatcherFlushes(t *testing.T) {
-	netw := NewMemNetwork()
-	cfg := testConfig()
-	nodes := buildOverlay(t, netw, 2, cfg)
-	client, err := NewClient(netw.Endpoint("batcher-client"), cfg.KeyBits, cfg.Space, nodes[0].Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	done := 0
-	b := client.NewBatcher(8, 20*time.Millisecond, func(item BatchItem, res *PublishResult, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			t.Errorf("batched publish of %v: %v", item.Key, err)
-			return
-		}
-		done++
-	})
-	for i := 0; i < 20; i++ {
-		if err := b.Publish(prefixKey(t, cfg.KeyBits, uint64(i%4), 2, uint64(i)), nil, nil); err != nil {
-			t.Fatalf("Publish: %v", err)
-		}
-	}
-	if err := b.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if done != 20 {
-		t.Errorf("delivered %d of 20 batched packets", done)
-	}
-	if err := b.Publish(prefixKey(t, cfg.KeyBits, 0, 2, 0), nil, nil); err == nil {
-		t.Error("Publish after Close succeeded")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"clash/internal/bitkey"
 	"clash/internal/chord"
 	"clash/internal/cq"
+	"clash/internal/invariant"
 	"clash/internal/load"
 	"clash/internal/metrics"
 	"clash/internal/overlay"
@@ -868,10 +869,17 @@ func (r *runner) finish(res *Result, bootEnd time.Duration) {
 	totals.MatchesDelivered = r.delivered
 	depthHist := make([]int, sc.KeyBits+1)
 	var groups []bitkey.Group
+	var ring []invariant.Member
+	space := chord.DefaultSpace()
 	for _, sn := range r.nodes {
 		if sn.down {
 			continue
 		}
+		m := invariant.Member{Addr: sn.addr, ID: uint64(space.HashString(sn.addr))}
+		if succs := sn.node.Successors(); len(succs) > 0 {
+			m.Successor = succs[0].Addr
+		}
+		ring = append(ring, m)
 		c := sn.node.Server().Counters()
 		totals.Splits += c.Splits
 		totals.Merges += c.Merges
@@ -909,8 +917,14 @@ func (r *runner) finish(res *Result, bootEnd time.Duration) {
 	// The span report is built before the durability probes run, so — like
 	// the headline counters — it covers only the scenario's own traffic.
 	res.Spans = buildSpanReport(r.events.spanSnapshot(), r.net)
-	res.CoverageComplete, res.CoverageOverlaps = coverage(sc.KeyBits, groups)
-	res.RingDrift = r.ringDrift()
+	tiling := invariant.Tiling(groups)
+	res.CoverageComplete = len(tiling) == 0
+	for _, v := range tiling {
+		if v.Kind == invariant.Overlap {
+			res.CoverageOverlaps++
+		}
+	}
+	res.RingDrift = len(invariant.RingOrder(ring))
 	res.RingConverged = res.RingDrift == 0
 	// The durability check runs after the totals snapshot, so its probe
 	// traffic never perturbs the headline counters.
@@ -1065,73 +1079,4 @@ func (r *runner) checkDurability(res *Result, probe bool) {
 		}
 		r.drainMatches()
 	}
-}
-
-// ringDrift counts live nodes whose successor pointer disagrees with the
-// true ring order (successors sorted by chord position). Zero means a fully
-// converged ring.
-func (r *runner) ringDrift() int {
-	space := chord.DefaultSpace()
-	type member struct {
-		sn *simNode
-		id chord.ID
-	}
-	var live []member
-	for _, sn := range r.nodes {
-		if !sn.down {
-			live = append(live, member{sn: sn, id: space.HashString(sn.addr)})
-		}
-	}
-	if len(live) < 2 {
-		return 0
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	drift := 0
-	for i, m := range live {
-		want := live[(i+1)%len(live)].sn.addr
-		succs := m.sn.node.Successors()
-		if len(succs) == 0 || succs[0].Addr != want {
-			drift++
-		}
-	}
-	return drift
-}
-
-// coverage reports whether the groups exactly partition the N-bit key space,
-// and how many overlapping key points the set has (0 when prefix-free).
-func coverage(keyBits int, groups []bitkey.Group) (complete bool, overlaps int) {
-	type span struct{ start, end uint64 }
-	spans := make([]span, 0, len(groups))
-	for _, g := range groups {
-		w := uint64(1) << uint(keyBits-g.Depth())
-		start := g.Prefix.Value << uint(keyBits-g.Depth())
-		spans = append(spans, span{start: start, end: start + w})
-	}
-	// Sort by start, then by end; count overlap and check adjacency.
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].start != spans[j].start {
-			return spans[i].start < spans[j].start
-		}
-		return spans[i].end < spans[j].end
-	})
-	complete = true
-	var pos uint64
-	for _, s := range spans {
-		if s.start < pos {
-			overlaps++
-			complete = false
-			if s.end > pos {
-				pos = s.end
-			}
-			continue
-		}
-		if s.start > pos {
-			complete = false
-		}
-		pos = s.end
-	}
-	if pos != uint64(1)<<uint(keyBits) {
-		complete = false
-	}
-	return complete, overlaps
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"clash/internal/bitkey"
 	"clash/internal/sim/link"
 	"clash/internal/workload"
 )
@@ -105,22 +104,6 @@ func TestNamedScenarios(t *testing.T) {
 	}
 	if _, err := Named("bogus", 0, 1); err == nil {
 		t.Error("unknown scenario accepted")
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	g := func(s string) bitkey.Group { return bitkey.MustParseGroup(s) }
-	complete, overlaps := coverage(4, []bitkey.Group{g("0"), g("10"), g("110"), g("111")})
-	if !complete || overlaps != 0 {
-		t.Errorf("exact partition: complete=%v overlaps=%d", complete, overlaps)
-	}
-	complete, _ = coverage(4, []bitkey.Group{g("0"), g("10")})
-	if complete {
-		t.Error("gap reported complete")
-	}
-	complete, overlaps = coverage(4, []bitkey.Group{g("0"), g("01"), g("1")})
-	if complete || overlaps == 0 {
-		t.Errorf("overlap undetected: complete=%v overlaps=%d", complete, overlaps)
 	}
 }
 
