@@ -19,12 +19,11 @@ type Reader struct {
 
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
-func (r *Reader) Int() int64        { return 0 }
-func (r *Reader) Uvarint() uint64   { return 0 }
-func (r *Reader) Bytes() []byte     { return nil }
-func (r *Reader) BytesCopy() []byte { return nil }
-func (r *Reader) String() string    { return "" }
-func (r *Reader) Bool() bool        { return false }
-func (r *Reader) Float64() float64  { return 0 }
-func (r *Reader) Err() error        { return r.err }
-func (r *Reader) Len() int          { return len(r.data) }
+func (r *Reader) Int() int64       { return 0 }
+func (r *Reader) Uvarint() uint64  { return 0 }
+func (r *Reader) Bytes() []byte    { return nil }
+func (r *Reader) String() string   { return "" }
+func (r *Reader) Bool() bool       { return false }
+func (r *Reader) Float64() float64 { return 0 }
+func (r *Reader) Err() error       { return r.err }
+func (r *Reader) Len() int         { return len(r.data) }

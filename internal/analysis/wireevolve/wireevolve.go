@@ -49,7 +49,7 @@ type op struct {
 }
 
 // appendKinds maps wirecodec.AppendX writers to field kinds; readerKinds maps
-// Reader methods to the same kinds. BytesCopy is the copying twin of Bytes.
+// Reader methods to the same kinds.
 var appendKinds = map[string]string{
 	"AppendInt":     "int",
 	"AppendUvarint": "uvarint",
@@ -60,13 +60,12 @@ var appendKinds = map[string]string{
 }
 
 var readerKinds = map[string]string{
-	"Int":       "int",
-	"Uvarint":   "uvarint",
-	"Bytes":     "bytes",
-	"BytesCopy": "bytes",
-	"String":    "string",
-	"Bool":      "bool",
-	"Float64":   "float64",
+	"Int":     "int",
+	"Uvarint": "uvarint",
+	"Bytes":   "bytes",
+	"String":  "string",
+	"Bool":    "bool",
+	"Float64": "float64",
 }
 
 type codec struct {

@@ -113,45 +113,9 @@ func (g Group) Parent() (Group, bool) {
 	return Group{Prefix: p}, true
 }
 
-// Sibling returns the group that shares g's parent (same prefix, last bit
-// flipped), and false if g is the root.
-func (g Group) Sibling() (Group, bool) {
-	if g.Prefix.Bits == 0 {
-		return Group{}, false
-	}
-	return Group{Prefix: Key{Value: g.Prefix.Value ^ 1, Bits: g.Prefix.Bits}}, true
-}
-
 // IsLeftChild reports whether the group's last prefix bit is 0 (i.e. it is
 // the child that maps back to its parent's server). The root is not a child
 // of anything and returns false.
 func (g Group) IsLeftChild() bool {
 	return g.Prefix.Bits > 0 && g.Prefix.Value&1 == 0
 }
-
-// Size returns the number of distinct N-bit identifier keys contained in the
-// group (2^(N-d)). It returns an error if n is smaller than the group depth.
-func (g Group) Size(n int) (uint64, error) {
-	if n < g.Prefix.Bits || n > MaxBits {
-		return 0, fmt.Errorf("%w: size of depth-%d group in %d-bit space", ErrBadLength, g.Prefix.Bits, n)
-	}
-	if n-g.Prefix.Bits == MaxBits {
-		return 0, fmt.Errorf("%w: group size overflows uint64", ErrOverflow)
-	}
-	return 1 << uint(n-g.Prefix.Bits), nil
-}
-
-// Shape implements the paper's Shape() function: it maps an N-bit identifier
-// key and a depth d to the key group containing it at that depth (the group
-// whose prefix is the first d bits of the key).
-func Shape(k Key, d int) (Group, error) {
-	p, err := k.Prefix(d)
-	if err != nil {
-		return Group{}, err
-	}
-	return Group{Prefix: p}, nil
-}
-
-// LongestCommonPrefix returns the length of the longest common prefix of two
-// keys.
-func LongestCommonPrefix(a, b Key) int { return commonBits(a, b) }

@@ -89,9 +89,9 @@ func TestGroupParentSibling(t *testing.T) {
 	if !ok || p.String() != "0110*" {
 		t.Errorf("Parent = %v,%v; want 0110*", p, ok)
 	}
-	s, ok := g.Sibling()
-	if !ok || s.String() != "01100*" {
-		t.Errorf("Sibling = %v,%v; want 01100*", s, ok)
+	s := MustParseGroup("01100*")
+	if sp, ok := s.Parent(); !ok || !sp.Equal(p) {
+		t.Errorf("sibling 01100* has parent %v,%v; want %v", sp, ok, p)
 	}
 	if g.IsLeftChild() {
 		t.Error("01101* should not be a left child")
@@ -103,51 +103,8 @@ func TestGroupParentSibling(t *testing.T) {
 	if _, ok := root.Parent(); ok {
 		t.Error("root has no parent")
 	}
-	if _, ok := root.Sibling(); ok {
-		t.Error("root has no sibling")
-	}
 	if root.IsLeftChild() {
 		t.Error("root is not a left child")
-	}
-}
-
-func TestGroupSize(t *testing.T) {
-	// Paper §3: for an N-bit key, the group "11*" represents 2^(N-2) keys and
-	// "111*" represents 2^(N-3).
-	const n = 24
-	g2 := MustParseGroup("11*")
-	s2, err := g2.Size(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2 != 1<<(n-2) {
-		t.Errorf("Size(11*) = %d, want %d", s2, 1<<(n-2))
-	}
-	g3 := MustParseGroup("111*")
-	s3, _ := g3.Size(n)
-	if s3 != 1<<(n-3) {
-		t.Errorf("Size(111*) = %d, want %d", s3, 1<<(n-3))
-	}
-	if !g2.ContainsGroup(g3) {
-		t.Error("11* must contain 111*")
-	}
-	if g3.ContainsGroup(g2) {
-		t.Error("111* must not contain 11*")
-	}
-}
-
-func TestShape(t *testing.T) {
-	// Shape(k, d) groups 2^(N-d) keys sharing the first d bits.
-	k := MustParse("0110101")
-	g, err := Shape(k, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.String() != "0110*" {
-		t.Errorf("Shape = %v, want 0110*", g)
-	}
-	if _, err := Shape(k, 8); err == nil {
-		t.Error("Shape with depth > key length succeeded, want error")
 	}
 }
 
@@ -162,8 +119,8 @@ func TestLongestCommonPrefix(t *testing.T) {
 		{"0110", "0110101", 4},
 	}
 	for _, tt := range tests {
-		if got := LongestCommonPrefix(MustParse(tt.a), MustParse(tt.b)); got != tt.want {
-			t.Errorf("LongestCommonPrefix(%s,%s) = %d, want %d", tt.a, tt.b, got, tt.want)
+		if got := commonBits(MustParse(tt.a), MustParse(tt.b)); got != tt.want {
+			t.Errorf("commonBits(%s,%s) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}
 }
@@ -194,22 +151,6 @@ func TestPropertySplitPartitionsGroup(t *testing.T) {
 		if inLeft == inRight {
 			t.Fatalf("key %v must be in exactly one child of %v (left=%v right=%v)", key, g, inLeft, inRight)
 		}
-	}
-}
-
-func TestPropertyShapeConsistentWithContains(t *testing.T) {
-	f := func(value uint64, depthRaw uint8) bool {
-		const n = 24
-		key := MustNew(value&(1<<n-1), n)
-		d := int(depthRaw) % (n + 1)
-		g, err := Shape(key, d)
-		if err != nil {
-			return false
-		}
-		return g.Contains(key) && g.Depth() == d
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

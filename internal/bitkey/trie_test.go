@@ -208,7 +208,7 @@ func (b *brute) longestMatch(k Key) (Key, bool) {
 func (b *brute) maxCommon(k Key) int {
 	best := 0
 	for _, e := range b.keys {
-		if l := LongestCommonPrefix(k, e); l > best {
+		if l := commonBits(k, e); l > best {
 			best = l
 		}
 	}

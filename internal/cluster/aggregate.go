@@ -76,7 +76,6 @@ func Aggregate(v *View) *Fleet {
 	}
 	stageBuckets := make(mergedBuckets)
 	stageCounts := make(map[string]uint64)
-	heatQueries := make(map[string]int)
 	var heat []GroupHeat
 
 	for _, nv := range v.Nodes {
@@ -118,15 +117,20 @@ func Aggregate(v *View) *Fleet {
 	}
 
 	// Per-group query counts come from the topology walk (the gauge only
-	// carries load); a group scraped from a node that lost it since the walk
-	// keeps Holder from the scrape — heat is advisory, not authoritative.
+	// carries load), matched by holder and group, so a group held by two
+	// nodes gets each holder's own count. A group its scraped holder lost
+	// since the walk reads 0 queries — heat is advisory, not authoritative.
 	if v.Topo != nil {
-		for group, p := range v.Topo.Groups {
-			heatQueries[group] = p.Queries
+		type holderGroup struct{ holder, group string }
+		queries := make(map[holderGroup]int)
+		for _, n := range v.Topo.Nodes {
+			for _, g := range n.Groups {
+				queries[holderGroup{n.Addr, g.Group}] = g.Queries
+			}
 		}
-	}
-	for i := range heat {
-		heat[i].Queries = heatQueries[heat[i].Group]
+		for i := range heat {
+			heat[i].Queries = queries[holderGroup{heat[i].Holder, heat[i].Group}]
+		}
 	}
 	sort.Slice(heat, func(i, j int) bool {
 		if heat[i].Load != heat[j].Load {

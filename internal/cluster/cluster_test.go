@@ -26,14 +26,15 @@ weird_label{a="x\"y",b="line\nz",c="back\\slash"} 42
 	if got := m.Sum("clash_objects_total"); got != 15 {
 		t.Errorf("Sum(objects) = %v, want 15", got)
 	}
-	if v, ok := m.Value("clash_objects_total", map[string]string{"status": "ok"}); !ok || v != 12 {
-		t.Errorf("Value(objects, ok) = %v, %v", v, ok)
+	objs := m.Select("clash_objects_total")
+	if len(objs) != 2 {
+		t.Fatalf("Select(objects) = %d samples, want 2", len(objs))
 	}
-	if v, ok := m.Value("clash_load_fraction", nil); !ok || v != 0.25 {
-		t.Errorf("Value(load_fraction) = %v, %v", v, ok)
+	if s := objs[0]; s.Labels["status"] != "ok" || s.Value != 12 {
+		t.Errorf("objects{status=ok} = %+v", s)
 	}
-	if got := len(m.Select("clash_objects_total")); got != 2 {
-		t.Errorf("Select(objects) = %d samples, want 2", got)
+	if lf := m.Select("clash_load_fraction"); len(lf) != 1 || lf[0].Value != 0.25 {
+		t.Errorf("Select(load_fraction) = %+v", lf)
 	}
 	ws := m.Select("weird_label")
 	if len(ws) != 1 {
@@ -90,8 +91,8 @@ func TestPromParsersAgree(t *testing.T) {
 			t.Errorf("%q: parseMetrics accepted=%v (%v), want %v", tc.line, got, err, tc.ok)
 		}
 		if tc.ok && err == nil {
-			if v, _ := scraped.Value("m", nil); v != tc.want {
-				t.Errorf("%q: parseMetrics value %v, want %v", tc.line, v, tc.want)
+			if ms := scraped.Select("m"); len(ms) != 1 || ms[0].Value != tc.want {
+				t.Errorf("%q: parseMetrics samples %+v, want one of value %v", tc.line, ms, tc.want)
 			}
 		}
 	}
@@ -230,13 +231,7 @@ func topoNode(addr string, id uint64, succ string, groups ...string) overlay.Top
 }
 
 func testTopo(nodes ...overlay.TopoNode) *hub.TopologyView {
-	v := &hub.TopologyView{Complete: true, Nodes: nodes, Groups: map[string]hub.TopoPlacement{}}
-	for _, n := range nodes {
-		for _, g := range n.Groups {
-			v.Groups[g.Group] = hub.TopoPlacement{Holder: n.Addr}
-		}
-	}
-	return v
+	return &hub.TopologyView{Complete: true, Nodes: nodes}
 }
 
 func probeByName(t *testing.T, probes []Probe, name string) Probe {

@@ -30,9 +30,10 @@ const spanScrapeLimit = 512
 type Collector struct {
 	// Hubs are the hub base URLs to scrape.
 	Hubs []string
-	// Client is the HTTP client used for every request (default: 5s timeout).
-	Client *http.Client
 }
+
+// httpClient carries every scrape request.
+var httpClient = &http.Client{Timeout: 5 * time.Second}
 
 // NodeView is one hub's scrape result.
 type NodeView struct {
@@ -72,20 +73,13 @@ type View struct {
 	Unscraped []string `json:"unscraped,omitempty"`
 }
 
-func (c *Collector) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return &http.Client{Timeout: 5 * time.Second}
-}
-
 // getJSON fetches url and decodes the JSON body into v.
 func (c *Collector) getJSON(ctx context.Context, url string, v any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.client().Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -110,7 +104,7 @@ func (c *Collector) scrapeNode(ctx context.Context, base string) NodeView {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err == nil {
 		var resp *http.Response
-		if resp, err = c.client().Do(req); err == nil {
+		if resp, err = httpClient.Do(req); err == nil {
 			if resp.StatusCode == http.StatusOK {
 				nv.Metrics, err = parseMetrics(resp.Body)
 			} else {

@@ -52,6 +52,102 @@ func findCrossNodeTrace(trees []*TraceTree) *TraceTree {
 	return nil
 }
 
+// liveCluster is a live loopback-TCP overlay with a hub (and HTTP server)
+// mounted on every node, booted, joined and past two load checks.
+type liveCluster struct {
+	cfg   overlay.Config
+	nodes []*overlay.Node
+	srvs  []*httptest.Server
+	now   time.Time
+}
+
+func newLiveCluster(t *testing.T, n int) *liveCluster {
+	t.Helper()
+	c := &liveCluster{
+		cfg: overlay.Config{
+			KeyBits:           16,
+			Space:             chord.DefaultSpace(),
+			BootstrapDepth:    2,
+			Model:             load.DefaultModel(200),
+			LoadCheckInterval: time.Second,
+			ReplicationFactor: 2,
+		},
+		now: time.Now(),
+	}
+	for i := 0; i < n; i++ {
+		tr, err := overlay.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("ListenTCP: %v", err)
+		}
+		node, err := overlay.NewNode(tr, c.cfg)
+		if err != nil {
+			t.Fatalf("NewNode %d: %v", i, err)
+		}
+		c.nodes = append(c.nodes, node)
+		c.srvs = append(c.srvs, httptest.NewServer(hub.New(node).Handler()))
+	}
+	t.Cleanup(func() {
+		for _, s := range c.srvs {
+			s.Close()
+		}
+		for _, n := range c.nodes {
+			_ = n.Close()
+		}
+	})
+	if err := c.nodes[0].BootstrapRoots(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.nodes[1:] {
+		if err := n.Join(c.nodes[0].Addr()); err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+	}
+	c.tick(8)
+	c.check()
+	c.check()
+	return c
+}
+
+func (c *liveCluster) tick(rounds int) {
+	for r := 0; r < rounds; r++ {
+		for _, n := range c.nodes {
+			n.Tick()
+			_ = n.FixAllFingers()
+		}
+	}
+}
+
+func (c *liveCluster) check() {
+	c.now = c.now.Add(c.cfg.LoadCheckInterval)
+	for _, n := range c.nodes {
+		n.LoadCheck(c.now)
+	}
+}
+
+func (c *liveCluster) collector() *Collector {
+	col := &Collector{}
+	for _, s := range c.srvs {
+		col.Hubs = append(col.Hubs, s.URL)
+	}
+	return col
+}
+
+// registerRegionQueries registers one query per depth-2 bootstrap region
+// through cli.
+func registerRegionQueries(t *testing.T, cli *overlay.Client) {
+	t.Helper()
+	for i, rg := range []string{"00", "01", "10", "11"} {
+		q := cq.Query{
+			ID:         fmt.Sprintf("q-%d", i),
+			Region:     bitkey.MustParseGroup(rg),
+			Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}},
+		}
+		if _, err := cli.Register(q); err != nil {
+			t.Fatalf("Register %s: %v", q.ID, err)
+		}
+	}
+}
+
 // TestClashtopEndToEnd boots a live 3-node loopback-TCP overlay with a hub on
 // every node, drives traced publishes through a fresh client (cold routing
 // cache, so probes hop), and checks the full clashtop pipeline: the collector
@@ -60,62 +156,8 @@ func findCrossNodeTrace(trees []*TraceTree) *TraceTree {
 // complete cross-node span tree covering ingress, a routing hop, the CQ match
 // and the subscriber delivery with per-hop timings.
 func TestClashtopEndToEnd(t *testing.T) {
-	cfg := overlay.Config{
-		KeyBits:           16,
-		Space:             chord.DefaultSpace(),
-		BootstrapDepth:    2,
-		Model:             load.DefaultModel(200),
-		LoadCheckInterval: time.Second,
-		ReplicationFactor: 2,
-	}
-	var nodes []*overlay.Node
-	var srvs []*httptest.Server
-	for i := 0; i < 3; i++ {
-		tr, err := overlay.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("ListenTCP: %v", err)
-		}
-		node, err := overlay.NewNode(tr, cfg)
-		if err != nil {
-			t.Fatalf("NewNode %d: %v", i, err)
-		}
-		nodes = append(nodes, node)
-		srvs = append(srvs, httptest.NewServer(hub.New(node).Handler()))
-	}
-	t.Cleanup(func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	})
-	if err := nodes[0].BootstrapRoots(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range nodes[1:] {
-		if err := n.Join(nodes[0].Addr()); err != nil {
-			t.Fatalf("Join: %v", err)
-		}
-	}
-	now := time.Now()
-	tick := func(rounds int) {
-		for r := 0; r < rounds; r++ {
-			for _, n := range nodes {
-				n.Tick()
-				_ = n.FixAllFingers()
-			}
-		}
-	}
-	check := func() {
-		now = now.Add(cfg.LoadCheckInterval)
-		for _, n := range nodes {
-			n.LoadCheck(now)
-		}
-	}
-	tick(8)
-	check()
-	check()
+	lc := newLiveCluster(t, 3)
+	cfg, nodes := lc.cfg, lc.nodes
 
 	ctr, err := overlay.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -130,17 +172,8 @@ func TestClashtopEndToEnd(t *testing.T) {
 
 	// One query per bootstrap region so every publish lands on a CQ match
 	// and fans out a subscriber delivery.
-	for i, rg := range []string{"00", "01", "10", "11"} {
-		q := cq.Query{
-			ID:         fmt.Sprintf("q-%d", i),
-			Region:     bitkey.MustParseGroup(rg),
-			Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}},
-		}
-		if _, err := cli.Register(q); err != nil {
-			t.Fatalf("Register %s: %v", q.ID, err)
-		}
-	}
-	check() // replicate the registered state to successors
+	registerRegionQueries(t, cli)
+	lc.check() // replicate the registered state to successors
 
 	// Bulk traffic through the warmed client: after its first probes it
 	// resolves in one hop, so this feeds the stage histograms, counters and
@@ -153,7 +186,7 @@ func TestClashtopEndToEnd(t *testing.T) {
 		}
 	}
 
-	c := &Collector{Hubs: []string{srvs[0].URL, srvs[1].URL, srvs[2].URL}}
+	c := lc.collector()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -239,5 +272,75 @@ func TestClashtopEndToEnd(t *testing.T) {
 	if !direct.Complete || direct.Spans != best.Spans {
 		t.Errorf("SpansFor assembly disagrees: direct %d spans complete=%v, pooled %d",
 			direct.Spans, direct.Complete, best.Spans)
+	}
+}
+
+// TestTopologyDuplicateHolder makes a key group active on two nodes and
+// checks that the hub's /topology lists it under both holders and that the
+// fleet heat gives each holder its own query count. A /topology keyed by
+// group name keeps one holder, and heat rows then share one count.
+func TestTopologyDuplicateHolder(t *testing.T) {
+	lc := newLiveCluster(t, 2)
+	ctr, err := overlay.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := overlay.NewClient(ctr, lc.cfg.KeyBits, lc.cfg.Space, lc.nodes[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
+	registerRegionQueries(t, cli)
+
+	// Pick a group holding a query and make it active on the other node too.
+	var holder, other *overlay.Node
+	var group bitkey.Group
+	for i, n := range lc.nodes {
+		for _, g := range n.Server().ActiveGroups() {
+			if holder == nil && n.Engine().CountInGroup(g) > 0 {
+				holder, other, group = n, lc.nodes[1-i], g
+			}
+		}
+	}
+	if holder == nil {
+		t.Fatal("no active group holds a query")
+	}
+	if err := other.Server().Bootstrap(group); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{
+		holder.Addr(): holder.Engine().CountInGroup(group),
+		other.Addr():  other.Engine().CountInGroup(group),
+	}
+	if want[holder.Addr()] == want[other.Addr()] {
+		t.Fatalf("holders store the same query count %v; the check needs them to differ", want)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	v := lc.collector().Collect(ctx)
+	if v.Topo == nil {
+		t.Fatal("no topology collected")
+	}
+	got := map[string]int{}
+	for _, n := range v.Topo.Nodes {
+		for _, g := range n.Groups {
+			if g.Group == group.String() {
+				got[n.Addr] = g.Queries
+			}
+		}
+	}
+	if len(got) != 2 || got[holder.Addr()] != want[holder.Addr()] || got[other.Addr()] != want[other.Addr()] {
+		t.Errorf("/topology holders of %v = %v, want %v", group, got, want)
+	}
+
+	heat := map[string]int{}
+	for _, h := range Aggregate(v).Heat {
+		if h.Group == group.String() {
+			heat[h.Holder] = h.Queries
+		}
+	}
+	if len(heat) != 2 || heat[holder.Addr()] != want[holder.Addr()] || heat[other.Addr()] != want[other.Addr()] {
+		t.Errorf("heat query counts for %v = %v, want %v", group, heat, want)
 	}
 }

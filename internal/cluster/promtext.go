@@ -72,26 +72,6 @@ func (m *Metrics) Select(name string) []Sample {
 	return out
 }
 
-// Value returns the first sample matching name and the given label subset.
-func (m *Metrics) Value(name string, labels map[string]string) (float64, bool) {
-	for _, s := range m.samples {
-		if s.Name != name {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if s.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			return s.Value, true
-		}
-	}
-	return 0, false
-}
-
 // Sum adds every sample of the given name (all label combinations).
 func (m *Metrics) Sum(name string) float64 {
 	total := 0.0

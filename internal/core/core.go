@@ -23,8 +23,8 @@ import (
 	"clash/internal/bitkey"
 )
 
-// ServerID identifies a CLASH server. It doubles as the DHT member name
-// (chord.Member has the same underlying type).
+// ServerID identifies a CLASH server. In the overlay it is the node's
+// transport address, which is also its chord member name.
 type ServerID string
 
 // NoServer is the zero ServerID, used where the paper writes "-1" (e.g. the

@@ -27,26 +27,12 @@ type ResolveResult struct {
 	Probes int
 }
 
-// DepthSearchStrategy selects how a client picks candidate depths.
-type DepthSearchStrategy int
-
-// Depth search strategies. The paper's protocol uses the modified binary
-// search; the linear strategies exist for the ablation benchmarks.
-const (
-	// SearchBinary is the paper's modified binary search over (0, N].
-	SearchBinary DepthSearchStrategy = iota + 1
-	// SearchLinearUp probes depths 1, 2, 3, ... until it finds the group.
-	SearchLinearUp
-	// SearchLinearDown probes depths N, N-1, ... until it finds the group.
-	SearchLinearDown
-)
-
 // ResolveDepth finds the correct depth for an N-bit identifier key by probing
 // servers through the supplied Probe, starting from initialGuess (clamped
 // into [1, N]; pass 0 or any out-of-range value to start in the middle).
 //
-// The binary strategy implements the paper's update rules for an
-// INCORRECT_DEPTH(dmin) reply to a probe at depth d:
+// It is the paper's modified binary search over (0, N], with these update
+// rules for an INCORRECT_DEPTH(dmin) reply to a probe at depth d:
 //
 //  1. if dmin ≥ d, the correct depth dc is at least dmin+1 (no new upper
 //     bound);
@@ -54,24 +40,13 @@ const (
 //
 // It converges in O(log N) probes; in practice fewer, because the reply's
 // dmin jumps the lower bound by many levels at once.
-func ResolveDepth(n int, initialGuess int, strategy DepthSearchStrategy, probe Probe) (ResolveResult, error) {
+func ResolveDepth(n int, initialGuess int, probe Probe) (ResolveResult, error) {
 	if probe == nil {
 		return ResolveResult{}, fmt.Errorf("clash: nil probe")
 	}
 	if n < 1 || n > bitkey.MaxBits {
 		return ResolveResult{}, fmt.Errorf("%w: key length %d", bitkey.ErrBadLength, n)
 	}
-	switch strategy {
-	case SearchLinearUp:
-		return resolveLinear(n, probe, false)
-	case SearchLinearDown:
-		return resolveLinear(n, probe, true)
-	default:
-		return resolveBinary(n, initialGuess, probe)
-	}
-}
-
-func resolveBinary(n, initialGuess int, probe Probe) (ResolveResult, error) {
 	low, high := 1, n
 	d := initialGuess
 	if d < low || d > high {
@@ -108,23 +83,4 @@ func resolveBinary(n, initialGuess int, probe Probe) (ResolveResult, error) {
 		}
 	}
 	return ResolveResult{}, fmt.Errorf("%w: no convergence after %d probes", ErrDepthNotFound, probes)
-}
-
-func resolveLinear(n int, probe Probe, down bool) (ResolveResult, error) {
-	probes := 0
-	for i := 0; i < n; i++ {
-		d := i + 1
-		if down {
-			d = n - i
-		}
-		res, err := probe(d)
-		if err != nil {
-			return ResolveResult{}, fmt.Errorf("probe depth %d: %w", d, err)
-		}
-		probes++
-		if res.Status == StatusOK || res.Status == StatusOKCorrected {
-			return ResolveResult{Depth: res.CorrectDepth, Group: res.Group, Probes: probes}, nil
-		}
-	}
-	return ResolveResult{}, fmt.Errorf("%w: exhausted all depths", ErrDepthNotFound)
 }

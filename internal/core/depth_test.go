@@ -5,21 +5,28 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"clash/internal/bitkey"
 	"clash/internal/chord"
 )
 
-// testCluster wires a set of core.Servers to a chord.Ring the way the
-// simulator and the live overlay do: every key group lives on the server the
-// ring maps its virtual key to, splits are driven through the ring, and
-// probes emulate a client's ACCEPT_OBJECT round trip.
+// testCluster wires a set of core.Servers to a consistent-hash ring the way
+// the simulator and the live overlay do: every key group lives on the server
+// whose ring ID succeeds its virtual key's hash, splits are driven through
+// the ring, and probes emulate a client's ACCEPT_OBJECT round trip.
 type testCluster struct {
 	t       *testing.T
 	bits    int
-	ring    *chord.Ring
+	space   chord.Space
+	ring    []ringMember // sorted by id
 	servers map[ServerID]*Server
+}
+
+type ringMember struct {
+	id     chord.ID
+	server ServerID
 }
 
 func newTestCluster(t *testing.T, nServers, bits, bootstrapDepth int) *testCluster {
@@ -27,20 +34,19 @@ func newTestCluster(t *testing.T, nServers, bits, bootstrapDepth int) *testClust
 	c := &testCluster{
 		t:       t,
 		bits:    bits,
-		ring:    chord.NewRing(),
+		space:   chord.DefaultSpace(),
 		servers: make(map[ServerID]*Server, nServers),
 	}
 	for i := 0; i < nServers; i++ {
 		id := ServerID(fmt.Sprintf("server-%d", i))
-		if err := c.ring.Add(chord.Member(id)); err != nil {
-			t.Fatal(err)
-		}
+		c.ring = append(c.ring, ringMember{id: c.space.HashString(string(id)), server: id})
 		s, err := NewServer(id, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.servers[id] = s
 	}
+	sort.Slice(c.ring, func(i, j int) bool { return c.ring[i].id < c.ring[j].id })
 	// Bootstrap: every depth-bootstrapDepth group is rooted on the server its
 	// virtual key maps to, so the whole key space is covered.
 	for v := uint64(0); v < 1<<uint(bootstrapDepth); v++ {
@@ -60,20 +66,17 @@ func (c *testCluster) mapGroup(g bitkey.Group) ServerID {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	m, err := c.ring.Map(vk.Bytes())
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	return ServerID(m)
+	id, _ := c.mapFunc(vk)
+	return id
 }
 
-// mapFunc adapts mapGroup to the MapFunc signature used by ExecuteSplit.
+// mapFunc is the DHT's Map(): the first ring member at or after the virtual
+// key's hash, wrapping past the top of the space. It has the MapFunc
+// signature ExecuteSplit takes.
 func (c *testCluster) mapFunc(vkey bitkey.Key) (ServerID, error) {
-	m, err := c.ring.Map(vkey.Bytes())
-	if err != nil {
-		return NoServer, err
-	}
-	return ServerID(m), nil
+	h := c.space.HashBytes(vkey.Bytes())
+	i := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].id >= h })
+	return c.ring[i%len(c.ring)].server, nil
 }
 
 // split splits the given group on its current owner and delivers the
@@ -116,11 +119,11 @@ func (c *testCluster) ownerOf(k bitkey.Key) (ServerID, bitkey.Group) {
 // the key, map the virtual key through the DHT and ask that server.
 func (c *testCluster) probe(k bitkey.Key) Probe {
 	return func(depth int) (AcceptObjectResult, error) {
-		g, err := bitkey.Shape(k, depth)
+		p, err := k.Prefix(depth)
 		if err != nil {
 			return AcceptObjectResult{}, err
 		}
-		owner := c.mapGroup(g)
+		owner := c.mapGroup(bitkey.NewGroup(p))
 		return c.servers[owner].HandleAcceptObject(k, depth)
 	}
 }
@@ -175,7 +178,7 @@ func TestResolveDepthAcrossCluster(t *testing.T) {
 	for i := 0; i < nKeys; i++ {
 		k := bitkey.MustNew(rng.Uint64()&(1<<bits-1), bits)
 		_, wantGroup := c.ownerOf(k)
-		res, err := ResolveDepth(bits, 0, SearchBinary, c.probe(k))
+		res, err := ResolveDepth(bits, 0, c.probe(k))
 		if err != nil {
 			t.Fatalf("resolve %v: %v", k, err)
 		}
@@ -227,14 +230,14 @@ func TestDepthSearchConvergence(t *testing.T) {
 	deepKey := bitkey.MustNew(1<<23, bits) // "1000...0": depth-12 group
 	shallowKey := bitkey.MustNew(0, bits)  // "0000...0": depth-1 group
 	for _, guess := range []int{0, 1, 12, 24} {
-		res, err := ResolveDepth(bits, guess, SearchBinary, c.probe(deepKey))
+		res, err := ResolveDepth(bits, guess, c.probe(deepKey))
 		if err != nil {
 			t.Fatalf("guess %d: %v", guess, err)
 		}
 		if res.Depth != 12 {
 			t.Errorf("guess %d: resolved depth %d, want 12", guess, res.Depth)
 		}
-		res, err = ResolveDepth(bits, guess, SearchBinary, c.probe(shallowKey))
+		res, err = ResolveDepth(bits, guess, c.probe(shallowKey))
 		if err != nil {
 			t.Fatalf("guess %d: %v", guess, err)
 		}
@@ -244,53 +247,34 @@ func TestDepthSearchConvergence(t *testing.T) {
 	}
 }
 
-func TestResolveDepthLinearStrategies(t *testing.T) {
-	const bits = 16
-	c := newTestCluster(t, 8, bits, 3)
-	rng := rand.New(rand.NewSource(7))
-	c.randomSplits(rng, 10)
-	for i := 0; i < 50; i++ {
-		k := bitkey.MustNew(rng.Uint64()&(1<<bits-1), bits)
-		_, wantGroup := c.ownerOf(k)
-		for _, strat := range []DepthSearchStrategy{SearchLinearUp, SearchLinearDown, SearchBinary} {
-			res, err := ResolveDepth(bits, 0, strat, c.probe(k))
-			if err != nil {
-				t.Fatalf("strategy %d key %v: %v", strat, k, err)
-			}
-			if res.Depth != wantGroup.Depth() {
-				t.Fatalf("strategy %d resolved %d, want %d", strat, res.Depth, wantGroup.Depth())
-			}
-		}
-	}
-}
-
 func TestResolveDepthErrors(t *testing.T) {
-	if _, err := ResolveDepth(24, 0, SearchBinary, nil); err == nil {
+	if _, err := ResolveDepth(24, 0, nil); err == nil {
 		t.Error("nil probe accepted, want error")
 	}
-	if _, err := ResolveDepth(0, 0, SearchBinary, func(int) (AcceptObjectResult, error) {
+	if _, err := ResolveDepth(0, 0, func(int) (AcceptObjectResult, error) {
 		return AcceptObjectResult{}, nil
 	}); err == nil {
 		t.Error("zero key length accepted, want error")
 	}
 	probeErr := errors.New("network down")
-	if _, err := ResolveDepth(8, 0, SearchBinary, func(int) (AcceptObjectResult, error) {
+	if _, err := ResolveDepth(8, 0, func(int) (AcceptObjectResult, error) {
 		return AcceptObjectResult{}, probeErr
 	}); !errors.Is(err, probeErr) {
 		t.Errorf("probe error not propagated: %v", err)
 	}
 	// A probe that always reports dmin = 0 (empty overlay) must terminate
 	// with ErrDepthNotFound rather than loop forever.
-	_, err := ResolveDepth(8, 0, SearchLinearUp, func(int) (AcceptObjectResult, error) {
+	_, err := ResolveDepth(8, 0, func(d int) (AcceptObjectResult, error) {
 		return AcceptObjectResult{Status: StatusIncorrectDepth, DMin: 0}, nil
 	})
 	if !errors.Is(err, ErrDepthNotFound) {
-		t.Errorf("linear search on empty overlay err = %v, want ErrDepthNotFound", err)
+		t.Errorf("search on empty overlay err = %v, want ErrDepthNotFound", err)
 	}
-	_, err = ResolveDepth(8, 0, SearchBinary, func(d int) (AcceptObjectResult, error) {
-		return AcceptObjectResult{Status: StatusIncorrectDepth, DMin: 0}, nil
+	// An unexpected reply status is an error, not a retry.
+	_, err = ResolveDepth(8, 4, func(int) (AcceptObjectResult, error) {
+		return AcceptObjectResult{}, nil
 	})
 	if !errors.Is(err, ErrDepthNotFound) {
-		t.Errorf("binary search on empty overlay err = %v, want ErrDepthNotFound", err)
+		t.Errorf("zero status err = %v, want ErrDepthNotFound", err)
 	}
 }

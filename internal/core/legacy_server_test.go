@@ -15,17 +15,14 @@ import (
 // read snapshot and no counter cells. It is kept verbatim as the behavioural
 // oracle for Server's parity property test.
 type LegacyServer struct {
-	mu              sync.Mutex
-	id              ServerID
-	table           *Table
-	counters        Counters
-	maxSplitRetries int
-	reportMaxAge    time.Duration
+	mu       sync.Mutex
+	id       ServerID
+	table    *Table
+	counters Counters
 }
 
 // NewLegacyServer creates a single-lock CLASH server for an N-bit identifier
-// key space with the same defaults as NewServer (16 split retries, 15-minute
-// report age).
+// key space under the same limits as Server (MaxSplitRetries, reportMaxAge).
 func NewLegacyServer(id ServerID, keyBits int) (*LegacyServer, error) {
 	if id == NoServer {
 		return nil, fmt.Errorf("clash: server id must not be empty")
@@ -35,10 +32,8 @@ func NewLegacyServer(id ServerID, keyBits int) (*LegacyServer, error) {
 		return nil, err
 	}
 	return &LegacyServer{
-		id:              id,
-		table:           table,
-		maxSplitRetries: 16,
-		reportMaxAge:    15 * time.Minute,
+		id:    id,
+		table: table,
 	}, nil
 }
 
@@ -241,7 +236,7 @@ func (s *LegacyServer) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult
 			result.Kept = cur.Group
 			return result, fmt.Errorf("%w: group %v", ErrMaxDepth, cur.Group)
 		}
-		if attempt >= s.maxSplitRetries {
+		if attempt >= MaxSplitRetries {
 			result.Kept = cur.Group
 			return result, fmt.Errorf("%w: group %v after %d attempts", ErrSplitExhausted, g, attempt)
 		}
@@ -334,17 +329,6 @@ func (s *LegacyServer) HandleAcceptKeyGroupEpoch(g bitkey.Group, parent ServerID
 	})
 	s.counters.GroupsAccepted++
 	return nil
-}
-
-// SnapshotGroup captures the replicable state of one active entry.
-func (s *LegacyServer) SnapshotGroup(g bitkey.Group) (GroupSnapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.table.get(g)
-	if !ok || !e.Active {
-		return GroupSnapshot{}, false
-	}
-	return snapshotEntry(e), true
 }
 
 // SnapshotActive captures the replicable state of every active entry.
@@ -507,7 +491,7 @@ func (s *LegacyServer) mergeCandidateLocked(e *Entry, mergeThreshold float64, no
 		}
 		childLoad = rightEntry.localLoad
 	} else {
-		if !e.hasChildLoad || now.Sub(e.childLoadAt) > s.reportMaxAge {
+		if !e.hasChildLoad || now.Sub(e.childLoadAt) > reportMaxAge {
 			return MergeProposal{}, false
 		}
 		childLoad = e.childLoad

@@ -1,52 +1,18 @@
 package core
 
-// Wire message names and payloads for the CLASH protocol. The live overlay
-// (internal/overlay) serialises these with the hand-rolled binary codec in
-// wire.go (MarshalWire/UnmarshalWire); the JSON tags are retained for the
-// legacy baseline benchmark and for human-readable dumps. The planned
-// discrete-event simulator will only count them. Keeping the definitions here
-// makes the protocol surface visible in one place and lets both drivers share
-// the same vocabulary when accounting for signaling overhead (paper §6.3).
+// Wire payloads for the CLASH protocol. The overlay (internal/overlay) names
+// each message with its own Type* string and serialises these payloads with
+// the hand-rolled binary codec in wire.go (MarshalWire/UnmarshalWire); the
+// discrete-event simulator runs that same overlay and counts its calls per
+// message type to account for signaling overhead (paper §6.3). Keeping the
+// payloads here makes the protocol surface visible in one place.
 //
 // Identifier keys and key groups travel as (value, bits) pairs — the binary
 // representation internal/bitkey uses natively — rather than the binary-digit
 // strings of the original JSON protocol, so the hot encode path never renders
 // or parses strings.
 
-// MessageType enumerates the CLASH protocol messages.
-type MessageType string
-
-// Protocol message types. The first three appear verbatim in the paper; the
-// remaining ones are the signaling the paper describes without naming
-// (load reports for consolidation, reclaiming a key group, per-query state
-// transfer during splits, and the vectored ACCEPT_OBJECT batch).
-const (
-	// MsgAcceptObject carries a data object or query insert from a client
-	// (identifier key + estimated depth).
-	MsgAcceptObject MessageType = "ACCEPT_OBJECT"
-	// MsgAcceptObjectReply is the server's OK / OK-corrected /
-	// INCORRECT_DEPTH response.
-	MsgAcceptObjectReply MessageType = "ACCEPT_OBJECT_REPLY"
-	// MsgAcceptBatch carries a vector of ACCEPT_OBJECT bodies in one frame
-	// (the batched publish path).
-	MsgAcceptBatch MessageType = "ACCEPT_BATCH"
-	// MsgAcceptKeyGroup transfers responsibility for a key group from an
-	// overloaded parent to its right-child server.
-	MsgAcceptKeyGroup MessageType = "ACCEPT_KEYGROUP"
-	// MsgLoadReport is the periodic leaf→parent workload report used for
-	// bottom-up consolidation.
-	MsgLoadReport MessageType = "LOAD_REPORT"
-	// MsgReleaseKeyGroup asks a right-child server to hand a key group back
-	// to its parent during consolidation.
-	MsgReleaseKeyGroup MessageType = "RELEASE_KEYGROUP"
-	// MsgStateTransfer carries migrated application state (e.g. stored
-	// continuous queries) that accompanies a key-group transfer.
-	MsgStateTransfer MessageType = "STATE_TRANSFER"
-	// MsgDHTLookup accounts for one underlying DHT routing hop.
-	MsgDHTLookup MessageType = "DHT_LOOKUP"
-)
-
-// AcceptObjectMsg is the payload of MsgAcceptObject.
+// AcceptObjectMsg is the payload of ACCEPT_OBJECT.
 type AcceptObjectMsg struct {
 	// KeyValue and KeyBits are the full N-bit identifier key (right-aligned
 	// value + length, the bitkey.Key representation).
@@ -89,7 +55,7 @@ const (
 	ObjectQuery
 )
 
-// AcceptObjectReplyMsg is the payload of MsgAcceptObjectReply.
+// AcceptObjectReplyMsg is the payload of the ACCEPT_OBJECT reply.
 type AcceptObjectReplyMsg struct {
 	// Status is the numeric Status (StatusOK / StatusOKCorrected /
 	// StatusIncorrectDepth); 0 marks a per-item failure inside a batch reply,
@@ -112,19 +78,19 @@ type AcceptObjectReplyMsg struct {
 	SpanID uint64 `json:"spanId,omitempty"`
 }
 
-// AcceptBatchMsg is the payload of MsgAcceptBatch: a vector of ACCEPT_OBJECT
+// AcceptBatchMsg is the payload of ACCEPT_BATCH: a vector of ACCEPT_OBJECT
 // bodies processed against one server read-snapshot load.
 type AcceptBatchMsg struct {
 	Objects []AcceptObjectMsg `json:"objects"`
 }
 
-// AcceptBatchReplyMsg is the reply to MsgAcceptBatch: one AcceptObjectReplyMsg
+// AcceptBatchReplyMsg is the reply to ACCEPT_BATCH: one AcceptObjectReplyMsg
 // per object, in request order.
 type AcceptBatchReplyMsg struct {
 	Replies []AcceptObjectReplyMsg `json:"replies"`
 }
 
-// AcceptKeyGroupMsg is the payload of MsgAcceptKeyGroup.
+// AcceptKeyGroupMsg is the payload of ACCEPT_KEYGROUP.
 type AcceptKeyGroupMsg struct {
 	GroupValue uint64 `json:"groupValue"`
 	GroupBits  int    `json:"groupBits"`
@@ -139,7 +105,7 @@ type AcceptKeyGroupMsg struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// LoadReportMsg is the payload of MsgLoadReport.
+// LoadReportMsg is the payload of the periodic leaf→parent load report.
 type LoadReportMsg struct {
 	GroupValue uint64  `json:"groupValue"`
 	GroupBits  int     `json:"groupBits"`
@@ -147,7 +113,7 @@ type LoadReportMsg struct {
 	From       string  `json:"from"`
 }
 
-// ReleaseKeyGroupMsg is the payload of MsgReleaseKeyGroup.
+// ReleaseKeyGroupMsg is the payload of RELEASE_KEYGROUP.
 type ReleaseKeyGroupMsg struct {
 	GroupValue uint64 `json:"groupValue"`
 	GroupBits  int    `json:"groupBits"`

@@ -110,10 +110,3 @@ func (r *Router) Route(k bitkey.Key) (bitkey.Group, ServerID, bool) {
 	}
 	return bitkey.Group{Prefix: p}, s, true
 }
-
-// Len returns the number of cached bindings.
-func (r *Router) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.trie.Len()
-}

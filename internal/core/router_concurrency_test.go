@@ -28,12 +28,12 @@ func TestRouterForgetServerAcrossShards(t *testing.T) {
 	}
 	// Rebinding must move the reverse-index entry, not duplicate it.
 	r.Learn(bitkey.Group{Prefix: bitkey.MustParse("1111")}, "a")
-	if r.Len() != len(groups) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(groups))
+	if r.trie.Len() != len(groups) {
+		t.Fatalf("Len = %d, want %d", r.trie.Len(), len(groups))
 	}
 	r.ForgetServer("a")
-	if r.Len() != 2 {
-		t.Fatalf("Len after ForgetServer(a) = %d, want 2", r.Len())
+	if r.trie.Len() != 2 {
+		t.Fatalf("Len after ForgetServer(a) = %d, want 2", r.trie.Len())
 	}
 	if _, _, ok := r.Route(bitkey.MustParse("1111000000000000")); ok {
 		t.Error("rebound group still routes to forgotten server's binding")
@@ -46,8 +46,8 @@ func TestRouterForgetServerAcrossShards(t *testing.T) {
 	}
 	// Forgetting a server with no bindings is a no-op.
 	r.ForgetServer("a")
-	if r.Len() != 2 {
-		t.Errorf("Len after second ForgetServer = %d, want 2", r.Len())
+	if r.trie.Len() != 2 {
+		t.Errorf("Len after second ForgetServer = %d, want 2", r.trie.Len())
 	}
 }
 
@@ -102,8 +102,8 @@ func TestRouterConcurrent(t *testing.T) {
 	for _, s := range servers {
 		r.ForgetServer(s)
 	}
-	if r.Len() != 0 {
-		t.Errorf("Len after forgetting all servers = %d, want 0", r.Len())
+	if r.trie.Len() != 0 {
+		t.Errorf("Len after forgetting all servers = %d, want 0", r.trie.Len())
 	}
 	for _, k := range keys {
 		if _, s, ok := r.Route(k); ok {

@@ -47,12 +47,12 @@ func TestRouterForgetServer(t *testing.T) {
 	r.Learn(bitkey.MustParseGroup("00*"), "a")
 	r.Learn(bitkey.MustParseGroup("01*"), "b")
 	r.Learn(bitkey.MustParseGroup("10*"), "a")
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	if r.trie.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", r.trie.Len())
 	}
 	r.ForgetServer("a")
-	if r.Len() != 1 {
-		t.Errorf("Len after ForgetServer = %d, want 1", r.Len())
+	if r.trie.Len() != 1 {
+		t.Errorf("Len after ForgetServer = %d, want 1", r.trie.Len())
 	}
 	if _, srv, ok := r.Route(bitkey.MustParse("0100000")); !ok || srv != "b" {
 		t.Errorf("surviving binding lost: %v %v", srv, ok)
@@ -82,7 +82,7 @@ func TestRouterRelearn(t *testing.T) {
 	if got, srv, ok := r.Route(bitkey.MustParse("0100000")); !ok || srv != "b" || !got.Equal(g) {
 		t.Errorf("after ForgetServer(old): Route = %v %v %v, want %v b", got, srv, ok, g)
 	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (only the rebound group)", r.Len())
+	if r.trie.Len() != 1 {
+		t.Errorf("Len = %d, want 1 (only the rebound group)", r.trie.Len())
 	}
 }

@@ -21,30 +21,14 @@ var ErrSplitExhausted = errors.New("clash: split exhausted retries without findi
 // underlying DHT (the paper's Map(f(k'))).
 type MapFunc func(virtualKey bitkey.Key) (ServerID, error)
 
-// ServerOption configures a Server.
-type ServerOption func(*Server)
+// MaxSplitRetries bounds how many times a split re-extends the right child
+// when the DHT keeps mapping it back to the splitting server.
+const MaxSplitRetries = 16
 
-// WithMaxSplitRetries bounds how many times a split re-extends the right
-// child when the DHT keeps mapping it back to the splitting server
-// (default 16).
-func WithMaxSplitRetries(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxSplitRetries = n
-		}
-	}
-}
-
-// WithReportMaxAge sets how old a right-child load report may be before it is
-// considered stale and blocks consolidation (default 15 minutes, three
-// 5-minute load-check periods).
-func WithReportMaxAge(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.reportMaxAge = d
-		}
-	}
-}
+// reportMaxAge is how old a right-child load report may be before it is
+// considered stale and blocks consolidation: three of the paper's 5-minute
+// load-check periods.
+const reportMaxAge = 15 * time.Minute
 
 // Counters are cumulative protocol statistics for one server.
 type Counters struct {
@@ -111,9 +95,7 @@ type readSnapshot struct {
 //     sees a half-applied change and Validate()'s prefix-free invariant holds
 //     for every published snapshot.
 type Server struct {
-	id              ServerID
-	maxSplitRetries int
-	reportMaxAge    time.Duration
+	id ServerID
 
 	// mu guards table. lockWaits counts acquisitions that found it contended.
 	mu        sync.Mutex
@@ -139,7 +121,7 @@ type Server struct {
 }
 
 // NewServer creates a CLASH server for an N-bit identifier key space.
-func NewServer(id ServerID, keyBits int, opts ...ServerOption) (*Server, error) {
+func NewServer(id ServerID, keyBits int) (*Server, error) {
 	if id == NoServer {
 		return nil, fmt.Errorf("clash: server id must not be empty")
 	}
@@ -148,17 +130,12 @@ func NewServer(id ServerID, keyBits int, opts ...ServerOption) (*Server, error) 
 		return nil, err
 	}
 	s := &Server{
-		id:              id,
-		table:           table,
-		cellBits:        min(keyBits, counterCellBits),
-		maxSplitRetries: 16,
-		reportMaxAge:    15 * time.Minute,
+		id:       id,
+		table:    table,
+		cellBits: min(keyBits, counterCellBits),
 	}
 	for i := range s.cells {
 		s.cells[i] = new(counterCell)
-	}
-	for _, opt := range opts {
-		opt(s)
 	}
 	s.snap.Store(&readSnapshot{entries: bitkey.NewTrie[snapEntry]()})
 	return s, nil
@@ -194,12 +171,6 @@ func (s *Server) rebuildLocked() {
 	s.snap.Store(&readSnapshot{entries: entries})
 	s.swaps.Add(1)
 }
-
-// ID returns the server's identity.
-func (s *Server) ID() ServerID { return s.id }
-
-// KeyBits returns the identifier key length N.
-func (s *Server) KeyBits() int { return s.table.KeyBits() }
 
 // Counters returns a snapshot of the protocol counters.
 func (s *Server) Counters() Counters {
@@ -490,7 +461,7 @@ func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, erro
 			result.Kept = cur.Group
 			return result, fmt.Errorf("%w: group %v", ErrMaxDepth, cur.Group)
 		}
-		if attempt >= s.maxSplitRetries {
+		if attempt >= MaxSplitRetries {
 			result.Kept = cur.Group
 			return result, fmt.Errorf("%w: group %v after %d attempts", ErrSplitExhausted, g, attempt)
 		}
@@ -612,17 +583,6 @@ type GroupSnapshot struct {
 	Parent ServerID
 	IsRoot bool
 	Epoch  uint64
-}
-
-// SnapshotGroup captures the replicable state of one active entry.
-func (s *Server) SnapshotGroup(g bitkey.Group) (GroupSnapshot, bool) {
-	s.lock()
-	defer s.mu.Unlock()
-	e, ok := s.table.get(g)
-	if !ok || !e.Active {
-		return GroupSnapshot{}, false
-	}
-	return snapshotEntry(e), true
 }
 
 // SnapshotActive captures the replicable state of every active entry, in
@@ -827,7 +787,7 @@ func (s *Server) mergeCandidateLocked(e *Entry, mergeThreshold float64, now time
 		}
 		childLoad = rightEntry.localLoad
 	} else {
-		if !e.hasChildLoad || now.Sub(e.childLoadAt) > s.reportMaxAge {
+		if !e.hasChildLoad || now.Sub(e.childLoadAt) > reportMaxAge {
 			return MergeProposal{}, false
 		}
 		childLoad = e.childLoad

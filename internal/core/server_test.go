@@ -22,13 +22,23 @@ func scriptedMap(fallback ServerID, targets ...ServerID) MapFunc {
 	}
 }
 
-func mustServer(t *testing.T, id ServerID, bits int, opts ...ServerOption) *Server {
+func mustServer(t *testing.T, id ServerID, bits int) *Server {
 	t.Helper()
-	s, err := NewServer(id, bits, opts...)
+	s, err := NewServer(id, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// activeSnapshot returns the replicable state of g if g is active on s.
+func activeSnapshot(s *Server, g bitkey.Group) (GroupSnapshot, bool) {
+	for _, snap := range s.SnapshotActive() {
+		if snap.Group.Equal(g) {
+			return snap, true
+		}
+	}
+	return GroupSnapshot{}, false
 }
 
 func TestNewServerValidation(t *testing.T) {
@@ -118,15 +128,15 @@ func TestSplitTreeFigure1(t *testing.T) {
 	for srv, want := range wantActive {
 		got := srv.ActiveGroups()
 		if len(got) != len(want) {
-			t.Fatalf("%s active groups = %v, want %v", srv.ID(), got, want)
+			t.Fatalf("%s active groups = %v, want %v", srv.id, got, want)
 		}
 		for i := range want {
 			if got[i].String() != want[i] {
-				t.Errorf("%s active[%d] = %v, want %v", srv.ID(), i, got[i], want[i])
+				t.Errorf("%s active[%d] = %v, want %v", srv.id, i, got[i], want[i])
 			}
 		}
 		if err := srv.Validate(); err != nil {
-			t.Errorf("%s invariant violated: %v", srv.ID(), err)
+			t.Errorf("%s invariant violated: %v", srv.id, err)
 		}
 	}
 
@@ -335,7 +345,7 @@ func TestExecuteSplitMaxDepth(t *testing.T) {
 }
 
 func TestExecuteSplitExhausted(t *testing.T) {
-	s := mustServer(t, "s1", 24, WithMaxSplitRetries(3))
+	s := mustServer(t, "s1", 24)
 	g := bitkey.MustParseGroup("0*")
 	if err := s.Bootstrap(g); err != nil {
 		t.Fatal(err)
@@ -695,7 +705,7 @@ func TestAcceptKeyGroupEpochIdempotent(t *testing.T) {
 	if err := s.HandleAcceptKeyGroupEpoch(g, "s9", 5); err != nil {
 		t.Fatal(err)
 	}
-	snap, ok := s.SnapshotGroup(g)
+	snap, ok := activeSnapshot(s, g)
 	if !ok || snap.Parent != "s9" || snap.Epoch != 5 {
 		t.Fatalf("snapshot after newer epoch = %+v, %v", snap, ok)
 	}
@@ -703,7 +713,7 @@ func TestAcceptKeyGroupEpochIdempotent(t *testing.T) {
 	if err := s.HandleAcceptKeyGroupEpoch(g, "s1", 4); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ = s.SnapshotGroup(g)
+	snap, _ = activeSnapshot(s, g)
 	if snap.Parent != "s9" || snap.Epoch != 5 {
 		t.Errorf("older epoch regressed the entry: %+v", snap)
 	}
@@ -727,7 +737,7 @@ func TestSnapshotRestoreGroup(t *testing.T) {
 	if err != nil || !installed {
 		t.Fatalf("RestoreGroup = %v, %v", installed, err)
 	}
-	got, ok := peer.SnapshotGroup(g)
+	got, ok := activeSnapshot(peer, g)
 	if !ok || !got.IsRoot || got.Epoch != snaps[0].Epoch+1 {
 		t.Fatalf("restored snapshot = %+v, %v", got, ok)
 	}

@@ -87,9 +87,6 @@ func NewTable(keyBits int) (*Table, error) {
 // KeyBits returns the identifier key length N.
 func (t *Table) KeyBits() int { return t.keyBits }
 
-// Len returns the number of entries (active and inactive).
-func (t *Table) Len() int { return t.entries.Len() }
-
 // get returns the entry for a group, if present.
 func (t *Table) get(g bitkey.Group) (*Entry, bool) {
 	return t.entries.Get(g.Prefix)

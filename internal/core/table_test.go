@@ -17,8 +17,8 @@ func TestNewTableValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.KeyBits() != 24 || tab.Len() != 0 {
-		t.Errorf("fresh table wrong: bits=%d len=%d", tab.KeyBits(), tab.Len())
+	if tab.KeyBits() != 24 || tab.entries.Len() != 0 {
+		t.Errorf("fresh table wrong: bits=%d len=%d", tab.KeyBits(), tab.entries.Len())
 	}
 }
 

@@ -281,9 +281,6 @@ func NewEngine(keyBits int) (*Engine, error) {
 	}, nil
 }
 
-// KeyBits returns the key length the engine was built for.
-func (e *Engine) KeyBits() int { return e.keyBits }
-
 // Len returns the number of registered queries.
 func (e *Engine) Len() int {
 	e.mu.RLock()

@@ -109,13 +109,6 @@ func (b *Bus) Unsubscribe(ch chan overlay.Event) {
 	b.mu.Unlock()
 }
 
-// Seq returns the sequence number of the most recent event (0 when none).
-func (b *Bus) Seq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}
-
 // Drops returns how many events were lost on saturated subscriber channels.
 func (b *Bus) Drops() uint64 {
 	b.mu.Lock()

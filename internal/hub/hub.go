@@ -61,15 +61,6 @@ func New(node *overlay.Node) *Hub {
 	return h
 }
 
-// Registry returns the hub's metrics registry (for extra app-level series).
-func (h *Hub) Registry() *metrics.Registry { return h.reg }
-
-// Bus returns the hub's event bus.
-func (h *Hub) Bus() *Bus { return h.bus }
-
-// Traces returns the hub's trace store.
-func (h *Hub) Traces() *Traces { return h.traces }
-
 // OnEvent implements overlay.Observer: count and fan out.
 func (h *Hub) OnEvent(ev overlay.Event) {
 	h.events.With(ev.Type).Inc()
@@ -256,60 +247,24 @@ func (h *Hub) serveSpans(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.traces.Spans(traceID, limit))
 }
 
-// TopoPlacement is one key group's placement in the /topology document.
-type TopoPlacement struct {
-	Holder  string  `json:"holder"`
-	Depth   int     `json:"depth"`
-	Parent  string  `json:"parent,omitempty"`
-	Load    float64 `json:"load"`
-	Queries int     `json:"queries"`
-	// Replicas lists the nodes holding crash-recovery replicas of the
-	// holder's groups (replication is per origin node, not per group).
-	Replicas []string `json:"replicas,omitempty"`
-}
-
-// TopologyView is the /topology document: the ring walk plus the group tree
-// flattened into per-group placements.
+// TopologyView is the /topology document: the ring walk, in successor
+// order. Each node lists every group it holds (depth, parent, load, queries)
+// and the origins whose replicas it stores, so a group held by two nodes
+// shows up under both.
 type TopologyView struct {
 	Root string `json:"root"`
 	// Complete reports whether the successor walk closed the ring within the
 	// node cap; false means some nodes were unreachable or the cap was hit.
-	Complete bool                     `json:"complete"`
-	Nodes    []overlay.TopoNode       `json:"nodes"`
-	Groups   map[string]TopoPlacement `json:"groups"`
+	Complete bool               `json:"complete"`
+	Nodes    []overlay.TopoNode `json:"nodes"`
 }
 
 // serveTopology walks the ring successor by successor from this node,
 // collecting each member's topology snapshot over the STATUS-fanout RPC, and
-// renders the assembled ring, group tree and replica placement.
+// renders the assembled ring.
 func (h *Hub) serveTopology(w http.ResponseWriter, _ *http.Request) {
 	nodes, complete := h.walkRing(maxTopoNodes)
-	view := TopologyView{
-		Root:     h.node.Addr(),
-		Complete: complete,
-		Nodes:    nodes,
-		Groups:   make(map[string]TopoPlacement),
-	}
-	// Invert ReplicaOrigins: replicasOf[origin] = nodes replicating origin.
-	replicasOf := make(map[string][]string)
-	for _, n := range nodes {
-		for _, origin := range n.ReplicaOrigins {
-			replicasOf[origin] = append(replicasOf[origin], n.Addr)
-		}
-	}
-	for _, n := range nodes {
-		for _, g := range n.Groups {
-			view.Groups[g.Group] = TopoPlacement{
-				Holder:   n.Addr,
-				Depth:    g.Depth,
-				Parent:   g.Parent,
-				Load:     g.Load,
-				Queries:  g.Queries,
-				Replicas: replicasOf[n.Addr],
-			}
-		}
-	}
-	writeJSON(w, view)
+	writeJSON(w, TopologyView{Root: h.node.Addr(), Complete: complete, Nodes: nodes})
 }
 
 // walkRing follows first-successor pointers from this node, fetching each

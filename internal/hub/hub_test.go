@@ -381,8 +381,12 @@ func TestHubControlPlane(t *testing.T) {
 	if len(topo.Nodes) != 3 {
 		t.Errorf("topology saw %d nodes, want 3", len(topo.Nodes))
 	}
-	if len(topo.Groups) < 4 {
-		t.Errorf("topology saw %d groups, want >= 4: %v", len(topo.Groups), topo.Groups)
+	groups := 0
+	for _, n := range topo.Nodes {
+		groups += len(n.Groups)
+	}
+	if groups < 4 {
+		t.Errorf("topology saw %d groups, want >= 4: %+v", groups, topo.Nodes)
 	}
 
 	// Method guard: admin verbs reject GET.
@@ -472,7 +476,7 @@ func TestHubRecoveryEvents(t *testing.T) {
 		if i == victim {
 			continue
 		}
-		for _, ev := range c.hubs[i].Bus().Replay(0) {
+		for _, ev := range c.hubs[i].bus.Replay(0) {
 			if ev.Type == overlay.EventSuspicion {
 				found = true
 			}
@@ -572,7 +576,7 @@ func TestHubAdminDrainZeroLostCQ(t *testing.T) {
 	}
 
 	// The drain left a begin event and at least one moved event on the bus.
-	evs := c.hubs[hi].Bus().Replay(0)
+	evs := c.hubs[hi].bus.Replay(0)
 	begin, moved := false, false
 	for _, ev := range evs {
 		if ev.Type == overlay.EventDrain {

@@ -152,13 +152,6 @@ func (t *Traces) Spans(traceID uint64, limit int) SpanSample {
 	return s
 }
 
-// SpanCount returns the total number of spans observed.
-func (t *Traces) SpanCount() uint64 {
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	return t.spanCount
-}
-
 // TraceSample is the /traces/sample document: per-stage latency summaries
 // (microseconds) and the most recent records, newest first.
 type TraceSample struct {

@@ -6,22 +6,15 @@
 // fraction against fixed thresholds (90% / 54% in the paper).
 package load
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
-// Default threshold values from the paper (§6.1).
+// Threshold values from the paper (§6.1), as fractions of capacity.
 const (
-	// DefaultOverloadFraction is the maximum acceptable load on a server.
-	DefaultOverloadFraction = 0.90
-	// DefaultUnderloadFraction is the minimum (underflow) load.
-	DefaultUnderloadFraction = 0.54
+	// OverloadFraction is the maximum acceptable load on a server.
+	OverloadFraction = 0.90
+	// UnderloadFraction is the minimum (underflow) load.
+	UnderloadFraction = 0.54
 )
-
-// ErrBadConfig reports an invalid model or threshold configuration.
-var ErrBadConfig = errors.New("load: invalid configuration")
 
 // Sample is one measurement of the work attributable to a key group over a
 // measurement interval.
@@ -32,40 +25,20 @@ type Sample struct {
 	Queries int
 }
 
-// Add returns the component-wise sum of two samples.
-func (s Sample) Add(o Sample) Sample {
-	return Sample{DataRate: s.DataRate + o.DataRate, Queries: s.Queries + o.Queries}
-}
-
 // Model converts a Sample into a load fraction of a server's capacity.
 //
-// load = (RateWeight·rate + QueryWeight·log2(1+queries)) / Capacity
+// load = (rate + log2(1+queries)) / Capacity
 type Model struct {
-	// Capacity is the amount of weighted work a server can sustain; load is
-	// reported as a fraction of it.
+	// Capacity is the amount of work a server can sustain; load is reported
+	// as a fraction of it.
 	Capacity float64
-	// RateWeight scales the data-rate term (work per packet/second).
-	RateWeight float64
-	// QueryWeight scales the log-query term.
-	QueryWeight float64
-}
-
-// NewModel validates and returns a load model.
-func NewModel(capacity, rateWeight, queryWeight float64) (Model, error) {
-	if capacity <= 0 {
-		return Model{}, fmt.Errorf("%w: capacity %g", ErrBadConfig, capacity)
-	}
-	if rateWeight < 0 || queryWeight < 0 {
-		return Model{}, fmt.Errorf("%w: negative weights", ErrBadConfig)
-	}
-	return Model{Capacity: capacity, RateWeight: rateWeight, QueryWeight: queryWeight}, nil
 }
 
 // DefaultModel returns the model used by the experiments: a server saturates
 // at `capacityPackets` packets/sec when it stores no queries, and query state
 // contributes logarithmically.
 func DefaultModel(capacityPackets float64) Model {
-	return Model{Capacity: capacityPackets, RateWeight: 1, QueryWeight: 1}
+	return Model{Capacity: capacityPackets}
 }
 
 // Load returns the load fraction for a sample. The result can exceed 1 when a
@@ -74,34 +47,6 @@ func (m Model) Load(s Sample) float64 {
 	if m.Capacity <= 0 {
 		return 0
 	}
-	work := m.RateWeight*s.DataRate + m.QueryWeight*math.Log2(1+float64(s.Queries))
+	work := s.DataRate + math.Log2(1+float64(s.Queries))
 	return work / m.Capacity
 }
-
-// Thresholds holds the overload/underload trigger levels as fractions of
-// capacity.
-type Thresholds struct {
-	Overload  float64
-	Underload float64
-}
-
-// DefaultThresholds returns the paper's 90% / 54% thresholds.
-func DefaultThresholds() Thresholds {
-	return Thresholds{Overload: DefaultOverloadFraction, Underload: DefaultUnderloadFraction}
-}
-
-// Validate checks that the thresholds are ordered and within (0, +inf).
-func (t Thresholds) Validate() error {
-	if t.Overload <= 0 || t.Underload < 0 || t.Underload >= t.Overload {
-		return fmt.Errorf("%w: thresholds %+v", ErrBadConfig, t)
-	}
-	return nil
-}
-
-// IsOverloaded reports whether a server at the given load fraction must shed
-// load.
-func (t Thresholds) IsOverloaded(loadFraction float64) bool { return loadFraction > t.Overload }
-
-// IsUnderloaded reports whether a server at the given load fraction is a
-// candidate for consolidation.
-func (t Thresholds) IsUnderloaded(loadFraction float64) bool { return loadFraction < t.Underload }

@@ -8,18 +8,6 @@ import (
 	"clash/internal/bitkey"
 )
 
-func TestNewModelValidation(t *testing.T) {
-	if _, err := NewModel(0, 1, 1); err == nil {
-		t.Error("zero capacity accepted, want error")
-	}
-	if _, err := NewModel(10, -1, 1); err == nil {
-		t.Error("negative rate weight accepted, want error")
-	}
-	if _, err := NewModel(10, 1, 1); err != nil {
-		t.Errorf("valid model rejected: %v", err)
-	}
-}
-
 func TestLoadIsLinearInRateAndLogarithmicInQueries(t *testing.T) {
 	m := DefaultModel(100)
 	base := m.Load(Sample{DataRate: 10})
@@ -43,35 +31,14 @@ func TestLoadCanExceedCapacity(t *testing.T) {
 	}
 }
 
-func TestSampleAdd(t *testing.T) {
-	got := Sample{DataRate: 1, Queries: 2}.Add(Sample{DataRate: 3, Queries: 4})
-	if got.DataRate != 4 || got.Queries != 6 {
-		t.Errorf("Add = %+v, want {4 6}", got)
-	}
-}
-
 func TestThresholds(t *testing.T) {
-	th := DefaultThresholds()
-	if err := th.Validate(); err != nil {
-		t.Fatalf("default thresholds invalid: %v", err)
-	}
-	if th.Overload != 0.90 || th.Underload != 0.54 {
-		t.Errorf("defaults = %+v, want paper values 0.90/0.54", th)
-	}
-	if !th.IsOverloaded(0.95) || th.IsOverloaded(0.90) {
-		t.Error("overload detection wrong around the boundary")
-	}
-	if !th.IsUnderloaded(0.50) || th.IsUnderloaded(0.60) {
-		t.Error("underload detection wrong")
-	}
-	bad := Thresholds{Overload: 0.5, Underload: 0.9}
-	if err := bad.Validate(); err == nil {
-		t.Error("inverted thresholds accepted, want error")
+	if OverloadFraction != 0.90 || UnderloadFraction != 0.54 {
+		t.Errorf("thresholds = %g/%g, want paper values 0.90/0.54", OverloadFraction, UnderloadFraction)
 	}
 }
 
 func TestMeterSnapshotResetsRatesKeepsQueries(t *testing.T) {
-	m := NewMeter(10)
+	m := NewMeterClock(10, nil)
 	g := bitkey.MustParseGroup("011*")
 	m.RecordPackets(g, 50)
 	m.AddQueries(g, 3)
@@ -90,7 +57,7 @@ func TestMeterSnapshotResetsRatesKeepsQueries(t *testing.T) {
 }
 
 func TestMeterDrop(t *testing.T) {
-	m := NewMeter(1)
+	m := NewMeterClock(1, nil)
 	g := bitkey.MustParseGroup("0*")
 	m.RecordPackets(g, 5)
 	m.SetQueries(g, 2)

@@ -30,19 +30,13 @@ type Meter struct {
 	lastSnap time.Time
 }
 
-// NewMeter creates a meter for a measurement window of the given length in
-// seconds. The window is used to convert packet counts into rates.
-func NewMeter(windowSeconds float64) *Meter {
-	return NewMeterClock(windowSeconds, nil)
-}
-
 // NewMeterClock creates a meter that reads interval boundaries from the given
 // clock: each Snapshot converts packet counts into rates using the time
 // actually elapsed since the previous snapshot, clamped to [window/2,
 // window*2] so one jittered or delayed period cannot produce a wild rate
 // estimate. The overlay passes its node clock here, which is what lets the
 // simulator's virtual clock drive measurement windows in virtual time. A nil
-// now falls back to the fixed nominal window (NewMeter's behavior).
+// now falls back to the fixed nominal window.
 func NewMeterClock(windowSeconds float64, now func() time.Time) *Meter {
 	if windowSeconds <= 0 {
 		windowSeconds = 1

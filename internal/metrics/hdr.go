@@ -73,9 +73,6 @@ func (h *LatencyHist) Record(v int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *LatencyHist) Count() uint64 { return h.count }
-
 // Merge folds other into h.
 func (h *LatencyHist) Merge(other *LatencyHist) {
 	if other == nil || other.count == 0 {

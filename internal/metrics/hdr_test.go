@@ -12,8 +12,8 @@ func TestLatencyHistSmallValuesExact(t *testing.T) {
 	for v := int64(0); v < 16; v++ {
 		h.Record(v)
 	}
-	if h.Count() != 16 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count != 16 {
+		t.Fatalf("count = %d", h.count)
 	}
 	s := h.Summary()
 	if s.Min != 0 || s.Max != 15 {
@@ -96,8 +96,8 @@ func TestLatencyHistMerge(t *testing.T) {
 	}
 	a.Merge(b)
 	a.Merge(NewLatencyHist()) // empty merge is a no-op
-	if a.Count() != 2000 {
-		t.Fatalf("merged count = %d", a.Count())
+	if a.count != 2000 {
+		t.Fatalf("merged count = %d", a.count)
 	}
 	s := a.Summary()
 	if s.Min != 0 || s.Max != 1999 {

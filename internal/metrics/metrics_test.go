@@ -32,7 +32,7 @@ func TestPropertySummaryBounds(t *testing.T) {
 			h.Record(v % 1e9)
 		}
 		s := h.Summary()
-		if h.Count() == 0 {
+		if h.count == 0 {
 			return s.Count == 0
 		}
 		return s.Min <= s.Mean && s.Mean <= s.Max && s.P50 <= s.P95 && s.P95 <= s.P99 &&

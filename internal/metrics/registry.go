@@ -72,35 +72,15 @@ type Counter struct{ c *child }
 // Inc adds one.
 func (c Counter) Inc() { c.c.val.Add(1) }
 
-// Add adds n.
-func (c Counter) Add(n uint64) { c.c.val.Add(n) }
-
 // Set overwrites the count. It exists for OnCollect callbacks mirroring an
-// externally maintained cumulative counter; hot paths use Inc/Add.
+// externally maintained cumulative counter; hot paths use Inc.
 func (c Counter) Set(n uint64) { c.c.val.Store(n) }
-
-// Value returns the current count.
-func (c Counter) Value() uint64 { return c.c.val.Load() }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ c *child }
 
 // Set overwrites the value.
 func (g Gauge) Set(v float64) { g.c.val.Store(math.Float64bits(v)) }
-
-// Add adds delta (atomically, via CAS).
-func (g Gauge) Add(delta float64) {
-	for {
-		old := g.c.val.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.c.val.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.c.val.Load()) }
 
 // Histogram counts observations into fixed cumulative buckets.
 type Histogram struct {
@@ -131,9 +111,6 @@ func (h Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// Count returns the number of observations.
-func (h Histogram) Count() uint64 { return h.c.count.Load() }
 
 // CounterVec / GaugeVec / HistogramVec are label-keyed families; With
 // resolves one label-value combination to its handle (creating it on first
@@ -269,13 +246,6 @@ func (r *Registry) Gauge(name, help string) Gauge {
 // GaugeVec registers (or returns) a gauge family with the given label keys.
 func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
 	return GaugeVec{f: r.register(name, help, typeGauge, labels, nil)}
-}
-
-// Histogram registers (or returns) an unlabeled histogram with the given
-// upper bounds (+Inf is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) Histogram {
-	f := r.register(name, help, typeHistogram, nil, buckets)
-	return Histogram{bounds: f.buckets, c: f.child(nil)}
 }
 
 // HistogramVec registers (or returns) a histogram family with label keys.

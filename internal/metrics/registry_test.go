@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -10,9 +9,9 @@ import (
 func TestRegistryRenderAndLint(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("clash_splits_total", "Total key-group splits.")
-	c.Add(3)
+	c.Set(3)
 	cv := r.CounterVec("clash_objects_total", "Objects by status.", "status")
-	cv.With("ok").Add(10)
+	cv.With("ok").Set(10)
 	cv.With("wrong").Inc()
 	g := r.Gauge("clash_load_total", "Node load fraction.")
 	g.Set(0.75)
@@ -57,7 +56,7 @@ func TestRegistryRenderAndLint(t *testing.T) {
 
 func TestHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h_seconds", "test", []float64{1, 2, 4})
+	h := r.HistogramVec("h_seconds", "test", []float64{1, 2, 4}).With()
 	for _, v := range []float64{0.5, 1.5, 3, 100} {
 		h.Observe(v)
 	}
@@ -86,7 +85,7 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "t")
-	h := r.Histogram("h_seconds", "t", ExpBuckets(0.001, 2, 10))
+	h := r.HistogramVec("h_seconds", "t", ExpBuckets(0.001, 2, 10)).With()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -101,11 +100,11 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 {
-		t.Errorf("counter = %d, want 8000", c.Value())
+	if got := c.c.val.Load(); got != 8000 {
+		t.Errorf("counter = %d, want 8000", got)
 	}
-	if h.Count() != 8000 {
-		t.Errorf("histogram count = %d, want 8000", h.Count())
+	if got := h.c.count.Load(); got != 8000 {
+		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }
 
@@ -190,7 +189,7 @@ func TestHistogramZeroCountExposition(t *testing.T) {
 	// full cumulative bucket ladder (all zero), _sum 0 and _count 0 — and the
 	// +Inf bucket must equal _count so the lint consistency pass stays green.
 	r := NewRegistry()
-	r.Histogram("idle_seconds", "Never observed.", []float64{0.1, 1})
+	r.HistogramVec("idle_seconds", "Never observed.", []float64{0.1, 1}).With()
 	r.HistogramVec("idle_vec_seconds", "Child resolved, never observed.", []float64{1}, "stage").With("route")
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -291,16 +290,5 @@ func TestLintEdgeCases(t *testing.T) {
 		if errs := LintPrometheus(strings.NewReader(input)); len(errs) != 0 {
 			t.Errorf("%s: clean input flagged: %v", name, errs)
 		}
-	}
-}
-
-func TestGaugeAdd(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("g", "t")
-	g.Set(1)
-	g.Add(0.5)
-	g.Add(-2)
-	if got := g.Value(); math.Abs(got-(-0.5)) > 1e-12 {
-		t.Errorf("gauge = %v, want -0.5", got)
 	}
 }

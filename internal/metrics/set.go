@@ -80,17 +80,6 @@ func (s *Set) Observe(name string, t, v float64) {
 	rs.observe(t, v)
 }
 
-// Get returns a chronological copy of the named series (nil when absent).
-func (s *Set) Get(name string) *TimeSeries {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rs, ok := s.series[name]
-	if !ok {
-		return nil
-	}
-	return rs.unroll()
-}
-
 // Snapshot returns chronological copies of every series in creation order.
 // The copies are safe to marshal or mutate without racing the producers.
 func (s *Set) Snapshot() []TimeSeries {

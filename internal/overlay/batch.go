@@ -10,9 +10,8 @@ import (
 
 // BatchItem is one data packet queued for a batched publish.
 type BatchItem struct {
-	Key     bitkey.Key
-	Attrs   map[string]float64
-	Payload []byte
+	Key   bitkey.Key
+	Attrs map[string]float64
 }
 
 // PublishBatch delivers many data packets with as few frames as possible:
@@ -61,7 +60,7 @@ func (c *Client) PublishBatch(items []BatchItem) (results []*PublishResult, errs
 	// Slow path: individual delivery with full depth resolution (which also
 	// re-warms the cache for the next batch).
 	for _, i := range slow {
-		msg := dataMsg{Attrs: items[i].Attrs, Payload: items[i].Payload}
+		msg := dataMsg{Attrs: items[i].Attrs}
 		data := marshalMsg(&msg)
 		results[i], errs[i] = c.deliver(items[i].Key, core.ObjectData, data)
 		wirecodec.PutBuf(data)
@@ -75,7 +74,7 @@ func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, 
 	req := core.AcceptBatchMsg{Objects: make([]core.AcceptObjectMsg, len(idx))}
 	payloadBufs := make([][]byte, len(idx))
 	for j, i := range idx {
-		msg := dataMsg{Attrs: items[i].Attrs, Payload: items[i].Payload}
+		msg := dataMsg{Attrs: items[i].Attrs}
 		payloadBufs[j] = marshalMsg(&msg)
 		req.Objects[j] = core.AcceptObjectMsg{
 			KeyValue: items[i].Key.Value,

@@ -303,7 +303,7 @@ func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (
 		}
 		return res, nil
 	}
-	rr, err := core.ResolveDepth(c.keyBits, int(c.lastDepth.Load()), core.SearchBinary, probe)
+	rr, err := core.ResolveDepth(c.keyBits, int(c.lastDepth.Load()), probe)
 	if err != nil {
 		return nil, err
 	}
@@ -339,33 +339,4 @@ func (c *Client) Register(q cq.Query) (*PublishResult, error) {
 		return nil, err
 	}
 	return c.deliver(ik, core.ObjectQuery, payload)
-}
-
-// Resolve runs a full depth resolution for a key (bypassing the cache) and
-// returns the search result. It is the probing primitive clashload uses to
-// measure resolution cost.
-func (c *Client) Resolve(key bitkey.Key) (core.ResolveResult, error) {
-	if key.Bits != c.keyBits {
-		return core.ResolveResult{}, fmt.Errorf("%w: key %d bits, want %d", core.ErrBadKey, key.Bits, c.keyBits)
-	}
-	probe := func(d int) (core.AcceptObjectResult, error) {
-		prefix, err := key.Prefix(d)
-		if err != nil {
-			return core.AcceptObjectResult{}, err
-		}
-		vk, err := bitkey.NewGroup(prefix).VirtualKey(c.keyBits)
-		if err != nil {
-			return core.AcceptObjectResult{}, err
-		}
-		addr, err := c.lookupOwner(vk)
-		if err != nil {
-			return core.AcceptObjectResult{}, err
-		}
-		res, _, err := c.acceptObject(addr, key, d, core.ObjectData, nil, 0, 0, 0)
-		if err != nil {
-			return core.AcceptObjectResult{}, err
-		}
-		return res, nil
-	}
-	return core.ResolveDepth(c.keyBits, int(c.lastDepth.Load()), core.SearchBinary, probe)
 }

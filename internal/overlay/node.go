@@ -29,9 +29,6 @@ type Config struct {
 	// Model converts per-group samples into load fractions (default
 	// load.DefaultModel(5000)).
 	Model load.Model
-	// Thresholds are the overload/underload trigger levels (default the
-	// paper's 90%/54%).
-	Thresholds load.Thresholds
 	// BootstrapDepth is the depth of the initial key-space partition a
 	// bootstrap node installs: 2^BootstrapDepth root groups (default 1).
 	BootstrapDepth int
@@ -63,9 +60,6 @@ type Config struct {
 	// is survivable as long as at least one of the first ReplicationFactor
 	// successors outlives the holder.
 	ReplicationFactor int
-	// Call tunes the resilient RPC path: per-class deadlines, retry/backoff
-	// policy. Zero fields take the package defaults.
-	Call CallPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -77,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Model.Capacity == 0 {
 		c.Model = load.DefaultModel(5000)
-	}
-	if c.Thresholds.Overload == 0 {
-		c.Thresholds = load.DefaultThresholds()
 	}
 	if c.BootstrapDepth == 0 {
 		c.BootstrapDepth = 1
@@ -96,7 +87,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplicationFactor == 0 {
 		c.ReplicationFactor = 2
 	}
-	c.Call = c.Call.withDefaults()
 	return c
 }
 
@@ -178,11 +168,7 @@ type Node struct {
 // BootstrapRoots on the first node of an overlay and Join on every other.
 func NewNode(tr Transport, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Thresholds.Validate(); err != nil {
-		return nil, err
-	}
-	server, err := core.NewServer(core.ServerID(tr.Addr()), cfg.KeyBits,
-		core.WithMaxSplitRetries(splitRetryBudget))
+	server, err := core.NewServer(core.ServerID(tr.Addr()), cfg.KeyBits)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +187,7 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		sleep = time.Sleep
 	}
 	callerSeed := cfg.Seed ^ int64(cfg.Space.HashString(tr.Addr()))
-	rc := newCaller(tr, cfg.Call, susp, cfg.Clock.Now, sleep, callerSeed)
+	rc := newCaller(tr, susp, cfg.Clock.Now, sleep, callerSeed)
 	n := &Node{
 		cfg:         cfg,
 		tr:          tr,
@@ -253,9 +239,6 @@ func (n *Node) Server() *core.Server { return n.server }
 
 // Engine exposes the continuous-query engine.
 func (n *Node) Engine() *cq.Engine { return n.engine }
-
-// Series exposes the node's metrics set.
-func (n *Node) Series() *metrics.Set { return n.series }
 
 // Successors returns the node's current chord successor list (nearest first);
 // a lightweight accessor for ring-convergence checks (the full Status
@@ -478,7 +461,7 @@ func (n *Node) LoadCheck(now time.Time) {
 	}
 	total := n.server.TotalLoad()
 
-	if !n.draining.Load() && n.cfg.Thresholds.IsOverloaded(total) {
+	if !n.draining.Load() && total > load.OverloadFraction {
 		n.trySplit()
 	}
 	n.sendLoadReports()
@@ -487,11 +470,6 @@ func (n *Node) LoadCheck(now time.Time) {
 	n.replicate()
 	n.record(now, total, samples)
 }
-
-// splitRetryBudget bounds how often a split re-extends a self-mapped right
-// child; it is passed to core.NewServer and mirrored by the target
-// precomputation in trySplit.
-const splitRetryBudget = 16
 
 // precomputeSplitTargets resolves the DHT mappings a split of g can need
 // before ExecuteSplit runs, so no network I/O happens while the server
@@ -503,7 +481,7 @@ func (n *Node) precomputeSplitTargets(g bitkey.Group) core.MapFunc {
 	self := core.ServerID(n.Addr())
 	targets := make(map[bitkey.Key]core.ServerID)
 	cur := g
-	for i := 0; i <= splitRetryBudget && cur.Depth() < n.cfg.KeyBits; i++ {
+	for i := 0; i <= core.MaxSplitRetries && cur.Depth() < n.cfg.KeyBits; i++ {
 		_, right, err := cur.Split()
 		if err != nil {
 			break
@@ -881,7 +859,7 @@ func (n *Node) tryMerge(now time.Time) {
 		n.reclaim(parked[0], now)
 		return
 	}
-	props := n.server.PlanMerges(n.cfg.Thresholds.Underload, now)
+	props := n.server.PlanMerges(load.UnderloadFraction, now)
 	if len(props) == 0 {
 		return
 	}

@@ -191,18 +191,17 @@ func TestOverlayEndToEnd(t *testing.T) {
 		t.Fatalf("Register: %v", err)
 	}
 
-	// Depth resolution for a fresh key must converge via the modified
-	// binary search.
+	// Depth resolution for a fresh key must land on the root partition.
 	rng := rand.New(rand.NewSource(42))
 	hotKey := func() bitkey.Key {
 		return bitkey.Key{Value: 0b001<<13 | rng.Uint64()&0x1FFF, Bits: cfg.KeyBits}
 	}
-	rr, err := client.Resolve(hotKey())
+	rr, err := client.Publish(hotKey(), nil, nil)
 	if err != nil {
-		t.Fatalf("Resolve: %v", err)
+		t.Fatalf("Publish: %v", err)
 	}
-	if rr.Depth != 2 {
-		t.Errorf("resolved depth = %d, want 2 (root partition)", rr.Depth)
+	if rr.Group.Depth() != 2 {
+		t.Errorf("resolved depth = %d, want 2 (root partition)", rr.Group.Depth())
 	}
 
 	// A matching packet must report the query and push a match notification.

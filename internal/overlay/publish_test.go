@@ -114,7 +114,7 @@ func TestMalformedDataPayloadRejected(t *testing.T) {
 	if node == nil {
 		t.Fatalf("no node manages %s", f.uncovered)
 	}
-	node.meter = load.NewMeter(1) // nominal 1 s window: rate == packet count
+	node.meter = load.NewMeterClock(1, nil) // nominal 1 s window: rate == packet count
 	if _, err := f.client.Publish(f.uncovered, map[string]float64{"speed": 80}, []byte("evt")); err != nil {
 		t.Fatal(err)
 	}

@@ -644,6 +644,6 @@ func (n *Node) placeQuery(st queryState) error {
 		}
 		return decodeAccept(&reply)
 	}
-	_, err = core.ResolveDepth(n.cfg.KeyBits, 0, core.SearchBinary, probe)
+	_, err = core.ResolveDepth(n.cfg.KeyBits, 0, probe)
 	return err
 }

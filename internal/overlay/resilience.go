@@ -7,75 +7,34 @@ import (
 	"time"
 )
 
-// Default CallPolicy values. The short class covers liveness and ring
-// maintenance (a wedged stabilize round must cost far less than the old
-// blanket 10s timeout), the data class covers object/query traffic, and the
-// bulk class covers snapshot-sized transfers — which is also the hard
-// ceiling any adaptive deadline may escalate to.
+// The resilient call path's deadlines and retry policy. The short class
+// covers liveness and ring maintenance (a wedged stabilize round must cost
+// far less than the old blanket 10s timeout), the data class covers
+// object/query traffic, and the bulk class covers snapshot-sized transfers —
+// which is also the hard ceiling any adaptive deadline may escalate to.
+// maxAttempts bounds the attempts of one logical call (first try plus
+// retries) for idempotent and shed-retryable messages; retryBackoff is the
+// base of the jittered exponential backoff between attempts, capped at
+// maxBackoff.
 const (
-	defaultShortTimeout = 2500 * time.Millisecond
-	defaultDataTimeout  = 5 * time.Second
-	defaultBulkTimeout  = 10 * time.Second
-	defaultMaxAttempts  = 3
-	defaultRetryBackoff = 25 * time.Millisecond
-	defaultMaxBackoff   = time.Second
+	shortTimeout = 2500 * time.Millisecond
+	dataTimeout  = 5 * time.Second
+	bulkTimeout  = 10 * time.Second
+	maxAttempts  = 3
+	retryBackoff = 25 * time.Millisecond
+	maxBackoff   = time.Second
 )
 
-// CallPolicy tunes the per-class RPC deadlines and the retry/backoff policy
-// of a node's resilient call path. Zero fields take the package defaults.
-type CallPolicy struct {
-	// ShortTimeout is the deadline class for liveness and ring-maintenance
-	// messages (ping, chord lookups, load reports).
-	ShortTimeout time.Duration
-	// DataTimeout is the deadline class for data-plane traffic (objects,
-	// batches, match pushes).
-	DataTimeout time.Duration
-	// BulkTimeout is the deadline class for snapshot-sized transfers
-	// (accept_keygroup, replicate, recover) and the ceiling for adaptive
-	// deadline escalation.
-	BulkTimeout time.Duration
-	// MaxAttempts bounds the attempts of one logical call (first try plus
-	// retries) for idempotent and shed-retryable messages.
-	MaxAttempts int
-	// RetryBackoff is the base of the jittered exponential backoff between
-	// attempts; MaxBackoff caps it.
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-}
-
-// withDefaults fills zero fields with the package defaults.
-func (p CallPolicy) withDefaults() CallPolicy {
-	if p.ShortTimeout <= 0 {
-		p.ShortTimeout = defaultShortTimeout
-	}
-	if p.DataTimeout <= 0 {
-		p.DataTimeout = defaultDataTimeout
-	}
-	if p.BulkTimeout <= 0 {
-		p.BulkTimeout = defaultBulkTimeout
-	}
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultMaxAttempts
-	}
-	if p.RetryBackoff <= 0 {
-		p.RetryBackoff = defaultRetryBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = defaultMaxBackoff
-	}
-	return p
-}
-
 // classTimeout maps a message type to its deadline class.
-func (p CallPolicy) classTimeout(msgType string) time.Duration {
+func classTimeout(msgType string) time.Duration {
 	switch msgType {
 	case TypePing, TypeFindSuccessor, TypeSuccessor, TypePredecessor,
 		TypeNotify, TypeLoadReport, TypeChildMoved, TypeTopology:
-		return p.ShortTimeout
+		return shortTimeout
 	case TypeAcceptKeyGroup, TypeReplicateKeyGroup, TypeRecoverKeyGroups:
-		return p.BulkTimeout
+		return bulkTimeout
 	default:
-		return p.DataTimeout
+		return dataTimeout
 	}
 }
 
@@ -110,11 +69,10 @@ var idempotentTypes = map[string]bool{
 // next call, so a wedged peer costs each caller at most one timeout per
 // exchange.
 type caller struct {
-	tr     Transport
-	rr     RetryRecorder // non-nil when tr counts policy-level retries
-	policy CallPolicy
-	susp   *suspicion
-	now    func() time.Time
+	tr   Transport
+	rr   RetryRecorder // non-nil when tr counts policy-level retries
+	susp *suspicion
+	now  func() time.Time
 	// sleep implements the backoff delay; nil disables backoff entirely
 	// (the single-threaded simulator, where sleeping inside an event would
 	// wedge the engine — retries go back-to-back in virtual time and no
@@ -125,13 +83,12 @@ type caller struct {
 	rng *rand.Rand
 }
 
-func newCaller(tr Transport, policy CallPolicy, susp *suspicion, now func() time.Time, sleep func(time.Duration), seed int64) *caller {
+func newCaller(tr Transport, susp *suspicion, now func() time.Time, sleep func(time.Duration), seed int64) *caller {
 	c := &caller{
-		tr:     tr,
-		policy: policy.withDefaults(),
-		susp:   susp,
-		now:    now,
-		sleep:  sleep,
+		tr:    tr,
+		susp:  susp,
+		now:   now,
+		sleep: sleep,
 	}
 	c.rr, _ = tr.(RetryRecorder)
 	if sleep != nil {
@@ -140,14 +97,14 @@ func newCaller(tr Transport, policy CallPolicy, susp *suspicion, now func() time
 	return c
 }
 
-// call performs one logical RPC under the policy and returns the reply
+// call performs one logical RPC under the call policy and returns the reply
 // payload. Errors keep their transport identity (ErrDeadline, ErrShed,
 // ErrUnreachable wraps, *RemoteError).
 func (c *caller) call(addr, msgType string, payload []byte) ([]byte, error) {
-	class := c.policy.classTimeout(msgType)
+	class := classTimeout(msgType)
 	idempotent := idempotentTypes[msgType]
 	for attempt := 0; ; attempt++ {
-		timeout := c.susp.timeoutFor(addr, class, c.policy.BulkTimeout)
+		timeout := c.susp.timeoutFor(addr, class, bulkTimeout)
 		var rtt time.Duration
 		start := c.now()
 		reply, err := c.tr.CallOpts(addr, msgType, payload, CallOpts{Timeout: timeout, RTT: &rtt})
@@ -163,7 +120,7 @@ func (c *caller) call(addr, msgType string, payload []byte) ([]byte, error) {
 		gray := errors.Is(err, ErrDeadline)
 		c.susp.observeFailure(addr, gray || shed)
 		retryable := shed || (idempotent && !gray)
-		if !retryable || attempt+1 >= c.policy.MaxAttempts {
+		if !retryable || attempt+1 >= maxAttempts {
 			return nil, err
 		}
 		if c.rr != nil {
@@ -174,14 +131,14 @@ func (c *caller) call(addr, msgType string, payload []byte) ([]byte, error) {
 }
 
 // backoff sleeps a jittered exponential delay: half the doubled base plus a
-// uniform random half, capped at MaxBackoff.
+// uniform random half, capped at maxBackoff.
 func (c *caller) backoff(attempt int) {
 	if c.sleep == nil {
 		return
 	}
-	d := c.policy.RetryBackoff << uint(attempt)
-	if d > c.policy.MaxBackoff || d <= 0 {
-		d = c.policy.MaxBackoff
+	d := retryBackoff << uint(attempt)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	c.mu.Lock()
 	jitter := time.Duration(c.rng.Int63n(int64(d)))

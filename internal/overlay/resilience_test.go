@@ -145,8 +145,7 @@ func (f *scriptTransport) Close() error          { return nil }
 
 func newTestCaller(tr Transport) *caller {
 	susp := newSuspicion(time.Now)
-	return newCaller(tr, CallPolicy{RetryBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
-		susp, time.Now, func(time.Duration) {}, 1)
+	return newCaller(tr, susp, time.Now, func(time.Duration) {}, 1)
 }
 
 func TestCallerRetriesShedForAnyType(t *testing.T) {
@@ -205,8 +204,8 @@ func TestCallerGivesUpAfterMaxAttempts(t *testing.T) {
 	if _, err := c.call("peer", TypePing, nil); !errors.Is(err, ErrShed) {
 		t.Fatalf("call = %v, want ErrShed", err)
 	}
-	if tr.attempts != defaultMaxAttempts {
-		t.Fatalf("attempts = %d, want %d", tr.attempts, defaultMaxAttempts)
+	if tr.attempts != maxAttempts {
+		t.Fatalf("attempts = %d, want %d", tr.attempts, maxAttempts)
 	}
 }
 

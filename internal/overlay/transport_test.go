@@ -373,7 +373,7 @@ func TestMemFaultsConcurrent(t *testing.T) {
 	if got := net.Calls(TypePing); got != callers*calls {
 		t.Errorf("Calls(ping) = %d, want %d", got, callers*calls)
 	}
-	if h := net.Latency(TypePing); h == nil || h.Count() == 0 || runs.Load() < int64(h.Count()) {
+	if h := net.Latency(TypePing); h == nil || h.Summary().Count == 0 || runs.Load() < int64(h.Summary().Count) {
 		t.Errorf("latency histogram %v inconsistent with %d handler runs", h, runs.Load())
 	}
 }

@@ -56,19 +56,19 @@ const (
 	TypePing = "chord.ping"
 
 	// TypeAcceptObject carries a data packet or query registration
-	// (core.MsgAcceptObject).
+	// (core.AcceptObjectMsg).
 	TypeAcceptObject = "clash.accept_object"
 	// TypeAcceptBatch carries a vector of ACCEPT_OBJECT bodies in one frame
-	// (core.MsgAcceptBatch).
+	// (core.AcceptBatchMsg).
 	TypeAcceptBatch = "clash.accept_batch"
 	// TypeAcceptKeyGroup transfers a key group and its query state
-	// (core.MsgAcceptKeyGroup).
+	// (core.AcceptKeyGroupMsg).
 	TypeAcceptKeyGroup = "clash.accept_keygroup"
 	// TypeLoadReport is the periodic leaf→parent load report
-	// (core.MsgLoadReport).
+	// (core.LoadReportMsg).
 	TypeLoadReport = "clash.load_report"
 	// TypeReleaseKeyGroup reclaims a key group during consolidation
-	// (core.MsgReleaseKeyGroup).
+	// (core.ReleaseKeyGroupMsg).
 	TypeReleaseKeyGroup = "clash.release_keygroup"
 	// TypeMatch pushes a continuous-query match to the subscriber that
 	// registered the query.

@@ -306,6 +306,6 @@ func hotPacketsFor(sc Scenario, factor float64) int {
 	if maxMass <= 0 {
 		maxMass = 1.0 / float64(len(dist))
 	}
-	overloadRate := load.DefaultOverloadFraction * sc.Capacity
+	overloadRate := load.OverloadFraction * sc.Capacity
 	return int(factor * overloadRate * sc.CheckEverySeconds() / maxMass)
 }

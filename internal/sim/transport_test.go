@@ -111,7 +111,7 @@ func TestNetLatencyRecordedAndLoss(t *testing.T) {
 		t.Fatalf("ok=%d lost=%d, want a mix", ok, lost)
 	}
 	h := net.Latency(overlay.TypePing)
-	if h == nil || h.Count() == 0 {
+	if h == nil || h.Summary().Count == 0 {
 		t.Fatal("no latency recorded")
 	}
 	s := h.Summary()

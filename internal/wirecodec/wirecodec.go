@@ -179,15 +179,6 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
-// BytesCopy is Bytes with an owned copy of the result.
-func (r *Reader) BytesCopy() []byte {
-	b := r.Bytes()
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	return string(r.Bytes())

@@ -118,12 +118,12 @@ func TestBytesAliasAndCopy(t *testing.T) {
 	r := NewReader(src)
 	aliased := r.Bytes()
 	r = NewReader(src)
-	copied := r.BytesCopy()
+	copied := r.String()
 	src[len(src)-1] = 'Z'
 	if string(aliased) != "abZ" {
 		t.Errorf("aliased = %q, want view of mutated input", aliased)
 	}
-	if string(copied) != "abc" {
+	if copied != "abc" {
 		t.Errorf("copied = %q, want original", copied)
 	}
 }

@@ -4,8 +4,9 @@
 // shows three skew levels A, B, C) and a 16-bit remainder drawn uniformly.
 // Data sources emit packets at a constant rate and change their key every Ld
 // packets (Ld exponentially distributed, mean 1000); query clients register
-// long-lived continuous queries with exponentially distributed lifetimes
-// (mean 30 minutes) over keys drawn with the same skew.
+// long-lived continuous queries over keys drawn with the same skew. The
+// paper's query lifetimes (exponential, mean 30 minutes) are not drawn here:
+// every driver keeps its queries for the whole run.
 package workload
 
 import (
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"clash/internal/bitkey"
 )
@@ -53,8 +53,6 @@ const (
 	DefaultBaseBits = 8
 	// DefaultMeanStreamLen is the mean virtual stream length Ld in packets.
 	DefaultMeanStreamLen = 1000
-	// DefaultMeanQueryLifetime is the mean continuous-query lifetime Lq.
-	DefaultMeanQueryLifetime = 30 * time.Minute
 )
 
 // Spec fully describes one workload phase.
@@ -70,8 +68,6 @@ type Spec struct {
 	SourceRate float64
 	// MeanStreamLen is the mean virtual stream length Ld in packets.
 	MeanStreamLen float64
-	// MeanQueryLifetime is the mean continuous-query lifetime.
-	MeanQueryLifetime time.Duration
 }
 
 // SpecFor returns the paper's parameters for a workload kind.
@@ -81,12 +77,11 @@ func SpecFor(kind Kind) Spec {
 		rate = 2.0
 	}
 	return Spec{
-		Kind:              kind,
-		KeyBits:           DefaultKeyBits,
-		BaseBits:          DefaultBaseBits,
-		SourceRate:        rate,
-		MeanStreamLen:     DefaultMeanStreamLen,
-		MeanQueryLifetime: DefaultMeanQueryLifetime,
+		Kind:          kind,
+		KeyBits:       DefaultKeyBits,
+		BaseBits:      DefaultBaseBits,
+		SourceRate:    rate,
+		MeanStreamLen: DefaultMeanStreamLen,
 	}
 }
 
@@ -101,7 +96,7 @@ func (s Spec) Validate() error {
 	if s.BaseBits < 1 || s.BaseBits >= s.KeyBits || s.BaseBits > 20 {
 		return fmt.Errorf("%w: base bits %d", ErrBadSpec, s.BaseBits)
 	}
-	if s.SourceRate <= 0 || s.MeanStreamLen <= 0 || s.MeanQueryLifetime <= 0 {
+	if s.SourceRate <= 0 || s.MeanStreamLen <= 0 {
 		return fmt.Errorf("%w: non-positive rates", ErrBadSpec)
 	}
 	return nil
@@ -176,9 +171,6 @@ func NewKeyGenerator(spec Spec, rng *rand.Rand) (*KeyGenerator, error) {
 	return &KeyGenerator{spec: spec, rng: rng, cum: cum, weights: probs}, nil
 }
 
-// Spec returns the generator's workload spec.
-func (g *KeyGenerator) Spec() Spec { return g.spec }
-
 // Clone returns an independent generator for the same spec drawing from its
 // own PRNG stream seeded with seed. The clone shares the (read-only)
 // precomputed distribution tables with its parent, so cloning is cheap; a
@@ -235,65 +227,4 @@ func (g *KeyGenerator) NextStreamLength() int {
 		l = 1
 	}
 	return l
-}
-
-// NextQueryLifetime samples an exponentially distributed query lifetime with
-// the spec's mean.
-func (g *KeyGenerator) NextQueryLifetime() time.Duration {
-	return time.Duration(g.rng.ExpFloat64() * float64(g.spec.MeanQueryLifetime))
-}
-
-// Phase is one segment of a workload schedule.
-type Phase struct {
-	Kind  Kind
-	Start time.Duration
-	End   time.Duration
-}
-
-// Schedule is a sequence of workload phases (the paper runs A, B and C for
-// two hours each).
-type Schedule struct {
-	Phases []Phase
-}
-
-// PaperSchedule returns the paper's six-hour schedule: workload A for the
-// first two hours, then B, then C, with the given phase length.
-func PaperSchedule(phaseLen time.Duration) Schedule {
-	return Schedule{Phases: []Phase{
-		{Kind: WorkloadA, Start: 0, End: phaseLen},
-		{Kind: WorkloadB, Start: phaseLen, End: 2 * phaseLen},
-		{Kind: WorkloadC, Start: 2 * phaseLen, End: 3 * phaseLen},
-	}}
-}
-
-// Duration returns the end time of the last phase.
-func (s Schedule) Duration() time.Duration {
-	if len(s.Phases) == 0 {
-		return 0
-	}
-	return s.Phases[len(s.Phases)-1].End
-}
-
-// KindAt returns the workload kind active at time t (the last phase's kind if
-// t is beyond the end).
-func (s Schedule) KindAt(t time.Duration) Kind {
-	for _, p := range s.Phases {
-		if t >= p.Start && t < p.End {
-			return p.Kind
-		}
-	}
-	if len(s.Phases) == 0 {
-		return WorkloadA
-	}
-	return s.Phases[len(s.Phases)-1].Kind
-}
-
-// PhaseAt returns the phase active at time t.
-func (s Schedule) PhaseAt(t time.Duration) (Phase, bool) {
-	for _, p := range s.Phases {
-		if t >= p.Start && t < p.End {
-			return p, true
-		}
-	}
-	return Phase{}, false
 }

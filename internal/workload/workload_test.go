@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 func mustGen(t *testing.T, kind Kind, seed int64) *KeyGenerator {
@@ -34,17 +33,14 @@ func TestSpecForMatchesPaperParameters(t *testing.T) {
 	if a.MeanStreamLen != 1000 {
 		t.Errorf("mean stream length = %g, want 1000", a.MeanStreamLen)
 	}
-	if a.MeanQueryLifetime != 30*time.Minute {
-		t.Errorf("mean query lifetime = %v, want 30m", a.MeanQueryLifetime)
-	}
 }
 
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
-		{Kind: Kind(9), KeyBits: 24, BaseBits: 8, SourceRate: 1, MeanStreamLen: 1, MeanQueryLifetime: time.Minute},
-		{Kind: WorkloadA, KeyBits: 1, BaseBits: 1, SourceRate: 1, MeanStreamLen: 1, MeanQueryLifetime: time.Minute},
-		{Kind: WorkloadA, KeyBits: 24, BaseBits: 24, SourceRate: 1, MeanStreamLen: 1, MeanQueryLifetime: time.Minute},
-		{Kind: WorkloadA, KeyBits: 24, BaseBits: 8, SourceRate: 0, MeanStreamLen: 1, MeanQueryLifetime: time.Minute},
+		{Kind: Kind(9), KeyBits: 24, BaseBits: 8, SourceRate: 1, MeanStreamLen: 1},
+		{Kind: WorkloadA, KeyBits: 1, BaseBits: 1, SourceRate: 1, MeanStreamLen: 1},
+		{Kind: WorkloadA, KeyBits: 24, BaseBits: 24, SourceRate: 1, MeanStreamLen: 1},
+		{Kind: WorkloadA, KeyBits: 24, BaseBits: 8, SourceRate: 0, MeanStreamLen: 1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -146,30 +142,20 @@ func TestSamplerMatchesDistribution(t *testing.T) {
 	}
 }
 
-func TestNextStreamLengthAndQueryLifetime(t *testing.T) {
+func TestNextStreamLength(t *testing.T) {
 	g := mustGen(t, WorkloadA, 5)
 	const n = 50000
 	var sumLen float64
-	var sumLife float64
 	for i := 0; i < n; i++ {
 		l := g.NextStreamLength()
 		if l < 1 {
 			t.Fatalf("stream length %d < 1", l)
 		}
 		sumLen += float64(l)
-		life := g.NextQueryLifetime()
-		if life < 0 {
-			t.Fatalf("negative lifetime %v", life)
-		}
-		sumLife += life.Minutes()
 	}
 	meanLen := sumLen / n
 	if meanLen < 900 || meanLen > 1100 {
 		t.Errorf("mean stream length = %.0f, want ≈1000", meanLen)
-	}
-	meanLife := sumLife / n
-	if meanLife < 27 || meanLife > 33 {
-		t.Errorf("mean query lifetime = %.1f min, want ≈30", meanLife)
 	}
 }
 
@@ -195,39 +181,6 @@ func TestGeneratorIsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestPaperSchedule(t *testing.T) {
-	s := PaperSchedule(2 * time.Hour)
-	if s.Duration() != 6*time.Hour {
-		t.Errorf("Duration = %v, want 6h", s.Duration())
-	}
-	tests := []struct {
-		t    time.Duration
-		want Kind
-	}{
-		{0, WorkloadA},
-		{time.Hour, WorkloadA},
-		{2 * time.Hour, WorkloadB},
-		{3*time.Hour + 59*time.Minute, WorkloadB},
-		{4 * time.Hour, WorkloadC},
-		{7 * time.Hour, WorkloadC}, // past the end: stays on the last phase
-	}
-	for _, tt := range tests {
-		if got := s.KindAt(tt.t); got != tt.want {
-			t.Errorf("KindAt(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-	if _, ok := s.PhaseAt(7 * time.Hour); ok {
-		t.Error("PhaseAt past the end should report false")
-	}
-	if p, ok := s.PhaseAt(5 * time.Hour); !ok || p.Kind != WorkloadC {
-		t.Errorf("PhaseAt(5h) = %+v,%v", p, ok)
-	}
-	var empty Schedule
-	if empty.Duration() != 0 || empty.KindAt(0) != WorkloadA {
-		t.Error("empty schedule defaults wrong")
-	}
-}
-
 func TestCloneIndependentStreams(t *testing.T) {
 	root := mustGen(t, WorkloadB, 1)
 
@@ -250,8 +203,8 @@ func TestCloneIndependentStreams(t *testing.T) {
 		t.Errorf("clones with different seeds coincided on %d/1000 keys", same)
 	}
 	// The clone preserves the spec and the skew profile.
-	if c.Spec() != root.Spec() {
-		t.Errorf("clone spec = %+v, want %+v", c.Spec(), root.Spec())
+	if c.spec != root.spec {
+		t.Errorf("clone spec = %+v, want %+v", c.spec, root.spec)
 	}
 	pRoot, pClone := root.BaseDistribution(), c.BaseDistribution()
 	for i := range pRoot {
@@ -273,7 +226,6 @@ func TestCloneConcurrentUse(t *testing.T) {
 				_ = g.Next()
 				if i%100 == 0 {
 					_ = g.NextStreamLength()
-					_ = g.NextQueryLifetime()
 				}
 			}
 		}(w)
