@@ -21,7 +21,7 @@
 // frames through Client.PublishBatch instead of one frame per packet.
 //
 // Call latency is recorded in an HDR-style bucketed histogram
-// (metrics.LatencyHist — no per-call allocation), so the reported p50/p95/p99
+// (metrics.Histogram — no per-call allocation), so the reported p50/p95/p99
 // stay exact-shaped at millions of packets. Every connection draws keys from
 // its own workload.KeyGenerator clone, so the sources are independent
 // streams rather than one shared PRNG. It exits non-zero when publishes fail.
@@ -172,9 +172,8 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	// inproc mode the trace store doubles as the nodes' observer, so the
 	// server-side stage timings land in this process; in TCP mode they land
 	// on the serving nodes' hubs instead.
-	var reg *metrics.Registry
+	reg := metrics.NewRegistry()
 	if metricsAddr != "" {
-		reg = metrics.NewRegistry()
 		frames := reg.CounterVec("clashload_transport_frames_total", "Client wire frames by direction.", "dir")
 		bytes := reg.CounterVec("clashload_transport_bytes_total", "Client wire bytes by direction.", "dir")
 		inFlight := reg.Gauge("clashload_transport_in_flight", "Client calls awaiting a reply.")
@@ -198,7 +197,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	var traces *hub.Traces
 	if traceEvery > 0 {
 		client.SetTraceEvery(traceEvery)
-		traces = hub.NewTraces(0, reg)
+		traces = hub.NewTraces(reg)
 		for _, n := range nodes {
 			n.SetObserver(traces)
 		}
@@ -239,7 +238,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	// generator clone (per-source PRNG streams) and its own latency
 	// histogram (merged at the end; Record never allocates).
 	type workerResult struct {
-		hist    *metrics.LatencyHist
+		hist    *metrics.Histogram
 		ok      int
 		errs    int
 		probes  int
@@ -259,7 +258,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 			gen := qgen.Clone(randSeed + int64(w) + 1)
 			attrRng := rand.New(rand.NewSource(randSeed + int64(w) + 1000))
 			res := &results[w]
-			res.hist = metrics.NewLatencyHist()
+			res.hist = metrics.NewHistogram()
 			var key bitkey.Key
 			streamLeft := 0
 			var pending []overlay.BatchItem
@@ -317,7 +316,7 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	// counter.
 	time.Sleep(200 * time.Millisecond)
 
-	hist := metrics.NewLatencyHist()
+	hist := metrics.NewHistogram()
 	agg := workerResult{}
 	for i := range results {
 		r := &results[i]

@@ -52,7 +52,7 @@ func New(node *overlay.Node) *Hub {
 		node:   node,
 		reg:    reg,
 		bus:    NewBus(),
-		traces: NewTraces(tracesCapacity, reg),
+		traces: NewTraces(reg),
 	}
 	h.events = reg.CounterVec("clash_events_total",
 		"Protocol events observed, by type.", "type")

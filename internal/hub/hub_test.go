@@ -645,3 +645,55 @@ func TestHubAdminDrainZeroLostCQ(t *testing.T) {
 		}
 	}
 }
+
+// TestHubStatusBounded checks that a node's /status body does not grow with
+// uptime: 200 load checks leave it within a small constant of its size after
+// the fixture's first 2.
+func TestHubStatusBounded(t *testing.T) {
+	c := newTestCluster(t, 1)
+	base := c.srvs[0].URL
+	_, before := httpGet(t, base+"/status")
+	for i := 0; i < 200; i++ {
+		c.check(c.nodes)
+	}
+	code, after := httpGet(t, base+"/status")
+	if code != http.StatusOK {
+		t.Fatalf("/status: %d", code)
+	}
+	if len(after) > len(before)+64 {
+		t.Errorf("/status grew from %d to %d bytes over 200 load checks", len(before), len(after))
+	}
+}
+
+// TestHubStageRecordedOnce checks that /traces/sample and /metrics read the
+// same stage histograms: after traced traffic, each stage's Count in the
+// sample equals its clash_trace_stage_seconds_count. No query is registered,
+// so no asynchronous delivery stage can land between the two reads.
+func TestHubStageRecordedOnce(t *testing.T) {
+	c := newTestCluster(t, 1)
+	cli := c.client(t)
+	cli.SetTraceEvery(1)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 40; i++ {
+		key := bitkey.Key{Value: uint64(rng.Intn(1 << 16)), Bits: 16}
+		if _, err := cli.Publish(key, map[string]float64{"speed": 1}, nil); err != nil {
+			t.Fatalf("Publish %d: %v", i, err)
+		}
+	}
+	base := c.srvs[0].URL
+	_, body := httpGet(t, base+"/traces/sample")
+	var sample TraceSample
+	if err := json.Unmarshal([]byte(body), &sample); err != nil {
+		t.Fatalf("/traces/sample JSON: %v", err)
+	}
+	if _, ok := sample.Stages[overlay.TraceStageRoute]; !ok {
+		t.Fatalf("no route stage after traced traffic: %v", sample.Stages)
+	}
+	_, scrape := httpGet(t, base+"/metrics")
+	for stage, s := range sample.Stages {
+		line := fmt.Sprintf("clash_trace_stage_seconds_count{stage=%q} %d\n", stage, s.Count)
+		if !strings.Contains(scrape, line) {
+			t.Errorf("stage %s: /traces/sample count %d has no matching %q in /metrics", stage, s.Count, strings.TrimSpace(line))
+		}
+	}
+}

@@ -16,21 +16,20 @@ const tracesCapacity = 256
 const spansCapacity = 2048
 
 // Traces stores sampled request traces: a bounded ring of the most recent
-// TraceRecords plus per-stage latency histograms. It implements
-// overlay.Observer (events are ignored) so it can also be installed
-// standalone — clashload attaches one directly to its in-process nodes to
-// report a per-stage latency summary without running a hub.
+// TraceRecords plus per-stage latency histograms. The histograms are the
+// registry's clash_trace_stage_seconds children: each stage observation is
+// recorded once, there, and /traces/sample and StageSummaries read the same
+// children /metrics renders. Traces implements overlay.Observer (events are
+// ignored) so it can also be installed standalone — clashload attaches one
+// directly to its in-process nodes to report a per-stage latency summary
+// without running a hub.
 type Traces struct {
-	// hist is the Prometheus view of the per-stage latencies (seconds);
-	// absent when constructed without a registry.
-	hist   metrics.HistogramVec
-	bound  bool
+	stages metrics.HistogramVec
 	mu     sync.Mutex
 	ring   []overlay.TraceRecord
 	next   int
 	full   bool
 	count  uint64
-	stages map[string]*metrics.LatencyHist
 
 	// Hop spans live in their own ring under their own lock: span traffic
 	// (several per sampled publish, pushed from async delivery goroutines)
@@ -42,25 +41,15 @@ type Traces struct {
 	spanCount uint64
 }
 
-// NewTraces creates a trace store keeping the last capacity records
-// (<= 0 selects the default). With a non-nil registry, stage observations
-// also feed the clash_trace_stage_seconds histogram family.
-func NewTraces(capacity int, reg *metrics.Registry) *Traces {
-	if capacity <= 0 {
-		capacity = tracesCapacity
-	}
-	t := &Traces{
-		ring:     make([]overlay.TraceRecord, capacity),
-		stages:   make(map[string]*metrics.LatencyHist),
+// NewTraces creates a trace store whose stage histograms are the
+// clash_trace_stage_seconds family of reg.
+func NewTraces(reg *metrics.Registry) *Traces {
+	return &Traces{
+		stages: reg.HistogramVec("clash_trace_stage_seconds",
+			"Per-stage latency of sampled publish requests.", "stage"),
+		ring:     make([]overlay.TraceRecord, tracesCapacity),
 		spanRing: make([]overlay.Span, spansCapacity),
 	}
-	if reg != nil {
-		t.hist = reg.HistogramVec("clash_trace_stage_seconds",
-			"Per-stage latency of sampled publish requests.",
-			metrics.ExpBuckets(1e-6, 4, 11), "stage")
-		t.bound = true
-	}
-	return t
 }
 
 // OnEvent implements overlay.Observer; Traces ignores protocol events.
@@ -81,17 +70,7 @@ func (t *Traces) OnTrace(rec overlay.TraceRecord) {
 
 // OnTraceStage records one stage observation (microseconds).
 func (t *Traces) OnTraceStage(stage string, micros int64) {
-	t.mu.Lock()
-	h := t.stages[stage]
-	if h == nil {
-		h = metrics.NewLatencyHist()
-		t.stages[stage] = h
-	}
-	h.Record(micros)
-	t.mu.Unlock()
-	if t.bound {
-		t.hist.With(stage).Observe(float64(micros) / 1e6)
-	}
+	t.stages.With(stage).Record(micros)
 }
 
 // OnSpan stores one hop span of a sampled publish's cross-node path.
@@ -176,11 +155,8 @@ func (t *Traces) Sample(limit int) TraceSample {
 	}
 	s := TraceSample{
 		Count:  t.count,
-		Stages: make(map[string]metrics.Summary, len(t.stages)),
+		Stages: t.StageSummaries(),
 		Recent: make([]overlay.TraceRecord, 0, limit),
-	}
-	for stage, h := range t.stages {
-		s.Stages[stage] = h.Summary()
 	}
 	// Walk backwards from the most recent write.
 	for i := 0; i < limit; i++ {
@@ -192,12 +168,10 @@ func (t *Traces) Sample(limit int) TraceSample {
 
 // StageSummaries returns the per-stage latency summaries (microseconds).
 func (t *Traces) StageSummaries() map[string]metrics.Summary {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]metrics.Summary, len(t.stages))
-	for stage, h := range t.stages {
-		out[stage] = h.Summary()
-	}
+	out := make(map[string]metrics.Summary)
+	t.stages.Each(func(labelVals []string, h *metrics.Histogram) {
+		out[labelVals[0]] = h.Summary()
+	})
 	return out
 }
 

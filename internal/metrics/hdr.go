@@ -1,23 +1,27 @@
 package metrics
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+)
 
-// LatencyHist is an HDR-style bucketed histogram for non-negative integer
-// samples (microseconds in clashload): power-of-two octaves with
+// Histogram is an HDR-style bucketed histogram for non-negative integer
+// samples (microseconds everywhere in this repo): power-of-two octaves with
 // histSubBuckets linear sub-buckets each, giving a bounded relative error of
-// 1/histSubBuckets (~6%) across the full int64 range. Record is a fixed
-// array increment — no per-sample allocation and no sorting, so a load
-// driver can record millions of call latencies and still report exact-shape
-// p50/p95/p99.
+// 1/histSubBuckets (~6%) across the full int64 range. Record is a handful of
+// atomic operations on fixed cells — no allocation, no sorting and no caller
+// lock — so a load driver can record millions of call latencies from many
+// goroutines and still report exact-shape p50/p95/p99.
 //
-// LatencyHist is not synchronised: give each producer its own histogram and
-// Merge them at the end (the clashload worker pattern).
-type LatencyHist struct {
-	counts [histBuckets]uint64
-	count  uint64
-	sum    float64
-	min    int64
-	max    int64
+// The same type backs the registry's histogram families, which expose it at
+// the fixed le bounds in exposeBounds. Create one with NewHistogram.
+type Histogram struct {
+	cells [histBuckets]atomic.Uint64
+	count atomic.Uint64
+	sum   atomic.Int64
+	min   atomic.Int64 // math.MaxInt64 until the first sample
+	max   atomic.Int64
 }
 
 const (
@@ -29,9 +33,11 @@ const (
 	histBuckets = (64 + 1) * histSubBuckets
 )
 
-// NewLatencyHist creates an empty histogram.
-func NewLatencyHist() *LatencyHist {
-	return &LatencyHist{min: -1}
+// NewHistogram creates an empty histogram.
+func NewHistogram() *Histogram {
+	h := &Histogram{}
+	h.min.Store(math.MaxInt64)
+	return h
 }
 
 // bucketIndex maps a sample to its bucket: values below histSubBuckets map
@@ -57,44 +63,50 @@ func bucketMid(i int) float64 {
 	return float64(low) + float64(width-1)/2
 }
 
-// Record adds one sample. Negative samples clamp to zero.
-func (h *LatencyHist) Record(v int64) {
+// Record adds one sample. Negative samples clamp to zero. Safe for
+// concurrent use.
+func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketIndex(v)]++
-	h.count++
-	h.sum += float64(v)
-	if h.min < 0 || v < h.min {
-		h.min = v
+	h.cells[bucketIndex(v)].Add(1)
+	h.sum.Add(v)
+	lowerMin(&h.min, v)
+	raiseMax(&h.max, v)
+	h.count.Add(1)
+}
+
+func lowerMin(m *atomic.Int64, v int64) {
+	for old := m.Load(); v < old && !m.CompareAndSwap(old, v); old = m.Load() {
 	}
-	if v > h.max {
-		h.max = v
+}
+
+func raiseMax(m *atomic.Int64, v int64) {
+	for old := m.Load(); v > old && !m.CompareAndSwap(old, v); old = m.Load() {
 	}
 }
 
 // Merge folds other into h.
-func (h *LatencyHist) Merge(other *LatencyHist) {
-	if other == nil || other.count == 0 {
+func (h *Histogram) Merge(other *Histogram) {
+	if other == nil || other.count.Load() == 0 {
 		return
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for i := range other.cells {
+		if c := other.cells[i].Load(); c > 0 {
+			h.cells[i].Add(c)
+		}
 	}
-	h.count += other.count
-	h.sum += other.sum
-	if h.min < 0 || (other.min >= 0 && other.min < h.min) {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
+	h.sum.Add(other.sum.Load())
+	lowerMin(&h.min, other.min.Load())
+	raiseMax(&h.max, other.max.Load())
+	h.count.Add(other.count.Load())
 }
 
 // Quantile returns the value at quantile q in [0, 1] (bucket midpoint;
 // relative error bounded by the sub-bucket width). Zero when empty.
-func (h *LatencyHist) Quantile(q float64) float64 {
-	if h.count == 0 {
+func (h *Histogram) Quantile(q float64) float64 {
+	count := h.count.Load()
+	if count == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -104,33 +116,58 @@ func (h *LatencyHist) Quantile(q float64) float64 {
 		q = 1
 	}
 	// Nearest-rank on the cumulative bucket counts.
-	rank := uint64(q * float64(h.count))
+	rank := uint64(q * float64(count))
 	if rank > 0 {
 		rank--
 	}
 	var seen uint64
-	for i, c := range h.counts {
+	for i := range h.cells {
+		c := h.cells[i].Load()
 		seen += c
 		if c > 0 && seen > rank {
 			return bucketMid(i)
 		}
 	}
-	return float64(h.max)
+	return float64(h.max.Load())
 }
 
 // Summary renders the histogram as the package's standard Summary statistics.
 // Min and Max are exact; the percentiles carry the bucket resolution error.
-func (h *LatencyHist) Summary() Summary {
-	if h.count == 0 {
+func (h *Histogram) Summary() Summary {
+	count := h.count.Load()
+	if count == 0 {
 		return Summary{}
 	}
 	return Summary{
-		Count: int(h.count),
-		Min:   float64(h.min),
-		Max:   float64(h.max),
-		Mean:  h.sum / float64(h.count),
+		Count: int(count),
+		Min:   float64(h.min.Load()),
+		Max:   float64(h.max.Load()),
+		Mean:  float64(h.sum.Load()) / float64(count),
 		P50:   h.Quantile(0.50),
 		P95:   h.Quantile(0.95),
 		P99:   h.Quantile(0.99),
 	}
+}
+
+// exposeBounds are the le bounds (µs) the registry renders for every
+// histogram: 1 µs, then 4^k − 1 µs up to about 1 s. Each is the last value
+// of its bucket, so the cumulative count at a bound is a sum of whole cells
+// and exact, never interpolated.
+var exposeBounds = [...]int64{1, 3, 15, 63, 255, 1023, 4095, 16383, 65535, 262143, 1048575}
+
+// cumulative returns the cumulative counts at exposeBounds plus the total of
+// all cells (the +Inf bucket), each cell read once so the ladder is
+// monotone even while Record runs.
+func (h *Histogram) cumulative() (atBound [len(exposeBounds)]uint64, total uint64) {
+	i := 0
+	for b, bound := range exposeBounds {
+		for last := bucketIndex(bound); i <= last; i++ {
+			total += h.cells[i].Load()
+		}
+		atBound[b] = total
+	}
+	for ; i < len(h.cells); i++ {
+		total += h.cells[i].Load()
+	}
+	return atBound, total
 }

@@ -1,19 +1,22 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
 func TestLatencyHistSmallValuesExact(t *testing.T) {
-	h := NewLatencyHist()
+	h := NewHistogram()
 	for v := int64(0); v < 16; v++ {
 		h.Record(v)
 	}
-	if h.count != 16 {
-		t.Fatalf("count = %d", h.count)
+	if n := h.count.Load(); n != 16 {
+		t.Fatalf("count = %d", n)
 	}
 	s := h.Summary()
 	if s.Min != 0 || s.Max != 15 {
@@ -54,7 +57,7 @@ func TestLatencyHistBucketMonotone(t *testing.T) {
 // the exact sorted-slice percentiles on a heavy-tailed distribution.
 func TestLatencyHistQuantilesVsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	h := NewLatencyHist()
+	h := NewHistogram()
 	var values []float64
 	for i := 0; i < 200000; i++ {
 		// Log-normal-ish latencies from 1µs to ~1s.
@@ -89,15 +92,15 @@ func TestLatencyHistQuantilesVsExact(t *testing.T) {
 }
 
 func TestLatencyHistMerge(t *testing.T) {
-	a, b := NewLatencyHist(), NewLatencyHist()
+	a, b := NewHistogram(), NewHistogram()
 	for i := int64(0); i < 1000; i++ {
 		a.Record(i)
 		b.Record(i + 1000)
 	}
 	a.Merge(b)
-	a.Merge(NewLatencyHist()) // empty merge is a no-op
-	if a.count != 2000 {
-		t.Fatalf("merged count = %d", a.count)
+	a.Merge(NewHistogram()) // empty merge is a no-op
+	if n := a.count.Load(); n != 2000 {
+		t.Fatalf("merged count = %d", n)
 	}
 	s := a.Summary()
 	if s.Min != 0 || s.Max != 1999 {
@@ -109,7 +112,7 @@ func TestLatencyHistMerge(t *testing.T) {
 }
 
 func TestLatencyHistRecordNoAlloc(t *testing.T) {
-	h := NewLatencyHist()
+	h := NewHistogram()
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Record(12345)
 	})
@@ -119,7 +122,7 @@ func TestLatencyHistRecordNoAlloc(t *testing.T) {
 }
 
 func TestLatencyHistEmpty(t *testing.T) {
-	h := NewLatencyHist()
+	h := NewHistogram()
 	if s := h.Summary(); s != (Summary{}) {
 		t.Errorf("empty summary = %+v", s)
 	}
@@ -127,7 +130,95 @@ func TestLatencyHistEmpty(t *testing.T) {
 		t.Errorf("empty quantile = %v", q)
 	}
 	h.Record(-5) // clamps to 0
-	if h.min != 0 || h.max != 0 {
-		t.Errorf("negative record: min/max = %d/%d", h.min, h.max)
+	if s := h.Summary(); s.Min != 0 || s.Max != 0 {
+		t.Errorf("negative record: min/max = %v/%v", s.Min, s.Max)
+	}
+}
+
+// TestHistogramConcurrentRecord checks that Record needs no caller lock:
+// goroutines recording into one histogram end with the same count, sum, min,
+// max and cells as one goroutine recording the same samples. Run it under
+// -race.
+func TestHistogramConcurrentRecord(t *testing.T) {
+	const workers, per = 8, 5000
+	sample := func(w, i int) int64 { return int64((w*per+i)*7919) % 3_000_000 }
+	serial, shared := NewHistogram(), NewHistogram()
+	for w := 0; w < workers; w++ {
+		for i := 0; i < per; i++ {
+			serial.Record(sample(w, i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				shared.Record(sample(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := shared.Summary(), serial.Summary(); got != want {
+		t.Errorf("concurrent summary = %+v, serial %+v", got, want)
+	}
+	if got, want := shared.sum.Load(), serial.sum.Load(); got != want {
+		t.Errorf("concurrent sum = %d, serial %d", got, want)
+	}
+	for i := range serial.cells {
+		if got, want := shared.cells[i].Load(), serial.cells[i].Load(); got != want {
+			t.Fatalf("cell %d = %d, serial %d", i, got, want)
+		}
+	}
+}
+
+// TestHistogramExpositionExact checks that every rendered le bucket is exact:
+// its cumulative count equals a brute-force count of the samples <= le, for
+// samples on, just below and just above every bound as well as a spread in
+// between, and that the exposition lints clean.
+func TestHistogramExpositionExact(t *testing.T) {
+	var samples []int64
+	for _, b := range exposeBounds {
+		samples = append(samples, b-1, b, b, b+1)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		samples = append(samples, int64(math.Exp(rng.Float64()*15)))
+	}
+	r := NewRegistry()
+	h := r.HistogramVec("stage_seconds", "t", "stage").With("route")
+	var sum int64
+	for _, v := range samples {
+		h.Record(v)
+		sum += v
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, bound := range exposeBounds {
+		want := 0
+		for _, v := range samples {
+			if v <= bound {
+				want++
+			}
+		}
+		line := fmt.Sprintf(`stage_seconds_bucket{stage="route",le="%s"} %d`, formatFloat(float64(bound)/1e6), want)
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("missing %q in\n%s", line, out)
+		}
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`stage_seconds_bucket{stage="route",le="+Inf"} %d`, len(samples)),
+		fmt.Sprintf(`stage_seconds_count{stage="route"} %d`, len(samples)),
+		fmt.Sprintf(`stage_seconds_sum{stage="route"} %s`, formatFloat(float64(sum)/1e6)),
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing %q in\n%s", want, out)
+		}
+	}
+	if errs := LintPrometheus(strings.NewReader(out)); len(errs) != 0 {
+		t.Fatalf("lint: %v", errs)
 	}
 }

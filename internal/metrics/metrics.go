@@ -1,21 +1,9 @@
-// Package metrics provides the lightweight measurement primitives used by the
-// live overlay's status reporting, the hub and the simulator: bounded time
-// series (Set), HDR latency histograms (LatencyHist) and their Summary, and a
-// Prometheus text registry with its exposition linter.
+// Package metrics provides the measurement primitives used by the live
+// overlay, the hub, the load driver and the simulator: one HDR histogram
+// (Histogram) with its Summary, and one Prometheus text registry (Registry)
+// whose histogram families are that same Histogram, plus the registry's
+// exposition linter.
 package metrics
-
-// Point is one (time, value) sample. Time is in seconds on the recording
-// clock (virtual time in the simulator).
-type Point struct {
-	Time  float64 `json:"t"`
-	Value float64 `json:"v"`
-}
-
-// TimeSeries is a named series of samples in time order (see Set).
-type TimeSeries struct {
-	Name   string  `json:"name"`
-	Points []Point `json:"points"`
-}
 
 // Summary holds descriptive statistics of a sample set.
 type Summary struct {

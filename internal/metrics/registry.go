@@ -14,10 +14,13 @@ import (
 
 // Registry is a Prometheus-text-format metric registry: named families of
 // counters, gauges and histograms, each optionally split by a fixed label
-// set. Hot-path updates (Counter.Inc, Histogram.Observe) are single atomic
+// set. Hot-path updates (Counter.Inc, Histogram.Record) are atomic
 // operations on pre-resolved handles — no map lookups, no allocation — so the
 // data path can record per-packet without a lock. Rendering walks the
 // families sorted by name, producing deterministic output a scraper can diff.
+//
+// Histogram families take integer microsecond samples and render them in
+// seconds (their names end in _seconds) at the fixed exposeBounds ladder.
 //
 // Scrape-time state (the node's group table, the suspicion snapshot, the
 // transport counters) is absorbed through OnCollect callbacks that run once
@@ -44,26 +47,22 @@ const (
 // family is one named metric family: a type, a help line, a fixed label-key
 // list and the children keyed by their label values.
 type family struct {
-	name    string
-	help    string
-	typ     string
-	labels  []string
-	buckets []float64 // histogram upper bounds, strictly increasing, no +Inf
+	name   string
+	help   string
+	typ    string
+	labels []string
 
 	mu       sync.Mutex
 	children map[string]*child
 	order    []string
 }
 
-// child is the storage cell for one label-value combination. The same cell
-// backs all three metric types: val holds a counter count or gauge bits, sum
-// and bucketCounts only serve histograms.
+// child is the storage cell for one label-value combination: val holds a
+// counter count or gauge bits; hist is set for histogram families only.
 type child struct {
-	labelVals    []string
-	val          atomic.Uint64
-	sumBits      atomic.Uint64
-	count        atomic.Uint64
-	bucketCounts []atomic.Uint64 // len(buckets)+1, last is +Inf
+	labelVals []string
+	val       atomic.Uint64
+	hist      *Histogram
 }
 
 // Counter is a monotonically increasing value.
@@ -81,36 +80,6 @@ type Gauge struct{ c *child }
 
 // Set overwrites the value.
 func (g Gauge) Set(v float64) { g.c.val.Store(math.Float64bits(v)) }
-
-// Histogram counts observations into fixed cumulative buckets.
-type Histogram struct {
-	bounds []float64
-	c      *child
-}
-
-// Observe records one sample: one atomic bucket increment, one count
-// increment and a CAS-add on the sum. No allocation.
-func (h Histogram) Observe(v float64) {
-	// Binary search over the (short) bound list for the first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	h.c.bucketCounts[lo].Add(1)
-	h.c.count.Add(1)
-	for {
-		old := h.c.sumBits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + v)
-		if h.c.sumBits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
 
 // CounterVec / GaugeVec / HistogramVec are label-keyed families; With
 // resolves one label-value combination to its handle (creating it on first
@@ -131,8 +100,22 @@ func (v GaugeVec) With(labelVals ...string) Gauge {
 }
 
 // With returns the histogram for the given label values (in key order).
-func (v HistogramVec) With(labelVals ...string) Histogram {
-	return Histogram{bounds: v.f.buckets, c: v.f.child(labelVals)}
+func (v HistogramVec) With(labelVals ...string) *Histogram {
+	return v.f.child(labelVals).hist
+}
+
+// Each calls fn for every child of the family with its label values (in key
+// order), in creation order.
+func (v HistogramVec) Each(fn func(labelVals []string, h *Histogram)) {
+	v.f.mu.Lock()
+	children := make([]*child, 0, len(v.f.order))
+	for _, k := range v.f.order {
+		children = append(children, v.f.children[k])
+	}
+	v.f.mu.Unlock()
+	for _, c := range children {
+		fn(c.labelVals, c.hist)
+	}
 }
 
 // Reset drops every child of the family. OnCollect callbacks mirroring a
@@ -159,7 +142,7 @@ func (f *family) child(labelVals []string) *child {
 	if !ok {
 		c = &child{labelVals: append([]string(nil), labelVals...)}
 		if f.typ == typeHistogram {
-			c.bucketCounts = make([]atomic.Uint64, len(f.buckets)+1)
+			c.hist = NewHistogram()
 		}
 		f.children[key] = c
 		f.order = append(f.order, key)
@@ -187,18 +170,13 @@ func validName(s string, colonOK bool) bool {
 
 // register creates (or returns) a family, panicking on an invalid name or a
 // redefinition with a different shape — both programmer errors.
-func (r *Registry) register(name, help, typ string, labels []string, buckets []float64) *family {
+func (r *Registry) register(name, help, typ string, labels []string) *family {
 	if !validName(name, true) {
 		panic("metrics: invalid metric name " + strconv.Quote(name))
 	}
 	for _, l := range labels {
 		if !validName(l, false) {
 			panic("metrics: invalid label name " + strconv.Quote(l))
-		}
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic("metrics: histogram buckets not strictly increasing for " + name)
 		}
 	}
 	r.mu.Lock()
@@ -219,7 +197,6 @@ func (r *Registry) register(name, help, typ string, labels []string, buckets []f
 		help:     help,
 		typ:      typ,
 		labels:   append([]string(nil), labels...),
-		buckets:  append([]float64(nil), buckets...),
 		children: make(map[string]*child),
 	}
 	r.families[name] = f
@@ -228,29 +205,30 @@ func (r *Registry) register(name, help, typ string, labels []string, buckets []f
 
 // Counter registers (or returns) an unlabeled counter.
 func (r *Registry) Counter(name, help string) Counter {
-	f := r.register(name, help, typeCounter, nil, nil)
+	f := r.register(name, help, typeCounter, nil)
 	return Counter{c: f.child(nil)}
 }
 
 // CounterVec registers (or returns) a counter family with the given label keys.
 func (r *Registry) CounterVec(name, help string, labels ...string) CounterVec {
-	return CounterVec{f: r.register(name, help, typeCounter, labels, nil)}
+	return CounterVec{f: r.register(name, help, typeCounter, labels)}
 }
 
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) Gauge {
-	f := r.register(name, help, typeGauge, nil, nil)
+	f := r.register(name, help, typeGauge, nil)
 	return Gauge{c: f.child(nil)}
 }
 
 // GaugeVec registers (or returns) a gauge family with the given label keys.
 func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
-	return GaugeVec{f: r.register(name, help, typeGauge, labels, nil)}
+	return GaugeVec{f: r.register(name, help, typeGauge, labels)}
 }
 
 // HistogramVec registers (or returns) a histogram family with label keys.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) HistogramVec {
-	return HistogramVec{f: r.register(name, help, typeHistogram, labels, buckets)}
+// Its children record integer microseconds and render in seconds.
+func (r *Registry) HistogramVec(name, help string, labels ...string) HistogramVec {
+	return HistogramVec{f: r.register(name, help, typeHistogram, labels)}
 }
 
 // OnCollect registers a callback run (in registration order) at the start of
@@ -259,18 +237,6 @@ func (r *Registry) OnCollect(fn func()) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
-}
-
-// ExpBuckets returns count exponential histogram bounds starting at start and
-// growing by factor.
-func ExpBuckets(start, factor float64, count int) []float64 {
-	out := make([]float64, count)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }
 
 // escapeLabel escapes a label value for the text format.
@@ -405,12 +371,11 @@ func (f *family) render(b *strings.Builder) {
 			b.WriteString(formatFloat(math.Float64frombits(c.val.Load())))
 			b.WriteByte('\n')
 		case typeHistogram:
-			var cum uint64
-			for i := range c.bucketCounts {
-				cum += c.bucketCounts[i].Load()
-				le := "+Inf"
-				if i < len(f.buckets) {
-					le = formatFloat(f.buckets[i])
+			atBound, total := c.hist.cumulative()
+			for i := 0; i <= len(atBound); i++ {
+				le, cum := "+Inf", total
+				if i < len(atBound) {
+					le, cum = formatFloat(float64(exposeBounds[i])/1e6), atBound[i]
 				}
 				b.WriteString(f.name)
 				b.WriteString("_bucket")
@@ -423,13 +388,15 @@ func (f *family) render(b *strings.Builder) {
 			b.WriteString("_sum")
 			appendLabels(b, f.labels, c.labelVals, "", "")
 			b.WriteByte(' ')
-			b.WriteString(formatFloat(math.Float64frombits(c.sumBits.Load())))
+			b.WriteString(formatFloat(float64(c.hist.sum.Load()) / 1e6))
 			b.WriteByte('\n')
+			// _count repeats the +Inf bucket so the two agree even while
+			// Record runs concurrently.
 			b.WriteString(f.name)
 			b.WriteString("_count")
 			appendLabels(b, f.labels, c.labelVals, "", "")
 			b.WriteByte(' ')
-			b.WriteString(strconv.FormatUint(c.count.Load(), 10))
+			b.WriteString(strconv.FormatUint(total, 10))
 			b.WriteByte('\n')
 		}
 	}

@@ -58,8 +58,8 @@ type MemNetwork struct {
 	asym      map[string]int     // asymmetric-partition group; absent = 0
 	asymBlock map[[2]int]bool    // [from, to] group pair → blackholed
 
-	latency   map[byte]*metrics.LatencyHist // one-way µs by request type byte
-	traceCost *time.Duration                // armed by TraceCall
+	latency   map[byte]*metrics.Histogram // one-way µs by request type byte
+	traceCost *time.Duration              // armed by TraceCall
 }
 
 // scheduler is the part of the discrete-event engine's clock the fabric
@@ -80,7 +80,7 @@ func NewMemNetwork() *MemNetwork {
 		slow:      make(map[string]float64),
 		asym:      make(map[string]int),
 		asymBlock: make(map[[2]int]bool),
-		latency:   make(map[byte]*metrics.LatencyHist),
+		latency:   make(map[byte]*metrics.Histogram),
 	}
 }
 
@@ -223,7 +223,7 @@ func (n *MemNetwork) Calls(msgType string) int {
 // Latency returns a copy of the one-way delivery latency histogram (in
 // microseconds of the fabric's clock) recorded for a request type, or nil if
 // none was delivered through the link model.
-func (n *MemNetwork) Latency(msgType string) *metrics.LatencyHist {
+func (n *MemNetwork) Latency(msgType string) *metrics.Histogram {
 	typ, err := typeByte(msgType)
 	if err != nil {
 		return nil
@@ -233,7 +233,7 @@ func (n *MemNetwork) Latency(msgType string) *metrics.LatencyHist {
 	if n.latency[typ] == nil {
 		return nil
 	}
-	h := metrics.NewLatencyHist()
+	h := metrics.NewHistogram()
 	h.Merge(n.latency[typ])
 	return h
 }
@@ -322,7 +322,7 @@ func (c *linkCall) leg(from, to *MemEndpoint, request bool) error {
 	if request && !lost && !late {
 		h := n.latency[c.typ]
 		if h == nil {
-			h = metrics.NewLatencyHist()
+			h = metrics.NewHistogram()
 			n.latency[c.typ] = h
 		}
 		h.Record(lat.Microseconds())

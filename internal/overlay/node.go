@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"clash/internal/core"
 	"clash/internal/cq"
 	"clash/internal/load"
-	"clash/internal/metrics"
 )
 
 // Config parameterises an overlay node. The zero value is completed with
@@ -128,8 +126,6 @@ type Node struct {
 	server *core.Server
 	engine *cq.Engine
 	meter  *load.Meter
-	series *metrics.Set
-	start  time.Time
 
 	// obs is the installed control-plane observer (SetObserver); draining
 	// marks the node in admin drain mode (Drain/Undrain).
@@ -197,8 +193,6 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		server:      server,
 		engine:      engine,
 		meter:       load.NewMeterClock(cfg.LoadCheckInterval.Seconds(), cfg.Clock.Now),
-		series:      metrics.NewSet(),
-		start:       cfg.Clock.Now(),
 		subscribers: make(map[string]string),
 		pending:     make(map[string]pendingTransfer),
 		replicas:    make(map[string]*replicaSet),
@@ -242,7 +236,7 @@ func (n *Node) Engine() *cq.Engine { return n.engine }
 
 // Successors returns the node's current chord successor list (nearest first);
 // a lightweight accessor for ring-convergence checks (the full Status
-// snapshot copies the metrics series too).
+// snapshot also walks the group table, the engine and the suspicion table).
 func (n *Node) Successors() []chord.NodeRef { return n.chord.Successors() }
 
 // Predecessor returns the node's current chord predecessor (zero when
@@ -438,9 +432,8 @@ func (n *Node) mapGroup(vk bitkey.Key) (core.ServerID, error) {
 // per-group samples (keyed by bitkey.Group) into the server's per-group
 // loads, splits the server's hottest active group when overloaded (with a
 // real ACCEPT_KEYGROUP transfer), sends load reports to parents, consolidates
-// cold sibling pairs, re-pushes the node's key-group replicas to its
-// successors, and records the metrics series, load.hottest being the highest
-// load among the metered groups.
+// cold sibling pairs and re-pushes the node's key-group replicas to its
+// successors.
 func (n *Node) LoadCheck(now time.Time) {
 	n.recoverFromReplicas()
 	n.retryPending()
@@ -468,7 +461,6 @@ func (n *Node) LoadCheck(now time.Time) {
 	n.tryMerge(now)
 	n.gcReplicas()
 	n.replicate()
-	n.record(now, total, samples)
 }
 
 // precomputeSplitTargets resolves the DHT mappings a split of g can need
@@ -950,47 +942,4 @@ func verdictString(s chord.PeerState) string {
 	default:
 		return "ok"
 	}
-}
-
-// record appends this period's samples to the metrics series: total load,
-// the highest load among the metered groups (active or not; skipped when no
-// group was metered), table and engine sizes and the cumulative protocol
-// counters.
-func (n *Node) record(now time.Time, total float64, samples map[bitkey.Group]load.Sample) {
-	t := now.Sub(n.start).Seconds()
-	n.series.Observe("load.total", t, total)
-	if len(samples) > 0 {
-		hottest := math.Inf(-1)
-		for _, s := range samples {
-			hottest = max(hottest, n.cfg.Model.Load(s))
-		}
-		n.series.Observe("load.hottest", t, hottest)
-	}
-	n.series.Observe("groups.active", t, float64(len(n.server.ActiveGroups())))
-	n.series.Observe("queries.stored", t, float64(n.engine.Len()))
-	ctr := n.server.Counters()
-	n.series.Observe("counter.splits", t, float64(ctr.Splits))
-	n.series.Observe("counter.merges", t, float64(ctr.Merges))
-	n.series.Observe("counter.groups_accepted", t, float64(ctr.GroupsAccepted))
-	n.series.Observe("counter.groups_released", t, float64(ctr.GroupsReleased))
-	n.series.Observe("counter.groups_recovered", t, float64(ctr.GroupsRecovered))
-	n.series.Observe("counter.transfer_drops", t, float64(atomic.LoadInt64(&n.transferDrops)))
-	origins, repGroups := n.replicaCounts()
-	n.series.Observe("replicas.origins", t, float64(origins))
-	n.series.Observe("replicas.groups", t, float64(repGroups))
-	n.series.Observe("counter.objects_ok", t, float64(ctr.ObjectsOK))
-	n.series.Observe("counter.objects_corrected", t, float64(ctr.ObjectsCorrect))
-	n.series.Observe("counter.objects_wrong", t, float64(ctr.ObjectsWrong))
-	ts := n.tr.Stats()
-	n.series.Observe("net.frames_in", t, float64(ts.FramesIn))
-	n.series.Observe("net.frames_out", t, float64(ts.FramesOut))
-	n.series.Observe("net.bytes_in", t, float64(ts.BytesIn))
-	n.series.Observe("net.bytes_out", t, float64(ts.BytesOut))
-	n.series.Observe("net.in_flight", t, float64(ts.InFlight))
-	n.series.Observe("net.reconnects", t, float64(ts.Reconnects))
-	n.series.Observe("net.oversized_drops", t, float64(ts.OversizedDrops))
-	n.series.Observe("net.timeouts", t, float64(ts.Timeouts))
-	n.series.Observe("net.retries", t, float64(ts.Retries))
-	n.series.Observe("net.shed", t, float64(ts.Shed))
-	n.series.Observe("suspicion.peers", t, float64(len(n.susp.snapshot())))
 }

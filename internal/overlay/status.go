@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"clash/internal/core"
-	"clash/internal/metrics"
 )
 
 // Status is a JSON-marshalable snapshot of one overlay node, served by
@@ -51,9 +50,6 @@ type Status struct {
 	// Suspicion lists every peer currently carrying a failure streak in the
 	// node's failure detector, with its suspicion score and latency EWMA.
 	Suspicion map[string]SuspicionStat `json:"suspicion,omitempty"`
-	// Series are the node's metrics time series (load, group counts,
-	// counters per load-check period).
-	Series []metrics.TimeSeries `json:"series"`
 }
 
 // Status captures the node's current state.
@@ -92,6 +88,5 @@ func (n *Node) Status() Status {
 		Counters:         n.server.Counters(),
 		Transport:        n.tr.Stats(),
 		Suspicion:        n.susp.snapshot(),
-		Series:           n.series.Snapshot(),
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Topology RPC: the hub's /topology endpoint walks the ring by asking each
 // node for a TopoNode snapshot (TypeTopology) and following successor
 // pointers until the walk closes. The snapshot is intentionally lighter than
-// the full Status document — no metrics series — so a fanout across a large
-// ring stays cheap.
+// the full Status document — no counters, transport stats or suspicion
+// table — so a fanout across a large ring stays cheap.
 
 // TopoGroup is one active key group in a topology snapshot.
 type TopoGroup struct {

@@ -350,8 +350,8 @@ type runner struct {
 	// Gray-failure accounting: which nodes are slowed, and the virtual cost
 	// of every measured maintenance tick (healthy vs slowed, microseconds).
 	slowSet      map[string]bool
-	tickCost     *metrics.LatencyHist
-	slowTickCost *metrics.LatencyHist
+	tickCost     *metrics.Histogram
+	slowTickCost *metrics.Histogram
 
 	// events counts the protocol events every node's observer reports.
 	events *eventCounter
@@ -385,8 +385,8 @@ func Run(sc Scenario) (*Result, error) {
 	r := &runner{
 		sc: sc, eng: eng, net: net,
 		slowSet:      make(map[string]bool),
-		tickCost:     metrics.NewLatencyHist(),
-		slowTickCost: metrics.NewLatencyHist(),
+		tickCost:     metrics.NewHistogram(),
+		slowTickCost: metrics.NewHistogram(),
 		events:       newEventCounter(),
 	}
 	if err := r.boot(); err != nil {

@@ -6,7 +6,9 @@
 // packets (Ld exponentially distributed, mean 1000); query clients register
 // long-lived continuous queries over keys drawn with the same skew. The
 // paper's query lifetimes (exponential, mean 30 minutes) are not drawn here:
-// every driver keeps its queries for the whole run.
+// every driver keeps its queries for the whole run. Nor are the paper's
+// per-source rates (1 packet/s for A, 2 for B and C): each driver paces its
+// sources from its own settings.
 package workload
 
 import (
@@ -63,24 +65,16 @@ type Spec struct {
 	KeyBits int
 	// BaseBits is the number of leading key bits that carry the skew (X).
 	BaseBits int
-	// SourceRate is the per-source data rate in packets/second (1 for
-	// workload A, 2 for B and C in the paper).
-	SourceRate float64
 	// MeanStreamLen is the mean virtual stream length Ld in packets.
 	MeanStreamLen float64
 }
 
 // SpecFor returns the paper's parameters for a workload kind.
 func SpecFor(kind Kind) Spec {
-	rate := 1.0
-	if kind != WorkloadA {
-		rate = 2.0
-	}
 	return Spec{
 		Kind:          kind,
 		KeyBits:       DefaultKeyBits,
 		BaseBits:      DefaultBaseBits,
-		SourceRate:    rate,
 		MeanStreamLen: DefaultMeanStreamLen,
 	}
 }
@@ -96,8 +90,8 @@ func (s Spec) Validate() error {
 	if s.BaseBits < 1 || s.BaseBits >= s.KeyBits || s.BaseBits > 20 {
 		return fmt.Errorf("%w: base bits %d", ErrBadSpec, s.BaseBits)
 	}
-	if s.SourceRate <= 0 || s.MeanStreamLen <= 0 {
-		return fmt.Errorf("%w: non-positive rates", ErrBadSpec)
+	if s.MeanStreamLen <= 0 {
+		return fmt.Errorf("%w: mean stream length %g", ErrBadSpec, s.MeanStreamLen)
 	}
 	return nil
 }

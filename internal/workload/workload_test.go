@@ -22,14 +22,6 @@ func TestSpecForMatchesPaperParameters(t *testing.T) {
 	if a.KeyBits != 24 || a.BaseBits != 8 {
 		t.Errorf("workload A key layout = %d/%d, want 24/8", a.KeyBits, a.BaseBits)
 	}
-	if a.SourceRate != 1 {
-		t.Errorf("workload A rate = %g, want 1 packet/sec", a.SourceRate)
-	}
-	for _, k := range []Kind{WorkloadB, WorkloadC} {
-		if got := SpecFor(k).SourceRate; got != 2 {
-			t.Errorf("workload %v rate = %g, want 2 packets/sec", k, got)
-		}
-	}
 	if a.MeanStreamLen != 1000 {
 		t.Errorf("mean stream length = %g, want 1000", a.MeanStreamLen)
 	}
@@ -37,10 +29,10 @@ func TestSpecForMatchesPaperParameters(t *testing.T) {
 
 func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
-		{Kind: Kind(9), KeyBits: 24, BaseBits: 8, SourceRate: 1, MeanStreamLen: 1},
-		{Kind: WorkloadA, KeyBits: 1, BaseBits: 1, SourceRate: 1, MeanStreamLen: 1},
-		{Kind: WorkloadA, KeyBits: 24, BaseBits: 24, SourceRate: 1, MeanStreamLen: 1},
-		{Kind: WorkloadA, KeyBits: 24, BaseBits: 8, SourceRate: 0, MeanStreamLen: 1},
+		{Kind: Kind(9), KeyBits: 24, BaseBits: 8, MeanStreamLen: 1},
+		{Kind: WorkloadA, KeyBits: 1, BaseBits: 1, MeanStreamLen: 1},
+		{Kind: WorkloadA, KeyBits: 24, BaseBits: 24, MeanStreamLen: 1},
+		{Kind: WorkloadA, KeyBits: 24, BaseBits: 8, MeanStreamLen: 0},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
