@@ -259,14 +259,16 @@ type Event struct {
 // Engine stores continuous queries and matches events against them. Queries
 // are indexed by region prefix in a bit-trie, so matching an event is one
 // O(N + matches) trie walk over the event key's prefixes — no per-depth string
-// keys, no scan over every registered region.
+// keys, no scan over every registered region. Each region's queries are one
+// slice sorted by ID, so a region holding a single query costs that query's
+// slice entry, not a map.
 //
 // Engine is safe for concurrent use.
 type Engine struct {
 	mu       sync.RWMutex
 	keyBits  int
-	byRegion *bitkey.Trie[map[string]Query] // region prefix → id → query
-	regions  map[string]bitkey.Key          // id → region prefix
+	byRegion *bitkey.Trie[[]Query] // region prefix → its queries, sorted by ID
+	regions  map[string]bitkey.Key // id → region prefix
 }
 
 // NewEngine creates an engine for an N-bit key space.
@@ -276,7 +278,7 @@ func NewEngine(keyBits int) (*Engine, error) {
 	}
 	return &Engine{
 		keyBits:  keyBits,
-		byRegion: bitkey.NewTrie[map[string]Query](),
+		byRegion: bitkey.NewTrie[[]Query](),
 		regions:  make(map[string]bitkey.Key),
 	}, nil
 }
@@ -299,15 +301,14 @@ func (e *Engine) Register(q Query) error {
 		return fmt.Errorf("%w: %s", ErrDuplicateQuery, q.ID)
 	}
 	prefix := q.Region.Prefix
-	qs, ok := e.byRegion.Get(prefix)
-	if !ok {
-		qs = make(map[string]Query)
-		e.byRegion.Put(prefix, qs)
-	}
-	qs[q.ID] = q
+	qs, _ := e.byRegion.Get(prefix)
+	i, _ := slices.BinarySearchFunc(qs, q.ID, compareID)
+	e.byRegion.Put(prefix, slices.Insert(qs, i, q))
 	e.regions[q.ID] = prefix
 	return nil
 }
+
+func compareID(q Query, id string) int { return strings.Compare(q.ID, id) }
 
 // Unregister removes a query by id.
 func (e *Engine) Unregister(id string) error {
@@ -318,19 +319,14 @@ func (e *Engine) Unregister(id string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownQuery, id)
 	}
 	delete(e.regions, id)
-	e.removeFromRegion(prefix, id)
-	return nil
-}
-
-// removeFromRegion drops one query id from a region bucket, deleting the
-// bucket's trie node when it empties. Callers hold e.mu.
-func (e *Engine) removeFromRegion(prefix bitkey.Key, id string) {
-	if qs, ok := e.byRegion.Get(prefix); ok {
-		delete(qs, id)
-		if len(qs) == 0 {
-			e.byRegion.Delete(prefix)
-		}
+	qs, _ := e.byRegion.Get(prefix)
+	if len(qs) == 1 {
+		e.byRegion.Delete(prefix) // an empty bucket takes its trie node with it
+		return nil
 	}
+	i, _ := slices.BinarySearchFunc(qs, id, compareID)
+	e.byRegion.Put(prefix, slices.Delete(qs, i, i+1))
+	return nil
 }
 
 // Match returns the queries matched by an event, ordered by query ID for
@@ -341,10 +337,10 @@ func (e *Engine) Match(ev Event) []Query {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var out []Query
-	e.byRegion.VisitMatches(ev.Key, func(_ bitkey.Key, qs map[string]Query) bool {
-		for _, q := range qs {
-			if q.Matches(ev) {
-				out = append(out, q)
+	e.byRegion.VisitMatches(ev.Key, func(_ bitkey.Key, qs []Query) bool {
+		for i := range qs {
+			if qs[i].Matches(ev) {
+				out = append(out, qs[i])
 			}
 		}
 		return true
@@ -371,10 +367,8 @@ func (e *Engine) All() []Query {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make([]Query, 0, len(e.regions))
-	e.byRegion.Visit(func(_ bitkey.Key, qs map[string]Query) bool {
-		for _, q := range qs {
-			out = append(out, q)
-		}
+	e.byRegion.Visit(func(_ bitkey.Key, qs []Query) bool {
+		out = append(out, qs...)
 		return true
 	})
 	slices.SortFunc(out, compareIDs)
@@ -383,74 +377,77 @@ func (e *Engine) All() []Query {
 
 func compareIDs(a, b Query) int { return strings.Compare(a.ID, b.ID) }
 
-// QueriesInGroup returns (without removing) the queries whose identifier key
-// falls inside the given key group, ordered by ID.
-func (e *Engine) QueriesInGroup(g bitkey.Group) []Query {
+// VisitInGroup calls fn with every query whose identifier key falls inside
+// the given key group, by region prefix and then by ID, without copying the
+// set. fn runs under the engine's read lock: it must not call back into the
+// engine. The overlay's replica push walks a group's queries this way.
+func (e *Engine) VisitInGroup(g bitkey.Group, fn func(Query)) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.collectInGroup(g)
+	e.visitInGroup(g, func(_ bitkey.Key, qs []Query) {
+		for i := range qs {
+			fn(qs[i])
+		}
+	})
 }
 
-// CountInGroup returns how many queries QueriesInGroup would return, without
-// copying or sorting them.
+// CountInGroup returns how many queries fall inside g, without copying or
+// sorting them.
 func (e *Engine) CountInGroup(g bitkey.Group) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := 0
-	e.visitInGroup(g, func(qs map[string]Query) { n += len(qs) })
+	e.visitInGroup(g, func(_ bitkey.Key, qs []Query) { n += len(qs) })
 	return n
 }
 
-func (e *Engine) collectInGroup(g bitkey.Group) []Query {
-	var out []Query
-	e.visitInGroup(g, func(qs map[string]Query) {
-		for _, q := range qs {
-			out = append(out, q)
-		}
-	})
-	slices.SortFunc(out, compareIDs)
-	return out
-}
-
 // visitInGroup calls fn with every region bucket whose queries' identifier
-// keys fall inside g. Callers hold e.mu.
-func (e *Engine) visitInGroup(g bitkey.Group, fn func(map[string]Query)) {
+// keys fall inside g, in region prefix order. Callers hold e.mu.
+func (e *Engine) visitInGroup(g bitkey.Group, fn func(bitkey.Key, []Query)) {
 	// A region's identifier key is its virtual key (prefix padded with
 	// zeroes), so a region falls inside g in exactly two cases:
 	//
-	//   - region depth ≥ g's depth and g's prefix is a prefix of the region:
-	//     the trie subtree under g's prefix;
 	//   - region depth < g's depth, the region is a prefix of g's prefix, and
 	//     the zero padding supplies g's remaining bits (i.e. the rest of g's
-	//     prefix is all zeroes): nodes on the path to g's prefix.
+	//     prefix is all zeroes): nodes on the path to g's prefix;
+	//   - region depth ≥ g's depth and g's prefix is a prefix of the region:
+	//     the trie subtree under g's prefix.
 	// A group deeper than the key space contains no identifier keys at all.
 	if g.Prefix.Bits > e.keyBits {
 		return
 	}
-	e.byRegion.VisitSubtree(g.Prefix, func(_ bitkey.Key, qs map[string]Query) bool {
-		fn(qs)
+	gp := g.Prefix
+	e.byRegion.VisitMatches(gp, func(p bitkey.Key, qs []Query) bool {
+		if p.Bits < gp.Bits && gp.Value&((1<<uint(gp.Bits-p.Bits))-1) == 0 {
+			fn(p, qs)
+		}
 		return true
 	})
-	gp := g.Prefix
-	e.byRegion.VisitMatches(gp, func(p bitkey.Key, qs map[string]Query) bool {
-		if p.Bits < gp.Bits && gp.Value&((1<<uint(gp.Bits-p.Bits))-1) == 0 {
-			fn(qs)
-		}
+	e.byRegion.VisitSubtree(gp, func(p bitkey.Key, qs []Query) bool {
+		fn(p, qs)
 		return true
 	})
 }
 
 // ExtractGroup removes and returns the queries whose identifier key falls
-// inside the given key group. The overlay calls it when a key group is
-// transferred to another server.
+// inside the given key group, ordered by ID. The overlay calls it when a key
+// group is transferred to another server. Region membership is all or
+// nothing, so whole buckets leave the trie.
 func (e *Engine) ExtractGroup(g bitkey.Group) []Query {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := e.collectInGroup(g)
-	for _, q := range out {
-		prefix := e.regions[q.ID]
-		delete(e.regions, q.ID)
-		e.removeFromRegion(prefix, q.ID)
+	var out []Query
+	var prefixes []bitkey.Key
+	e.visitInGroup(g, func(p bitkey.Key, qs []Query) {
+		prefixes = append(prefixes, p)
+		out = append(out, qs...)
+	})
+	for _, p := range prefixes {
+		e.byRegion.Delete(p)
 	}
+	for _, q := range out {
+		delete(e.regions, q.ID)
+	}
+	slices.SortFunc(out, compareIDs)
 	return out
 }

@@ -167,9 +167,8 @@ func TestEngineExtractGroupMigratesState(t *testing.T) {
 	}
 	// Splitting "011*" transfers the right child "0111*": exactly the odd
 	// queries move.
-	inGroup := e.QueriesInGroup(bitkey.MustParseGroup("0111*"))
-	if len(inGroup) != 10 {
-		t.Fatalf("QueriesInGroup = %d, want 10", len(inGroup))
+	if n := e.CountInGroup(bitkey.MustParseGroup("0111*")); n != 10 {
+		t.Fatalf("CountInGroup = %d, want 10", n)
 	}
 	moved := e.ExtractGroup(bitkey.MustParseGroup("0111*"))
 	if len(moved) != 10 {
@@ -275,7 +274,7 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-// TestCountInGroupMatchesCollect checks CountInGroup and QueriesInGroup
+// TestCountInGroupMatchesCollect checks CountInGroup and VisitInGroup
 // against a brute-force scan over identifier keys, for regions both deeper
 // and shallower than the group (the latter count only when their zero
 // padding lands inside it).
@@ -301,13 +300,13 @@ func TestCountInGroupMatchesCollect(t *testing.T) {
 					want++
 				}
 			}
-			got := e.QueriesInGroup(g)
+			got := queriesInGroup(e, g)
 			if n := e.CountInGroup(g); n != want || len(got) != want {
-				t.Fatalf("group %v: CountInGroup %d, QueriesInGroup %d, want %d", g, n, len(got), want)
+				t.Fatalf("group %v: CountInGroup %d, VisitInGroup %d, want %d", g, n, len(got), want)
 			}
 			for i := 1; i < len(got); i++ {
-				if got[i-1].ID >= got[i].ID {
-					t.Fatalf("group %v: QueriesInGroup not sorted by ID at %d", g, i)
+				if !regionThenID(got[i-1], got[i]) {
+					t.Fatalf("group %v: VisitInGroup not ordered by region, then ID, at %d", g, i)
 				}
 			}
 		}

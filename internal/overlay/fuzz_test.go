@@ -147,3 +147,38 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReplicateScan holds scanReplicate, the receipt-time validation of a
+// replica push, to replicateMsg.UnmarshalWire: it must accept exactly the
+// payloads the decoder accepts and read the same header, group count and
+// trace context from them.
+func FuzzReplicateScan(f *testing.F) {
+	push := replicateMsg{Origin: "n1", Incarnation: 9, Version: 2,
+		Groups: []replicaGroupRec{
+			{GroupValue: 1, GroupBits: 2, Parent: "p", Epoch: 3, Queries: [][]byte{[]byte("q1"), []byte("q2")}},
+			{GroupValue: 0, GroupBits: 1, IsRoot: true},
+		},
+		Loose: [][]byte{[]byte("lq")}, TraceID: 7, ParentSpan: 8, Hop: 1}
+	enc := push.MarshalWire(nil)
+	// Every prefix: the pre-span and pre-Loose layouts among them.
+	for i := 0; i <= len(enc); i++ {
+		f.Add(enc[:i])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := scanReplicate(data)
+		var msg replicateMsg
+		derr := msg.UnmarshalWire(data)
+		if (err != nil) != (derr != nil) {
+			t.Fatalf("scanReplicate error %v, UnmarshalWire error %v", err, derr)
+		}
+		if err != nil {
+			return
+		}
+		got := fmt.Sprintf("%s %d %d %d %+v", h.Origin, h.Incarnation, h.Version, h.Groups, h.Trace)
+		want := fmt.Sprintf("%s %d %d %d %+v", msg.Origin, msg.Incarnation, msg.Version, len(msg.Groups),
+			spanRef{TraceID: msg.TraceID, Parent: msg.ParentSpan, Hop: msg.Hop})
+		if got != want {
+			t.Fatalf("scanned %s, decoded %s", got, want)
+		}
+	})
+}

@@ -346,11 +346,9 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 			n.meter.AddQueries(res.Group, 1)
 			registered = true
 		}
-		if st.Subscriber != "" {
-			n.mu.Lock()
-			n.subscribers[q.ID] = st.Subscriber
-			n.mu.Unlock()
-		}
+		n.mu.Lock()
+		n.setSubscriberLocked(q.ID, st.Subscriber)
+		n.mu.Unlock()
 	}
 	if obs != nil {
 		rec := TraceRecord{
@@ -394,7 +392,7 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 	n.mu.Lock()
 	targets := make([]target, 0, len(matched))
 	for _, q := range matched {
-		if sub := n.subscribers[q.ID]; sub != "" {
+		if sub := n.queries[q.ID].subscriber; sub != "" {
 			targets = append(targets, target{id: q.ID, sub: sub})
 		}
 	}

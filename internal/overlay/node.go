@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 	"clash/internal/core"
 	"clash/internal/cq"
 	"clash/internal/load"
+	"clash/internal/wirecodec"
 )
 
 // Config parameterises an overlay node. The zero value is completed with
@@ -143,7 +145,7 @@ type Node struct {
 	repMu sync.Mutex
 
 	mu            sync.Mutex
-	subscribers   map[string]string          // query id → subscriber transport addr
+	queries       map[string]storedQuery     // query id → subscriber and wire record
 	pending       map[string]pendingTransfer // group key → parked transfer
 	reclaims      []pendingReclaim
 	orphans       []orphanQuery
@@ -193,7 +195,7 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		server:      server,
 		engine:      engine,
 		meter:       load.NewMeterClock(cfg.LoadCheckInterval.Seconds(), cfg.Clock.Now),
-		subscribers: make(map[string]string),
+		queries:     make(map[string]storedQuery),
 		pending:     make(map[string]pendingTransfer),
 		replicas:    make(map[string]*replicaSet),
 		incarnation: uint64(cfg.Clock.Now().UnixNano()),
@@ -254,7 +256,7 @@ func (n *Node) replicaCounts() (origins, groups int) {
 	defer n.mu.Unlock()
 	for _, set := range n.replicas {
 		origins++
-		groups += len(set.groups)
+		groups += set.groups
 	}
 	return origins, groups
 }
@@ -535,6 +537,44 @@ func (n *Node) splitGroup(g bitkey.Group) error {
 	return nil
 }
 
+// storedQuery is what the node keeps per engine query beside the engine's
+// copy: where its match notifications go, and its queryState wire record.
+// rec is nil from the query's registration, or a change of its subscriber,
+// until a push or transfer first needs it; once built it is never modified,
+// only replaced, so the pushes and transfers that share it need no copy.
+type storedQuery struct {
+	subscriber string
+	rec        []byte
+}
+
+// setSubscriberLocked records where q's match notifications go. An empty
+// subscriber leaves the stored one. A change drops the wire record, which
+// the next push re-encodes with the new address. Callers hold n.mu.
+func (n *Node) setSubscriberLocked(id, sub string) {
+	if sub != "" && n.queries[id].subscriber != sub {
+		n.queries[id] = storedQuery{subscriber: sub}
+	}
+}
+
+// queryRecordLocked returns q's queryState wire record, encoding and storing
+// it first when there is none yet; nil when q does not encode. q is the
+// engine's copy. Callers hold n.mu.
+func (n *Node) queryRecordLocked(q cq.Query) []byte {
+	sq := n.queries[q.ID]
+	if sq.rec == nil {
+		js, err := q.AppendJSON(wirecodec.GetBuf())
+		if err != nil {
+			wirecodec.PutBuf(js)
+			return nil
+		}
+		st := queryState{Query: js, Subscriber: sq.subscriber}
+		sq.rec = st.MarshalWire(make([]byte, 0, len(js)+len(sq.subscriber)+2*binary.MaxVarintLen32))
+		wirecodec.PutBuf(js)
+		n.queries[q.ID] = sq
+	}
+	return sq.rec
+}
+
 // extractQueries removes the queries stored in g (with their subscriber
 // addresses) for state transfer.
 func (n *Node) extractQueries(g bitkey.Group) []queryState {
@@ -546,12 +586,12 @@ func (n *Node) extractQueries(g bitkey.Group) []queryState {
 	defer n.mu.Unlock()
 	out := make([]queryState, 0, len(qs))
 	for _, q := range qs {
-		data, err := q.Marshal()
-		if err != nil {
-			continue
+		rec := n.queryRecordLocked(q)
+		delete(n.queries, q.ID)
+		var st queryState
+		if rec != nil && st.UnmarshalWire(rec) == nil {
+			out = append(out, st)
 		}
-		out = append(out, queryState{Query: data, Subscriber: n.subscribers[q.ID]})
-		delete(n.subscribers, q.ID)
 	}
 	return out
 }
@@ -584,11 +624,9 @@ func (n *Node) installQueries(states []queryState) {
 		if err := n.engine.Register(q); err != nil && !errors.Is(err, cq.ErrDuplicateQuery) {
 			continue
 		}
-		if st.Subscriber != "" {
-			n.mu.Lock()
-			n.subscribers[q.ID] = st.Subscriber
-			n.mu.Unlock()
-		}
+		n.mu.Lock()
+		n.setSubscriberLocked(q.ID, st.Subscriber)
+		n.mu.Unlock()
 		touched[g.String()] = g
 	}
 	for _, g := range touched {

@@ -29,7 +29,7 @@ func testConfig() Config {
 
 // buildOverlay boots n nodes on one in-memory fabric, converges the chord
 // ring and distributes the root groups to their hash owners.
-func buildOverlay(t *testing.T, netw *MemNetwork, n int, cfg Config) []*Node {
+func buildOverlay(t testing.TB, netw *MemNetwork, n int, cfg Config) []*Node {
 	t.Helper()
 	nodes := make([]*Node, n)
 	for i := range nodes {

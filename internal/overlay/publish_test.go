@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ type publishFixture struct {
 	uncovered bitkey.Key
 }
 
-func newPublishFixture(t *testing.T) *publishFixture {
+func newPublishFixture(t testing.TB) *publishFixture {
 	t.Helper()
 	netw := NewMemNetwork()
 	cfg := testConfig()
@@ -155,11 +156,58 @@ func TestRegisterAllocsFlat(t *testing.T) {
 	aLo, aHi := allocsAt(lo), allocsAt(hi)
 	perQuery := (aHi - aLo) / (hi - lo)
 	t.Logf("allocs per Register: %.0f at %d stored queries, %.0f at %d (%.3f per stored query)", aLo, lo, aHi, hi, perQuery)
-	// Measured 0.04 with go1.24: slice and buffer growth, logarithmic in the
-	// stored queries. One allocation per query per push (a per-record copy
-	// on the receiver, say) reads 2 or more.
+	// Measured 0.007 with go1.24: slice growth, logarithmic in the stored
+	// queries. One allocation per query per push (re-encoding or copying
+	// each record, say) reads 1 or more.
 	const ceiling = 0.5
 	if perQuery > ceiling {
 		t.Errorf("allocations per Register grow by %.3f per stored query, want <= %.1f", perQuery, ceiling)
+	}
+}
+
+// BenchmarkRegisterStored times one Register, replica push included, while
+// its group already stores 100 or 1000 queries, each in its own region: the
+// slope of ns/op between the two sizes is the push's cost per stored query.
+// Each iteration's query is removed from its holder again outside the timer,
+// so the stored count stays put however many iterations run.
+func BenchmarkRegisterStored(b *testing.B) {
+	for _, stored := range []int{100, 1000} {
+		b.Run(strconv.Itoa(stored), func(b *testing.B) {
+			f := newPublishFixture(b)
+			query := func(i int) cq.Query {
+				return cq.Query{
+					ID:         fmt.Sprintf("q-%05d", i),
+					Region:     bitkey.NewGroup(bitkey.Key{Value: 0b001<<13 | uint64(i), Bits: 16}),
+					Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}},
+				}
+			}
+			for i := 1; i < stored; i++ { // the fixture's q-fast is the first
+				if _, err := f.client.Register(query(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var holder *Node
+			for _, n := range f.nodes {
+				if _, ok := n.Server().ManagesKey(f.covered); ok {
+					holder = n
+				}
+			}
+			q := query(stored)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.client.Register(q); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := holder.Engine().Unregister(q.ID); err != nil {
+					b.Fatal(err)
+				}
+				holder.mu.Lock()
+				delete(holder.queries, q.ID)
+				holder.mu.Unlock()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -333,10 +333,10 @@ func TestReconcileReplyLostIdempotent(t *testing.T) {
 		}
 	}
 	// The query followed the group (installed on node-1 exactly once).
-	if got := len(n1.Engine().QueriesInGroup(moving)); got != 1 {
+	if got := n1.Engine().CountInGroup(moving); got != 1 {
 		t.Errorf("node-1 stores %d queries for %v, want 1", got, moving)
 	}
-	if got := len(n0.Engine().QueriesInGroup(moving)); got != 0 {
+	if got := n0.Engine().CountInGroup(moving); got != 0 {
 		t.Errorf("node-0 still stores %d queries for %v, want 0", got, moving)
 	}
 }
@@ -402,7 +402,7 @@ func TestPendingTransferDedupAndDrop(t *testing.T) {
 	if holderOf([]*Node{n0}, g) == "" {
 		t.Error("abandoned transfer's group not taken back: range unowned")
 	}
-	if got := len(n0.Engine().QueriesInGroup(g)); got != 1 {
+	if got := n0.Engine().CountInGroup(g); got != 1 {
 		t.Errorf("taken-back group stores %d queries, want 1", got)
 	}
 	if st := n0.Status(); st.TransferDrops != 1 {
@@ -483,7 +483,7 @@ func TestRecoverOwnStateAfterRestart(t *testing.T) {
 			t.Errorf("group %v not recovered on restart", g)
 		}
 	}
-	if got := len(reborn.Engine().QueriesInGroup(g)); got != 1 {
+	if got := reborn.Engine().CountInGroup(g); got != 1 {
 		t.Errorf("recovered node stores %d queries in %v, want 1", got, g)
 	}
 	if err := reborn.Server().Validate(); err != nil {
@@ -557,7 +557,9 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 // TestStoredReplicaOwnsItsBytes pins that a stored replica set is a copy: the
 // transport recycles a request's payload buffer once the handler returns, so
 // overwriting that buffer afterwards must not change what a recovery pull
-// gets back.
+// gets back. The pull answers with exactly the pushed groups and loose
+// records, without the push's trace context, and with an empty version-0
+// set for an origin never pushed.
 func TestStoredReplicaOwnsItsBytes(t *testing.T) {
 	netw := NewMemNetwork()
 	n, err := NewNode(netw.Endpoint("node-0"), testConfig())
@@ -584,8 +586,9 @@ func TestStoredReplicaOwnsItsBytes(t *testing.T) {
 		Loose: [][]byte{rec("q-d")},
 	}
 	want := push.MarshalWire(nil)
+	push.TraceID, push.ParentSpan, push.Hop = 11, 12, 3
 
-	payload := bytes.Clone(want)
+	payload := push.MarshalWire(nil)
 	if _, err := n.handleReplicate(payload); err != nil {
 		t.Fatalf("handleReplicate: %v", err)
 	}
@@ -598,5 +601,12 @@ func TestStoredReplicaOwnsItsBytes(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("recovered replica set changed after the push buffer was reused:\n got %x\nwant %x", got, want)
+	}
+	got, err = n.handleRecoverKeyGroups((&recoverMsg{Origin: "node-unknown"}).MarshalWire(nil))
+	if err != nil {
+		t.Fatalf("handleRecoverKeyGroups: %v", err)
+	}
+	if none := (&replicateMsg{Origin: "node-unknown"}).MarshalWire(nil); !bytes.Equal(got, none) {
+		t.Fatalf("recovered %x for an origin never pushed, want the empty set %x", got, none)
 	}
 }

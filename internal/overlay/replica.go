@@ -12,7 +12,6 @@ import (
 	"clash/internal/chord"
 	"clash/internal/core"
 	"clash/internal/cq"
-	"clash/internal/wirecodec"
 )
 
 // Key-group replication and crash recovery.
@@ -26,12 +25,15 @@ import (
 // origin shed simply disappears from the replica without tombstone
 // bookkeeping.
 //
-// Every push re-encodes all of the node's stored queries, so its cost grows
-// with the stored state, not with the change that triggered it. The encode
-// path is kept lean for that reason: queries are appended as JSON without
-// reflection (cq.Query.AppendJSON), each group's records share one buffer,
-// and the receiver stores one owned copy of the whole push instead of one per
-// record.
+// A push carries every stored query, so it is kept to a copy of bytes
+// already built. Each query's queryState wire record is encoded once, on the
+// first push after the query was registered or its subscriber changed, and
+// kept beside its subscriber (Node.queries); a push appends the stored
+// records in the engine's region order without re-encoding or sorting them.
+// The receiver validates the whole push in place (scanReplicate), reads only
+// its header, and stores one owned copy of the payload — only when the push
+// is newer than the stored one. The copy is decoded only when it is used: on
+// promotion and to answer a recovery pull.
 //
 // Recovery runs two ways:
 //
@@ -46,13 +48,25 @@ import (
 //     and restores the freshest copy, covering the window where the restart
 //     beats the ring's failure detection.
 
-// replicaSet is the stored replica of one origin's key-group state.
+// replicaSet is the stored replica of one origin's key-group state: the
+// origin's last accepted push, validated and kept as sent. A stored payload
+// is never modified, only replaced, so what is decoded from it may be used
+// after n.mu is released.
 type replicaSet struct {
 	incarnation uint64
 	version     uint64
 	seen        time.Time // last refresh, for garbage collection
-	groups      []replicaGroupRec
-	loose       [][]byte // queryState records held outside the origin's engine
+	groups      int       // group records in payload
+	payload     []byte    // an owned copy of the replicateMsg
+}
+
+// decode parses the stored push, minus its trace context. The payload was
+// validated when it was stored, so it decodes.
+func (s *replicaSet) decode() replicateMsg {
+	var msg replicateMsg
+	_ = msg.UnmarshalWire(s.payload)
+	msg.TraceID, msg.ParentSpan, msg.Hop = 0, 0, 0
+	return msg
 }
 
 // replicationTargets returns the first ReplicationFactor distinct successors
@@ -85,46 +99,23 @@ func (n *Node) replicationTargets() []string {
 	return out
 }
 
-// snapshotQueries returns the queryState wire records of the queries stored
-// in g, with their subscriber addresses — the replication mirror of
-// extractQueries. The records are appended into one buffer and returned as
-// sub-slices of it, so a group costs a few allocations however many queries
-// it holds.
-func (n *Node) snapshotQueries(g bitkey.Group) [][]byte {
-	qs := n.engine.QueriesInGroup(g)
-	if len(qs) == 0 {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var buf []byte
-	recs := make([][]byte, 0, len(qs))
-	js := wirecodec.GetBuf()
-	for _, q := range qs {
-		var err error
-		if js, err = q.AppendJSON(js[:0]); err != nil {
-			continue
+// snapshotQueriesLocked returns the queryState wire records of the queries
+// stored in g, by region and then ID — the replication mirror of
+// extractQueries. The records are the stored ones, shared rather than
+// copied. Callers hold n.mu.
+func (n *Node) snapshotQueriesLocked(g bitkey.Group) [][]byte {
+	var recs [][]byte
+	n.engine.VisitInGroup(g, func(q cq.Query) {
+		if rec := n.queryRecordLocked(q); rec != nil {
+			recs = append(recs, rec)
 		}
-		st := queryState{Query: js, Subscriber: n.subscribers[q.ID]}
-		start := len(buf)
-		buf = st.MarshalWire(buf)
-		recs = append(recs, buf[start:])
-	}
-	wirecodec.PutBuf(js)
-	// buf may have moved while it grew: the records are contiguous, so
-	// re-slice each one, by its length, from the final buffer.
-	off := 0
-	for i, r := range recs {
-		recs[i] = buf[off : off+len(r) : off+len(r)]
-		off += len(r)
-	}
+	})
 	return recs
 }
 
-// snapshotReplicaGroups builds the wire records for this node's full
-// replicable state, in the table's deterministic prefix order.
-func (n *Node) snapshotReplicaGroups() []replicaGroupRec {
-	snaps := n.server.SnapshotActive()
+// replicaGroupsLocked builds the wire records for the given active groups,
+// in the table's deterministic prefix order. Callers hold n.mu.
+func (n *Node) replicaGroupsLocked(snaps []core.GroupSnapshot) []replicaGroupRec {
 	if len(snaps) == 0 {
 		return nil
 	}
@@ -136,7 +127,7 @@ func (n *Node) snapshotReplicaGroups() []replicaGroupRec {
 			Parent:     string(s.Parent),
 			IsRoot:     s.IsRoot,
 			Epoch:      s.Epoch,
-			Queries:    n.snapshotQueries(s.Group),
+			Queries:    n.snapshotQueriesLocked(s.Group),
 		})
 	}
 	return out
@@ -164,8 +155,9 @@ func (n *Node) replicateSpan(tc spanRef) {
 	// must not stamp the older snapshot with the newer version, or the
 	// receivers would keep the stale content as authoritative.
 	n.repMu.Lock()
-	groups := n.snapshotReplicaGroups()
+	snaps := n.server.SnapshotActive()
 	n.mu.Lock()
+	groups := n.replicaGroupsLocked(snaps)
 	// State parked outside the table and engine would be invisible to the
 	// per-group snapshot — and gone with a crash. A parked transfer is a
 	// whole group in flight (released locally, not yet accepted remotely):
@@ -240,29 +232,29 @@ func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 	if obs != nil {
 		codecStart = n.cfg.Clock.Now()
 	}
-	// The payload lives in a pooled buffer the transport recycles after this
-	// handler returns, and the decoded records alias what they are decoded
-	// from: decoding from one copy makes the stored set own its bytes.
-	var msg replicateMsg
-	if err := msg.UnmarshalWire(bytes.Clone(payload)); err != nil {
+	// The whole push is validated now, so a malformed one never replaces a
+	// good stored copy, but only its header is decoded: the records are read
+	// again only on promotion or a recovery pull.
+	h, err := scanReplicate(payload)
+	if err != nil {
 		return nil, err
 	}
-	traced := obs != nil && msg.TraceID != 0
+	traced := obs != nil && h.Trace.TraceID != 0
 	var codecMicros int64
 	var handlerStart time.Time
 	if traced {
 		handlerStart = n.cfg.Clock.Now()
 		codecMicros = handlerStart.Sub(codecStart).Microseconds()
 	}
-	stored := n.storeReplica(&msg)
+	stored := n.storeReplica(&h, payload)
 	if traced {
 		n.emitSpan(obs, Span{
-			TraceID:       msg.TraceID,
+			TraceID:       h.Trace.TraceID,
 			SpanID:        n.nextSpanID(),
-			Parent:        msg.ParentSpan,
-			Hop:           msg.Hop,
+			Parent:        h.Trace.Parent,
+			Hop:           h.Trace.Hop,
 			Kind:          HopReplicaPush,
-			Detail:        fmt.Sprintf("origin=%s groups=%d stored=%t", msg.Origin, len(msg.Groups), stored),
+			Detail:        fmt.Sprintf("origin=%s groups=%d stored=%t", h.Origin, h.Groups, stored),
 			CodecMicros:   codecMicros,
 			HandlerMicros: n.cfg.Clock.Now().Sub(handlerStart).Microseconds(),
 		})
@@ -270,29 +262,33 @@ func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// storeReplica applies one replicate push, reporting whether the set was
-// stored (false: self/empty origin or stale version). The stored set keeps
-// msg's records, which must not alias a pooled buffer.
-func (n *Node) storeReplica(msg *replicateMsg) bool {
-	if msg.Origin == "" || msg.Origin == n.Addr() {
+// storeReplica applies one validated replicate push, reporting whether the
+// set was stored (false: self/empty origin or stale version). payload lives
+// in a pooled buffer the transport recycles after the handler returns, so a
+// stored push is cloned; a stale one is not.
+func (n *Node) storeReplica(h *replicateHeader, payload []byte) bool {
+	if len(h.Origin) == 0 || string(h.Origin) == n.Addr() {
 		return false
 	}
 	now := n.cfg.Clock.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if cur, ok := n.replicas[msg.Origin]; ok {
-		if msg.Incarnation < cur.incarnation ||
-			(msg.Incarnation == cur.incarnation && msg.Version < cur.version) {
-			cur.seen = now // stale content, but still proof the origin lives
-			return false
-		}
+	set, ok := n.replicas[string(h.Origin)]
+	if ok && (h.Incarnation < set.incarnation ||
+		(h.Incarnation == set.incarnation && h.Version < set.version)) {
+		set.seen = now // stale content, but still proof the origin lives
+		return false
 	}
-	n.replicas[msg.Origin] = &replicaSet{
-		incarnation: msg.Incarnation,
-		version:     msg.Version,
+	if !ok {
+		set = &replicaSet{}
+		n.replicas[string(h.Origin)] = set
+	}
+	*set = replicaSet{
+		incarnation: h.Incarnation,
+		version:     h.Version,
 		seen:        now,
-		groups:      msg.Groups,
-		loose:       msg.Loose,
+		groups:      h.Groups,
+		payload:     bytes.Clone(payload),
 	}
 	return true
 }
@@ -331,10 +327,7 @@ func (n *Node) handleRecoverKeyGroups(payload []byte) ([]byte, error) {
 	reply := replicateMsg{Origin: req.Origin}
 	n.mu.Lock()
 	if set, ok := n.replicas[req.Origin]; ok {
-		reply.Incarnation = set.incarnation
-		reply.Version = set.version
-		reply.Groups = set.groups
-		reply.Loose = set.loose
+		reply = set.decode()
 	}
 	n.mu.Unlock()
 	return marshalMsg(&reply), nil
@@ -421,7 +414,8 @@ func (n *Node) recoverFromReplicas() {
 		if set == nil {
 			continue
 		}
-		restored := n.restoreReplicaGroups(set.groups)
+		msg := set.decode()
+		restored := n.restoreReplicaGroups(msg.Groups)
 		if restored > 0 {
 			n.emit(Event{Type: EventRecovery, Peer: origin,
 				Detail: fmt.Sprintf("promoted groups=%d", restored)})
@@ -429,7 +423,7 @@ func (n *Node) recoverFromReplicas() {
 		promoted += restored
 		// The origin's parked query state (loose records) has no group to
 		// promote under; re-place it through depth resolution.
-		n.orphanQueries(decodeLoose(set.loose))
+		n.orphanQueries(decodeLoose(msg.Loose))
 	}
 	if promoted > 0 {
 		n.replicate()

@@ -688,6 +688,73 @@ func (m *replicateMsg) UnmarshalWire(data []byte) error {
 	return r.Err()
 }
 
+// replicateHeader is what a replica holder reads of a replicateMsg at
+// receipt: enough to order the push against the stored copy and trace it.
+type replicateHeader struct {
+	Origin      []byte // aliases the scanned payload
+	Incarnation uint64
+	Version     uint64
+	Groups      int
+	Trace       spanRef
+}
+
+// scanReplicate validates a replicateMsg without decoding it: it accepts
+// exactly the payloads replicateMsg.UnmarshalWire accepts, walking every
+// group and query record for bounds, but allocates nothing and returns only
+// the header.
+func scanReplicate(data []byte) (replicateHeader, error) {
+	var h replicateHeader
+	r := wirecodec.NewReader(data)
+	h.Origin = r.Bytes()
+	h.Incarnation = r.Uvarint()
+	h.Version = r.Uvarint()
+	h.Groups = r.Int()
+	if r.Err() == nil && h.Groups > r.Len() {
+		return h, fmt.Errorf("%w: %d replica groups in %d bytes", wirecodec.ErrInvalid, h.Groups, r.Len())
+	}
+	for i := 0; i < h.Groups && r.Err() == nil; i++ {
+		rec := r.Bytes()
+		if r.Err() != nil {
+			break
+		}
+		if err := scanReplicaGroup(rec); err != nil {
+			return h, err
+		}
+	}
+	if r.Err() == nil && r.Len() > 0 {
+		k := r.Int()
+		if r.Err() == nil && k > r.Len() {
+			return h, fmt.Errorf("%w: %d loose queries in %d bytes", wirecodec.ErrInvalid, k, r.Len())
+		}
+		for i := 0; i < k && r.Err() == nil; i++ {
+			r.Bytes()
+		}
+	}
+	if r.Err() == nil && r.Len() > 0 {
+		h.Trace = spanRef{TraceID: r.Uvarint(), Parent: r.Uvarint(), Hop: r.Int()}
+	}
+	return h, r.Err()
+}
+
+// scanReplicaGroup is replicaGroupRec.UnmarshalWire's validation without the
+// decode.
+func scanReplicaGroup(data []byte) error {
+	r := wirecodec.NewReader(data)
+	r.Int()
+	r.Uvarint()
+	r.Bytes()
+	r.Bool()
+	r.Uvarint()
+	n := r.Int()
+	if r.Err() == nil && n > r.Len() {
+		return fmt.Errorf("%w: %d queries in %d bytes", wirecodec.ErrInvalid, n, r.Len())
+	}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		r.Bytes()
+	}
+	return r.Err()
+}
+
 // recoverMsg is the request payload of TypeRecoverKeyGroups.
 type recoverMsg struct {
 	Origin string `json:"origin"`
