@@ -312,9 +312,6 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	// Let async match pushes still in flight drain before reading the
-	// counter.
-	time.Sleep(200 * time.Millisecond)
 
 	hist := metrics.NewHistogram()
 	agg := workerResult{}
@@ -325,6 +322,12 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 		agg.errs += r.errs
 		agg.probes += r.probes
 		agg.matches += r.matches
+	}
+	// Async match pushes may still be in flight: wait, bounded, until every
+	// match the publishes reported has reached the client or been dropped
+	// by it.
+	for deadline := time.Now().Add(5 * time.Second); atomic.LoadInt64(&pushed)+client.Drops() < agg.matches && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	elapsedS := elapsed.Seconds()
 	var throughput, probesPerPacket float64

@@ -261,7 +261,7 @@ func TestClashtopEndToEnd(t *testing.T) {
 	if len(best.CriticalPath) < 3 {
 		t.Errorf("critical path too short: %+v", best.CriticalPath)
 	}
-	// Per-hop timings: a real TCP delivery round trip cannot be free.
+	// Per-hop timings: a real TCP delivery write (a syscall) cannot be free.
 	if best.CriticalPathMicros <= 0 {
 		t.Errorf("critical path carries no time: %+v", best.CriticalPath)
 	}

@@ -102,14 +102,16 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 	if !codecStart.IsZero() && req.TraceID != 0 {
 		codecMicros = n.cfg.Clock.Now().Sub(codecStart).Microseconds()
 	}
-	reply, registered, err := n.acceptOne(&req, codecMicros)
+	reply, changed, err := n.acceptOne(&req, codecMicros)
 	if err != nil {
 		return nil, err
 	}
-	if registered {
-		// A new continuous query is state worth surviving a crash: push the
-		// updated replica snapshot to the successors right away, so even a
-		// query registered moments before its holder dies is recoverable.
+	if changed {
+		// A new continuous query, or a new subscriber for a stored one, is
+		// state worth surviving a crash: push the updated replica snapshot to
+		// the successors right away, so even a query registered moments
+		// before its holder dies is recoverable, and a recovered query
+		// notifies the subscriber that registered it last.
 		// This is a full-snapshot push per registration, re-encoding every
 		// stored query (see replica.go for what keeps that cheap); batch
 		// registrations coalesce to one push per frame (handleAcceptBatch).
@@ -170,25 +172,25 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 		routeMicros = n.cfg.Clock.Now().Sub(routeStart).Microseconds()
 	}
 	out := core.AcceptBatchReplyMsg{Replies: make([]core.AcceptObjectReplyMsg, len(req.Objects))}
-	registeredAny := false
+	changedAny := false
 	var regSpan spanRef
 	for i := range req.Objects {
 		if errs[i] != nil {
 			out.Replies[i] = core.AcceptObjectReplyMsg{Error: errs[i].Error()}
 			continue
 		}
-		rep, registered, err := n.applyObject(&req.Objects[i], keys[i], results[i], routeMicros, codecMicros)
+		rep, changed, err := n.applyObject(&req.Objects[i], keys[i], results[i], routeMicros, codecMicros)
 		if err != nil {
 			out.Replies[i] = core.AcceptObjectReplyMsg{Error: err.Error()}
 			continue
 		}
-		if registered && regSpan.TraceID == 0 && rep.SpanID != 0 {
+		if changed && regSpan.TraceID == 0 && rep.SpanID != 0 {
 			regSpan = spanRef{TraceID: req.Objects[i].TraceID, Parent: rep.SpanID, Hop: req.Objects[i].Hop + 1}
 		}
-		registeredAny = registeredAny || registered
+		changedAny = changedAny || changed
 		out.Replies[i] = rep
 	}
-	if registeredAny {
+	if changedAny {
 		// The coalesced push carries the first sampled registration's span
 		// context (one push, one parent — the other registrations' traces
 		// simply end at their accept span).
@@ -200,7 +202,8 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 }
 
 // acceptOne runs one object through the server state machine and its side
-// effects. The bool reports whether a new continuous query was registered.
+// effects. The bool reports whether the stored query state changed (see
+// applyObject).
 // codecMicros is the frame decode time the caller measured (only meaningful
 // on a traced request).
 func (n *Node) acceptOne(req *core.AcceptObjectMsg, codecMicros int64) (core.AcceptObjectReplyMsg, bool, error) {
@@ -227,8 +230,9 @@ func (n *Node) acceptOne(req *core.AcceptObjectMsg, codecMicros int64) (core.Acc
 // applyObject converts a state-machine result into the wire reply and, when
 // the object landed on the right server, applies its application effect
 // (meter + query match for data, engine registration for queries). The bool
-// reports whether a new continuous query was registered (the caller pushes a
-// replica update when so). routeMicros is the state-machine time the caller
+// reports whether the stored query state changed: a new continuous query, or
+// a new subscriber for a stored one (the caller pushes a replica update when
+// so). routeMicros is the state-machine time the caller
 // measured for this object (only meaningful on a traced request).
 func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.AcceptObjectResult, routeMicros, codecMicros int64) (core.AcceptObjectReplyMsg, bool, error) {
 	var obs Observer
@@ -289,7 +293,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 		})
 	}
 
-	registered := false
+	changed := false
 	var matchMicros int64
 	switch req.Kind {
 	case core.ObjectData:
@@ -344,10 +348,12 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 			}
 		} else {
 			n.meter.AddQueries(res.Group, 1)
-			registered = true
+			changed = true
 		}
 		n.mu.Lock()
-		n.setSubscriberLocked(q.ID, st.Subscriber)
+		if n.setSubscriberLocked(q.ID, st.Subscriber) {
+			changed = true
+		}
 		n.mu.Unlock()
 	}
 	if obs != nil {
@@ -368,7 +374,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 		}
 		obs.OnTrace(rec)
 	}
-	return reply, registered, nil
+	return reply, changed, nil
 }
 
 // pushMatches delivers match notifications to the subscribers of the matched
@@ -378,12 +384,14 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 // sorts by query ID), so a deterministic transport sees a deterministic
 // message sequence.
 // tc, when it carries a non-zero TraceID, marks the originating publish as
-// sampled: each delivery's round trip is reported as a deliver-stage
-// observation plus a subscriber-deliver span chained under tc.Parent (the
-// cq-match span). The span is recorded by this (sending) node — subscribers
-// are client endpoints, not overlay nodes — with the push's queue wait and
-// network round trip; the matchMsg still carries the trace context so the
-// subscriber can correlate the notification with its publish.
+// sampled: each delivery's time is reported as a deliver-stage observation
+// plus a subscriber-deliver span chained under tc.Parent (the cq-match span).
+// That time is the round trip on the in-memory fabric and only the frame
+// write on TCP, where a match is a one-way notification (see wire.go). The
+// span is recorded by this (sending) node — subscribers are client
+// endpoints, not overlay nodes — with the push's queue wait and network
+// time; the matchMsg still carries the trace context so the subscriber can
+// correlate the notification with its publish.
 func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 	if len(matched) == 0 {
 		return
@@ -429,6 +437,8 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 			// Match delivery is at-most-once (not idempotent), but the caller
 			// still supplies the data-class deadline and retries a shed — the
 			// handler never ran, so a resend cannot duplicate a notification.
+			// On TCP the push is one-way: it returns once written, and a shed
+			// or handler error never comes back.
 			if _, err := n.caller.call(sub, TypeMatch, payload); err != nil {
 				atomic.AddInt64(&n.matchDrops, 1)
 			}

@@ -246,7 +246,10 @@ func (n *Node) Successors() []chord.NodeRef { return n.chord.Successors() }
 func (n *Node) Predecessor() chord.NodeRef { return n.chord.PredecessorRef() }
 
 // MatchDrops returns how many match notifications this node failed to
-// deliver to their subscribers.
+// deliver to their subscribers: refused by the subscriber, or failed to
+// write. On TCP a match is one-way, so a frame the dead subscriber's kernel
+// still accepted is lost without being counted; delivery stays
+// at-most-once.
 func (n *Node) MatchDrops() int64 { return atomic.LoadInt64(&n.matchDrops) }
 
 // replicaCounts returns how many peer replica sets this node holds and the
@@ -547,13 +550,16 @@ type storedQuery struct {
 	rec        []byte
 }
 
-// setSubscriberLocked records where q's match notifications go. An empty
-// subscriber leaves the stored one. A change drops the wire record, which
-// the next push re-encodes with the new address. Callers hold n.mu.
-func (n *Node) setSubscriberLocked(id, sub string) {
-	if sub != "" && n.queries[id].subscriber != sub {
-		n.queries[id] = storedQuery{subscriber: sub}
+// setSubscriberLocked records where q's match notifications go and reports
+// whether that changed. An empty subscriber leaves the stored one. A change
+// drops the wire record, which the next push re-encodes with the new
+// address. Callers hold n.mu.
+func (n *Node) setSubscriberLocked(id, sub string) bool {
+	if sub == "" || n.queries[id].subscriber == sub {
+		return false
 	}
+	n.queries[id] = storedQuery{subscriber: sub}
+	return true
 }
 
 // queryRecordLocked returns q's queryState wire record, encoding and storing

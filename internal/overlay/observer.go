@@ -56,7 +56,9 @@ const (
 	// TraceStageMatch is the continuous-query engine match time for a data
 	// packet.
 	TraceStageMatch = "match"
-	// TraceStageDeliver is the round trip of one match push to a subscriber.
+	// TraceStageDeliver is the time of one match push to a subscriber: a
+	// round trip on the in-memory fabric, only the frame write on TCP (where
+	// a match is a one-way notification).
 	TraceStageDeliver = "deliver"
 )
 
@@ -84,7 +86,9 @@ const (
 	// triggered, recorded by the receiving successor.
 	HopReplicaPush = "replica-push"
 	// HopDeliver is one match notification push to a subscriber, recorded by
-	// the sending server (subscribers are client endpoints, not nodes).
+	// the sending server (subscribers are client endpoints, not nodes). Its
+	// network time is the round trip on the in-memory fabric and the frame
+	// write on TCP.
 	HopDeliver = "subscriber-deliver"
 )
 

@@ -196,8 +196,9 @@ func pushedSubscribers(t *testing.T, nodes []*Node, origin *Node, id string) []s
 }
 
 // TestReregisterNewSubscriberChangesPushedRecord registers a query, then
-// registers it again from a second client: the holder keeps its query but
-// its stored wire record must follow the new subscriber into the next push.
+// registers it again from a second client: the holder keeps its query, but
+// the re-registration itself must push a record naming the new subscriber,
+// so a holder crash right after it restores notifications to client-2.
 func TestReregisterNewSubscriberChangesPushedRecord(t *testing.T) {
 	netw := NewMemNetwork()
 	cfg := testConfig()
@@ -241,7 +242,6 @@ func TestReregisterNewSubscriberChangesPushedRecord(t *testing.T) {
 	if _, err := client("client-2").Register(q); err != nil {
 		t.Fatal(err)
 	}
-	holder.replicate()
 	subs = pushedSubscribers(t, nodes, holder, q.ID)
 	if len(subs) == 0 {
 		t.Fatal("the re-registration's push reached no replica holder")

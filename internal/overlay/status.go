@@ -38,7 +38,8 @@ type Status struct {
 	// this node holds for crash recovery.
 	ReplicaOrigins int `json:"replicaOrigins"`
 	ReplicaGroups  int `json:"replicaGroups"`
-	// MatchDrops counts match notifications that could not be delivered.
+	// MatchDrops counts match notifications that were refused or failed to
+	// write (see Node.MatchDrops).
 	MatchDrops int64 `json:"matchDrops"`
 	// Draining reports admin drain mode (the node is shedding its groups).
 	Draining bool `json:"draining,omitempty"`

@@ -14,7 +14,10 @@ import (
 
 // Default timeouts for the TCP transport (the zero TCPConfig). Dial and
 // per-call deadlines keep a dead peer from wedging the maintenance loop; the
-// idle deadline reaps connections whose peer went away.
+// idle deadline reaps connections whose peer went away. Socket deadlines are
+// armed once and moved only when they run short or fire (idleReader,
+// frameWriter.flush), not once per frame: each change is a runtime timer
+// update, and on a busy connection that is a cost per message.
 const (
 	tcpDialTimeout = 3 * time.Second
 	tcpIdleTimeout = 5 * time.Minute
@@ -40,11 +43,16 @@ const (
 type TCPConfig struct {
 	// DialTimeout bounds each outbound connection attempt.
 	DialTimeout time.Duration
-	// CallTimeout is the per-call deadline used when CallOpts carries none,
-	// and the ceiling for socket write deadlines.
+	// CallTimeout is the per-call deadline used when CallOpts carries none.
+	// It also bounds socket writes: a write blocked on a peer that stopped
+	// reading fails between CallTimeout and 2×CallTimeout after it started
+	// (the write deadline is re-armed to 2×CallTimeout ahead only once less
+	// than CallTimeout of it remains).
 	CallTimeout time.Duration
 	// IdleTimeout is the server-side read deadline: an inbound connection
-	// with no traffic for this long is closed.
+	// that received no bytes for this long is closed. The deadline is armed
+	// once and moved to last-read + IdleTimeout only when it fires, so a
+	// connection is reaped IdleTimeout after its last byte.
 	IdleTimeout time.Duration
 	// ShedWait bounds how long an inbound request waits for a dispatch slot
 	// before being shed with a framed shed reply.
@@ -226,9 +234,11 @@ type frameWriter struct {
 	failed  bool     // a write failed: framing is lost, nothing more is sent
 
 	// Owned by the flushing caller. WriteTo consumes vec, so each flush
-	// rebuilds it from vecBuf, whose backing array survives.
+	// rebuilds it from vecBuf, whose backing array survives. deadline is the
+	// write deadline currently armed on conn.
 	batch, vecBuf [][]byte
 	vec           net.Buffers
+	deadline      time.Time
 }
 
 // write hands buf (a pooled frame) to the writer. It reports false when the
@@ -271,14 +281,63 @@ func (w *frameWriter) flush() bool {
 	for _, b := range w.batch {
 		w.stats.countOut(len(b))
 	}
+	// Re-arm only when less than one timeout remains, two timeouts ahead: a
+	// blocked write still fails within [timeout, 2×timeout], and a busy
+	// connection moves its deadline once per timeout instead of per flush.
 	//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
-	_ = w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	if now := time.Now(); w.deadline.Sub(now) < w.timeout {
+		w.deadline = now.Add(2 * w.timeout)
+		_ = w.conn.SetWriteDeadline(w.deadline)
+	}
 	_, err := w.vec.WriteTo(w.conn)
 	for i, b := range w.batch {
 		wirecodec.PutBuf(b)
 		w.batch[i] = nil
 	}
 	return err == nil
+}
+
+// idleReader is a connection's read side under an idle deadline that is armed
+// once and moved only when it fires. Every read that returns bytes stamps
+// last; a deadline that fires less than idle after the last activity is moved
+// to last+idle and the read resumes, so a frame half-read when it fires is
+// never cut. Read returns the timeout only once idle has passed with nothing
+// read and no other activity stamped into last.
+type idleReader struct {
+	conn net.Conn
+	idle time.Duration
+	last *atomic.Int64 // UnixNano of the last activity
+}
+
+func (r idleReader) Read(p []byte) (int, error) {
+	for {
+		n, err := r.conn.Read(p)
+		if n > 0 {
+			//clashvet:ignore clockcheck idle reaping of real sockets is wall-clock by nature; TCP never runs under the simulator
+			r.last.Store(time.Now().UnixNano())
+			return n, err
+		}
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			return n, err
+		}
+		deadline := time.Unix(0, r.last.Load()).Add(r.idle)
+		//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
+		if !time.Now().Before(deadline) {
+			return n, err
+		}
+		_ = r.conn.SetReadDeadline(deadline)
+	}
+}
+
+// armIdle arms conn's first idle read deadline and returns the reader that
+// keeps it: reads through it stamp last.
+func armIdle(conn net.Conn, idle time.Duration, last *atomic.Int64) idleReader {
+	//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
+	now := time.Now()
+	last.Store(now.UnixNano())
+	_ = conn.SetReadDeadline(now.Add(idle))
+	return idleReader{conn: conn, idle: idle, last: last}
 }
 
 // inbound is one served connection's reply writer and dispatch state.
@@ -293,8 +352,12 @@ type inbound struct {
 
 // writeReply frames and writes one reply. An oversized reply becomes a framed
 // error, whose text always fits: a dropped frame would leave the caller
-// waiting out its timeout and retrying forever.
+// waiting out its timeout and retrying forever. A notification (seq 0) gets
+// no reply of any kind: nobody waits for one.
 func (in *inbound) writeReply(seq uint64, typ byte, payload []byte) {
+	if seq == 0 {
+		return
+	}
 	buf, err := appendFrame(wirecodec.GetBuf(), seq, typ, payload)
 	if err != nil {
 		buf, _ = appendFrame(buf[:0], seq, typeReplyErr, []byte(err.Error()))
@@ -340,7 +403,9 @@ func (in *inbound) worker(f frame) {
 // sequence ID, so a slow handler never head-of-line blocks the requests
 // pipelined behind it. A request that cannot get a dispatch slot within
 // cfg.ShedWait is shed with a framed shed reply — wedged handlers cost the
-// peer a bounded wait, not an unbounded queue.
+// peer a bounded wait, not an unbounded queue. A notification (seq 0) is
+// dispatched the same way but never answered: shed, it is dropped silently
+// (and counted in Shed).
 func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	in := &inbound{
@@ -360,10 +425,9 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		delete(t.serving, conn)
 		t.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, frameReadBuffer)
+	var last atomic.Int64
+	br := bufio.NewReaderSize(armIdle(conn, t.cfg.IdleTimeout, &last), frameReadBuffer)
 	for {
-		//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
-		_ = conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 		// Request payloads live in pooled buffers end-to-end: the handler
 		// decodes in place and the worker recycles the buffer once the reply
 		// frame (a copy) is built. readFrameInto hands the buffer back through
@@ -446,7 +510,7 @@ type muxConn struct {
 	w        *frameWriter
 	failOnce sync.Once
 
-	// lastUsed is the UnixNano of the last call registration or reply frame,
+	// lastUsed is the UnixNano of the last call, notification or bytes read,
 	// read by the idle reaper to distinguish a genuinely idle connection
 	// from a read deadline armed before a late call arrived.
 	lastUsed atomic.Int64
@@ -500,13 +564,14 @@ func (m *muxConn) fail(err error) {
 
 // readLoop demultiplexes reply frames to the in-flight calls and reaps the
 // connection after tcpMuxIdle without traffic. Frames are read through a
-// small buffer, so a header and its payload usually cost one read.
+// small buffer, so a header and its payload usually cost one read. The idle
+// deadline is armed once; the idleReader moves it from lastUsed when it
+// fires, so it surfaces here only after tcpMuxIdle with no call, no
+// notification and no reply byte.
 func (m *muxConn) readLoop() {
 	defer m.t.wg.Done()
-	br := bufio.NewReaderSize(m.conn, frameReadBuffer)
+	br := bufio.NewReaderSize(armIdle(m.conn, tcpMuxIdle, &m.lastUsed), frameReadBuffer)
 	for {
-		//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
-		_ = m.conn.SetReadDeadline(time.Now().Add(tcpMuxIdle))
 		f, err := readFrame(br)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
@@ -518,12 +583,6 @@ func (m *muxConn) readLoop() {
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				//clashvet:ignore clockcheck idle-window arithmetic against a socket deadline is wall-clock by nature
-				if since := time.Since(time.Unix(0, m.lastUsed.Load())); since < tcpMuxIdle {
-					// The deadline was armed before recent activity (a call
-					// registered late in the window); re-arm and keep going.
-					continue
-				}
 				m.mu.Lock()
 				idle := len(m.inflight) == 0
 				m.mu.Unlock()
@@ -543,14 +602,14 @@ func (m *muxConn) readLoop() {
 			m.fail(fmt.Errorf("%w: reply type %#x", ErrBadFrame, f.typ))
 			return
 		}
-		m.touch()
 		m.t.stats.countIn(frameHeaderSize + len(f.payload))
 		m.deliver(f.seq, callResult{typ: f.typ, payload: f.payload})
 	}
 }
 
 // deliver hands a result to the call waiting on seq. Replies for unknown
-// sequence IDs (a call that timed out meanwhile) are dropped.
+// sequence IDs (a call that timed out meanwhile, or seq 0 from a peer that
+// answers notifications) are dropped.
 func (m *muxConn) deliver(seq uint64, res callResult) {
 	m.mu.Lock()
 	ch, ok := m.inflight[seq]
@@ -559,6 +618,14 @@ func (m *muxConn) deliver(seq uint64, res callResult) {
 	if ok {
 		ch <- res
 	}
+}
+
+// send is notify for a one-way type and call for every other.
+func (m *muxConn) send(typ byte, payload []byte, timeout time.Duration) ([]byte, error) {
+	if oneWay(typ) {
+		return nil, m.notify(typ, payload)
+	}
+	return m.call(typ, payload, timeout)
 }
 
 // call performs one pipelined exchange on the shared connection, waiting at
@@ -612,6 +679,27 @@ func (m *muxConn) call(typ byte, payload []byte, timeout time.Duration) ([]byte,
 		m.t.stats.timeouts.Add(1)
 		return nil, fmt.Errorf("%w: call %s after %s", ErrDeadline, m.addr, timeout)
 	}
+}
+
+// notify writes one notification frame (seq 0) and returns once the frame
+// writer took it: no waiter, timer or in-flight entry, and no reply. A frame
+// refused because the connection had closed or failed first never left
+// (errMuxClosed, so a resend is safe); a taken frame reaches the socket or
+// dies with the connection, unreported (at-most-once).
+func (m *muxConn) notify(typ byte, payload []byte) error {
+	if m.isClosed() {
+		return errMuxClosed
+	}
+	m.touch()
+	buf, err := appendFrame(wirecodec.GetBuf(), 0, typ, payload)
+	if err != nil {
+		wirecodec.PutBuf(buf)
+		return err
+	}
+	if !m.w.write(buf) {
+		return errMuxClosed
+	}
+	return nil
 }
 
 // abandon forgets an in-flight registration (failed enqueue or timeout).
@@ -686,7 +774,9 @@ func (t *TCPTransport) Call(addr, msgType string, payload []byte) ([]byte, error
 }
 
 // CallOpts implements Transport. A zero opts.Timeout means the transport's
-// configured CallTimeout.
+// configured CallTimeout. A one-way type (TypeMatch) is sent as a
+// notification: CallOpts returns (nil, nil) once the frame writer took the
+// frame, without waiting for the peer, and opts.RTT receives that write time.
 func (t *TCPTransport) CallOpts(addr, msgType string, payload []byte, opts CallOpts) ([]byte, error) {
 	typ, err := typeByte(msgType)
 	if err != nil {
@@ -696,8 +786,10 @@ func (t *TCPTransport) CallOpts(addr, msgType string, payload []byte, opts CallO
 	if timeout <= 0 {
 		timeout = t.cfg.CallTimeout
 	}
-	t.stats.inFlight.Add(1)
-	defer t.stats.inFlight.Add(-1)
+	if !oneWay(typ) {
+		t.stats.inFlight.Add(1)
+		defer t.stats.inFlight.Add(-1)
+	}
 	var start time.Time
 	if opts.RTT != nil {
 		//clashvet:ignore clockcheck RTT of a real socket call is wall-clock by definition
@@ -707,7 +799,7 @@ func (t *TCPTransport) CallOpts(addr, msgType string, payload []byte, opts CallO
 	if err != nil {
 		return nil, err
 	}
-	reply, err := mc.call(typ, payload, timeout)
+	reply, err := mc.send(typ, payload, timeout)
 	if errors.Is(err, errMuxClosed) && !fresh {
 		// The shared connection died before our frame was written (e.g. the
 		// peer's idle reaper closed it); the request never made it out, so
@@ -717,7 +809,7 @@ func (t *TCPTransport) CallOpts(addr, msgType string, payload []byte, opts CallO
 		if derr != nil {
 			return nil, derr
 		}
-		reply, err = mc.call(typ, payload, timeout)
+		reply, err = mc.send(typ, payload, timeout)
 	}
 	if err != nil {
 		switch {

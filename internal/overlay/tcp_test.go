@@ -368,3 +368,350 @@ func TestTCPCallAllocs(t *testing.T) {
 		t.Errorf("allocations per Call = %v, want <= %d", allocs, ceiling)
 	}
 }
+
+// TestTCPMatchIsOneWay pins the one-way match push: CallOpts returns without
+// a reply, the handler still runs, the server writes no frame for it and the
+// call never counts as in flight. One dispatch slot orders the check: the
+// ping behind the match can only be dispatched once the match's worker let
+// go of the slot, which it does after writing any reply.
+func TestTCPMatchIsOneWay(t *testing.T) {
+	srv, err := ListenTCPConfig("127.0.0.1:0", TCPConfig{MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	matched := make(chan string, 1)
+	srv.SetHandler(func(msgType string, payload []byte) ([]byte, error) {
+		if msgType == TypeMatch {
+			matched <- string(payload)
+			return append(wirecodec.GetBuf(), "unread"...), nil
+		}
+		return echoHandler(msgType, payload)
+	})
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	var rtt time.Duration
+	reply, err := cli.CallOpts(srv.Addr(), TypeMatch, []byte("m1"), CallOpts{RTT: &rtt})
+	if err != nil || reply != nil {
+		t.Fatalf("match call = (%q, %v), want (nil, nil)", reply, err)
+	}
+	if rtt <= 0 {
+		t.Errorf("RTT = %v, want the write time", rtt)
+	}
+	if st := cli.Stats(); st.InFlight != 0 || st.FramesOut != 1 {
+		t.Errorf("client in-flight %d, frames out %d after a match; want 0, 1", st.InFlight, st.FramesOut)
+	}
+	select {
+	case got := <-matched:
+		if got != "m1" {
+			t.Fatalf("handler saw %q, want m1", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("match handler never ran")
+	}
+	if reply, err := cli.Call(srv.Addr(), TypePing, []byte("p")); err != nil || string(reply) != "r:p" {
+		t.Fatalf("ping after match = (%q, %v)", reply, err)
+	}
+	if st := srv.Stats(); st.FramesIn != 2 || st.FramesOut != 1 {
+		t.Errorf("server frames in %d, out %d; want 2 in, 1 out (the ping's reply only)", st.FramesIn, st.FramesOut)
+	}
+	if st := cli.Stats(); st.FramesIn != 1 || st.InFlight != 0 {
+		t.Errorf("client frames in %d, in-flight %d; want 1, 0", st.FramesIn, st.InFlight)
+	}
+}
+
+// TestTCPNotificationShedWritesNothing saturates the only dispatch slot: a
+// notification that cannot get it within ShedWait is dropped and counted in
+// Shed, and no shed reply is written for it.
+func TestTCPNotificationShedWritesNothing(t *testing.T) {
+	srv, err := ListenTCPConfig("127.0.0.1:0", TCPConfig{MaxConcurrent: 1, ShedWait: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	stall := make(chan struct{})
+	var matches sync.WaitGroup
+	srv.SetHandler(func(msgType string, payload []byte) ([]byte, error) {
+		switch msgType {
+		case TypeStatus:
+			<-stall // wedge the only dispatch slot
+		case TypeMatch:
+			matches.Done()
+		}
+		return []byte("done"), nil
+	})
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := cli.CallOpts(srv.Addr(), TypeStatus, nil, CallOpts{Timeout: 5 * time.Second})
+		stalled <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().FramesIn == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalling call never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := cli.Call(srv.Addr(), TypeMatch, []byte("m")); err != nil {
+		t.Fatalf("match call: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Shed == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the notification was never shed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.Stats(); st.Shed != 1 || st.FramesOut != 0 {
+		t.Errorf("server shed %d, frames out %d; want 1 shed and no frame written", st.Shed, st.FramesOut)
+	}
+
+	close(stall)
+	if err := <-stalled; err != nil {
+		t.Fatalf("stalled call after release: %v", err)
+	}
+	// The connection keeps serving: a notification now gets the slot.
+	matches.Add(1)
+	if _, err := cli.Call(srv.Addr(), TypeMatch, []byte("m")); err != nil {
+		t.Fatalf("match call after release: %v", err)
+	}
+	matches.Wait()
+	if st := srv.Stats(); st.Shed != 1 || st.FramesOut != 1 {
+		t.Errorf("server shed %d, frames out %d; want 1, 1 (the stalled call's reply)", st.Shed, st.FramesOut)
+	}
+}
+
+// TestTCPZeroSeqReplyIgnored plays an older peer that answers notifications:
+// a stray reply with sequence ID 0 arrives ahead of two in-flight calls'
+// replies, and both calls still get their own reply on the same connection.
+func TestTCPZeroSeqReplyIgnored(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peerErr := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			peerErr <- err
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var out []byte
+		var reqs []frame
+		for len(reqs) < 2 {
+			f, err := readFrame(br)
+			if err != nil {
+				peerErr <- err
+				return
+			}
+			reqs = append(reqs, f)
+		}
+		out, _ = appendFrame(out, 0, typeReplyOK, []byte("stray"))
+		for i := len(reqs) - 1; i >= 0; i-- {
+			out, _ = appendFrame(out, reqs[i].seq, typeReplyOK, append([]byte("r:"), reqs[i].payload...))
+		}
+		if _, err := conn.Write(out); err != nil {
+			peerErr <- err
+			return
+		}
+		// Keep the connection open until the client hangs up.
+		_, _ = io.Copy(io.Discard, conn)
+		peerErr <- nil
+	}()
+
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, msg := range []string{"a", "b"} {
+		wg.Add(1)
+		go func(msg string) {
+			defer wg.Done()
+			reply, err := cli.CallOpts(ln.Addr().String(), TypePing, []byte(msg), CallOpts{Timeout: 5 * time.Second})
+			if err != nil || string(reply) != "r:"+msg {
+				t.Errorf("call %s = (%q, %v), want r:%s", msg, reply, err, msg)
+			}
+		}(msg)
+	}
+	wg.Wait()
+	if st := cli.Stats(); st.FramesIn != 3 || st.Reconnects != 0 || st.InFlight != 0 {
+		t.Errorf("client frames in %d, reconnects %d, in-flight %d; want 3, 0, 0", st.FramesIn, st.Reconnects, st.InFlight)
+	}
+	cli.Close()
+	if err := <-peerErr; err != nil {
+		t.Errorf("peer: %v", err)
+	}
+}
+
+// TestTCPMatchWithSeqGetsReply plays an older sender: a match frame with a
+// nonzero sequence ID is a call, and the server answers it.
+func TestTCPMatchWithSeqGetsReply(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetHandler(echoHandler)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req, err := appendFrame(nil, 7, typeMatch, []byte("old"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	readReplies(t, bufio.NewReader(conn), map[uint64][]byte{7: []byte("r:old")})
+}
+
+// TestTCPIdleReap pins the amortized idle deadline: armed once, it still
+// reaps an idle inbound connection within 2×IdleTimeout, and it never reaps
+// one that carries a call every 50 ms across three idle windows.
+func TestTCPIdleReap(t *testing.T) {
+	const idle = 300 * time.Millisecond
+	srv, err := ListenTCPConfig("127.0.0.1:0", TCPConfig{IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetHandler(echoHandler)
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	_ = conn.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("idle connection read = %v, want EOF from the server's reap", err)
+	}
+	if waited := time.Since(start); waited > 2*idle {
+		t.Errorf("idle connection reaped after %v, want within %v", waited, 2*idle)
+	}
+	// The server deregisters the reaped connection just after closing it.
+	for deadline := time.Now().Add(5 * time.Second); srv.numServing() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reaped connection is still registered")
+		}
+	}
+
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	for end := time.Now().Add(3 * idle); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
+		if _, err := cli.Call(srv.Addr(), TypePing, []byte("x")); err != nil {
+			t.Fatalf("call: %v", err)
+		}
+		if n := srv.numServing(); n != 1 {
+			t.Fatalf("server connections = %d, want 1", n)
+		}
+	}
+	if st := cli.Stats(); st.Reconnects != 0 {
+		t.Errorf("reconnects = %d, want 0 (a busy connection must not be reaped)", st.Reconnects)
+	}
+}
+
+// TestTCPWriteDeadlineStalledReader pins the amortized write deadline: a peer
+// that accepts but never reads fills the socket buffers with notifications
+// until one write blocks; that write fails within 2×CallTimeout and the next
+// call redials.
+func TestTCPWriteDeadlineStalledReader(t *testing.T) {
+	const callTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn // held open, never read
+		}
+	}()
+	defer func() {
+		for {
+			select {
+			case c := <-accepted:
+				c.Close()
+			default:
+				return
+			}
+		}
+	}()
+
+	cli, err := ListenTCPConfig("127.0.0.1:0", TCPConfig{CallTimeout: callTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	payload := make([]byte, 1<<20)
+	var longest time.Duration
+	for i := 0; cli.Stats().Reconnects == 0; i++ {
+		if i == 256 {
+			t.Fatal("256 MiB written to a peer that never reads without a write blocking")
+		}
+		start := time.Now()
+		if _, err := cli.Call(ln.Addr().String(), TypeMatch, payload); err != nil {
+			t.Fatalf("notification %d: %v", i, err)
+		}
+		longest = max(longest, time.Since(start))
+	}
+	// The upper bound allows 200 ms of scheduling delay past 2×CallTimeout;
+	// a deadline armed any further ahead overshoots it.
+	if longest < callTimeout/2 || longest > 2*callTimeout+200*time.Millisecond {
+		t.Errorf("the blocked write returned after %v, want within (%v, %v]", longest, callTimeout/2, 2*callTimeout)
+	}
+}
+
+// TestTCPMatchNotifyAllocs holds a one-way match push at 0 allocations in
+// steady state, counted on both ends: framing into a pooled buffer, the
+// writer, the server's read and dispatch to a parked worker. No waiter,
+// timer or reply is involved.
+func TestTCPMatchNotifyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	handled := make(chan struct{}, 1)
+	srv, cli := listenPair(t, func(string, []byte) ([]byte, error) {
+		handled <- struct{}{}
+		return nil, nil
+	})
+	defer srv.Close()
+	defer cli.Close()
+	payload := []byte("match")
+	notify := func() {
+		if _, err := cli.Call(srv.Addr(), TypeMatch, payload); err != nil {
+			t.Fatal(err)
+		}
+		<-handled
+	}
+	for i := 0; i < 100; i++ {
+		notify() // dial, spawn the parked worker, warm the pools
+	}
+	if allocs := testing.AllocsPerRun(500, notify); allocs > 0 {
+		t.Errorf("allocations per one-way match = %v, want 0", allocs)
+	}
+}

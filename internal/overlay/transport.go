@@ -68,7 +68,8 @@ type TransportStats struct {
 	// BytesIn / BytesOut count frame bytes, headers included.
 	BytesIn  uint64 `json:"bytesIn"`
 	BytesOut uint64 `json:"bytesOut"`
-	// InFlight is the number of outbound Calls currently awaiting a reply.
+	// InFlight is the number of outbound Calls currently awaiting a reply
+	// (notifications await none and never count).
 	InFlight int64 `json:"inFlight"`
 	// Reconnects counts outbound connections dialed to replace a broken or
 	// expired one (first dials to a peer are not reconnects).
@@ -83,7 +84,8 @@ type TransportStats struct {
 	// call policy (idempotent retries and shed retries).
 	Retries uint64 `json:"retries"`
 	// Shed counts inbound requests this server refused under overload
-	// (answered with a framed shed reply instead of dispatching).
+	// (answered with a framed shed reply instead of dispatching; a shed
+	// notification is dropped without one).
 	Shed uint64 `json:"shed"`
 }
 
@@ -165,7 +167,11 @@ type Transport interface {
 	// Call sends one request frame to addr and waits for the reply frame
 	// with the matching sequence ID. It returns ErrUnreachable (wrapped) on
 	// transport failure and a *RemoteError when the remote handler returned
-	// an error.
+	// an error. On TCP a one-way type (TypeMatch) is a notification instead:
+	// Call returns (nil, nil) once the connection's writer took the frame,
+	// and neither the handler's error nor a frame lost with a dying
+	// connection comes back. The in-memory fabric still runs every type as a
+	// round trip.
 	Call(addr, msgType string, payload []byte) ([]byte, error)
 	// CallOpts is Call with per-call options: a deadline (ErrDeadline when it
 	// expires before the reply) and an optional latency report. Call is

@@ -593,9 +593,9 @@ func TestTCPOversizedFrameKeepsConnection(t *testing.T) {
 
 // TestCrossTransportByteIdentity proves the in-memory and TCP transports put
 // the same bytes on the wire: the handler on each transport records the raw
-// payload it received for identical requests (including a batch frame), and
-// the recorded bytes must match exactly. Framing itself is shared
-// (appendFrame) and pinned by TestFrameGoldenBytes.
+// payload it received for identical requests (including a batch frame and a
+// match push, one-way on TCP), and the recorded bytes must match exactly.
+// Framing itself is shared (appendFrame) and pinned by TestFrameGoldenBytes.
 func TestCrossTransportByteIdentity(t *testing.T) {
 	batch := core.AcceptBatchMsg{Objects: []core.AcceptObjectMsg{
 		{KeyValue: 0b1011, KeyBits: 16, Depth: 3, Kind: core.ObjectData, Payload: []byte("p0")},
@@ -609,6 +609,8 @@ func TestCrossTransportByteIdentity(t *testing.T) {
 		{TypeAcceptObject, (&core.AcceptObjectMsg{KeyValue: 5, KeyBits: 8, Depth: 2, Kind: core.ObjectData}).MarshalWire(nil)},
 		{TypeAcceptBatch, batch.MarshalWire(nil)},
 		{TypeFindSuccessor, (&findSuccessorMsg{ID: 123456}).MarshalWire(nil)},
+		// Last: on TCP the call returns before the handler runs.
+		{TypeMatch, (&matchMsg{QueryID: "q-1", KeyValue: 9, KeyBits: 8, Attrs: map[string]float64{"speed": 61}, Payload: []byte("m")}).MarshalWire(nil)},
 	}
 
 	type recorder struct {
@@ -650,6 +652,15 @@ func TestCrossTransportByteIdentity(t *testing.T) {
 		}
 		if _, err := tcpCli.Call(tcpSrv.Addr(), req.msgType, req.payload); err != nil {
 			t.Fatalf("tcp call %s: %v", req.msgType, err)
+		}
+	}
+	// Wait for the TCP handler to see the one-way match push.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		tcpGot.mu.Lock()
+		n := len(tcpGot.got)
+		tcpGot.mu.Unlock()
+		if n == len(requests) || time.Now().After(deadline) {
+			break
 		}
 	}
 	memGot.mu.Lock()

@@ -20,6 +20,16 @@
 // by the TCP transport and — byte for byte — by the in-memory transport, so
 // deterministic tests exercise the exact encoding production traffic uses.
 //
+// Notifications: sequence ID 0 marks a one-way request that gets no reply at
+// all (no result, error or shed frame). The TCP transport sends the one-way
+// types (oneWay: TypeMatch) that way, which halves the frames of a match
+// push. The sender decides by message type, the receiver only by the
+// sequence ID, so mixed versions interoperate: a match call from an older
+// sender carries a nonzero ID and still gets its reply, and a reply with ID
+// 0 from an older receiver matches no waiting call and is dropped. The
+// in-memory transport still carries every message, matches included, as a
+// request/reply round trip, so the simulator's link model is unchanged.
+//
 // Versioning: the version byte names the frame layout and the per-message
 // field layout as a whole. Within one version, message fields may only ever
 // be appended (decoders ignore unrecognised trailing bytes); any
@@ -165,6 +175,11 @@ func typeByte(name string) (byte, error) {
 	}
 	return b, nil
 }
+
+// oneWay reports whether the TCP transport sends typ as a notification
+// (sequence ID 0, no reply). Only match pushes are: their reply carried
+// nothing, and their delivery is at-most-once either way.
+func oneWay(typ byte) bool { return typ == typeMatch }
 
 // typeName resolves a wire byte to its protocol name ("" when unknown; an
 // unknown request type is answered with a framed error, not a closed
