@@ -62,6 +62,29 @@ func (m *goodMsg) UnmarshalWire(data []byte) error {
 	return r.Err()
 }
 
+// ---- ackMsg: a once-empty reply that grew fields, every one of them
+// trailing and optional-on-read (an old peer's empty reply decodes as
+// zero). No diagnostics. ----
+
+type ackMsg struct {
+	Incarnation uint64
+	Version     uint64
+}
+
+func (m *ackMsg) MarshalWire(b []byte) []byte {
+	b = wirecodec.AppendUvarint(b, m.Incarnation)
+	return wirecodec.AppendUvarint(b, m.Version)
+}
+
+func (m *ackMsg) UnmarshalWire(data []byte) error {
+	r := wirecodec.NewReader(data)
+	if r.Err() == nil && r.Len() > 0 {
+		m.Incarnation = r.Uvarint()
+		m.Version = r.Uvarint()
+	}
+	return r.Err()
+}
+
 // ---- swappedMsg: the classic transposition bug. ----
 
 type swappedMsg struct {

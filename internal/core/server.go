@@ -190,7 +190,10 @@ func (s *Server) Counters() Counters {
 }
 
 // SnapshotSwaps returns how many read-snapshot rebuilds have been published
-// (one per structural mutation batch).
+// (one per structural mutation batch). Every operation that can change what
+// SnapshotActive returns — an active group's prefix, epoch, parent or root
+// flag — publishes one, so an unchanged count means an unchanged active
+// shape; the overlay's delta replica pushes rely on that.
 func (s *Server) SnapshotSwaps() uint64 { return s.swaps.Load() }
 
 // ShardStat is the work-table lock's contention snapshot. The name and the

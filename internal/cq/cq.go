@@ -310,6 +310,22 @@ func (e *Engine) Register(q Query) error {
 
 func compareID(q Query, id string) int { return strings.Compare(q.ID, id) }
 
+// Get returns the stored query with the given id.
+func (e *Engine) Get(id string) (Query, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	prefix, ok := e.regions[id]
+	if !ok {
+		return Query{}, false
+	}
+	qs, _ := e.byRegion.Get(prefix)
+	i, ok := slices.BinarySearchFunc(qs, id, compareID)
+	if !ok {
+		return Query{}, false
+	}
+	return qs[i], true
+}
+
 // Unregister removes a query by id.
 func (e *Engine) Unregister(id string) error {
 	e.mu.Lock()

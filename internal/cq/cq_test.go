@@ -114,6 +114,33 @@ func TestEngineRegisterUnregister(t *testing.T) {
 	}
 }
 
+func TestEngineGet(t *testing.T) {
+	e, err := NewEngine(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Query{ID: "a", Region: bitkey.MustParseGroup("01")}
+	b := Query{ID: "b", Region: bitkey.MustParseGroup("01"),
+		Predicates: []Predicate{{Attr: "speed", Op: OpGt, Value: 5}}}
+	for _, q := range []Query{b, a} {
+		if err := e.Register(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := e.Get("b"); !ok || got.ID != "b" || len(got.Predicates) != 1 {
+		t.Errorf("Get(b) = %+v, %v", got, ok)
+	}
+	if err := e.Unregister("b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Get("b"); ok {
+		t.Error("Get found an unregistered query")
+	}
+	if got, ok := e.Get("a"); !ok || got.ID != "a" {
+		t.Errorf("Get(a) = %+v, %v", got, ok)
+	}
+}
+
 func TestEngineMatchRegionAndPredicates(t *testing.T) {
 	e := mustEngine(t, 8)
 	queries := []Query{

@@ -106,6 +106,10 @@ func (h *Hub) registerCollectors() {
 		"Parked key-group transfers abandoned after exhausting retries.")
 	orphanDrops := reg.Counter("clash_orphan_drops_total",
 		"Orphaned queries dropped after exhausting placement retries.")
+	repPushes := reg.CounterVec("clash_replica_pushes_total",
+		"Replica pushes sent to replication targets, by kind (full state or registration delta).", "kind")
+	repRefused := reg.Counter("clash_replica_delta_refused_total",
+		"Delta replica pushes refused by a target not holding their base version; each cost a full push.")
 	frames := reg.CounterVec("clash_transport_frames_total", "Wire frames by direction.", "dir")
 	bytes := reg.CounterVec("clash_transport_bytes_total", "Wire bytes by direction, headers included.", "dir")
 	inFlight := reg.Gauge("clash_transport_in_flight", "Outbound calls awaiting a reply.")
@@ -158,6 +162,10 @@ func (h *Hub) registerCollectors() {
 		matchDrops.Set(uint64(h.node.MatchDrops()))
 		transferDrops.Set(uint64(h.node.TransferDrops()))
 		orphanDrops.Set(uint64(h.node.OrphanDrops()))
+		rp := h.node.ReplicaPushes()
+		repPushes.With("full").Set(uint64(rp.Full))
+		repPushes.With("delta").Set(uint64(rp.Delta))
+		repRefused.Set(uint64(rp.DeltaRefused))
 
 		ts := h.node.TransportStats()
 		frames.With("in").Set(ts.FramesIn)

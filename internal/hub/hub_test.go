@@ -224,6 +224,43 @@ func shallowestSplittable(groups []bitkey.Group, keyBits int) (bitkey.Group, boo
 	return best, ok
 }
 
+// TestHubReplicaPushMetrics registers continuous queries on a live 3-node
+// TCP cluster and checks that /metrics exports the holder's replica pushes by
+// kind and its refused deltas, agreeing with the node's own counters, and
+// lints clean.
+func TestHubReplicaPushMetrics(t *testing.T) {
+	c := newTestCluster(t, 3)
+	cli := c.client(t)
+	hi := c.holderIdx(t)
+	region := c.nodes[hi].Server().ActiveGroups()[0]
+	for i := 0; i < 8; i++ {
+		q := cq.Query{ID: fmt.Sprintf("q-%d", i), Region: region}
+		if _, err := cli.Register(q); err != nil {
+			t.Fatalf("Register %s: %v", q.ID, err)
+		}
+	}
+	rp := c.nodes[hi].ReplicaPushes()
+	if rp.Full == 0 || rp.Delta == 0 || rp.DeltaRefused != 0 {
+		t.Fatalf("replica pushes %+v: want full and delta pushes, none refused", rp)
+	}
+	code, body := httpGet(t, c.srvs[hi].URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, lintErr := range metrics.LintPrometheus(strings.NewReader(body)) {
+		t.Errorf("promlint: %v", lintErr)
+	}
+	for _, line := range []string{
+		fmt.Sprintf(`clash_replica_pushes_total{kind="full"} %d`, rp.Full),
+		fmt.Sprintf(`clash_replica_pushes_total{kind="delta"} %d`, rp.Delta),
+		"clash_replica_delta_refused_total 0",
+	} {
+		if !strings.Contains(body, line+"\n") {
+			t.Errorf("/metrics missing %q", line)
+		}
+	}
+}
+
 // TestHubControlPlane drives a live 3-node TCP cluster through traced
 // publishes and an admin split, then checks every read endpoint: /metrics
 // (lints clean, carries the protocol/transport/trace families), /status,

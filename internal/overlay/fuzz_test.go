@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"clash/internal/core"
+	"clash/internal/wirecodec"
 )
 
 // FuzzReadFrame feeds arbitrary byte streams to both frame decoders: the
@@ -179,6 +180,48 @@ func FuzzReplicateScan(f *testing.F) {
 			spanRef{TraceID: msg.TraceID, Parent: msg.ParentSpan, Hop: msg.Hop})
 		if got != want {
 			t.Fatalf("scanned %s, decoded %s", got, want)
+		}
+	})
+}
+
+// FuzzReplicateDeltaScan holds scanReplicateDelta, the receipt-time
+// validation of a delta push, to replicateDeltaMsg.UnmarshalWire: it must
+// accept exactly the payloads the decoder accepts, read the same header,
+// record count and trace context, and return a record section that re-encodes
+// the decoded records.
+func FuzzReplicateDeltaScan(f *testing.F) {
+	rec := func(v uint64, bits int, epoch uint64, q string) []byte {
+		return (&replicaDeltaRec{GroupValue: v, GroupBits: bits, Epoch: epoch, Query: []byte(q)}).MarshalWire(nil)
+	}
+	push := replicateDeltaMsg{Origin: "n1", Incarnation: 9, Base: 2, Version: 3,
+		TraceID: 7, ParentSpan: 8, Hop: 1,
+		Records: [][]byte{rec(1, 2, 3, "q1"), rec(0, 1, 1, "q2")}}
+	enc := push.MarshalWire(nil)
+	for i := 0; i <= len(enc); i++ {
+		f.Add(enc[:i])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := scanReplicateDelta(data)
+		var msg replicateDeltaMsg
+		derr := msg.UnmarshalWire(data)
+		if (err != nil) != (derr != nil) {
+			t.Fatalf("scanReplicateDelta error %v, UnmarshalWire error %v", err, derr)
+		}
+		if err != nil {
+			return
+		}
+		got := fmt.Sprintf("%s %d %d %d %d %+v", h.Origin, h.Incarnation, h.Base, h.Version, h.Records, h.Trace)
+		want := fmt.Sprintf("%s %d %d %d %d %+v", msg.Origin, msg.Incarnation, msg.Base, msg.Version, len(msg.Records),
+			spanRef{TraceID: msg.TraceID, Parent: msg.ParentSpan, Hop: msg.Hop})
+		if got != want {
+			t.Fatalf("scanned %s, decoded %s", got, want)
+		}
+		var section []byte
+		for _, r := range msg.Records {
+			section = wirecodec.AppendBytes(section, r)
+		}
+		if !bytes.Equal(h.Section, section) {
+			t.Fatalf("scanned section %x, decoded records encode to %x", h.Section, section)
 		}
 	})
 }

@@ -46,6 +46,8 @@ func (n *Node) handle(msgType string, payload []byte) ([]byte, error) {
 		return n.handleChildMoved(payload)
 	case TypeReplicateKeyGroup:
 		return n.handleReplicate(payload)
+	case TypeReplicateDelta:
+		return n.handleReplicateDelta(payload)
 	case TypeRecoverKeyGroups:
 		return n.handleRecoverKeyGroups(payload)
 	case TypeTopology:
@@ -108,16 +110,16 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 	}
 	if changed {
 		// A new continuous query, or a new subscriber for a stored one, is
-		// state worth surviving a crash: push the updated replica snapshot to
-		// the successors right away, so even a query registered moments
-		// before its holder dies is recoverable, and a recovered query
-		// notifies the subscriber that registered it last.
-		// This is a full-snapshot push per registration, re-encoding every
-		// stored query (see replica.go for what keeps that cheap); batch
-		// registrations coalesce to one push per frame (handleAcceptBatch).
-		// A sampled registration threads its span context onto the push so
-		// the replica holders' spans join the trace tree.
-		n.replicateSpan(spanRef{TraceID: req.TraceID, Parent: reply.SpanID, Hop: req.Hop + 1})
+		// state worth surviving a crash: push it to the successors right
+		// away, so even a query registered moments before its holder dies is
+		// recoverable, and a recovered query notifies the subscriber that
+		// registered it last. A successor holding the previous replica
+		// version gets only the changed record (a delta push; see
+		// replica.go); batch registrations coalesce to one push per frame
+		// (handleAcceptBatch). A sampled registration threads its span
+		// context onto the push so the replica holders' spans join the trace
+		// tree.
+		n.replicateRegistration(spanRef{TraceID: req.TraceID, Parent: reply.SpanID, Hop: req.Hop + 1})
 	}
 	// Direct call rather than marshalMsg: boxing the reply into wireMsg would
 	// heap-allocate it on every delivery.
@@ -194,7 +196,7 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 		// The coalesced push carries the first sampled registration's span
 		// context (one push, one parent — the other registrations' traces
 		// simply end at their accept span).
-		n.replicateSpan(regSpan)
+		n.replicateRegistration(regSpan)
 	}
 	// Direct call rather than marshalMsg: boxing the reply into wireMsg would
 	// heap-allocate it on every batch.
@@ -353,6 +355,9 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 		n.mu.Lock()
 		if n.setSubscriberLocked(q.ID, st.Subscriber) {
 			changed = true
+		}
+		if changed {
+			n.repDirty = append(n.repDirty, q.ID)
 		}
 		n.mu.Unlock()
 	}

@@ -139,10 +139,16 @@ type Node struct {
 	spanSalt uint64
 	spanSeq  atomic.Uint64
 
-	// repMu serialises replica snapshot+version assignment (replicate), so
+	// repMu serialises replica snapshot+version assignment (planPush), so
 	// concurrent pushes can't stamp an older snapshot with a newer version.
-	// Lock order: repMu before mu; never the reverse.
-	repMu sync.Mutex
+	// It also guards repSwaps and repAcks. Lock order: repMu before mu;
+	// never the reverse.
+	repMu    sync.Mutex
+	repSwaps uint64       // the table's structural-change count at the last push
+	repAcks  []replicaAck // what each replication target acknowledged
+
+	// Replica pushes sent, by kind, and deltas refused (ReplicaPushes).
+	repFull, repDelta, repRefused int64
 
 	mu            sync.Mutex
 	queries       map[string]storedQuery     // query id → subscriber and wire record
@@ -151,6 +157,8 @@ type Node struct {
 	orphans       []orphanQuery
 	replicas      map[string]*replicaSet // origin addr → its replicated state
 	repVersion    uint64
+	repDirty      []string // queries registered or re-subscribed since the last push
+	repStale      bool     // query state changed outside a registration since the last push
 	incarnation   uint64
 	mayPushEmpty  bool // guards empty replica pushes until past the recovery window
 	matchDrops    int64
@@ -634,6 +642,13 @@ func (n *Node) installQueries(states []queryState) {
 		n.setSubscriberLocked(q.ID, st.Subscriber)
 		n.mu.Unlock()
 		touched[g.String()] = g
+	}
+	if len(touched) > 0 {
+		// The next replica push cannot be a delta: these queries are in no
+		// registration's record list.
+		n.mu.Lock()
+		n.repStale = true
+		n.mu.Unlock()
 	}
 	for _, g := range touched {
 		n.resetQueryCount(g)

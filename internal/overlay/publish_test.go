@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,10 +126,15 @@ func TestMalformedDataPayloadRejected(t *testing.T) {
 }
 
 // TestRegisterAllocsFlat bounds how a Register's allocations grow with the
-// number of queries its group already stores. Every registration pushes the
-// node's full replica snapshot to two successors, so a per-query allocation
-// anywhere on that path (encoding the queries, building the group records,
-// storing the received copy) multiplies with the stored state.
+// number of queries its group already stores. A registration pushes its
+// changed record to the two successors as a delta, and the full replica
+// state when a successor is not known to hold the previous version or its
+// delta log has grown to the size of its full copy (about once per
+// stored-state's worth of records). A per-query allocation anywhere on the
+// full path (encoding the queries, building the group records, storing the
+// received copy) shows here averaged over those registrations; one on the
+// delta path (finding the changed query, merging it into the log) would
+// show in full.
 func TestRegisterAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -165,9 +171,65 @@ func TestRegisterAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestRegisterPushBytesFlat bounds how the bytes a Register sends to its
+// replica holders grow with the queries its group already stores: by at most
+// 1 B per stored query, measured as the median over 21 registrations at 100
+// and at 400 stored queries. A full-state push per registration costs about
+// 95 B per stored query for each of the two holders. The median is the
+// registrations' own delta pushes: the full push that the delta-log bound
+// brings back recurs only once per stored-state's worth of records.
+func TestRegisterPushBytesFlat(t *testing.T) {
+	f := newPublishFixture(t)
+	var holder *Node
+	for _, n := range f.nodes {
+		if _, ok := n.Server().ManagesKey(f.covered); ok {
+			holder = n
+		}
+	}
+	if holder == nil {
+		t.Fatal("no node holds the fixture's group")
+	}
+	stored := 1 // the fixture's q-fast, in the same group
+	register := func() uint64 {
+		q := cq.Query{
+			ID:         fmt.Sprintf("q-%05d", stored),
+			Region:     bitkey.NewGroup(bitkey.Key{Value: 0b001<<13 | uint64(stored), Bits: 16}),
+			Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}},
+		}
+		before := holder.TransportStats().BytesOut
+		if _, err := f.client.Register(q); err != nil {
+			t.Fatalf("Register %s: %v", q.ID, err)
+		}
+		stored++
+		return holder.TransportStats().BytesOut - before
+	}
+	bytesAt := func(n int) float64 {
+		for stored < n {
+			register()
+		}
+		sent := make([]uint64, 21)
+		for i := range sent {
+			sent[i] = register()
+		}
+		slices.Sort(sent)
+		return float64(sent[len(sent)/2])
+	}
+	const lo, hi = 100, 400
+	bLo, bHi := bytesAt(lo), bytesAt(hi)
+	perQuery := (bHi - bLo) / (hi - lo)
+	t.Logf("median bytes a Register sends from its holder: %.0f at %d stored queries, %.0f at %d (%.3f per stored query)", bLo, lo, bHi, hi, perQuery)
+	const ceiling = 1.0
+	if perQuery > ceiling {
+		t.Errorf("replica bytes per Register grow by %.3f per stored query, want <= %.0f", perQuery, ceiling)
+	}
+}
+
 // BenchmarkRegisterStored times one Register, replica push included, while
 // its group already stores 100 or 1000 queries, each in its own region: the
 // slope of ns/op between the two sizes is the push's cost per stored query.
+// Most registrations push a one-record delta; a full push, whose cost does
+// grow with the stored queries, recurs once the successors' delta logs reach
+// the size of their full copy, so its cost per registration stays flat.
 // Each iteration's query is removed from its holder again outside the timer,
 // so the stored count stays put however many iterations run.
 func BenchmarkRegisterStored(b *testing.B) {

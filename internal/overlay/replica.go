@@ -2,9 +2,12 @@ package overlay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -12,28 +15,47 @@ import (
 	"clash/internal/chord"
 	"clash/internal/core"
 	"clash/internal/cq"
+	"clash/internal/wirecodec"
 )
 
 // Key-group replication and crash recovery.
 //
-// Every node pushes its full replicable state — active group snapshots plus
+// Every node replicates its replicable state — active group snapshots plus
 // their continuous-query state — to the first Config.ReplicationFactor live
 // successors: immediately after a split, merge, transfer or CQ registration,
 // once per load-check period (which repairs lost pushes), and whenever the
-// chord successor list changes (so replicas follow ring churn). The push is a
-// full-state replacement ordered by (incarnation, version), so a group the
-// origin shed simply disappears from the replica without tombstone
-// bookkeeping.
+// chord successor list changes (so replicas follow ring churn). Pushes are
+// ordered by (origin incarnation, version); each one stamps the next version.
 //
-// A push carries every stored query, so it is kept to a copy of bytes
-// already built. Each query's queryState wire record is encoded once, on the
-// first push after the query was registered or its subscriber changed, and
-// kept beside its subscriber (Node.queries); a push appends the stored
-// records in the engine's region order without re-encoding or sorting them.
-// The receiver validates the whole push in place (scanReplicate), reads only
-// its header, and stores one owned copy of the payload — only when the push
-// is newer than the stored one. The copy is decoded only when it is used: on
-// promotion and to answer a recovery pull.
+// A full push (TypeReplicateKeyGroup) replaces the holder's stored set, so a
+// group the origin shed simply disappears from the replica without tombstone
+// bookkeeping. It carries every stored query, so it is kept to a copy of
+// bytes already built: each query's queryState wire record is encoded once,
+// on the first push after the query was registered or its subscriber
+// changed, and kept beside its subscriber (Node.queries); a push appends the
+// stored records in the engine's region order without re-encoding or sorting
+// them.
+//
+// A registration moves only what it changed. Each holder answers a push with
+// the (incarnation, version) it then stores, and a holder that acknowledged
+// exactly the previous version gets a delta push (TypeReplicateDelta): the
+// records of the queries registered or re-subscribed since, each tagged with
+// its group and epoch. The origin sends a delta only while its work table
+// had no structural change since the last push, no transfer or orphan is
+// parked, no query state changed outside a registration, and the holder's
+// delta log stays smaller than the full push it rests on — so a holder keeps
+// at most about twice the state. Everything else — load checks, splits, merges, transfers, successor
+// changes, recovery, and a registration towards a holder not known to hold
+// the previous version — pushes the full state, and a holder that refuses a
+// delta (it lost its copy, or restarted) gets one fallback full push at once.
+//
+// The receiver validates each push in place (scanReplicate,
+// scanReplicateDelta) and reads only its header: it stores one owned copy of
+// a full push that is newer than what it holds, and appends a delta's records
+// to the stored set's log only when the set is at exactly the delta's base
+// version. The copy is decoded only when it is used — on promotion and to
+// answer a recovery pull — and then the log is merged in, each logged record
+// replacing its query's earlier one, in the full push's region/ID order.
 //
 // Recovery runs two ways:
 //
@@ -49,24 +71,138 @@ import (
 //     beats the ring's failure detection.
 
 // replicaSet is the stored replica of one origin's key-group state: the
-// origin's last accepted push, validated and kept as sent. A stored payload
-// is never modified, only replaced, so what is decoded from it may be used
-// after n.mu is released.
+// origin's last accepted full push, validated and kept as sent, plus the
+// records of the delta pushes accepted on top of it, appended as sent to
+// log. A stored payload and the logged bytes are never modified, only
+// replaced or appended to, so what is decoded from them may be used after
+// n.mu is released.
 type replicaSet struct {
 	incarnation uint64
-	version     uint64
+	version     uint64    // of the last push applied, full or delta
 	seen        time.Time // last refresh, for garbage collection
 	groups      int       // group records in payload
 	payload     []byte    // an owned copy of the replicateMsg
+	log         []byte    // length-prefixed replicaDeltaRec records since payload
 }
 
-// decode parses the stored push, minus its trace context. The payload was
-// validated when it was stored, so it decodes.
+// ack is the version a holder reports for the set.
+func (s *replicaSet) ack() replicateAck {
+	return replicateAck{Incarnation: s.incarnation, Version: s.version}
+}
+
+// decode parses the stored push, minus its trace context, with the delta log
+// merged in: exactly the replicateMsg the origin would have pushed in full at
+// the set's version. The payload and log were validated when stored, so they
+// decode.
 func (s *replicaSet) decode() replicateMsg {
 	var msg replicateMsg
 	_ = msg.UnmarshalWire(s.payload)
+	msg.Version = s.version
 	msg.TraceID, msg.ParentSpan, msg.Hop = 0, 0, 0
+	mergeDeltaLog(msg.Groups, s.log)
 	return msg
+}
+
+// holdsGroups reports whether every record of a validated delta section is
+// tagged with a group of the stored push, at the same epoch.
+func (s *replicaSet) holdsGroups(section []byte) bool {
+	r := wirecodec.NewReader(section)
+	for r.Len() > 0 && r.Err() == nil {
+		var d replicaDeltaRec
+		if d.UnmarshalWire(r.Bytes()) != nil {
+			return false
+		}
+		if epoch, ok := s.groupEpoch(d.GroupValue, d.GroupBits); !ok || epoch != d.Epoch {
+			return false
+		}
+	}
+	return r.Err() == nil
+}
+
+// groupEpoch returns the epoch of the stored push's group record with the
+// given prefix; ok is false when there is none.
+func (s *replicaSet) groupEpoch(value uint64, bits int) (epoch uint64, ok bool) {
+	r := wirecodec.NewReader(s.payload)
+	r.Bytes()
+	r.Uvarint()
+	r.Uvarint()
+	n := r.Int()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		g := wirecodec.NewReader(r.Bytes())
+		if g.Int() != bits || g.Uvarint() != value {
+			continue
+		}
+		g.Bytes() // parent
+		g.Bool()  // root
+		return g.Uvarint(), true
+	}
+	return 0, false
+}
+
+// mergeDeltaLog folds a delta log into the decoded groups of its base push:
+// each logged record replaces the group's record of the same query or joins
+// the group, and each group the log touched is re-sorted by region prefix,
+// then ID — the order in which the origin's full push lists a group's
+// queries (cq.Engine.VisitInGroup).
+func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
+	if len(log) == 0 {
+		return
+	}
+	type entry struct {
+		region bitkey.Key
+		id     string
+		rec    []byte
+	}
+	keyed := func(rec []byte) entry {
+		e := entry{rec: rec}
+		var st queryState
+		if st.UnmarshalWire(rec) == nil {
+			if q, err := cq.UnmarshalQuery(st.Query); err == nil {
+				e.region, e.id = q.Region.Prefix, q.ID
+			}
+		}
+		return e
+	}
+	merged := make(map[int][]entry)
+	r := wirecodec.NewReader(log)
+	for r.Len() > 0 && r.Err() == nil {
+		var d replicaDeltaRec
+		if d.UnmarshalWire(r.Bytes()) != nil {
+			break
+		}
+		gi := slices.IndexFunc(groups, func(g replicaGroupRec) bool {
+			return g.GroupValue == d.GroupValue && g.GroupBits == d.GroupBits
+		})
+		if gi < 0 {
+			continue
+		}
+		entries, ok := merged[gi]
+		if !ok {
+			for _, rec := range groups[gi].Queries {
+				entries = append(entries, keyed(rec))
+			}
+		}
+		e := keyed(d.Query)
+		if i := slices.IndexFunc(entries, func(x entry) bool { return x.id == e.id }); i >= 0 {
+			entries[i] = e
+		} else {
+			entries = append(entries, e)
+		}
+		merged[gi] = entries
+	}
+	for gi, entries := range merged {
+		slices.SortFunc(entries, func(a, b entry) int {
+			if c := a.region.Compare(b.region); c != 0 {
+				return c
+			}
+			return strings.Compare(a.id, b.id)
+		})
+		queries := make([][]byte, len(entries))
+		for i, e := range entries {
+			queries[i] = e.rec
+		}
+		groups[gi].Queries = queries
+	}
 }
 
 // replicationTargets returns the first ReplicationFactor distinct successors
@@ -133,30 +269,209 @@ func (n *Node) replicaGroupsLocked(snaps []core.GroupSnapshot) []replicaGroupRec
 	return out
 }
 
-// replicate pushes the node's current replica snapshot to its replication
-// targets. Best effort: a lost push is repaired by the next one (every
-// load-check period at the latest). An empty snapshot is pushed too — it is
-// what clears a stale remote copy after this node shed its last group — but
-// only once the node has ever held state or finished its recovery pull: a
-// restarted node must not wipe the successors' copy of its own pre-crash
-// state with the empty pushes its join triggers.
-func (n *Node) replicate() { n.replicateSpan(spanRef{}) }
+// replicaAck is what the origin knows a replication target holds: the
+// (incarnation, version) the target acknowledged, the size of the full push
+// that version rests on, and the delta bytes appended to it since.
+type replicaAck struct {
+	target               string
+	incarnation, version uint64
+	base, log            int
+}
 
-// replicateSpan is replicate with a trace context: when tc carries a sampled
-// registration's span, the push frames carry it so every replica holder
-// records a replica-push span chained under the registration's accept span.
-func (n *Node) replicateSpan(tc spanRef) {
-	targets := n.replicationTargets()
-	if len(targets) == 0 {
+// ackIndex returns the index of target's entry in n.repAcks, or -1. Callers
+// hold n.repMu.
+func (n *Node) ackIndex(target string) int {
+	return slices.IndexFunc(n.repAcks, func(a replicaAck) bool { return a.target == target })
+}
+
+// ReplicaPushStats counts a node's outbound replica pushes by kind, one per
+// target.
+type ReplicaPushStats struct {
+	// Full counts full-state pushes (TypeReplicateKeyGroup).
+	Full int64 `json:"full"`
+	// Delta counts delta pushes (TypeReplicateDelta).
+	Delta int64 `json:"delta"`
+	// DeltaRefused counts deltas a target refused for not holding their
+	// base version; each cost one fallback full push.
+	DeltaRefused int64 `json:"deltaRefused"`
+}
+
+// ReplicaPushes returns the node's replica push counters.
+func (n *Node) ReplicaPushes() ReplicaPushStats {
+	return ReplicaPushStats{
+		Full:         atomic.LoadInt64(&n.repFull),
+		Delta:        atomic.LoadInt64(&n.repDelta),
+		DeltaRefused: atomic.LoadInt64(&n.repRefused),
+	}
+}
+
+// pushKind selects what a push round may send.
+type pushKind int
+
+const (
+	// pushFull sends every target the full state.
+	pushFull pushKind = iota
+	// pushRegistration sends the delta to each target that acknowledged the
+	// previous version, when the delta rules allow one, and the full state
+	// to the rest.
+	pushRegistration
+	// pushFallback sends the full state to the one target that refused a
+	// delta.
+	pushFallback
+)
+
+// replicaPush is one planned push round.
+type replicaPush struct {
+	incarnation, version uint64
+	full                 []byte // marshalled full state; nil when every target gets the delta
+	delta                []byte // marshalled delta; nil when no target gets it
+	section              int    // the delta's record bytes, what a holder appends to its log
+	targets              []pushTarget
+}
+
+// pushTarget is one target of a push round and what it had acknowledged
+// when the round was planned.
+type pushTarget struct {
+	addr  string
+	delta bool
+	ack   replicaAck
+}
+
+// replicate pushes the node's full replica state to its replication targets.
+// Best effort: a lost push is repaired by the next one (every load-check
+// period at the latest). An empty snapshot is pushed too — it is what clears
+// a stale remote copy after this node shed its last group — but only once
+// the node has ever held state or finished its recovery pull: a restarted
+// node must not wipe the successors' copy of its own pre-crash state with the
+// empty pushes its join triggers.
+func (n *Node) replicate() { n.push(n.replicationTargets(), spanRef{}, pushFull) }
+
+// replicateRegistration pushes the query records registered or re-subscribed
+// since the last push. A target that acknowledged the previous version gets
+// them as a delta when the delta rules allow one (see planPush); every other
+// target gets the full state. When tc carries a sampled registration's span,
+// the push frames carry it so every replica holder records a replica-push
+// span chained under the registration's accept span.
+func (n *Node) replicateRegistration(tc spanRef) {
+	n.push(n.replicationTargets(), tc, pushRegistration)
+}
+
+// push plans one push round and sends it.
+func (n *Node) push(targets []string, tc spanRef, kind pushKind) {
+	p, ok := n.planPush(targets, tc, kind)
+	if !ok {
 		return
 	}
+	for _, t := range p.targets {
+		// A suspected (gray — slow or shedding) target gets its push on a
+		// background goroutine so one wedged successor cannot stall the
+		// remaining targets' pushes — or the maintenance pass driving this
+		// call. Under the simulator (InlineMatchPush) everything stays inline:
+		// event execution is single-threaded and timeouts cost virtual, not
+		// wall, time.
+		if !n.cfg.InlineMatchPush && n.susp.state(t.addr) == chord.PeerSuspect {
+			n.wg.Add(1)
+			go func(t pushTarget) {
+				defer n.wg.Done()
+				n.sendPush(&p, t, tc)
+			}(t)
+			continue
+		}
+		n.sendPush(&p, t, tc)
+	}
+}
+
+// planPush stamps the next replica version and builds what each target gets.
+// A target gets the delta only when all of these hold:
+//   - the round is a registration's, and the target acknowledged exactly the
+//     previous version of this incarnation;
+//   - the work table had no structural change since the last push (no
+//     split, merge, transfer, release or restore: the active groups'
+//     prefixes, epochs, parents and root flags are the ones pushed), no
+//     transfer or orphan is parked, and no query state changed outside a
+//     registration;
+//   - the target's log stays smaller than the full push it rests on once the
+//     delta is appended, which bounds a holder's copy at twice the state.
+//
+// ok is false when nothing is pushed.
+func (n *Node) planPush(targets []string, tc spanRef, kind pushKind) (p replicaPush, ok bool) {
 	// Snapshot and version are assigned under one mutex: two concurrent
-	// replicates (a handler's post-registration push racing the load check)
+	// pushes (a handler's post-registration push racing the load check)
 	// must not stamp the older snapshot with the newer version, or the
 	// receivers would keep the stale content as authoritative.
 	n.repMu.Lock()
+	// The structural-change count is read before the snapshot: a change
+	// landing in between leaves the stored count behind the pushed shape,
+	// which only makes the next push full.
+	swaps := n.server.SnapshotSwaps()
 	snaps := n.server.SnapshotActive()
 	n.mu.Lock()
+	empty := len(snaps) == 0 && len(n.pending) == 0 && len(n.orphans) == 0
+	if len(targets) == 0 || (empty && !n.mayPushEmpty) {
+		// The records changed since the last push reach no holder, so the
+		// next push cannot be a delta on top of it.
+		n.repStale = n.repStale || len(n.repDirty) > 0
+		n.repDirty = n.repDirty[:0]
+		n.mu.Unlock()
+		n.repMu.Unlock()
+		return p, false
+	}
+	if !empty {
+		n.mayPushEmpty = true
+	}
+	prev := n.repVersion
+	n.repVersion++
+	p = replicaPush{incarnation: n.incarnation, version: n.repVersion}
+	var delta replicateDeltaMsg
+	canDelta := kind == pushRegistration && !n.repStale && len(n.pending) == 0 &&
+		len(n.orphans) == 0 && swaps == n.repSwaps
+	if canDelta {
+		delta.Records, canDelta = n.deltaRecordsLocked(snaps)
+		for _, rec := range delta.Records {
+			p.section += uvarintLen(len(rec)) + len(rec)
+		}
+	}
+	if kind != pushFallback {
+		// Forget targets that left the replication set: should one return,
+		// it starts over with a full push.
+		n.repAcks = slices.DeleteFunc(n.repAcks, func(a replicaAck) bool { return !slices.Contains(targets, a.target) })
+	}
+	anyFull, anyDelta := false, false
+	for _, addr := range targets {
+		var a replicaAck
+		if i := n.ackIndex(addr); i >= 0 {
+			a = n.repAcks[i]
+		}
+		d := canDelta && a.incarnation == p.incarnation && a.version == prev && a.log+p.section < a.base
+		p.targets = append(p.targets, pushTarget{addr: addr, delta: d, ack: a})
+		anyFull, anyDelta = anyFull || !d, anyDelta || d
+	}
+	var full replicateMsg
+	if anyFull {
+		full = n.fullStateLocked(snaps, tc)
+		full.Version = p.version
+	}
+	n.repSwaps = swaps
+	n.repDirty = n.repDirty[:0]
+	n.repStale = false
+	n.mu.Unlock()
+	n.repMu.Unlock()
+	// The records are never modified once built, so the payloads are
+	// encoded outside the locks.
+	if anyFull {
+		p.full = full.MarshalWire(nil)
+	}
+	if anyDelta {
+		delta.Origin, delta.Incarnation, delta.Base, delta.Version = n.Addr(), p.incarnation, prev, p.version
+		delta.TraceID, delta.ParentSpan, delta.Hop = tc.TraceID, tc.Parent, tc.Hop
+		p.delta = delta.MarshalWire(nil)
+	}
+	return p, true
+}
+
+// fullStateLocked builds the full replicateMsg for the active groups in
+// snaps, minus its version. Callers hold n.mu.
+func (n *Node) fullStateLocked(snaps []core.GroupSnapshot, tc spanRef) replicateMsg {
 	groups := n.replicaGroupsLocked(snaps)
 	// State parked outside the table and engine would be invisible to the
 	// per-group snapshot — and gone with a crash. A parked transfer is a
@@ -180,58 +495,108 @@ func (n *Node) replicateSpan(tc spanRef) {
 	for i := range n.orphans {
 		loose = append(loose, n.orphans[i].st.MarshalWire(nil))
 	}
-	if len(groups) == 0 && len(loose) == 0 && !n.mayPushEmpty {
-		n.mu.Unlock()
-		n.repMu.Unlock()
-		return
-	}
-	if len(groups) > 0 || len(loose) > 0 {
-		n.mayPushEmpty = true
-	}
-	n.repVersion++
-	msg := replicateMsg{
+	return replicateMsg{
 		Origin:      n.Addr(),
 		Incarnation: n.incarnation,
-		Version:     n.repVersion,
 		Groups:      groups,
 		Loose:       loose,
 		TraceID:     tc.TraceID,
 		ParentSpan:  tc.Parent,
 		Hop:         tc.Hop,
 	}
-	n.mu.Unlock()
-	n.repMu.Unlock()
-	payload := msg.MarshalWire(nil)
-	for _, t := range targets {
-		// A suspected (gray — slow or shedding) target gets its push on a
-		// background goroutine so one wedged successor cannot stall the
-		// remaining targets' pushes — or the maintenance pass driving this
-		// call. Under the simulator (InlineMatchPush) everything stays inline:
-		// event execution is single-threaded and timeouts cost virtual, not
-		// wall, time.
-		if !n.cfg.InlineMatchPush && n.susp.state(t) == chord.PeerSuspect {
-			n.wg.Add(1)
-			go func(addr string) {
-				defer n.wg.Done()
-				_, _ = n.caller.call(addr, TypeReplicateKeyGroup, payload)
-			}(t)
-			continue
+}
+
+// deltaRecordsLocked builds the delta records of the queries registered or
+// re-subscribed since the last push, each tagged with the active group in
+// snaps that holds it. ok is false when a query cannot be sent as a record
+// (gone from the engine, or under no group in snaps): the push must then be
+// full. Callers hold n.mu.
+func (n *Node) deltaRecordsLocked(snaps []core.GroupSnapshot) (recs [][]byte, ok bool) {
+	slices.Sort(n.repDirty)
+	for _, id := range slices.Compact(n.repDirty) {
+		q, found := n.engine.Get(id)
+		if !found {
+			return nil, false
 		}
-		_, _ = n.caller.call(t, TypeReplicateKeyGroup, payload)
+		ik, err := q.IdentifierKey(n.cfg.KeyBits)
+		if err != nil {
+			return nil, false
+		}
+		i := slices.IndexFunc(snaps, func(s core.GroupSnapshot) bool { return s.Group.Contains(ik) })
+		rec := n.queryRecordLocked(q)
+		if i < 0 || rec == nil {
+			return nil, false
+		}
+		d := replicaDeltaRec{
+			GroupValue: snaps[i].Group.Prefix.Value,
+			GroupBits:  snaps[i].Group.Prefix.Bits,
+			Epoch:      snaps[i].Epoch,
+			Query:      rec,
+		}
+		recs = append(recs, d.MarshalWire(nil))
+	}
+	return recs, true
+}
+
+// uvarintLen is the encoded size of n as a uvarint.
+func uvarintLen(n int) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], uint64(n))
+}
+
+// sendPush sends one target its push and records the acknowledgement. A
+// target that refused a delta gets one fallback full push at once.
+func (n *Node) sendPush(p *replicaPush, t pushTarget, tc spanRef) {
+	typ, payload, counter := TypeReplicateKeyGroup, p.full, &n.repFull
+	if t.delta {
+		typ, payload, counter = TypeReplicateDelta, p.delta, &n.repDelta
+	}
+	atomic.AddInt64(counter, 1)
+	raw, err := n.caller.call(t.addr, typ, payload)
+	if n.noteAck(p, t, raw, err) {
+		atomic.AddInt64(&n.repRefused, 1)
+		n.push([]string{t.addr}, tc, pushFallback)
 	}
 }
 
-// handleReplicate stores a peer's replica set, replacing the previous copy
-// unless the push is older than what is already held (a delayed duplicate
-// from before a crash-restart or a reordered retry). A push carrying a
-// sampled registration's trace context gets a replica-push span: this node
-// is one hop of that publish's cross-node path.
-func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
-	obs := n.obs.get()
-	var codecStart time.Time
-	if obs != nil {
-		codecStart = n.cfg.Clock.Now()
+// noteAck records what a target acknowledged holding after a push and
+// reports whether it refused a delta: it answered, but holds an older
+// version than the delta's (or none). Any answer other than the pushed
+// version, and any failed call, leaves the target unknown, so its next push
+// is full.
+func (n *Node) noteAck(p *replicaPush, t pushTarget, raw []byte, err error) (refused bool) {
+	var ack replicateAck
+	if err == nil {
+		err = ack.UnmarshalWire(raw)
 	}
+	n.repMu.Lock()
+	defer n.repMu.Unlock()
+	i := n.ackIndex(t.addr)
+	if err == nil && ack.Incarnation == p.incarnation && ack.Version == p.version {
+		a := replicaAck{target: t.addr, incarnation: p.incarnation, version: p.version, base: len(p.full)}
+		if t.delta {
+			a.base, a.log = t.ack.base, t.ack.log+p.section
+		}
+		if i >= 0 {
+			n.repAcks[i] = a
+		} else {
+			n.repAcks = append(n.repAcks, a)
+		}
+		return false
+	}
+	if i >= 0 {
+		n.repAcks = slices.Delete(n.repAcks, i, i+1)
+	}
+	return err == nil && t.delta && (ack.Incarnation < p.incarnation ||
+		ack.Incarnation == p.incarnation && ack.Version < p.version)
+}
+
+// handleReplicate stores a peer's full replica set, replacing the previous
+// copy unless the push is older than what is already held (a delayed
+// duplicate from before a crash-restart or a reordered retry), and answers
+// with the version now held.
+func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
+	sp := n.startPushSpan()
 	// The whole push is validated now, so a malformed one never replaces a
 	// good stored copy, but only its header is decoded: the records are read
 	// again only on promotion or a recovery pull.
@@ -239,36 +604,88 @@ func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	traced := obs != nil && h.Trace.TraceID != 0
-	var codecMicros int64
-	var handlerStart time.Time
-	if traced {
-		handlerStart = n.cfg.Clock.Now()
-		codecMicros = handlerStart.Sub(codecStart).Microseconds()
+	sp.decoded(n, h.Trace)
+	stored, ack := n.storeReplica(&h, payload)
+	if sp.traced() {
+		sp.finish(n, fmt.Sprintf("origin=%s groups=%d stored=%t", h.Origin, h.Groups, stored))
 	}
-	stored := n.storeReplica(&h, payload)
-	if traced {
-		n.emitSpan(obs, Span{
-			TraceID:       h.Trace.TraceID,
-			SpanID:        n.nextSpanID(),
-			Parent:        h.Trace.Parent,
-			Hop:           h.Trace.Hop,
-			Kind:          HopReplicaPush,
-			Detail:        fmt.Sprintf("origin=%s groups=%d stored=%t", h.Origin, h.Groups, stored),
-			CodecMicros:   codecMicros,
-			HandlerMicros: n.cfg.Clock.Now().Sub(handlerStart).Microseconds(),
-		})
-	}
-	return nil, nil
+	return ack.MarshalWire(wirecodec.GetBuf()), nil
 }
 
-// storeReplica applies one validated replicate push, reporting whether the
-// set was stored (false: self/empty origin or stale version). payload lives
-// in a pooled buffer the transport recycles after the handler returns, so a
-// stored push is cloned; a stale one is not.
-func (n *Node) storeReplica(h *replicateHeader, payload []byte) bool {
+// handleReplicateDelta appends a delta push to the stored set it builds on
+// and answers with the version now held: the delta's version when it
+// applied, or else the older one that makes the origin fall back to a full
+// push. A duplicate or late delta finds the stored version at or past its
+// own and changes nothing.
+func (n *Node) handleReplicateDelta(payload []byte) ([]byte, error) {
+	sp := n.startPushSpan()
+	h, err := scanReplicateDelta(payload)
+	if err != nil {
+		return nil, err
+	}
+	sp.decoded(n, h.Trace)
+	stored, ack := n.storeDelta(&h)
+	if sp.traced() {
+		sp.finish(n, fmt.Sprintf("origin=%s delta records=%d stored=%t", h.Origin, h.Records, stored))
+	}
+	return ack.MarshalWire(wirecodec.GetBuf()), nil
+}
+
+// pushSpan times a replica push that carries a sampled registration's trace
+// context: the push is one hop of that registration's cross-node path.
+type pushSpan struct {
+	obs         Observer
+	tc          spanRef
+	codecStart  time.Time
+	start       time.Time
+	codecMicros int64
+}
+
+// startPushSpan reads the clock before the push is decoded, whenever an
+// observer is installed (the trace context is known only after decoding).
+func (n *Node) startPushSpan() pushSpan {
+	sp := pushSpan{obs: n.obs.get()}
+	if sp.obs != nil {
+		sp.codecStart = n.cfg.Clock.Now()
+	}
+	return sp
+}
+
+// decoded ends the codec stage of a traced push.
+func (sp *pushSpan) decoded(n *Node, tc spanRef) {
+	if sp.obs == nil || tc.TraceID == 0 {
+		sp.obs = nil
+		return
+	}
+	sp.tc = tc
+	sp.start = n.cfg.Clock.Now()
+	sp.codecMicros = sp.start.Sub(sp.codecStart).Microseconds()
+}
+
+func (sp *pushSpan) traced() bool { return sp.obs != nil }
+
+// finish emits the replica-push span.
+func (sp *pushSpan) finish(n *Node, detail string) {
+	n.emitSpan(sp.obs, Span{
+		TraceID:       sp.tc.TraceID,
+		SpanID:        n.nextSpanID(),
+		Parent:        sp.tc.Parent,
+		Hop:           sp.tc.Hop,
+		Kind:          HopReplicaPush,
+		Detail:        detail,
+		CodecMicros:   sp.codecMicros,
+		HandlerMicros: n.cfg.Clock.Now().Sub(sp.start).Microseconds(),
+	})
+}
+
+// storeReplica applies one validated full push, reporting whether the set
+// was stored (false: self/empty origin or stale version) and the version held
+// for the origin afterwards. payload lives in a pooled buffer the transport
+// recycles after the handler returns, so a stored push is cloned; a stale one
+// is not.
+func (n *Node) storeReplica(h *replicateHeader, payload []byte) (bool, replicateAck) {
 	if len(h.Origin) == 0 || string(h.Origin) == n.Addr() {
-		return false
+		return false, replicateAck{}
 	}
 	now := n.cfg.Clock.Now()
 	n.mu.Lock()
@@ -277,7 +694,7 @@ func (n *Node) storeReplica(h *replicateHeader, payload []byte) bool {
 	if ok && (h.Incarnation < set.incarnation ||
 		(h.Incarnation == set.incarnation && h.Version < set.version)) {
 		set.seen = now // stale content, but still proof the origin lives
-		return false
+		return false, set.ack()
 	}
 	if !ok {
 		set = &replicaSet{}
@@ -290,7 +707,33 @@ func (n *Node) storeReplica(h *replicateHeader, payload []byte) bool {
 		groups:      h.Groups,
 		payload:     bytes.Clone(payload),
 	}
-	return true
+	return true, set.ack()
+}
+
+// storeDelta applies one validated delta push: only to a stored set of the
+// same incarnation at exactly the delta's base version, whose groups include
+// every record's group at the record's epoch. It reports whether the delta
+// applied and the version held for the origin afterwards.
+func (n *Node) storeDelta(h *replicateDeltaHeader) (bool, replicateAck) {
+	if len(h.Origin) == 0 || string(h.Origin) == n.Addr() {
+		return false, replicateAck{}
+	}
+	now := n.cfg.Clock.Now()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	set, ok := n.replicas[string(h.Origin)]
+	if !ok {
+		return false, replicateAck{}
+	}
+	if h.Incarnation == set.incarnation {
+		set.seen = now
+	}
+	if h.Incarnation != set.incarnation || h.Base != set.version || !set.holdsGroups(h.Section) {
+		return false, set.ack()
+	}
+	set.log = append(set.log, h.Section...)
+	set.version = h.Version
+	return true, set.ack()
 }
 
 // sortedKeys returns a map's keys in sorted order (deterministic iteration

@@ -132,7 +132,12 @@ func TestStaleReplicaPushNotStored(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	if a := testing.AllocsPerRun(50, func() { _, _ = n.handleReplicate(payload) }); a != 0 {
+	// The reply is a pooled buffer the transport recycles once it is framed.
+	handle := func(payload []byte) {
+		reply, _ := n.handleReplicate(payload)
+		wirecodec.PutBuf(reply)
+	}
+	if a := testing.AllocsPerRun(50, func() { handle(payload) }); a != 0 {
 		t.Errorf("a stale push allocates %v times, want 0 (no clone)", a)
 	}
 	newer := fresh.MarshalWire(nil)
@@ -142,7 +147,7 @@ func TestStaleReplicaPushNotStored(t *testing.T) {
 		m := fresh
 		m.Version = version
 		newer = m.MarshalWire(newer[:0])
-		_, _ = n.handleReplicate(newer)
+		handle(newer)
 	}); a != 1 {
 		t.Errorf("a newer push from a known origin allocates %v times, want 1 (its clone)", a)
 	}

@@ -31,7 +31,7 @@ func classTimeout(msgType string) time.Duration {
 	case TypePing, TypeFindSuccessor, TypeSuccessor, TypePredecessor,
 		TypeNotify, TypeLoadReport, TypeChildMoved, TypeTopology:
 		return shortTimeout
-	case TypeAcceptKeyGroup, TypeReplicateKeyGroup, TypeRecoverKeyGroups:
+	case TypeAcceptKeyGroup, TypeReplicateKeyGroup, TypeReplicateDelta, TypeRecoverKeyGroups:
 		return bulkTimeout
 	default:
 		return dataTimeout
@@ -42,7 +42,9 @@ func classTimeout(msgType string) time.Duration {
 // ambiguous failure: reads (lookups, ping, status, recover), last-write-wins
 // notifications (notify, load_report, child_moved), and replicate — which is
 // full-state replacement ordered by (incarnation, version), so a duplicate
-// collapses into the same state. Excluded: accept_object/accept_batch (a
+// collapses into the same state — and replicate_delta, which applies only on
+// top of its base version, so a duplicate finds the stored version already
+// at or past its own and is ignored. Excluded: accept_object/accept_batch (a
 // resend double-meters the packet's load), accept_keygroup and
 // release_keygroup (ownership handoffs guarded by their own parked-transfer
 // retry machinery), and match (at-most-once delivery to subscribers).
@@ -55,6 +57,7 @@ var idempotentTypes = map[string]bool{
 	TypeLoadReport:        true,
 	TypeChildMoved:        true,
 	TypeReplicateKeyGroup: true,
+	TypeReplicateDelta:    true,
 	TypeRecoverKeyGroups:  true,
 	TypeStatus:            true,
 	TypeTopology:          true,

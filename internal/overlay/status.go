@@ -38,6 +38,9 @@ type Status struct {
 	// this node holds for crash recovery.
 	ReplicaOrigins int `json:"replicaOrigins"`
 	ReplicaGroups  int `json:"replicaGroups"`
+	// ReplicaPushes counts the replica pushes this node sent, by kind, and
+	// the delta pushes its targets refused.
+	ReplicaPushes ReplicaPushStats `json:"replicaPushes"`
 	// MatchDrops counts match notifications that were refused or failed to
 	// write (see Node.MatchDrops).
 	MatchDrops int64 `json:"matchDrops"`
@@ -84,6 +87,7 @@ func (n *Node) Status() Status {
 		OrphanDrops:      atomic.LoadInt64(&n.orphanDrops),
 		ReplicaOrigins:   repOrigins,
 		ReplicaGroups:    repGroups,
+		ReplicaPushes:    n.ReplicaPushes(),
 		MatchDrops:       atomic.LoadInt64(&n.matchDrops),
 		Draining:         n.draining.Load(),
 		Counters:         n.server.Counters(),

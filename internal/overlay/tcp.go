@@ -418,12 +418,14 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		// Workers write each reply before hwg.Done, so a peer that half-closed
 		// after pipelining requests still gets every reply. A dead peer fails
 		// the write within its deadline, so this wait cannot wedge.
+		// Deregister before closing, so the connection is no longer counted
+		// by the time the peer sees EOF.
 		in.hwg.Wait()
 		close(in.jobs)
-		conn.Close()
 		t.mu.Lock()
 		delete(t.serving, conn)
 		t.mu.Unlock()
+		conn.Close()
 	}()
 	var last atomic.Int64
 	br := bufio.NewReaderSize(armIdle(conn, t.cfg.IdleTimeout, &last), frameReadBuffer)

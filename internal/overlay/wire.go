@@ -92,11 +92,20 @@ const (
 	TypeStatus = "clash.status"
 	// TypeReplicateKeyGroup pushes a node's full replicable key-group state
 	// (group snapshots + their continuous-query state) to a successor, which
-	// stores it keyed by origin. Pushed to the first k live successors on
-	// every split, merge, transfer and CQ registration, and re-pushed every
-	// load-check period and on successor-list changes, so replicas follow
-	// ring churn.
+	// stores it keyed by origin. Pushed to the first k live successors after
+	// every split, merge and transfer, every load-check period and on
+	// successor-list changes, so replicas follow ring churn; a CQ
+	// registration pushes it only to a successor not known to hold the
+	// origin's previous version (otherwise it sends TypeReplicateDelta). The
+	// reply is a replicateAck.
 	TypeReplicateKeyGroup = "clash.replicate_keygroup"
+	// TypeReplicateDelta pushes only the query records a CQ registration
+	// changed (replicateDeltaMsg) to a successor that acknowledged holding
+	// exactly the origin's previous replica version. The holder appends them
+	// to its stored set; one that does not hold that version answers with
+	// the version it does hold, and the origin falls back to a full
+	// TypeReplicateKeyGroup push. The reply is a replicateAck.
+	TypeReplicateDelta = "clash.replicate_delta"
 	// TypeRecoverKeyGroups asks a peer for the replica set it stores for a
 	// given origin. A node rejoining after a crash queries its successors and
 	// restores the freshest copy of its own pre-crash state.
@@ -127,6 +136,7 @@ const (
 	typeReplicateKeyGroup byte = 0x19
 	typeRecoverKeyGroups  byte = 0x1A
 	typeTopology          byte = 0x1B
+	typeReplicateDelta    byte = 0x1C
 
 	typeReplyOK  byte = 0xF0
 	typeReplyErr byte = 0xF1
@@ -157,6 +167,7 @@ var (
 		TypeReplicateKeyGroup: typeReplicateKeyGroup,
 		TypeRecoverKeyGroups:  typeRecoverKeyGroups,
 		TypeTopology:          typeTopology,
+		TypeReplicateDelta:    typeReplicateDelta,
 	}
 	nameRegistry [256]string
 )
@@ -618,7 +629,8 @@ func (m *replicaGroupRec) UnmarshalWire(data []byte) error {
 // TypeRecoverKeyGroups: one node's complete replicable key-group state. The
 // receiver replaces its stored set for Origin whenever (Incarnation, Version)
 // is not older than the stored pair — full-state replacement, so a group the
-// origin shed disappears from the replica without tombstones. Loose carries
+// origin shed disappears from the replica without tombstones (a recovery
+// reply carries the stored set with its delta log merged in). Loose carries
 // query state the origin holds outside its engine (parked transfers, orphaned
 // placements awaiting re-homing); on recovery it is re-placed through depth
 // resolution rather than installed under a group.
@@ -766,6 +778,178 @@ func scanReplicaGroup(data []byte) error {
 	}
 	for i := 0; i < n && r.Err() == nil; i++ {
 		r.Bytes()
+	}
+	return r.Err()
+}
+
+// replicaDeltaRec is one query record of a replicateDeltaMsg: a queryState
+// record tagged with the active group that stores the query and that
+// group's ownership epoch, which must match a group of the holder's base
+// set.
+type replicaDeltaRec struct {
+	GroupValue uint64 `json:"groupValue"`
+	GroupBits  int    `json:"groupBits"`
+	Epoch      uint64 `json:"epoch"`
+	Query      []byte `json:"query"`
+}
+
+// MarshalWire implements wireMsg.
+func (m *replicaDeltaRec) MarshalWire(b []byte) []byte {
+	b = wirecodec.AppendInt(b, m.GroupBits)
+	b = wirecodec.AppendUvarint(b, m.GroupValue)
+	b = wirecodec.AppendUvarint(b, m.Epoch)
+	return wirecodec.AppendBytes(b, m.Query)
+}
+
+// UnmarshalWire implements wireMsg. Query aliases data.
+func (m *replicaDeltaRec) UnmarshalWire(data []byte) error {
+	r := wirecodec.NewReader(data)
+	m.GroupBits = r.Int()
+	m.GroupValue = r.Uvarint()
+	m.Epoch = r.Uvarint()
+	m.Query = r.Bytes()
+	return r.Err()
+}
+
+// replicateDeltaMsg is the payload of TypeReplicateDelta: the query records
+// the origin registered or re-subscribed between replica versions Base and
+// Version (Base < Version), each a length-prefixed replicaDeltaRec. A holder
+// applies it only to a stored set of the same Incarnation at exactly Base,
+// by appending the records to the set's log; a record replaces any earlier
+// record of the same query in its group. The records come last, so the
+// holder appends the section as received.
+type replicateDeltaMsg struct {
+	Origin      string   `json:"origin"`
+	Incarnation uint64   `json:"incarnation"`
+	Base        uint64   `json:"base"`
+	Version     uint64   `json:"version"`
+	TraceID     uint64   `json:"traceId,omitempty"`
+	ParentSpan  uint64   `json:"parentSpan,omitempty"`
+	Hop         int      `json:"hop,omitempty"`
+	Records     [][]byte `json:"records,omitempty"`
+}
+
+// MarshalWire implements wireMsg.
+func (m *replicateDeltaMsg) MarshalWire(b []byte) []byte {
+	b = wirecodec.AppendString(b, m.Origin)
+	b = wirecodec.AppendUvarint(b, m.Incarnation)
+	b = wirecodec.AppendUvarint(b, m.Base)
+	b = wirecodec.AppendUvarint(b, m.Version)
+	b = wirecodec.AppendUvarint(b, m.TraceID)
+	b = wirecodec.AppendUvarint(b, m.ParentSpan)
+	b = wirecodec.AppendInt(b, m.Hop)
+	b = wirecodec.AppendInt(b, len(m.Records))
+	for _, rec := range m.Records {
+		b = wirecodec.AppendBytes(b, rec)
+	}
+	return b
+}
+
+// UnmarshalWire implements wireMsg. Records alias data.
+func (m *replicateDeltaMsg) UnmarshalWire(data []byte) error {
+	r := wirecodec.NewReader(data)
+	m.Origin = r.String()
+	m.Incarnation = r.Uvarint()
+	m.Base = r.Uvarint()
+	m.Version = r.Uvarint()
+	m.TraceID = r.Uvarint()
+	m.ParentSpan = r.Uvarint()
+	m.Hop = r.Int()
+	n := r.Int()
+	if r.Err() == nil && n > r.Len() {
+		return fmt.Errorf("%w: %d delta records in %d bytes", wirecodec.ErrInvalid, n, r.Len())
+	}
+	m.Records = nil
+	for i := 0; i < n && r.Err() == nil; i++ {
+		rec := r.Bytes()
+		if r.Err() != nil {
+			break
+		}
+		var d replicaDeltaRec
+		if err := d.UnmarshalWire(rec); err != nil {
+			return err
+		}
+		m.Records = append(m.Records, rec)
+	}
+	if r.Err() == nil && m.Version <= m.Base {
+		return fmt.Errorf("%w: delta version %d not past base %d", wirecodec.ErrInvalid, m.Version, m.Base)
+	}
+	return r.Err()
+}
+
+// replicateDeltaHeader is what a replica holder reads of a replicateDeltaMsg
+// at receipt: the ordering fields, the trace context and the raw record
+// section.
+type replicateDeltaHeader struct {
+	Origin      []byte // aliases the scanned payload
+	Incarnation uint64
+	Base        uint64
+	Version     uint64
+	Trace       spanRef
+	Records     int
+	Section     []byte // the length-prefixed records, aliasing the payload
+}
+
+// scanReplicateDelta validates a replicateDeltaMsg without decoding it: it
+// accepts exactly the payloads replicateDeltaMsg.UnmarshalWire accepts and
+// allocates nothing.
+func scanReplicateDelta(data []byte) (replicateDeltaHeader, error) {
+	var h replicateDeltaHeader
+	r := wirecodec.NewReader(data)
+	h.Origin = r.Bytes()
+	h.Incarnation = r.Uvarint()
+	h.Base = r.Uvarint()
+	h.Version = r.Uvarint()
+	h.Trace = spanRef{TraceID: r.Uvarint(), Parent: r.Uvarint(), Hop: r.Int()}
+	h.Records = r.Int()
+	if r.Err() == nil && h.Records > r.Len() {
+		return h, fmt.Errorf("%w: %d delta records in %d bytes", wirecodec.ErrInvalid, h.Records, r.Len())
+	}
+	start := len(data) - r.Len()
+	for i := 0; i < h.Records && r.Err() == nil; i++ {
+		rec := r.Bytes()
+		if r.Err() != nil {
+			break
+		}
+		var d replicaDeltaRec
+		if err := d.UnmarshalWire(rec); err != nil {
+			return h, err
+		}
+	}
+	if err := r.Err(); err != nil {
+		return h, err
+	}
+	if h.Version <= h.Base {
+		return h, fmt.Errorf("%w: delta version %d not past base %d", wirecodec.ErrInvalid, h.Version, h.Base)
+	}
+	h.Section = data[start : len(data)-r.Len()]
+	return h, nil
+}
+
+// replicateAck is the reply to TypeReplicateKeyGroup and TypeReplicateDelta:
+// the (Incarnation, Version) of the set the holder stores for the pushing
+// origin once the push is handled, zero when it stores none. Both fields
+// trail what was once an empty reply: an older holder still replies empty,
+// which decodes as (0, 0) and matches no origin's incarnation, so it is
+// never taken to hold a version and always gets full pushes.
+type replicateAck struct {
+	Incarnation uint64 `json:"incarnation"`
+	Version     uint64 `json:"version"`
+}
+
+// MarshalWire implements wireMsg.
+func (m *replicateAck) MarshalWire(b []byte) []byte {
+	b = wirecodec.AppendUvarint(b, m.Incarnation)
+	return wirecodec.AppendUvarint(b, m.Version)
+}
+
+// UnmarshalWire implements wireMsg. An empty reply decodes as (0, 0).
+func (m *replicateAck) UnmarshalWire(data []byte) error {
+	r := wirecodec.NewReader(data)
+	m.Incarnation, m.Version = 0, 0
+	if r.Err() == nil && r.Len() > 0 {
+		m.Incarnation = r.Uvarint()
+		m.Version = r.Uvarint()
 	}
 	return r.Err()
 }

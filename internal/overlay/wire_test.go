@@ -23,6 +23,12 @@ func overlayWireCases() []wireMsg {
 		&childMovedMsg{GroupValue: 0b101, GroupBits: 3, Holder: "n3"},
 		&matchMsg{QueryID: "q-hot", KeyValue: 0xBEEF, KeyBits: 16,
 			Attrs: map[string]float64{"speed": 99}, Payload: []byte("evt")},
+		&replicaDeltaRec{GroupValue: 0b01, GroupBits: 2, Epoch: 3, Query: []byte("rec")},
+		&replicateDeltaMsg{Origin: "n4", Incarnation: 9, Base: 4, Version: 5, TraceID: 7, ParentSpan: 8, Hop: 2,
+			Records: [][]byte{(&replicaDeltaRec{GroupValue: 1, GroupBits: 1, Epoch: 1, Query: []byte("q")}).MarshalWire(nil)}},
+		// Zero, like any field an older writer leaves off: its empty
+		// truncation is the reply of a holder that predates the fields.
+		&replicateAck{},
 	}
 }
 
