@@ -107,7 +107,7 @@ func (h *Hub) registerCollectors() {
 	orphanDrops := reg.Counter("clash_orphan_drops_total",
 		"Orphaned queries dropped after exhausting placement retries.")
 	repPushes := reg.CounterVec("clash_replica_pushes_total",
-		"Replica pushes sent to replication targets, by kind (full state or registration delta).", "kind")
+		"Replica pushes sent to replication targets, by kind: full state (base 0) or delta on the holder's version (base > 0, heartbeats included).", "kind")
 	repRefused := reg.Counter("clash_replica_delta_refused_total",
 		"Delta replica pushes refused by a target not holding their base version; each cost a full push.")
 	frames := reg.CounterVec("clash_transport_frames_total", "Wire frames by direction.", "dir")

@@ -150,78 +150,72 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzReplicateScan holds scanReplicate, the receipt-time validation of a
-// replica push, to replicateMsg.UnmarshalWire: it must accept exactly the
-// payloads the decoder accepts and read the same header, group count and
-// trace context from them.
+// replica push, to replicateMsg.UnmarshalWire (checkReplicateScan) from a
+// corpus of full pushes, a delta and a heartbeat.
 func FuzzReplicateScan(f *testing.F) {
-	push := replicateMsg{Origin: "n1", Incarnation: 9, Version: 2,
-		Groups: []replicaGroupRec{
-			{GroupValue: 1, GroupBits: 2, Parent: "p", Epoch: 3, Queries: [][]byte{[]byte("q1"), []byte("q2")}},
-			{GroupValue: 0, GroupBits: 1, IsRoot: true},
-		},
-		Loose: [][]byte{[]byte("lq")}, TraceID: 7, ParentSpan: 8, Hop: 1}
-	enc := push.MarshalWire(nil)
-	// Every prefix: the pre-span and pre-Loose layouts among them.
-	for i := 0; i <= len(enc); i++ {
-		f.Add(enc[:i])
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := scanReplicate(data)
-		var msg replicateMsg
-		derr := msg.UnmarshalWire(data)
-		if (err != nil) != (derr != nil) {
-			t.Fatalf("scanReplicate error %v, UnmarshalWire error %v", err, derr)
-		}
-		if err != nil {
-			return
-		}
-		got := fmt.Sprintf("%s %d %d %d %+v", h.Origin, h.Incarnation, h.Version, h.Groups, h.Trace)
-		want := fmt.Sprintf("%s %d %d %d %+v", msg.Origin, msg.Incarnation, msg.Version, len(msg.Groups),
-			spanRef{TraceID: msg.TraceID, Parent: msg.ParentSpan, Hop: msg.Hop})
-		if got != want {
-			t.Fatalf("scanned %s, decoded %s", got, want)
-		}
-	})
+	// Every prefix: the pre-Base, pre-span and pre-Loose layouts among them.
+	addPrefixes(f, fuzzFullPush, fuzzDeltaPush, fuzzHeartbeat)
+	f.Fuzz(checkReplicateScan)
 }
 
-// FuzzReplicateDeltaScan holds scanReplicateDelta, the receipt-time
-// validation of a delta push, to replicateDeltaMsg.UnmarshalWire: it must
-// accept exactly the payloads the decoder accepts, read the same header,
-// record count and trace context, and return a record section that re-encodes
-// the decoded records.
+// FuzzReplicateDeltaScan runs FuzzReplicateScan's property from deltas
+// alone, so that -fuzz can explore the Base > 0 layout on its own.
 func FuzzReplicateDeltaScan(f *testing.F) {
-	rec := func(v uint64, bits int, epoch uint64, q string) []byte {
-		return (&replicaDeltaRec{GroupValue: v, GroupBits: bits, Epoch: epoch, Query: []byte(q)}).MarshalWire(nil)
+	addPrefixes(f, fuzzDeltaPush, fuzzHeartbeat)
+	f.Fuzz(checkReplicateScan)
+}
+
+var (
+	fuzzGroups = []replicaGroupRec{
+		{GroupValue: 1, GroupBits: 2, Parent: "p", Epoch: 3, Queries: [][]byte{[]byte("q1"), []byte("q2")}},
+		{GroupValue: 0, GroupBits: 1, IsRoot: true},
 	}
-	push := replicateDeltaMsg{Origin: "n1", Incarnation: 9, Base: 2, Version: 3,
-		TraceID: 7, ParentSpan: 8, Hop: 1,
-		Records: [][]byte{rec(1, 2, 3, "q1"), rec(0, 1, 1, "q2")}}
-	enc := push.MarshalWire(nil)
-	for i := 0; i <= len(enc); i++ {
-		f.Add(enc[:i])
+	fuzzFullPush = replicateMsg{Origin: "n1", Incarnation: 9, Version: 2, Groups: fuzzGroups,
+		Loose: [][]byte{[]byte("lq")}, TraceID: 7, ParentSpan: 8, Hop: 1}
+	fuzzDeltaPush = replicateMsg{Origin: "n1", Incarnation: 9, Version: 3, Base: 2, Groups: fuzzGroups,
+		TraceID: 7, ParentSpan: 8, Hop: 1}
+	fuzzHeartbeat = replicateMsg{Origin: "n1", Incarnation: 9, Version: 4, Base: 3}
+)
+
+// addPrefixes adds every prefix of each message's encoding to the corpus.
+func addPrefixes(f *testing.F, msgs ...replicateMsg) {
+	for _, m := range msgs {
+		enc := m.MarshalWire(nil)
+		for i := 0; i <= len(enc); i++ {
+			f.Add(enc[:i])
+		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, err := scanReplicateDelta(data)
-		var msg replicateDeltaMsg
-		derr := msg.UnmarshalWire(data)
-		if (err != nil) != (derr != nil) {
-			t.Fatalf("scanReplicateDelta error %v, UnmarshalWire error %v", err, derr)
+}
+
+// checkReplicateScan fails unless scanReplicate accepts exactly the payloads
+// replicateMsg.UnmarshalWire accepts, reads the same header, base, group
+// count and trace context from them, and returns a group section holding
+// exactly the decoded groups.
+func checkReplicateScan(t *testing.T, data []byte) {
+	h, err := scanReplicate(data)
+	var msg replicateMsg
+	derr := msg.UnmarshalWire(data)
+	if (err != nil) != (derr != nil) {
+		t.Fatalf("scanReplicate error %v, UnmarshalWire error %v", err, derr)
+	}
+	if err != nil {
+		return
+	}
+	got := fmt.Sprintf("%s %d %d %d %d %+v", h.Origin, h.Incarnation, h.Version, h.Base, h.Groups, h.Trace)
+	want := fmt.Sprintf("%s %d %d %d %d %+v", msg.Origin, msg.Incarnation, msg.Version, msg.Base, len(msg.Groups),
+		spanRef{TraceID: msg.TraceID, Parent: msg.ParentSpan, Hop: msg.Hop})
+	if got != want {
+		t.Fatalf("scanned %s, decoded %s", got, want)
+	}
+	var section []replicaGroupRec
+	for r := wirecodec.NewReader(h.Section); r.Len() > 0 && r.Err() == nil; {
+		var g replicaGroupRec
+		if err := g.UnmarshalWire(r.Bytes()); err != nil {
+			t.Fatalf("scanned section record: %v", err)
 		}
-		if err != nil {
-			return
-		}
-		got := fmt.Sprintf("%s %d %d %d %d %+v", h.Origin, h.Incarnation, h.Base, h.Version, h.Records, h.Trace)
-		want := fmt.Sprintf("%s %d %d %d %d %+v", msg.Origin, msg.Incarnation, msg.Base, msg.Version, len(msg.Records),
-			spanRef{TraceID: msg.TraceID, Parent: msg.ParentSpan, Hop: msg.Hop})
-		if got != want {
-			t.Fatalf("scanned %s, decoded %s", got, want)
-		}
-		var section []byte
-		for _, r := range msg.Records {
-			section = wirecodec.AppendBytes(section, r)
-		}
-		if !bytes.Equal(h.Section, section) {
-			t.Fatalf("scanned section %x, decoded records encode to %x", h.Section, section)
-		}
-	})
+		section = append(section, g)
+	}
+	if got, want := fmt.Sprintf("%#v", section), fmt.Sprintf("%#v", msg.Groups); got != want {
+		t.Fatalf("scanned section holds %s, decoded groups %s", got, want)
+	}
 }

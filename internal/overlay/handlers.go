@@ -46,8 +46,6 @@ func (n *Node) handle(msgType string, payload []byte) ([]byte, error) {
 		return n.handleChildMoved(payload)
 	case TypeReplicateKeyGroup:
 		return n.handleReplicate(payload)
-	case TypeReplicateDelta:
-		return n.handleReplicateDelta(payload)
 	case TypeRecoverKeyGroups:
 		return n.handleRecoverKeyGroups(payload)
 	case TypeTopology:
@@ -119,7 +117,7 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 		// (handleAcceptBatch). A sampled registration threads its span
 		// context onto the push so the replica holders' spans join the trace
 		// tree.
-		n.replicateRegistration(spanRef{TraceID: req.TraceID, Parent: reply.SpanID, Hop: req.Hop + 1})
+		n.replicate(spanRef{TraceID: req.TraceID, Parent: reply.SpanID, Hop: req.Hop + 1})
 	}
 	// Direct call rather than marshalMsg: boxing the reply into wireMsg would
 	// heap-allocate it on every delivery.
@@ -196,7 +194,7 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 		// The coalesced push carries the first sampled registration's span
 		// context (one push, one parent — the other registrations' traces
 		// simply end at their accept span).
-		n.replicateRegistration(regSpan)
+		n.replicate(regSpan)
 	}
 	// Direct call rather than marshalMsg: boxing the reply into wireMsg would
 	// heap-allocate it on every batch.
@@ -503,7 +501,7 @@ func (n *Node) handleAcceptKeyGroup(payload []byte) ([]byte, error) {
 			// (the packets it matches land on this server) and reply OK so
 			// the sender drops the duplicate instead of resurrecting it.
 			n.installQueries(states)
-			n.replicate()
+			n.replicate(spanRef{})
 			return nil, nil
 		}
 		return nil, err
@@ -512,7 +510,7 @@ func (n *Node) handleAcceptKeyGroup(payload []byte) ([]byte, error) {
 	n.resetQueryCount(g)
 	// Accepting a group (split transfer or ownership re-homing) changes the
 	// replicable state: push the new snapshot to the successors.
-	n.replicate()
+	n.replicate(spanRef{})
 	return nil, nil
 }
 
@@ -584,7 +582,7 @@ func (n *Node) handleReleaseKeyGroup(payload []byte) ([]byte, error) {
 	n.meter.Drop(g)
 	// Releasing a group shrinks the replicable state; push the new snapshot
 	// so the successors stop holding the released range under this origin.
-	n.replicate()
+	n.replicate(spanRef{})
 	reply := core.ReleaseKeyGroupReplyMsg{GroupValue: req.GroupValue, GroupBits: req.GroupBits, OK: true}
 	for i := range states {
 		reply.Queries = append(reply.Queries, states[i].MarshalWire(nil))

@@ -209,17 +209,7 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		incarnation: uint64(cfg.Clock.Now().UnixNano()),
 		spanSalt:    uint64(cfg.Space.HashString(tr.Addr())) << 32,
 	}
-	// Replicas follow ring churn: whenever the successor list changes, the
-	// current snapshot is re-pushed so the new first-k successors hold it
-	// (and the churn is reported on the event stream).
-	n.chord.SetSuccessorsListener(func(refs []chord.NodeRef) {
-		ev := Event{Type: EventRingChange, Detail: fmt.Sprintf("successors=%d", len(refs))}
-		if len(refs) > 0 {
-			ev.Peer = refs[0].Addr
-		}
-		n.emit(ev)
-		n.replicate()
-	})
+	n.chord.SetSuccessorsListener(n.successorsChanged)
 	// Failure-detector verdict transitions surface as events too.
 	susp.onVerdict = func(addr string, prior, cur chord.PeerState) {
 		n.emit(Event{Type: EventSuspicion, Peer: addr,
@@ -439,6 +429,18 @@ func (n *Node) mapGroup(vk bitkey.Key) (core.ServerID, error) {
 	return core.ServerID(ref.Addr), nil
 }
 
+// successorsChanged makes replicas follow ring churn: whenever the successor
+// list changes, the replica state is re-pushed so the new first-k successors
+// hold it (and the churn is reported on the event stream).
+func (n *Node) successorsChanged(refs []chord.NodeRef) {
+	ev := Event{Type: EventRingChange, Detail: fmt.Sprintf("successors=%d", len(refs))}
+	if len(refs) > 0 {
+		ev.Peer = refs[0].Addr
+	}
+	n.emit(ev)
+	n.replicate(spanRef{})
+}
+
 // LoadCheck runs one CLASH load-check period (paper §5): it promotes replicas
 // of dead peers, retries pending transfers and orphaned query placements,
 // reconciles group ownership with the current ring, converts the meter's
@@ -473,7 +475,7 @@ func (n *Node) LoadCheck(now time.Time) {
 	n.sendLoadReports()
 	n.tryMerge(now)
 	n.gcReplicas()
-	n.replicate()
+	n.replicate(spanRef{})
 }
 
 // precomputeSplitTargets resolves the DHT mappings a split of g can need

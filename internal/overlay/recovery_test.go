@@ -459,8 +459,13 @@ func TestRecoverOwnStateAfterRestart(t *testing.T) {
 		t.Fatal("no non-bootstrap holder")
 	}
 	g := victim.Server().ActiveGroups()[0]
-	q := cq.Query{ID: "q-own", Region: g}
-	if err := victim.Engine().Register(q); err != nil {
+	// A registration pushes the query to the successors; a query put into
+	// the engine behind the node's back would reach no replica.
+	c, err := NewClient(netw.Endpoint("client-1"), cfg.KeyBits, cfg.Space, victim.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(cq.Query{ID: "q-own", Region: g}); err != nil {
 		t.Fatal(err)
 	}
 	// Replicate the state, then crash the victim before anyone notices.
@@ -527,7 +532,7 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 		epoch:    1,
 	}
 	victim.mu.Unlock()
-	victim.replicate() // loose records reach the successors
+	victim.replicate(spanRef{}) // loose records reach the successors
 	netw.SetDown(victim.Addr(), true)
 
 	survivors := nodesWithout(nodes, victim)

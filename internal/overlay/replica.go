@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -27,35 +26,35 @@ import (
 // chord successor list changes (so replicas follow ring churn). Pushes are
 // ordered by (origin incarnation, version); each one stamps the next version.
 //
-// A full push (TypeReplicateKeyGroup) replaces the holder's stored set, so a
-// group the origin shed simply disappears from the replica without tombstone
-// bookkeeping. It carries every stored query, so it is kept to a copy of
-// bytes already built: each query's queryState wire record is encoded once,
-// on the first push after the query was registered or its subscriber
-// changed, and kept beside its subscriber (Node.queries); a push appends the
-// stored records in the engine's region order without re-encoding or sorting
-// them.
+// There is one push message (TypeReplicateKeyGroup), and every push round
+// plans each target by one rule (planPush). Each holder answers a push with
+// the (incarnation, version) it then stores. A holder that acknowledged
+// exactly the previous version gets a delta — the push on that base: the
+// records of the queries registered or re-subscribed since, each under its
+// group's header, or no records at all (a heartbeat, the common load-check
+// push). It gets one only while the work table had no structural change
+// since the last push, no transfer or orphan is parked, no query state
+// changed outside a registration, and the holder's delta log stays smaller
+// than the full push it rests on — so a holder keeps at most about twice the
+// state. Every other target gets the full state, the delta from version 0,
+// which replaces the holder's stored set, so a group the origin shed simply
+// disappears from the replica without tombstone bookkeeping. A holder that
+// refuses a delta (it lost its copy, or restarted) gets one fallback full
+// push at once.
 //
-// A registration moves only what it changed. Each holder answers a push with
-// the (incarnation, version) it then stores, and a holder that acknowledged
-// exactly the previous version gets a delta push (TypeReplicateDelta): the
-// records of the queries registered or re-subscribed since, each tagged with
-// its group and epoch. The origin sends a delta only while its work table
-// had no structural change since the last push, no transfer or orphan is
-// parked, no query state changed outside a registration, and the holder's
-// delta log stays smaller than the full push it rests on — so a holder keeps
-// at most about twice the state. Everything else — load checks, splits, merges, transfers, successor
-// changes, recovery, and a registration towards a holder not known to hold
-// the previous version — pushes the full state, and a holder that refuses a
-// delta (it lost its copy, or restarted) gets one fallback full push at once.
+// A full push carries every stored query, so it is kept to a copy of bytes
+// already built: each query's queryState wire record is encoded once, on the
+// first push after the query was registered or its subscriber changed, and
+// kept beside its subscriber (Node.queries); a push appends the stored
+// records in the engine's region order without re-encoding or sorting them.
 //
-// The receiver validates each push in place (scanReplicate,
-// scanReplicateDelta) and reads only its header: it stores one owned copy of
-// a full push that is newer than what it holds, and appends a delta's records
-// to the stored set's log only when the set is at exactly the delta's base
-// version. The copy is decoded only when it is used — on promotion and to
-// answer a recovery pull — and then the log is merged in, each logged record
-// replacing its query's earlier one, in the full push's region/ID order.
+// The receiver validates each push in place (scanReplicate) and reads only
+// its header: it stores one owned copy of a full push that is newer than
+// what it holds, and appends a delta's group records to the stored set's log
+// only when the set is at exactly the delta's base version. The copy is
+// decoded only when it is used — on promotion and to answer a recovery pull —
+// and then the log is merged in, each logged record replacing its query's
+// earlier one, in the full push's region/ID order.
 //
 // Recovery runs two ways:
 //
@@ -72,8 +71,8 @@ import (
 
 // replicaSet is the stored replica of one origin's key-group state: the
 // origin's last accepted full push, validated and kept as sent, plus the
-// records of the delta pushes accepted on top of it, appended as sent to
-// log. A stored payload and the logged bytes are never modified, only
+// group records of the delta pushes accepted on top of it, appended as sent
+// to log. A stored payload and the logged bytes are never modified, only
 // replaced or appended to, so what is decoded from them may be used after
 // n.mu is released.
 type replicaSet struct {
@@ -81,8 +80,8 @@ type replicaSet struct {
 	version     uint64    // of the last push applied, full or delta
 	seen        time.Time // last refresh, for garbage collection
 	groups      int       // group records in payload
-	payload     []byte    // an owned copy of the replicateMsg
-	log         []byte    // length-prefixed replicaDeltaRec records since payload
+	payload     []byte    // an owned copy of the full replicateMsg
+	log         []byte    // length-prefixed replicaGroupRec records since payload
 }
 
 // ack is the version a holder reports for the set.
@@ -103,16 +102,13 @@ func (s *replicaSet) decode() replicateMsg {
 	return msg
 }
 
-// holdsGroups reports whether every record of a validated delta section is
-// tagged with a group of the stored push, at the same epoch.
+// holdsGroups reports whether every group record of a validated delta
+// section names a group of the stored push at the same epoch.
 func (s *replicaSet) holdsGroups(section []byte) bool {
 	r := wirecodec.NewReader(section)
 	for r.Len() > 0 && r.Err() == nil {
-		var d replicaDeltaRec
-		if d.UnmarshalWire(r.Bytes()) != nil {
-			return false
-		}
-		if epoch, ok := s.groupEpoch(d.GroupValue, d.GroupBits); !ok || epoch != d.Epoch {
+		bits, value, epoch := groupHeader(r.Bytes())
+		if held, ok := s.groupEpoch(value, bits); !ok || held != epoch {
 			return false
 		}
 	}
@@ -128,22 +124,27 @@ func (s *replicaSet) groupEpoch(value uint64, bits int) (epoch uint64, ok bool) 
 	r.Uvarint()
 	n := r.Int()
 	for i := 0; i < n && r.Err() == nil; i++ {
-		g := wirecodec.NewReader(r.Bytes())
-		if g.Int() != bits || g.Uvarint() != value {
-			continue
+		if b, v, e := groupHeader(r.Bytes()); b == bits && v == value {
+			return e, true
 		}
-		g.Bytes() // parent
-		g.Bool()  // root
-		return g.Uvarint(), true
 	}
 	return 0, false
 }
 
+// groupHeader reads the prefix and epoch of a validated replicaGroupRec.
+func groupHeader(rec []byte) (bits int, value, epoch uint64) {
+	r := wirecodec.NewReader(rec)
+	bits, value = r.Int(), r.Uvarint()
+	r.Bytes() // parent
+	r.Bool()  // root
+	return bits, value, r.Uvarint()
+}
+
 // mergeDeltaLog folds a delta log into the decoded groups of its base push:
-// each logged record replaces the group's record of the same query or joins
-// the group, and each group the log touched is re-sorted by region prefix,
-// then ID — the order in which the origin's full push lists a group's
-// queries (cq.Engine.VisitInGroup).
+// each logged query record replaces the group's record of the same query or
+// joins the group, and each group the log touched is re-sorted by region
+// prefix, then ID — the order in which the origin's full push lists a
+// group's queries (cq.Engine.VisitInGroup).
 func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 	if len(log) == 0 {
 		return
@@ -166,7 +167,7 @@ func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 	merged := make(map[int][]entry)
 	r := wirecodec.NewReader(log)
 	for r.Len() > 0 && r.Err() == nil {
-		var d replicaDeltaRec
+		var d replicaGroupRec
 		if d.UnmarshalWire(r.Bytes()) != nil {
 			break
 		}
@@ -182,11 +183,13 @@ func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 				entries = append(entries, keyed(rec))
 			}
 		}
-		e := keyed(d.Query)
-		if i := slices.IndexFunc(entries, func(x entry) bool { return x.id == e.id }); i >= 0 {
-			entries[i] = e
-		} else {
-			entries = append(entries, e)
+		for _, rec := range d.Queries {
+			e := keyed(rec)
+			if i := slices.IndexFunc(entries, func(x entry) bool { return x.id == e.id }); i >= 0 {
+				entries[i] = e
+			} else {
+				entries = append(entries, e)
+			}
 		}
 		merged[gi] = entries
 	}
@@ -287,9 +290,9 @@ func (n *Node) ackIndex(target string) int {
 // ReplicaPushStats counts a node's outbound replica pushes by kind, one per
 // target.
 type ReplicaPushStats struct {
-	// Full counts full-state pushes (TypeReplicateKeyGroup).
+	// Full counts full-state pushes (Base 0).
 	Full int64 `json:"full"`
-	// Delta counts delta pushes (TypeReplicateDelta).
+	// Delta counts delta pushes (Base > 0), heartbeats included.
 	Delta int64 `json:"delta"`
 	// DeltaRefused counts deltas a target refused for not holding their
 	// base version; each cost one fallback full push.
@@ -305,27 +308,12 @@ func (n *Node) ReplicaPushes() ReplicaPushStats {
 	}
 }
 
-// pushKind selects what a push round may send.
-type pushKind int
-
-const (
-	// pushFull sends every target the full state.
-	pushFull pushKind = iota
-	// pushRegistration sends the delta to each target that acknowledged the
-	// previous version, when the delta rules allow one, and the full state
-	// to the rest.
-	pushRegistration
-	// pushFallback sends the full state to the one target that refused a
-	// delta.
-	pushFallback
-)
-
 // replicaPush is one planned push round.
 type replicaPush struct {
 	incarnation, version uint64
 	full                 []byte // marshalled full state; nil when every target gets the delta
-	delta                []byte // marshalled delta; nil when no target gets it
-	section              int    // the delta's record bytes, what a holder appends to its log
+	delta                []byte // marshalled delta; nil when the round cannot send one
+	section              int    // the delta's group record bytes, what a holder appends to its log
 	targets              []pushTarget
 }
 
@@ -337,28 +325,29 @@ type pushTarget struct {
 	ack   replicaAck
 }
 
-// replicate pushes the node's full replica state to its replication targets.
-// Best effort: a lost push is repaired by the next one (every load-check
-// period at the latest). An empty snapshot is pushed too — it is what clears
-// a stale remote copy after this node shed its last group — but only once
-// the node has ever held state or finished its recovery pull: a restarted
-// node must not wipe the successors' copy of its own pre-crash state with the
-// empty pushes its join triggers.
-func (n *Node) replicate() { n.push(n.replicationTargets(), spanRef{}, pushFull) }
-
-// replicateRegistration pushes the query records registered or re-subscribed
-// since the last push. A target that acknowledged the previous version gets
-// them as a delta when the delta rules allow one (see planPush); every other
-// target gets the full state. When tc carries a sampled registration's span,
-// the push frames carry it so every replica holder records a replica-push
-// span chained under the registration's accept span.
-func (n *Node) replicateRegistration(tc spanRef) {
-	n.push(n.replicationTargets(), tc, pushRegistration)
+// replicate pushes the node's replica state to its replication targets: the
+// changes since the version a target acknowledged, or the full state (see
+// planPush). Best effort: a lost push is repaired by the next one (every
+// load-check period at the latest). An empty snapshot is pushed too — it is
+// what clears a stale remote copy after this node shed its last group — but
+// only once the node has ever held state or finished its recovery pull: a
+// restarted node must not wipe the successors' copy of its own pre-crash
+// state with the empty pushes its join triggers. When tc carries a sampled
+// registration's span, the push frames carry it so every replica holder
+// records a replica-push span chained under the registration's accept span.
+func (n *Node) replicate(tc spanRef) {
+	targets := n.replicationTargets()
+	// Forget targets that left the replication set: should one return, it
+	// starts over with a full push.
+	n.repMu.Lock()
+	n.repAcks = slices.DeleteFunc(n.repAcks, func(a replicaAck) bool { return !slices.Contains(targets, a.target) })
+	n.repMu.Unlock()
+	n.push(targets, tc)
 }
 
 // push plans one push round and sends it.
-func (n *Node) push(targets []string, tc spanRef, kind pushKind) {
-	p, ok := n.planPush(targets, tc, kind)
+func (n *Node) push(targets []string, tc spanRef) {
+	p, ok := n.planPush(targets, tc)
 	if !ok {
 		return
 	}
@@ -382,19 +371,21 @@ func (n *Node) push(targets []string, tc spanRef, kind pushKind) {
 }
 
 // planPush stamps the next replica version and builds what each target gets.
-// A target gets the delta only when all of these hold:
-//   - the round is a registration's, and the target acknowledged exactly the
-//     previous version of this incarnation;
+// A target gets the delta on the previous version only when all of these
+// hold:
+//   - the target acknowledged exactly the previous version of this
+//     incarnation, in an ack that says it applies deltas;
 //   - the work table had no structural change since the last push (no
 //     split, merge, transfer, release or restore: the active groups'
 //     prefixes, epochs, parents and root flags are the ones pushed), no
 //     transfer or orphan is parked, and no query state changed outside a
 //     registration;
 //   - the target's log stays smaller than the full push it rests on once the
-//     delta is appended, which bounds a holder's copy at twice the state.
+//     delta is appended, which bounds a holder's copy at twice the state (a
+//     target with no ack has no full push to rest on).
 //
 // ok is false when nothing is pushed.
-func (n *Node) planPush(targets []string, tc spanRef, kind pushKind) (p replicaPush, ok bool) {
+func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 	// Snapshot and version are assigned under one mutex: two concurrent
 	// pushes (a handler's post-registration push racing the load check)
 	// must not stamp the older snapshot with the newer version, or the
@@ -422,21 +413,20 @@ func (n *Node) planPush(targets []string, tc spanRef, kind pushKind) (p replicaP
 	prev := n.repVersion
 	n.repVersion++
 	p = replicaPush{incarnation: n.incarnation, version: n.repVersion}
-	var delta replicateDeltaMsg
-	canDelta := kind == pushRegistration && !n.repStale && len(n.pending) == 0 &&
-		len(n.orphans) == 0 && swaps == n.repSwaps
+	msg := replicateMsg{Origin: n.Addr(), Incarnation: p.incarnation, Version: p.version,
+		TraceID: tc.TraceID, ParentSpan: tc.Parent, Hop: tc.Hop}
+	delta := msg
+	delta.Base = prev
+	canDelta := !n.repStale && len(n.pending) == 0 && len(n.orphans) == 0 && swaps == n.repSwaps
 	if canDelta {
-		delta.Records, canDelta = n.deltaRecordsLocked(snaps)
-		for _, rec := range delta.Records {
-			p.section += uvarintLen(len(rec)) + len(rec)
-		}
+		delta.Groups, canDelta = n.deltaGroupsLocked(snaps)
 	}
-	if kind != pushFallback {
-		// Forget targets that left the replication set: should one return,
-		// it starts over with a full push.
-		n.repAcks = slices.DeleteFunc(n.repAcks, func(a replicaAck) bool { return !slices.Contains(targets, a.target) })
+	if canDelta {
+		p.delta = delta.MarshalWire(nil)
+		h, _ := scanReplicate(p.delta)
+		p.section = len(h.Section)
 	}
-	anyFull, anyDelta := false, false
+	anyFull := false
 	for _, addr := range targets {
 		var a replicaAck
 		if i := n.ackIndex(addr); i >= 0 {
@@ -444,35 +434,28 @@ func (n *Node) planPush(targets []string, tc spanRef, kind pushKind) (p replicaP
 		}
 		d := canDelta && a.incarnation == p.incarnation && a.version == prev && a.log+p.section < a.base
 		p.targets = append(p.targets, pushTarget{addr: addr, delta: d, ack: a})
-		anyFull, anyDelta = anyFull || !d, anyDelta || d
+		anyFull = anyFull || !d
 	}
-	var full replicateMsg
 	if anyFull {
-		full = n.fullStateLocked(snaps, tc)
-		full.Version = p.version
+		msg.Groups, msg.Loose = n.fullStateLocked(snaps)
 	}
 	n.repSwaps = swaps
 	n.repDirty = n.repDirty[:0]
 	n.repStale = false
 	n.mu.Unlock()
 	n.repMu.Unlock()
-	// The records are never modified once built, so the payloads are
+	// The records are never modified once built, so the full payload is
 	// encoded outside the locks.
 	if anyFull {
-		p.full = full.MarshalWire(nil)
-	}
-	if anyDelta {
-		delta.Origin, delta.Incarnation, delta.Base, delta.Version = n.Addr(), p.incarnation, prev, p.version
-		delta.TraceID, delta.ParentSpan, delta.Hop = tc.TraceID, tc.Parent, tc.Hop
-		p.delta = delta.MarshalWire(nil)
+		p.full = msg.MarshalWire(nil)
 	}
 	return p, true
 }
 
-// fullStateLocked builds the full replicateMsg for the active groups in
-// snaps, minus its version. Callers hold n.mu.
-func (n *Node) fullStateLocked(snaps []core.GroupSnapshot, tc spanRef) replicateMsg {
-	groups := n.replicaGroupsLocked(snaps)
+// fullStateLocked builds the group and loose records of the full state for
+// the active groups in snaps. Callers hold n.mu.
+func (n *Node) fullStateLocked(snaps []core.GroupSnapshot) (groups []replicaGroupRec, loose [][]byte) {
+	groups = n.replicaGroupsLocked(snaps)
 	// State parked outside the table and engine would be invisible to the
 	// per-group snapshot — and gone with a crash. A parked transfer is a
 	// whole group in flight (released locally, not yet accepted remotely):
@@ -491,27 +474,18 @@ func (n *Node) fullStateLocked(snaps []core.GroupSnapshot, tc spanRef) replicate
 		}
 		groups = append(groups, rec)
 	}
-	var loose [][]byte
 	for i := range n.orphans {
 		loose = append(loose, n.orphans[i].st.MarshalWire(nil))
 	}
-	return replicateMsg{
-		Origin:      n.Addr(),
-		Incarnation: n.incarnation,
-		Groups:      groups,
-		Loose:       loose,
-		TraceID:     tc.TraceID,
-		ParentSpan:  tc.Parent,
-		Hop:         tc.Hop,
-	}
+	return groups, loose
 }
 
-// deltaRecordsLocked builds the delta records of the queries registered or
-// re-subscribed since the last push, each tagged with the active group in
-// snaps that holds it. ok is false when a query cannot be sent as a record
-// (gone from the engine, or under no group in snaps): the push must then be
-// full. Callers hold n.mu.
-func (n *Node) deltaRecordsLocked(snaps []core.GroupSnapshot) (recs [][]byte, ok bool) {
+// deltaGroupsLocked builds the delta's group records: the records of the
+// queries registered or re-subscribed since the last push, each under the
+// header of the active group in snaps that holds it. ok is false when a
+// query cannot be sent as a record (gone from the engine, or under no group
+// in snaps): the push must then be full. Callers hold n.mu.
+func (n *Node) deltaGroupsLocked(snaps []core.GroupSnapshot) (groups []replicaGroupRec, ok bool) {
 	slices.Sort(n.repDirty)
 	for _, id := range slices.Compact(n.repDirty) {
 		q, found := n.engine.Get(id)
@@ -527,43 +501,40 @@ func (n *Node) deltaRecordsLocked(snaps []core.GroupSnapshot) (recs [][]byte, ok
 		if i < 0 || rec == nil {
 			return nil, false
 		}
-		d := replicaDeltaRec{
-			GroupValue: snaps[i].Group.Prefix.Value,
-			GroupBits:  snaps[i].Group.Prefix.Bits,
-			Epoch:      snaps[i].Epoch,
-			Query:      rec,
+		s := snaps[i]
+		gi := slices.IndexFunc(groups, func(g replicaGroupRec) bool {
+			return g.GroupValue == s.Group.Prefix.Value && g.GroupBits == s.Group.Prefix.Bits
+		})
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, replicaGroupRec{GroupValue: s.Group.Prefix.Value, GroupBits: s.Group.Prefix.Bits,
+				Parent: string(s.Parent), IsRoot: s.IsRoot, Epoch: s.Epoch})
 		}
-		recs = append(recs, d.MarshalWire(nil))
+		groups[gi].Queries = append(groups[gi].Queries, rec)
 	}
-	return recs, true
-}
-
-// uvarintLen is the encoded size of n as a uvarint.
-func uvarintLen(n int) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], uint64(n))
+	return groups, true
 }
 
 // sendPush sends one target its push and records the acknowledgement. A
 // target that refused a delta gets one fallback full push at once.
 func (n *Node) sendPush(p *replicaPush, t pushTarget, tc spanRef) {
-	typ, payload, counter := TypeReplicateKeyGroup, p.full, &n.repFull
+	payload, counter := p.full, &n.repFull
 	if t.delta {
-		typ, payload, counter = TypeReplicateDelta, p.delta, &n.repDelta
+		payload, counter = p.delta, &n.repDelta
 	}
 	atomic.AddInt64(counter, 1)
-	raw, err := n.caller.call(t.addr, typ, payload)
+	raw, err := n.caller.call(t.addr, TypeReplicateKeyGroup, payload)
 	if n.noteAck(p, t, raw, err) {
 		atomic.AddInt64(&n.repRefused, 1)
-		n.push([]string{t.addr}, tc, pushFallback)
+		n.push([]string{t.addr}, tc)
 	}
 }
 
 // noteAck records what a target acknowledged holding after a push and
 // reports whether it refused a delta: it answered, but holds an older
 // version than the delta's (or none). Any answer other than the pushed
-// version, and any failed call, leaves the target unknown, so its next push
-// is full.
+// version, an answer from a holder that does not apply deltas, and any
+// failed call leave the target unknown, so its next push is full.
 func (n *Node) noteAck(p *replicaPush, t pushTarget, raw []byte, err error) (refused bool) {
 	var ack replicateAck
 	if err == nil {
@@ -572,7 +543,7 @@ func (n *Node) noteAck(p *replicaPush, t pushTarget, raw []byte, err error) (ref
 	n.repMu.Lock()
 	defer n.repMu.Unlock()
 	i := n.ackIndex(t.addr)
-	if err == nil && ack.Incarnation == p.incarnation && ack.Version == p.version {
+	if err == nil && ack.Delta && ack.Incarnation == p.incarnation && ack.Version == p.version {
 		a := replicaAck{target: t.addr, incarnation: p.incarnation, version: p.version, base: len(p.full)}
 		if t.delta {
 			a.base, a.log = t.ack.base, t.ack.log+p.section
@@ -591,10 +562,13 @@ func (n *Node) noteAck(p *replicaPush, t pushTarget, raw []byte, err error) (ref
 		ack.Incarnation == p.incarnation && ack.Version < p.version)
 }
 
-// handleReplicate stores a peer's full replica set, replacing the previous
-// copy unless the push is older than what is already held (a delayed
-// duplicate from before a crash-restart or a reordered retry), and answers
-// with the version now held.
+// handleReplicate stores a peer's replica push — a full push replaces the
+// stored copy unless it is older than what is already held (a delayed
+// duplicate from before a crash-restart or a reordered retry), a delta
+// appends to it when it is at the delta's base — and answers with the
+// version now held: a refused delta's older one makes the origin fall back
+// to a full push, and a duplicate or late delta finds the stored version at
+// or past its own and changes nothing.
 func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 	sp := n.startPushSpan()
 	// The whole push is validated now, so a malformed one never replaces a
@@ -607,27 +581,9 @@ func (n *Node) handleReplicate(payload []byte) ([]byte, error) {
 	sp.decoded(n, h.Trace)
 	stored, ack := n.storeReplica(&h, payload)
 	if sp.traced() {
-		sp.finish(n, fmt.Sprintf("origin=%s groups=%d stored=%t", h.Origin, h.Groups, stored))
+		sp.finish(n, fmt.Sprintf("origin=%s base=%d groups=%d stored=%t", h.Origin, h.Base, h.Groups, stored))
 	}
-	return ack.MarshalWire(wirecodec.GetBuf()), nil
-}
-
-// handleReplicateDelta appends a delta push to the stored set it builds on
-// and answers with the version now held: the delta's version when it
-// applied, or else the older one that makes the origin fall back to a full
-// push. A duplicate or late delta finds the stored version at or past its
-// own and changes nothing.
-func (n *Node) handleReplicateDelta(payload []byte) ([]byte, error) {
-	sp := n.startPushSpan()
-	h, err := scanReplicateDelta(payload)
-	if err != nil {
-		return nil, err
-	}
-	sp.decoded(n, h.Trace)
-	stored, ack := n.storeDelta(&h)
-	if sp.traced() {
-		sp.finish(n, fmt.Sprintf("origin=%s delta records=%d stored=%t", h.Origin, h.Records, stored))
-	}
+	ack.Delta = true
 	return ack.MarshalWire(wirecodec.GetBuf()), nil
 }
 
@@ -678,11 +634,13 @@ func (sp *pushSpan) finish(n *Node, detail string) {
 	})
 }
 
-// storeReplica applies one validated full push, reporting whether the set
-// was stored (false: self/empty origin or stale version) and the version held
-// for the origin afterwards. payload lives in a pooled buffer the transport
-// recycles after the handler returns, so a stored push is cloned; a stale one
-// is not.
+// storeReplica applies one validated push, reporting whether it was stored
+// (false: self/empty origin, stale version, or a delta not on the stored
+// version) and the version held for the origin afterwards. A delta applies
+// only to a stored set of the same incarnation at exactly its base version
+// whose groups include every record's group at the record's epoch. payload
+// lives in a pooled buffer the transport recycles after the handler returns,
+// so a stored full push is cloned; a stale one is not.
 func (n *Node) storeReplica(h *replicateHeader, payload []byte) (bool, replicateAck) {
 	if len(h.Origin) == 0 || string(h.Origin) == n.Addr() {
 		return false, replicateAck{}
@@ -690,13 +648,25 @@ func (n *Node) storeReplica(h *replicateHeader, payload []byte) (bool, replicate
 	now := n.cfg.Clock.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	set, ok := n.replicas[string(h.Origin)]
-	if ok && (h.Incarnation < set.incarnation ||
-		(h.Incarnation == set.incarnation && h.Version < set.version)) {
+	set := n.replicas[string(h.Origin)]
+	switch {
+	case h.Base > 0 && set == nil:
+		return false, replicateAck{}
+	case h.Base > 0:
+		if h.Incarnation == set.incarnation {
+			set.seen = now
+		}
+		if h.Incarnation != set.incarnation || h.Base != set.version || !set.holdsGroups(h.Section) {
+			return false, set.ack()
+		}
+		set.log = append(set.log, h.Section...)
+		set.version = h.Version
+		return true, set.ack()
+	case set != nil && (h.Incarnation < set.incarnation ||
+		(h.Incarnation == set.incarnation && h.Version < set.version)):
 		set.seen = now // stale content, but still proof the origin lives
 		return false, set.ack()
-	}
-	if !ok {
+	case set == nil:
 		set = &replicaSet{}
 		n.replicas[string(h.Origin)] = set
 	}
@@ -707,32 +677,6 @@ func (n *Node) storeReplica(h *replicateHeader, payload []byte) (bool, replicate
 		groups:      h.Groups,
 		payload:     bytes.Clone(payload),
 	}
-	return true, set.ack()
-}
-
-// storeDelta applies one validated delta push: only to a stored set of the
-// same incarnation at exactly the delta's base version, whose groups include
-// every record's group at the record's epoch. It reports whether the delta
-// applied and the version held for the origin afterwards.
-func (n *Node) storeDelta(h *replicateDeltaHeader) (bool, replicateAck) {
-	if len(h.Origin) == 0 || string(h.Origin) == n.Addr() {
-		return false, replicateAck{}
-	}
-	now := n.cfg.Clock.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	set, ok := n.replicas[string(h.Origin)]
-	if !ok {
-		return false, replicateAck{}
-	}
-	if h.Incarnation == set.incarnation {
-		set.seen = now
-	}
-	if h.Incarnation != set.incarnation || h.Base != set.version || !set.holdsGroups(h.Section) {
-		return false, set.ack()
-	}
-	set.log = append(set.log, h.Section...)
-	set.version = h.Version
 	return true, set.ack()
 }
 
@@ -869,7 +813,7 @@ func (n *Node) recoverFromReplicas() {
 		n.orphanQueries(decodeLoose(msg.Loose))
 	}
 	if promoted > 0 {
-		n.replicate()
+		n.replicate(spanRef{})
 	}
 }
 
@@ -953,7 +897,7 @@ func (n *Node) recoverOwnState() {
 	if restored := n.restoreReplicaGroups(best.Groups); restored > 0 {
 		n.emit(Event{Type: EventRecovery, Peer: n.Addr(),
 			Detail: fmt.Sprintf("restart pull groups=%d", restored)})
-		n.replicate()
+		n.replicate(spanRef{})
 	}
 }
 

@@ -1,35 +1,31 @@
 package overlay
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"clash/internal/bitkey"
+	"clash/internal/clock"
+	"clash/internal/core"
 	"clash/internal/cq"
 	"clash/internal/wirecodec"
 )
 
-// pushedVersion returns the origin and version a replica push payload
-// carries.
-func pushedVersion(t *testing.T, typ string, payload []byte) (string, uint64) {
+// pushHeader returns the header of a replica push payload.
+func pushHeader(t *testing.T, payload []byte) replicateHeader {
 	t.Helper()
-	if typ == TypeReplicateDelta {
-		h, err := scanReplicateDelta(payload)
-		if err != nil {
-			t.Fatalf("delta push: %v", err)
-		}
-		return string(h.Origin), h.Version
-	}
 	h, err := scanReplicate(payload)
 	if err != nil {
-		t.Fatalf("full push: %v", err)
+		t.Fatalf("replica push: %v", err)
 	}
-	return string(h.Origin), h.Version
+	return h
 }
 
 // originFullState builds the full replicateMsg origin would push at version
@@ -38,10 +34,10 @@ func originFullState(origin *Node, version uint64) []byte {
 	origin.repMu.Lock()
 	snaps := origin.server.SnapshotActive()
 	origin.mu.Lock()
-	msg := origin.fullStateLocked(snaps, spanRef{})
+	msg := replicateMsg{Origin: origin.Addr(), Incarnation: origin.incarnation, Version: version}
+	msg.Groups, msg.Loose = origin.fullStateLocked(snaps)
 	origin.mu.Unlock()
 	origin.repMu.Unlock()
-	msg.Version = version
 	return msg.MarshalWire(nil)
 }
 
@@ -97,14 +93,14 @@ func randomQuery(rng *rand.Rand, id string) cq.Query {
 // TestDeltaReplicaEquivalence runs a seeded random sequence of
 // registrations, re-subscriptions from other clients, admin splits and
 // merges (which push nothing themselves, like the window between a load
-// check's split and its closing push), load checks and holder restarts
-// (the holder's replica store wiped) on a replicated in-memory cluster,
-// losing one replica push in twelve. After every push a holder stores, its
-// decoded replica of the origin must marshal byte for byte to the full
-// replicateMsg the origin would build at that version, with a delta log
-// below the full push it rests on. A delta may only reach a holder at the
-// delta's base version, except the first one after that holder's restart,
-// which it refuses.
+// check's split and its closing push), load checks, successor-change pushes
+// and holder restarts (the holder's replica store wiped) on a replicated
+// in-memory cluster, losing one replica push in twelve. After every push a
+// holder stores, its decoded replica of the origin must marshal byte for
+// byte to the full replicateMsg the origin would build at that version, with
+// a delta log below the full push it rests on. A delta — a heartbeat
+// included — may only reach a holder at the delta's base version, except the
+// first one after that holder's restart, which it refuses.
 func TestDeltaReplicaEquivalence(t *testing.T) {
 	netw := NewMemNetwork()
 	cfg := testConfig()
@@ -119,19 +115,21 @@ func TestDeltaReplicaEquivalence(t *testing.T) {
 	checked := 0
 	wiped := make(map[[2]string]bool) // (holder, origin) restarted since its last push
 	refusals := 0
+	heartbeats := make(map[string]int) // stored heartbeats, by the step that sent them
+	stepKind := ""
 	for _, n := range nodes {
 		n := n
 		netw.Endpoint(n.Addr()).SetHandler(func(typ string, payload []byte) ([]byte, error) {
-			if typ != TypeReplicateKeyGroup && typ != TypeReplicateDelta {
+			if typ != TypeReplicateKeyGroup {
 				return n.handle(typ, payload)
 			}
 			if rng.Intn(12) == 0 {
 				return nil, errors.New("push lost")
 			}
-			origin, version := pushedVersion(t, typ, payload)
+			h := pushHeader(t, payload)
+			origin := string(h.Origin)
 			key := [2]string{n.Addr(), origin}
-			if typ == TypeReplicateDelta {
-				h, _ := scanReplicateDelta(payload)
+			if h.Base > 0 {
 				n.mu.Lock()
 				set := n.replicas[origin]
 				atBase := set != nil && set.incarnation == h.Incarnation && set.version == h.Base
@@ -141,14 +139,16 @@ func TestDeltaReplicaEquivalence(t *testing.T) {
 					refusals++
 				case !atBase:
 					t.Fatalf("step %d: %s sent %s a delta on version %d, which it does not hold", step, origin, n.Addr(), h.Base)
+				case h.Groups == 0:
+					heartbeats[stepKind]++
 				}
 			}
 			delete(wiped, key)
 			reply, err := n.handle(typ, payload)
 			if err != nil {
-				t.Fatalf("step %d: %s push from %s: %v", step, typ, origin, err)
+				t.Fatalf("step %d: push from %s: %v", step, origin, err)
 			}
-			if checkHeldReplica(t, n, byAddr[origin], version, fmt.Sprintf("step %d, %s", step, typ)) {
+			if checkHeldReplica(t, n, byAddr[origin], h.Version, fmt.Sprintf("step %d, base %d", step, h.Base)) {
 				checked++
 			}
 			return reply, nil
@@ -166,6 +166,7 @@ func TestDeltaReplicaEquivalence(t *testing.T) {
 	var registered []cq.Query
 	for step = 0; step < 400; step++ {
 		n := nodes[rng.Intn(len(nodes))]
+		stepKind = ""
 		switch r := rng.Intn(100); {
 		case r < 55 || len(registered) == 0:
 			q := randomQuery(rng, fmt.Sprintf("q-%03d", step))
@@ -196,7 +197,11 @@ func TestDeltaReplicaEquivalence(t *testing.T) {
 			}
 			n.replicas = make(map[string]*replicaSet)
 			n.mu.Unlock()
+		case r < 97:
+			stepKind = "successor change"
+			n.successorsChanged(n.chord.Successors())
 		default:
+			stepKind = "load check"
 			n.LoadCheck(time.Now())
 		}
 	}
@@ -207,13 +212,16 @@ func TestDeltaReplicaEquivalence(t *testing.T) {
 		total.Delta += rp.Delta
 		total.DeltaRefused += rp.DeltaRefused
 	}
-	t.Logf("%d pushes checked; pushes sent %+v", checked, total)
+	t.Logf("%d pushes checked; pushes sent %+v; heartbeats stored %v", checked, total, heartbeats)
 	if total.DeltaRefused != int64(refusals) {
 		t.Errorf("%d deltas refused, want %d (one per restarted holder's first delta)", total.DeltaRefused, refusals)
 	}
 	if total.Delta < 100 || checked < 200 || refusals == 0 {
 		t.Errorf("%d deltas sent, %d pushes checked, %d refused: the sequence no longer exercises the delta path",
 			total.Delta, checked, refusals)
+	}
+	if heartbeats["load check"] == 0 || heartbeats["successor change"] == 0 {
+		t.Errorf("heartbeats stored by step kind: %v; want load-check and successor-change heartbeats", heartbeats)
 	}
 }
 
@@ -229,8 +237,12 @@ type deltaFixture struct {
 
 func newDeltaFixture(t *testing.T) *deltaFixture {
 	t.Helper()
+	return newDeltaFixtureConfig(t, testConfig())
+}
+
+func newDeltaFixtureConfig(t *testing.T, cfg Config) *deltaFixture {
+	t.Helper()
 	f := &deltaFixture{netw: NewMemNetwork(), nodes: make(map[string]*Node)}
-	cfg := testConfig()
 	cfg.InlineMatchPush = true
 	for _, n := range buildOverlay(t, f.netw, 3, cfg) {
 		f.nodes[n.Addr()] = n
@@ -318,61 +330,235 @@ func TestDeltaRefusedFallsBackToFull(t *testing.T) {
 	}
 }
 
-// TestOlderHolderGetsFullPushes gives one holder the behaviour of a peer that
-// predates delta pushes: it answers a full push with an empty reply and has
-// no handler for TypeReplicateDelta. It must only ever get full pushes, while
-// the other holder gets deltas, and nothing is refused.
+// TestOlderHolderGetsFullPushes gives one holder the behaviour of a peer
+// that predates delta pushes: one that answers a push with an empty reply,
+// and one that acknowledges (incarnation, version) without the Delta field —
+// a peer that ignores Base and would store a delta as its whole set. Either
+// must only ever get full (Base 0) pushes, while the other holder gets
+// deltas, and nothing is refused.
 func TestOlderHolderGetsFullPushes(t *testing.T) {
-	f := newDeltaFixture(t)
-	holders := f.targets(t)
-	old := holders[0]
-	calls := make(map[string]int)
-	f.netw.Endpoint(old.Addr()).SetHandler(func(typ string, payload []byte) ([]byte, error) {
-		calls[typ]++
-		switch typ {
-		case TypeReplicateDelta:
-			return nil, fmt.Errorf("unknown message type %q", typ)
-		case TypeReplicateKeyGroup:
-			reply, err := old.handle(typ, payload)
-			wirecodec.PutBuf(reply)
-			return nil, err
-		}
-		return old.handle(typ, payload)
-	})
-	f.origin.LoadCheck(time.Now())
-	before := f.origin.ReplicaPushes()
-	for i := 0; i < 5; i++ {
-		f.register(t, fmt.Sprintf("q-%d", i))
+	for name, reply := range map[string]func(ack []byte) []byte{
+		"empty ack": func([]byte) []byte { return nil },
+		"ack without Delta": func(raw []byte) []byte {
+			var ack replicateAck
+			if err := ack.UnmarshalWire(raw); err != nil {
+				t.Fatal(err)
+			}
+			return wirecodec.AppendUvarint(wirecodec.AppendUvarint(nil, ack.Incarnation), ack.Version)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := newDeltaFixture(t)
+			holders := f.targets(t)
+			old := holders[0]
+			full, delta := 0, 0
+			f.netw.Endpoint(old.Addr()).SetHandler(func(typ string, payload []byte) ([]byte, error) {
+				if typ != TypeReplicateKeyGroup {
+					return old.handle(typ, payload)
+				}
+				if pushHeader(t, payload).Base > 0 {
+					delta++
+				} else {
+					full++
+				}
+				raw, err := old.handle(typ, payload)
+				defer wirecodec.PutBuf(raw)
+				return reply(raw), err
+			})
+			// The holder acknowledged the fixture's pushes before it turned
+			// old; the first push after that teaches the origin otherwise.
+			f.origin.LoadCheck(time.Now())
+			full, delta = 0, 0
+			before := f.origin.ReplicaPushes()
+			for i := 0; i < 5; i++ {
+				f.register(t, fmt.Sprintf("q-%d", i))
+			}
+			f.origin.LoadCheck(time.Now())
+			// The other holder's deltas are interleaved with full pushes
+			// while the state is small (see TestDeltaLogBoundForcesFullPush).
+			if got := pushDiff(before, f.origin.ReplicaPushes()); got.Full+got.Delta != 12 || got.Delta == 0 || got.DeltaRefused != 0 {
+				t.Errorf("five registrations and a load check sent %+v, want 12 pushes, some of them deltas, none refused", got)
+			}
+			if delta != 0 || full != 6 {
+				t.Errorf("the older holder got %d deltas and %d full pushes, want 0 and 6", delta, full)
+			}
+			f.current(t, old)
+			f.current(t, holders[1])
+		})
 	}
-	// The other holder's deltas are interleaved with full pushes while the
-	// state is small (see TestDeltaLogBoundForcesFullPush).
-	if got := pushDiff(before, f.origin.ReplicaPushes()); got.Full+got.Delta != 10 || got.Delta == 0 || got.DeltaRefused != 0 {
-		t.Errorf("five registrations sent %+v, want 10 pushes, some of them deltas, none refused", got)
-	}
-	if calls[TypeReplicateDelta] != 0 || calls[TypeReplicateKeyGroup] != 6 {
-		t.Errorf("the older holder got %d deltas and %d full pushes, want 0 and 6",
-			calls[TypeReplicateDelta], calls[TypeReplicateKeyGroup])
-	}
-	f.current(t, old)
-	f.current(t, holders[1])
 }
 
+// TestRetiredDeltaTypeRefused sends a node a raw frame of the retired
+// 0x1C type, the separate delta push of earlier versions, carrying a delta
+// in that older layout on top of the set the node stores: the node must
+// answer with an error frame and keep the stored set unchanged.
+func TestRetiredDeltaTypeRefused(t *testing.T) {
+	tr, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewNode(tr, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	base := testPush(t, 1)
+	if _, err := n.handleReplicate(base.MarshalWire(nil)); err != nil {
+		t.Fatal(err)
+	}
+	held := recoverReply(t, n, "node-9")
+
+	// Origin, incarnation, base, version, trace context, then one record:
+	// group 01, epoch 2, a query record.
+	rec := wirecodec.AppendInt(nil, 2)
+	rec = wirecodec.AppendUvarint(rec, 0b01)
+	rec = wirecodec.AppendUvarint(rec, 2)
+	rec = wirecodec.AppendBytes(rec, replicaRec(t, "q-z", "client-1"))
+	old := wirecodec.AppendString(nil, "node-9")
+	for _, v := range []uint64{3, 1, 2, 0, 0, 0, 1} {
+		old = wirecodec.AppendUvarint(old, v)
+	}
+	old = wirecodec.AppendBytes(old, rec)
+	frame, err := appendFrame(nil, 7, 0x1C, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := readFrame(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	if reply.seq != 7 || reply.typ != typeReplyErr {
+		t.Errorf("reply = (%d, %#x, %q), want an error reply to sequence 7", reply.seq, reply.typ, reply.payload)
+	}
+	if got := recoverReply(t, n, "node-9"); !bytes.Equal(got, held) {
+		t.Error("a retired 0x1C frame changed the stored set")
+	}
+}
+
+// TestHeartbeatKeepsReplicasAlive runs load checks with nothing changed for
+// more than replicaTTLPeriods periods of a stepped clock: each sends every
+// holder a heartbeat and no full push, and the heartbeats alone keep the
+// holders' sets through gcReplicas. When the origin then crashes, promotion
+// restores exactly its full state at the last version.
+func TestHeartbeatKeepsReplicasAlive(t *testing.T) {
+	clk := &stepClock{now: time.Unix(1_000_000, 0)}
+	cfg := testConfig()
+	cfg.Clock = clk
+	f := newDeltaFixtureConfig(t, cfg)
+	f.register(t, "q-1")
+	f.register(t, "q-2")
+	holders := f.targets(t)
+	for period := 0; period <= replicaTTLPeriods+2; period++ {
+		clk.step(cfg.LoadCheckInterval)
+		before := f.origin.ReplicaPushes()
+		f.origin.LoadCheck(clk.Now())
+		if got := pushDiff(before, f.origin.ReplicaPushes()); got != (ReplicaPushStats{Delta: int64(len(holders))}) {
+			t.Fatalf("period %d: a load check with nothing changed sent %+v, want %d deltas", period, got, len(holders))
+		}
+		for _, h := range holders {
+			h.gcReplicas()
+			f.current(t, h)
+		}
+	}
+
+	// Promotion: the origin's state at the last version, exactly.
+	f.origin.mu.Lock()
+	version := f.origin.repVersion
+	f.origin.mu.Unlock()
+	var want replicateMsg
+	if err := want.UnmarshalWire(originFullState(f.origin, version)); err != nil {
+		t.Fatal(err)
+	}
+	f.netw.SetDown(f.origin.Addr(), true)
+	restored := func() bool {
+		for _, g := range want.Groups {
+			if promotedGroup(holders, g) == nil {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 30 && !restored(); i++ {
+		clk.step(cfg.LoadCheckInterval)
+		converge(holders, 2)
+		for _, h := range holders {
+			h.recoverFromReplicas()
+		}
+	}
+	for _, g := range want.Groups {
+		got := promotedGroup(holders, g)
+		if got == nil {
+			t.Fatalf("group %d/%d was not promoted", g.GroupValue, g.GroupBits)
+		}
+		g.Epoch++ // the promoting node takes ownership at the next epoch (core.Server.RestoreGroup)
+		if !bytes.Equal(got.MarshalWire(nil), g.MarshalWire(nil)) {
+			t.Errorf("promoted group\n got %+v\nwant %+v", *got, g)
+		}
+	}
+}
+
+// promotedGroup returns the replica record of the active group with g's
+// prefix on the first of nodes that serves it, or nil.
+func promotedGroup(nodes []*Node, g replicaGroupRec) *replicaGroupRec {
+	for _, n := range nodes {
+		for _, s := range n.server.SnapshotActive() {
+			if s.Group.Prefix.Value == g.GroupValue && s.Group.Prefix.Bits == g.GroupBits {
+				n.mu.Lock()
+				recs := n.replicaGroupsLocked([]core.GroupSnapshot{s})
+				n.mu.Unlock()
+				return &recs[0]
+			}
+		}
+	}
+	return nil
+}
+
+// stepClock is a clock.Clock that moves only when a test steps it.
+type stepClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *stepClock) step(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+func (c *stepClock) NewTicker(d time.Duration) clock.Ticker { return clock.Real().NewTicker(d) }
+
+func (c *stepClock) NewTimer(d time.Duration) clock.Timer { return clock.Real().NewTimer(d) }
+
 // deltaPush encodes a delta from node-9 (testPush's origin) carrying one
-// record of query id over region 01, tagged with group 01 at epoch.
+// record of query id over region 01, under group 01 at epoch.
 func deltaPush(t *testing.T, base, version, epoch uint64, id, sub string) []byte {
 	t.Helper()
-	rec := replicaDeltaRec{GroupValue: 0b01, GroupBits: 2, Epoch: epoch, Query: replicaRec(t, id, sub)}
-	m := replicateDeltaMsg{Origin: "node-9", Incarnation: 3, Base: base, Version: version,
-		Records: [][]byte{rec.MarshalWire(nil)}}
+	m := replicateMsg{Origin: "node-9", Incarnation: 3, Base: base, Version: version,
+		Groups: []replicaGroupRec{{GroupValue: 0b01, GroupBits: 2, Parent: "node-8", Epoch: epoch,
+			Queries: [][]byte{replicaRec(t, id, sub)}}}}
 	return m.MarshalWire(nil)
 }
 
 // applyDelta hands a delta push to n and returns the version n acknowledges.
 func applyDelta(t *testing.T, n *Node, payload []byte) replicateAck {
 	t.Helper()
-	raw, err := n.handleReplicateDelta(payload)
+	raw, err := n.handleReplicate(payload)
 	if err != nil {
-		t.Fatalf("handleReplicateDelta: %v", err)
+		t.Fatalf("handleReplicate: %v", err)
 	}
 	var ack replicateAck
 	if err := ack.UnmarshalWire(raw); err != nil {
@@ -384,8 +570,9 @@ func applyDelta(t *testing.T, n *Node, payload []byte) replicateAck {
 
 // TestDeltaAppliesOnlyOnItsBase checks the holder side of a delta: it
 // applies on top of exactly its base version, merges into the group in
-// region/ID order and replaces the re-subscribed record; a duplicate, a late
-// delta, one tagged with a stale epoch and one for an unknown origin change
+// region/ID order and replaces the re-subscribed record, and a heartbeat
+// moves the version alone; a duplicate, a late delta, one under a stale
+// epoch, one for an unknown group and one for an unknown origin change
 // nothing and acknowledge what is held.
 func TestDeltaAppliesOnlyOnItsBase(t *testing.T) {
 	n := newReplicaHolder(t)
@@ -393,46 +580,53 @@ func TestDeltaAppliesOnlyOnItsBase(t *testing.T) {
 	if _, err := n.handleReplicate(base.MarshalWire(nil)); err != nil {
 		t.Fatal(err)
 	}
+	held := func(version uint64) replicateAck {
+		return replicateAck{Incarnation: 3, Version: version, Delta: true}
+	}
 	d2 := deltaPush(t, 1, 2, 2, "q-0", "client-3")
-	if ack := applyDelta(t, n, d2); ack != (replicateAck{Incarnation: 3, Version: 2}) {
+	if ack := applyDelta(t, n, d2); ack != held(2) {
 		t.Fatalf("delta 1→2 acknowledged %+v", ack)
 	}
-	if ack := applyDelta(t, n, deltaPush(t, 2, 3, 2, "q-a", "client-9")); ack != (replicateAck{Incarnation: 3, Version: 3}) {
+	if ack := applyDelta(t, n, deltaPush(t, 2, 3, 2, "q-a", "client-9")); ack != held(3) {
 		t.Fatalf("delta 2→3 acknowledged %+v", ack)
 	}
-	want := testPush(t, 3)
+	heartbeat := (&replicateMsg{Origin: "node-9", Incarnation: 3, Base: 3, Version: 4}).MarshalWire(nil)
+	if ack := applyDelta(t, n, heartbeat); ack != held(4) {
+		t.Fatalf("heartbeat 3→4 acknowledged %+v", ack)
+	}
+	want := testPush(t, 4)
 	want.Groups[0].Queries = [][]byte{replicaRec(t, "q-0", "client-3"), replicaRec(t, "q-a", "client-9"), replicaRec(t, "q-b", "")}
-	held := recoverReply(t, n, "node-9")
-	if !bytes.Equal(held, want.MarshalWire(nil)) {
+	stored := recoverReply(t, n, "node-9")
+	if !bytes.Equal(stored, want.MarshalWire(nil)) {
 		var got replicateMsg
-		_ = got.UnmarshalWire(held)
+		_ = got.UnmarshalWire(stored)
 		t.Fatalf("merged replica\n got %+v\nwant %+v", got, want)
 	}
 
-	unknownGroup := replicaDeltaRec{GroupValue: 0b00, GroupBits: 2, Query: replicaRec(t, "q-z", "client-1")}
+	unknownGroup := replicateMsg{Origin: "node-9", Incarnation: 3, Base: 4, Version: 5,
+		Groups: []replicaGroupRec{{GroupValue: 0b00, GroupBits: 2, Queries: [][]byte{replicaRec(t, "q-z", "client-1")}}}}
 	for name, payload := range map[string][]byte{
-		"duplicate":   d2,
-		"late":        deltaPush(t, 0, 1, 2, "q-z", "client-1"),
-		"stale epoch": deltaPush(t, 3, 4, 1, "q-z", "client-1"),
-		"unknown group": (&replicateDeltaMsg{Origin: "node-9", Incarnation: 3, Base: 3, Version: 4,
-			Records: [][]byte{unknownGroup.MarshalWire(nil)}}).MarshalWire(nil),
+		"duplicate":     d2,
+		"late":          deltaPush(t, 1, 2, 2, "q-z", "client-1"),
+		"stale epoch":   deltaPush(t, 4, 5, 1, "q-z", "client-1"),
+		"unknown group": unknownGroup.MarshalWire(nil),
 	} {
-		if ack := applyDelta(t, n, payload); ack != (replicateAck{Incarnation: 3, Version: 3}) {
-			t.Errorf("%s delta acknowledged %+v, want version 3", name, ack)
+		if ack := applyDelta(t, n, payload); ack != held(4) {
+			t.Errorf("%s delta acknowledged %+v, want version 4", name, ack)
 		}
-		if got := recoverReply(t, n, "node-9"); !bytes.Equal(got, held) {
+		if got := recoverReply(t, n, "node-9"); !bytes.Equal(got, stored) {
 			t.Errorf("%s delta changed the stored set", name)
 		}
 	}
 	fresh := newReplicaHolder(t)
-	if ack := applyDelta(t, fresh, d2); ack != (replicateAck{}) {
+	if ack := applyDelta(t, fresh, d2); ack != (replicateAck{Delta: true}) {
 		t.Errorf("a holder with no set acknowledged %+v, want none", ack)
 	}
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
 	if a := testing.AllocsPerRun(50, func() {
-		reply, _ := n.handleReplicateDelta(d2)
+		reply, _ := n.handleReplicate(d2)
 		wirecodec.PutBuf(reply)
 	}); a != 0 {
 		t.Errorf("a duplicate delta allocates %v times, want 0 (validated in place, nothing stored)", a)
@@ -497,7 +691,8 @@ func TestInstalledQueriesForceFullPush(t *testing.T) {
 }
 
 // TestConcurrentRegistrationsConverge registers queries from several clients
-// at once, so pushes are planned, sent and acknowledged concurrently and
+// at once while the origin runs load checks, so registration deltas and
+// load-check heartbeats are planned, sent and acknowledged concurrently and
 // race one another to the holders. After one more registration once they
 // are done, both holders must hold the origin's current state at its latest
 // version, and every push must have been sent to a holder at its base.
@@ -522,7 +717,24 @@ func TestConcurrentRegistrationsConverge(t *testing.T) {
 			}
 		}(c, cli)
 	}
+	done := make(chan struct{})
+	checks := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				checks <- n
+				return
+			default:
+			}
+			f.origin.LoadCheck(time.Now())
+			n++
+		}
+	}()
 	wg.Wait()
+	close(done)
+	t.Logf("%d load checks ran beside the registrations", <-checks)
 	f.register(t, "q-last")
 	for _, h := range f.targets(t) {
 		f.current(t, h)

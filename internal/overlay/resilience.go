@@ -31,7 +31,7 @@ func classTimeout(msgType string) time.Duration {
 	case TypePing, TypeFindSuccessor, TypeSuccessor, TypePredecessor,
 		TypeNotify, TypeLoadReport, TypeChildMoved, TypeTopology:
 		return shortTimeout
-	case TypeAcceptKeyGroup, TypeReplicateKeyGroup, TypeReplicateDelta, TypeRecoverKeyGroups:
+	case TypeAcceptKeyGroup, TypeReplicateKeyGroup, TypeRecoverKeyGroups:
 		return bulkTimeout
 	default:
 		return dataTimeout
@@ -40,14 +40,14 @@ func classTimeout(msgType string) time.Duration {
 
 // idempotentTypes lists the messages a caller may safely resend after an
 // ambiguous failure: reads (lookups, ping, status, recover), last-write-wins
-// notifications (notify, load_report, child_moved), and replicate — which is
-// full-state replacement ordered by (incarnation, version), so a duplicate
-// collapses into the same state — and replicate_delta, which applies only on
-// top of its base version, so a duplicate finds the stored version already
-// at or past its own and is ignored. Excluded: accept_object/accept_batch (a
-// resend double-meters the packet's load), accept_keygroup and
-// release_keygroup (ownership handoffs guarded by their own parked-transfer
-// retry machinery), and match (at-most-once delivery to subscribers).
+// notifications (notify, load_report, child_moved), and replicate — ordered
+// by (incarnation, version): a duplicate full push collapses into the same
+// state, and a duplicate delta, which applies only on top of its base
+// version, finds the stored version already at or past its own and is
+// ignored. Excluded: accept_object/accept_batch (a resend double-meters the
+// packet's load), accept_keygroup and release_keygroup (ownership handoffs
+// guarded by their own parked-transfer retry machinery), and match
+// (at-most-once delivery to subscribers).
 var idempotentTypes = map[string]bool{
 	TypePing:              true,
 	TypeFindSuccessor:     true,
@@ -57,7 +57,6 @@ var idempotentTypes = map[string]bool{
 	TypeLoadReport:        true,
 	TypeChildMoved:        true,
 	TypeReplicateKeyGroup: true,
-	TypeReplicateDelta:    true,
 	TypeRecoverKeyGroups:  true,
 	TypeStatus:            true,
 	TypeTopology:          true,

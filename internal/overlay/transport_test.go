@@ -609,8 +609,8 @@ func TestCrossTransportByteIdentity(t *testing.T) {
 		{TypeAcceptObject, (&core.AcceptObjectMsg{KeyValue: 5, KeyBits: 8, Depth: 2, Kind: core.ObjectData}).MarshalWire(nil)},
 		{TypeAcceptBatch, batch.MarshalWire(nil)},
 		{TypeFindSuccessor, (&findSuccessorMsg{ID: 123456}).MarshalWire(nil)},
-		{TypeReplicateDelta, (&replicateDeltaMsg{Origin: "n1", Incarnation: 4, Base: 1, Version: 2, Records: [][]byte{
-			(&replicaDeltaRec{GroupValue: 1, GroupBits: 2, Epoch: 1, Query: []byte("q")}).MarshalWire(nil)}}).MarshalWire(nil)},
+		{TypeReplicateKeyGroup, (&replicateMsg{Origin: "n1", Incarnation: 4, Base: 1, Version: 2, Groups: []replicaGroupRec{
+			{GroupValue: 1, GroupBits: 2, Epoch: 1, Queries: [][]byte{[]byte("q")}}}}).MarshalWire(nil)},
 		// Last: on TCP the call returns before the handler runs.
 		{TypeMatch, (&matchMsg{QueryID: "q-1", KeyValue: 9, KeyBits: 8, Attrs: map[string]float64{"speed": 61}, Payload: []byte("m")}).MarshalWire(nil)},
 	}

@@ -90,22 +90,17 @@ const (
 	TypeChildMoved = "clash.child_moved"
 	// TypeStatus returns a node's JSON status snapshot.
 	TypeStatus = "clash.status"
-	// TypeReplicateKeyGroup pushes a node's full replicable key-group state
+	// TypeReplicateKeyGroup pushes a node's replicable key-group state
 	// (group snapshots + their continuous-query state) to a successor, which
-	// stores it keyed by origin. Pushed to the first k live successors after
-	// every split, merge and transfer, every load-check period and on
-	// successor-list changes, so replicas follow ring churn; a CQ
-	// registration pushes it only to a successor not known to hold the
-	// origin's previous version (otherwise it sends TypeReplicateDelta). The
-	// reply is a replicateAck.
+	// stores it keyed by origin (replicateMsg). Pushed to the first k live
+	// successors after every CQ registration, split, merge and transfer,
+	// every load-check period and on successor-list changes, so replicas
+	// follow ring churn. A push with Base 0 carries the full state; one with
+	// Base > 0 carries only the query records changed since version Base
+	// (none: a heartbeat) and applies only on top of exactly that version.
+	// The reply is a replicateAck. Type byte 0x1C, which carried a separate
+	// delta push, is retired and never reused.
 	TypeReplicateKeyGroup = "clash.replicate_keygroup"
-	// TypeReplicateDelta pushes only the query records a CQ registration
-	// changed (replicateDeltaMsg) to a successor that acknowledged holding
-	// exactly the origin's previous replica version. The holder appends them
-	// to its stored set; one that does not hold that version answers with
-	// the version it does hold, and the origin falls back to a full
-	// TypeReplicateKeyGroup push. The reply is a replicateAck.
-	TypeReplicateDelta = "clash.replicate_delta"
 	// TypeRecoverKeyGroups asks a peer for the replica set it stores for a
 	// given origin. A node rejoining after a crash queries its successors and
 	// restores the freshest copy of its own pre-crash state.
@@ -136,7 +131,7 @@ const (
 	typeReplicateKeyGroup byte = 0x19
 	typeRecoverKeyGroups  byte = 0x1A
 	typeTopology          byte = 0x1B
-	typeReplicateDelta    byte = 0x1C
+	// 0x1C (clash.replicate_delta) is retired: never reuse it.
 
 	typeReplyOK  byte = 0xF0
 	typeReplyErr byte = 0xF1
@@ -167,7 +162,6 @@ var (
 		TypeReplicateKeyGroup: typeReplicateKeyGroup,
 		TypeRecoverKeyGroups:  typeRecoverKeyGroups,
 		TypeTopology:          typeTopology,
-		TypeReplicateDelta:    typeReplicateDelta,
 	}
 	nameRegistry [256]string
 )
@@ -626,14 +620,20 @@ func (m *replicaGroupRec) UnmarshalWire(data []byte) error {
 }
 
 // replicateMsg is the payload of TypeReplicateKeyGroup and the reply of
-// TypeRecoverKeyGroups: one node's complete replicable key-group state. The
-// receiver replaces its stored set for Origin whenever (Incarnation, Version)
-// is not older than the stored pair — full-state replacement, so a group the
-// origin shed disappears from the replica without tombstones (a recovery
-// reply carries the stored set with its delta log merged in). Loose carries
-// query state the origin holds outside its engine (parked transfers, orphaned
-// placements awaiting re-homing); on recovery it is re-placed through depth
-// resolution rather than installed under a group.
+// TypeRecoverKeyGroups. With Base 0 it is one node's complete replicable
+// key-group state: the receiver replaces its stored set for Origin whenever
+// (Incarnation, Version) is not older than the stored pair — full-state
+// replacement, so a group the origin shed disappears from the replica without
+// tombstones (a recovery reply carries the stored set with its delta log
+// merged in). Loose carries query state the origin holds outside its engine
+// (parked transfers, orphaned placements awaiting re-homing); on recovery it
+// is re-placed through depth resolution rather than installed under a group.
+//
+// With Base > 0 it is a delta on top of exactly version Base of the same
+// incarnation: Groups carry only the query records registered or
+// re-subscribed since, each under the header of a group the holder stores at
+// the same epoch, and Loose is empty. A delta with no groups is a heartbeat:
+// it moves the holder to Version and refreshes it, nothing more.
 type replicateMsg struct {
 	Origin      string            `json:"origin"`
 	Incarnation uint64            `json:"incarnation"`
@@ -648,11 +648,14 @@ type replicateMsg struct {
 	TraceID    uint64 `json:"traceId,omitempty"`
 	ParentSpan uint64 `json:"parentSpan,omitempty"`
 	Hop        int    `json:"hop,omitempty"`
+	// Base is the version a delta push applies on; 0 (and absent, from an
+	// older writer) marks the full state. Appended after Hop.
+	Base uint64 `json:"base,omitempty"`
 }
 
 // MarshalWire implements wireMsg. Each group is a length-prefixed record
-// sharing the replicaGroupRec encoder; Loose (PR 8) and the trace context
-// (PR 9) are appended after the original fields (append-only evolution).
+// sharing the replicaGroupRec encoder; Loose, the trace context and Base are
+// appended after the original fields (append-only evolution).
 func (m *replicateMsg) MarshalWire(b []byte) []byte {
 	b = wirecodec.AppendString(b, m.Origin)
 	b = wirecodec.AppendUvarint(b, m.Incarnation)
@@ -670,11 +673,13 @@ func (m *replicateMsg) MarshalWire(b []byte) []byte {
 	}
 	b = wirecodec.AppendUvarint(b, m.TraceID)
 	b = wirecodec.AppendUvarint(b, m.ParentSpan)
-	return wirecodec.AppendInt(b, m.Hop)
+	b = wirecodec.AppendInt(b, m.Hop)
+	return wirecodec.AppendUvarint(b, m.Base)
 }
 
 // UnmarshalWire implements wireMsg. Nested byte fields alias data. A frame
-// from an old writer carries no Loose section; it decodes empty.
+// from an old writer carries no Loose section, trace context or Base; they
+// decode empty.
 func (m *replicateMsg) UnmarshalWire(data []byte) error {
 	r := wirecodec.NewReader(data)
 	m.Origin = r.String()
@@ -706,22 +711,40 @@ func (m *replicateMsg) UnmarshalWire(data []byte) error {
 			m.Loose = append(m.Loose, r.Bytes())
 		}
 	}
-	m.TraceID, m.ParentSpan, m.Hop = 0, 0, 0
+	m.TraceID, m.ParentSpan, m.Hop, m.Base = 0, 0, 0, 0
 	if r.Err() == nil && r.Len() > 0 {
 		m.TraceID = r.Uvarint()
 		m.ParentSpan = r.Uvarint()
 		m.Hop = r.Int()
 	}
-	return r.Err()
+	if r.Err() == nil && r.Len() > 0 {
+		m.Base = r.Uvarint()
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return checkDelta(m.Base, m.Version, len(m.Loose))
+}
+
+// checkDelta rejects a delta push (base > 0) that does not move past its base
+// or carries loose records.
+func checkDelta(base, version uint64, loose int) error {
+	if base > 0 && (version <= base || loose > 0) {
+		return fmt.Errorf("%w: delta on base %d at version %d with %d loose records", wirecodec.ErrInvalid, base, version, loose)
+	}
+	return nil
 }
 
 // replicateHeader is what a replica holder reads of a replicateMsg at
-// receipt: enough to order the push against the stored copy and trace it.
+// receipt: enough to order the push against the stored copy and trace it,
+// and the raw group records a delta appends to the stored set's log.
 type replicateHeader struct {
 	Origin      []byte // aliases the scanned payload
 	Incarnation uint64
 	Version     uint64
+	Base        uint64
 	Groups      int
+	Section     []byte // the length-prefixed group records, aliasing the payload
 	Trace       spanRef
 }
 
@@ -739,6 +762,7 @@ func scanReplicate(data []byte) (replicateHeader, error) {
 	if r.Err() == nil && h.Groups > r.Len() {
 		return h, fmt.Errorf("%w: %d replica groups in %d bytes", wirecodec.ErrInvalid, h.Groups, r.Len())
 	}
+	start := len(data) - r.Len()
 	for i := 0; i < h.Groups && r.Err() == nil; i++ {
 		rec := r.Bytes()
 		if r.Err() != nil {
@@ -748,19 +772,27 @@ func scanReplicate(data []byte) (replicateHeader, error) {
 			return h, err
 		}
 	}
+	h.Section = data[start : len(data)-r.Len()]
+	loose := 0
 	if r.Err() == nil && r.Len() > 0 {
-		k := r.Int()
-		if r.Err() == nil && k > r.Len() {
-			return h, fmt.Errorf("%w: %d loose queries in %d bytes", wirecodec.ErrInvalid, k, r.Len())
+		loose = r.Int()
+		if r.Err() == nil && loose > r.Len() {
+			return h, fmt.Errorf("%w: %d loose queries in %d bytes", wirecodec.ErrInvalid, loose, r.Len())
 		}
-		for i := 0; i < k && r.Err() == nil; i++ {
+		for i := 0; i < loose && r.Err() == nil; i++ {
 			r.Bytes()
 		}
 	}
 	if r.Err() == nil && r.Len() > 0 {
 		h.Trace = spanRef{TraceID: r.Uvarint(), Parent: r.Uvarint(), Hop: r.Int()}
 	}
-	return h, r.Err()
+	if r.Err() == nil && r.Len() > 0 {
+		h.Base = r.Uvarint()
+	}
+	if err := r.Err(); err != nil {
+		return h, err
+	}
+	return h, checkDelta(h.Base, h.Version, loose)
 }
 
 // scanReplicaGroup is replicaGroupRec.UnmarshalWire's validation without the
@@ -782,174 +814,37 @@ func scanReplicaGroup(data []byte) error {
 	return r.Err()
 }
 
-// replicaDeltaRec is one query record of a replicateDeltaMsg: a queryState
-// record tagged with the active group that stores the query and that
-// group's ownership epoch, which must match a group of the holder's base
-// set.
-type replicaDeltaRec struct {
-	GroupValue uint64 `json:"groupValue"`
-	GroupBits  int    `json:"groupBits"`
-	Epoch      uint64 `json:"epoch"`
-	Query      []byte `json:"query"`
-}
-
-// MarshalWire implements wireMsg.
-func (m *replicaDeltaRec) MarshalWire(b []byte) []byte {
-	b = wirecodec.AppendInt(b, m.GroupBits)
-	b = wirecodec.AppendUvarint(b, m.GroupValue)
-	b = wirecodec.AppendUvarint(b, m.Epoch)
-	return wirecodec.AppendBytes(b, m.Query)
-}
-
-// UnmarshalWire implements wireMsg. Query aliases data.
-func (m *replicaDeltaRec) UnmarshalWire(data []byte) error {
-	r := wirecodec.NewReader(data)
-	m.GroupBits = r.Int()
-	m.GroupValue = r.Uvarint()
-	m.Epoch = r.Uvarint()
-	m.Query = r.Bytes()
-	return r.Err()
-}
-
-// replicateDeltaMsg is the payload of TypeReplicateDelta: the query records
-// the origin registered or re-subscribed between replica versions Base and
-// Version (Base < Version), each a length-prefixed replicaDeltaRec. A holder
-// applies it only to a stored set of the same Incarnation at exactly Base,
-// by appending the records to the set's log; a record replaces any earlier
-// record of the same query in its group. The records come last, so the
-// holder appends the section as received.
-type replicateDeltaMsg struct {
-	Origin      string   `json:"origin"`
-	Incarnation uint64   `json:"incarnation"`
-	Base        uint64   `json:"base"`
-	Version     uint64   `json:"version"`
-	TraceID     uint64   `json:"traceId,omitempty"`
-	ParentSpan  uint64   `json:"parentSpan,omitempty"`
-	Hop         int      `json:"hop,omitempty"`
-	Records     [][]byte `json:"records,omitempty"`
-}
-
-// MarshalWire implements wireMsg.
-func (m *replicateDeltaMsg) MarshalWire(b []byte) []byte {
-	b = wirecodec.AppendString(b, m.Origin)
-	b = wirecodec.AppendUvarint(b, m.Incarnation)
-	b = wirecodec.AppendUvarint(b, m.Base)
-	b = wirecodec.AppendUvarint(b, m.Version)
-	b = wirecodec.AppendUvarint(b, m.TraceID)
-	b = wirecodec.AppendUvarint(b, m.ParentSpan)
-	b = wirecodec.AppendInt(b, m.Hop)
-	b = wirecodec.AppendInt(b, len(m.Records))
-	for _, rec := range m.Records {
-		b = wirecodec.AppendBytes(b, rec)
-	}
-	return b
-}
-
-// UnmarshalWire implements wireMsg. Records alias data.
-func (m *replicateDeltaMsg) UnmarshalWire(data []byte) error {
-	r := wirecodec.NewReader(data)
-	m.Origin = r.String()
-	m.Incarnation = r.Uvarint()
-	m.Base = r.Uvarint()
-	m.Version = r.Uvarint()
-	m.TraceID = r.Uvarint()
-	m.ParentSpan = r.Uvarint()
-	m.Hop = r.Int()
-	n := r.Int()
-	if r.Err() == nil && n > r.Len() {
-		return fmt.Errorf("%w: %d delta records in %d bytes", wirecodec.ErrInvalid, n, r.Len())
-	}
-	m.Records = nil
-	for i := 0; i < n && r.Err() == nil; i++ {
-		rec := r.Bytes()
-		if r.Err() != nil {
-			break
-		}
-		var d replicaDeltaRec
-		if err := d.UnmarshalWire(rec); err != nil {
-			return err
-		}
-		m.Records = append(m.Records, rec)
-	}
-	if r.Err() == nil && m.Version <= m.Base {
-		return fmt.Errorf("%w: delta version %d not past base %d", wirecodec.ErrInvalid, m.Version, m.Base)
-	}
-	return r.Err()
-}
-
-// replicateDeltaHeader is what a replica holder reads of a replicateDeltaMsg
-// at receipt: the ordering fields, the trace context and the raw record
-// section.
-type replicateDeltaHeader struct {
-	Origin      []byte // aliases the scanned payload
-	Incarnation uint64
-	Base        uint64
-	Version     uint64
-	Trace       spanRef
-	Records     int
-	Section     []byte // the length-prefixed records, aliasing the payload
-}
-
-// scanReplicateDelta validates a replicateDeltaMsg without decoding it: it
-// accepts exactly the payloads replicateDeltaMsg.UnmarshalWire accepts and
-// allocates nothing.
-func scanReplicateDelta(data []byte) (replicateDeltaHeader, error) {
-	var h replicateDeltaHeader
-	r := wirecodec.NewReader(data)
-	h.Origin = r.Bytes()
-	h.Incarnation = r.Uvarint()
-	h.Base = r.Uvarint()
-	h.Version = r.Uvarint()
-	h.Trace = spanRef{TraceID: r.Uvarint(), Parent: r.Uvarint(), Hop: r.Int()}
-	h.Records = r.Int()
-	if r.Err() == nil && h.Records > r.Len() {
-		return h, fmt.Errorf("%w: %d delta records in %d bytes", wirecodec.ErrInvalid, h.Records, r.Len())
-	}
-	start := len(data) - r.Len()
-	for i := 0; i < h.Records && r.Err() == nil; i++ {
-		rec := r.Bytes()
-		if r.Err() != nil {
-			break
-		}
-		var d replicaDeltaRec
-		if err := d.UnmarshalWire(rec); err != nil {
-			return h, err
-		}
-	}
-	if err := r.Err(); err != nil {
-		return h, err
-	}
-	if h.Version <= h.Base {
-		return h, fmt.Errorf("%w: delta version %d not past base %d", wirecodec.ErrInvalid, h.Version, h.Base)
-	}
-	h.Section = data[start : len(data)-r.Len()]
-	return h, nil
-}
-
-// replicateAck is the reply to TypeReplicateKeyGroup and TypeReplicateDelta:
-// the (Incarnation, Version) of the set the holder stores for the pushing
-// origin once the push is handled, zero when it stores none. Both fields
-// trail what was once an empty reply: an older holder still replies empty,
-// which decodes as (0, 0) and matches no origin's incarnation, so it is
-// never taken to hold a version and always gets full pushes.
+// replicateAck is the reply to TypeReplicateKeyGroup: the (Incarnation,
+// Version) of the set the holder stores for the pushing origin once the push
+// is handled, zero when it stores none, and Delta, which every holder that
+// applies pushes with Base > 0 sets. Each field trails the reply's older
+// layouts: a holder that predates the version fields replies empty, which
+// decodes as (0, 0) and matches no origin's incarnation, and one that
+// predates Base omits Delta and would store a delta as its whole set. An
+// origin sends either kind of older holder full pushes only.
 type replicateAck struct {
 	Incarnation uint64 `json:"incarnation"`
 	Version     uint64 `json:"version"`
+	Delta       bool   `json:"delta,omitempty"`
 }
 
 // MarshalWire implements wireMsg.
 func (m *replicateAck) MarshalWire(b []byte) []byte {
 	b = wirecodec.AppendUvarint(b, m.Incarnation)
-	return wirecodec.AppendUvarint(b, m.Version)
+	b = wirecodec.AppendUvarint(b, m.Version)
+	return wirecodec.AppendBool(b, m.Delta)
 }
 
 // UnmarshalWire implements wireMsg. An empty reply decodes as (0, 0).
 func (m *replicateAck) UnmarshalWire(data []byte) error {
 	r := wirecodec.NewReader(data)
-	m.Incarnation, m.Version = 0, 0
+	m.Incarnation, m.Version, m.Delta = 0, 0, false
 	if r.Err() == nil && r.Len() > 0 {
 		m.Incarnation = r.Uvarint()
 		m.Version = r.Uvarint()
+	}
+	if r.Err() == nil && r.Len() > 0 {
+		m.Delta = r.Bool()
 	}
 	return r.Err()
 }

@@ -23,11 +23,13 @@ func overlayWireCases() []wireMsg {
 		&childMovedMsg{GroupValue: 0b101, GroupBits: 3, Holder: "n3"},
 		&matchMsg{QueryID: "q-hot", KeyValue: 0xBEEF, KeyBits: 16,
 			Attrs: map[string]float64{"speed": 99}, Payload: []byte("evt")},
-		&replicaDeltaRec{GroupValue: 0b01, GroupBits: 2, Epoch: 3, Query: []byte("rec")},
-		&replicateDeltaMsg{Origin: "n4", Incarnation: 9, Base: 4, Version: 5, TraceID: 7, ParentSpan: 8, Hop: 2,
-			Records: [][]byte{(&replicaDeltaRec{GroupValue: 1, GroupBits: 1, Epoch: 1, Query: []byte("q")}).MarshalWire(nil)}},
-		// Zero, like any field an older writer leaves off: its empty
-		// truncation is the reply of a holder that predates the fields.
+		// Zero in their trailing fields, like any field an older writer
+		// leaves off: the truncations that drop them are older layouts
+		// (TestReplicateMsgWireRoundTrip covers populated pushes). An empty
+		// ack is the reply of a holder that predates its fields.
+		&replicateMsg{Origin: "n4", Incarnation: 9, Version: 5},
+		&replicateMsg{Origin: "n4", Incarnation: 9, Version: 6, Groups: []replicaGroupRec{
+			{GroupValue: 1, GroupBits: 2, Parent: "n1", Epoch: 1, Queries: [][]byte{[]byte("q")}}}},
 		&replicateAck{},
 	}
 }
@@ -260,8 +262,31 @@ func TestReplicateMsgWireRoundTrip(t *testing.T) {
 	// so the cut reaches one byte further, into the last loose entry.)
 	bad := append([]byte(nil), m.MarshalWire(nil)...)
 	var trunc replicateMsg
-	if err := trunc.UnmarshalWire(bad[:len(bad)-4]); err == nil {
+	if err := trunc.UnmarshalWire(bad[:len(bad)-5]); err == nil {
 		t.Error("truncated replicateMsg decoded without error")
+	}
+
+	// A delta push: Base trails the trace context. Cut off, it is the frame
+	// of a writer that predates Base, which only ever sent full pushes: it
+	// decodes as Base 0.
+	d := replicateMsg{Origin: "node-7", Incarnation: 123456789, Version: 43, Base: 42,
+		Groups: m.Groups[:1], TraceID: 7, ParentSpan: 8, Hop: 1}
+	enc := d.MarshalWire(nil)
+	var gotD replicateMsg
+	if err := gotD.UnmarshalWire(enc); err != nil || !reflect.DeepEqual(gotD, d) {
+		t.Errorf("delta round trip = %+v (%v), want %+v", gotD, err, d)
+	}
+	if err := gotD.UnmarshalWire(enc[:len(enc)-1]); err != nil || gotD.Base != 0 || gotD.Hop != 1 {
+		t.Errorf("pre-Base frame decoded as %+v (%v), want Base 0", gotD, err)
+	}
+	// A delta must move past its base and carry no loose records.
+	for name, bad := range map[string]replicateMsg{
+		"version at base": {Origin: "n", Incarnation: 1, Version: 42, Base: 42},
+		"loose records":   {Origin: "n", Incarnation: 1, Version: 43, Base: 42, Loose: m.Loose},
+	} {
+		if err := gotD.UnmarshalWire(bad.MarshalWire(nil)); err == nil {
+			t.Errorf("a delta with %s decoded without error", name)
+		}
 	}
 }
 

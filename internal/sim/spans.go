@@ -29,15 +29,14 @@ type SpanReport struct {
 	Incomplete []uint64 `json:"incomplete,omitempty"`
 }
 
-// hopCarrier maps each networked hop kind to the wire message types whose
-// link latency delivers it; in-node hop kinds are absent. A replica push
-// travels as a full or a delta push.
-var hopCarrier = map[string][]string{
-	overlay.HopIngress:      {overlay.TypeAcceptObject},
-	overlay.HopRouteForward: {overlay.TypeAcceptObject},
-	overlay.HopResolve:      {overlay.TypeAcceptObject},
-	overlay.HopReplicaPush:  {overlay.TypeReplicateKeyGroup, overlay.TypeReplicateDelta},
-	overlay.HopDeliver:      {overlay.TypeMatch},
+// hopCarrier maps each networked hop kind to the wire message type whose
+// link latency delivers it; in-node hop kinds are absent.
+var hopCarrier = map[string]string{
+	overlay.HopIngress:      overlay.TypeAcceptObject,
+	overlay.HopRouteForward: overlay.TypeAcceptObject,
+	overlay.HopResolve:      overlay.TypeAcceptObject,
+	overlay.HopReplicaPush:  overlay.TypeReplicateKeyGroup,
+	overlay.HopDeliver:      overlay.TypeMatch,
 }
 
 // buildSpanReport groups the collected spans by trace, checks each trace's
@@ -69,22 +68,11 @@ func buildSpanReport(spans []overlay.Span, net *overlay.MemNetwork) *SpanReport 
 		if rep.HopCounts[kind] == 0 {
 			continue
 		}
-		var lat *metrics.Histogram
-		for _, typ := range hopCarrier[kind] {
-			h := net.Latency(typ)
-			switch {
-			case h == nil:
-			case lat == nil:
-				lat = h
-			default:
-				lat.Merge(h)
-			}
-		}
-		if lat != nil {
+		if h := net.Latency(hopCarrier[kind]); h != nil {
 			if rep.HopNetVirtualMs == nil {
 				rep.HopNetVirtualMs = make(map[string]metrics.Summary)
 			}
-			rep.HopNetVirtualMs[kind] = msSummary(lat.Summary())
+			rep.HopNetVirtualMs[kind] = msSummary(h.Summary())
 		}
 	}
 	return rep
