@@ -116,17 +116,16 @@ type Transfer struct {
 type SplitResult struct {
 	// Split is the group that was split (now inactive on the server).
 	Split bitkey.Group
-	// Kept is the deepest left-descendant group the server continues to
-	// manage (active).
+	// Kept is the left child of the last split, which the server continues
+	// to manage (active). After retries it is not the only child that
+	// stays: each self-mapped retry leaves its left child active here too.
 	Kept bitkey.Group
-	// Transfers lists the right-child groups handed to peers. There is
-	// exactly one entry unless every candidate right child mapped back to
-	// this server and had to be split again (paper §5), in which case the
-	// earlier entries record the self-mapped intermediate groups that stay
-	// local and only the last entry leaves the server.
-	Transfers []Transfer
+	// Transfer is the right child handed to a peer: the first candidate
+	// right child the DHT mapped to another server.
+	Transfer Transfer
 	// Retries counts how many times the DHT mapped the right child back to
-	// the splitting server.
+	// the splitting server (paper §5). Each retry splits that right child
+	// again and leaves its left child active on the splitting server.
 	Retries int
 }
 

@@ -80,17 +80,16 @@ func (c *testCluster) mapFunc(vkey bitkey.Key) (ServerID, error) {
 }
 
 // split splits the given group on its current owner and delivers the
-// ACCEPT_KEYGROUP transfers.
+// ACCEPT_KEYGROUP transfer.
 func (c *testCluster) split(owner ServerID, g bitkey.Group) {
 	c.t.Helper()
 	res, err := c.servers[owner].ExecuteSplit(g, c.mapFunc)
 	if err != nil {
 		c.t.Fatalf("split %v on %s: %v", g, owner, err)
 	}
-	for _, tr := range res.Transfers {
-		if err := c.servers[tr.To].HandleAcceptKeyGroup(tr.Group, tr.Parent); err != nil {
-			c.t.Fatalf("deliver %v to %s: %v", tr.Group, tr.To, err)
-		}
+	tr := res.Transfer
+	if err := c.servers[tr.To].HandleAcceptKeyGroup(tr.Group, tr.Parent); err != nil {
+		c.t.Fatalf("deliver %v to %s: %v", tr.Group, tr.To, err)
 	}
 }
 

@@ -271,7 +271,7 @@ func (s *LegacyServer) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult
 
 		if target != s.id {
 			result.Kept = left
-			result.Transfers = append(result.Transfers, Transfer{Group: right, To: target, Parent: s.id})
+			result.Transfer = Transfer{Group: right, To: target, Parent: s.id}
 			return result, nil
 		}
 

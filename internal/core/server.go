@@ -438,7 +438,7 @@ func (s *Server) HottestActiveGroup() (bitkey.Group, float64, bool) {
 // back to this server, the right child is split again (another randomised
 // attempt), up to the retry budget.
 //
-// The returned SplitResult lists the transfer the driver must deliver as an
+// The returned SplitResult names the transfer the driver must deliver as an
 // ACCEPT_KEYGROUP message. On ErrMaxDepth or ErrSplitExhausted the table may
 // have been subdivided locally but no load left the server.
 func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, error) {
@@ -501,7 +501,7 @@ func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, erro
 
 		if target != s.id {
 			result.Kept = left
-			result.Transfers = append(result.Transfers, Transfer{Group: right, To: target, Parent: s.id})
+			result.Transfer = Transfer{Group: right, To: target, Parent: s.id}
 			return result, nil
 		}
 

@@ -88,13 +88,13 @@ func TestSplitTreeFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Transfers) != 1 || res.Transfers[0].Group.String() != "0111*" || res.Transfers[0].To != "s12" {
-		t.Fatalf("unexpected transfers: %+v", res.Transfers)
+	if res.Transfer.Group.String() != "0111*" || res.Transfer.To != "s12" {
+		t.Fatalf("unexpected transfer: %+v", res.Transfer)
 	}
 	if res.Kept.String() != "0110*" {
 		t.Fatalf("kept %v, want 0110*", res.Kept)
 	}
-	if err := s12.HandleAcceptKeyGroup(res.Transfers[0].Group, res.Transfers[0].Parent); err != nil {
+	if err := s12.HandleAcceptKeyGroup(res.Transfer.Group, res.Transfer.Parent); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,11 +103,11 @@ func TestSplitTreeFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s5.HandleAcceptKeyGroup(res.Transfers[0].Group, res.Transfers[0].Parent); err != nil {
+	if err := s5.HandleAcceptKeyGroup(res.Transfer.Group, res.Transfer.Parent); err != nil {
 		t.Fatal(err)
 	}
-	if res.Transfers[0].Group.String() != "01111*" {
-		t.Fatalf("transfer %v, want 01111*", res.Transfers[0].Group)
+	if res.Transfer.Group.String() != "01111*" {
+		t.Fatalf("transfer %v, want 01111*", res.Transfer.Group)
 	}
 
 	// s12 splits "01110*": keeps "011100*", sends "011101*" to s7.
@@ -115,7 +115,7 @@ func TestSplitTreeFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s7.HandleAcceptKeyGroup(res.Transfers[0].Group, res.Transfers[0].Parent); err != nil {
+	if err := s7.HandleAcceptKeyGroup(res.Transfer.Group, res.Transfer.Parent); err != nil {
 		t.Fatal(err)
 	}
 
@@ -310,13 +310,13 @@ func TestExecuteSplitRetriesWhenMappedToSelf(t *testing.T) {
 	if res.Retries != 2 {
 		t.Errorf("retries = %d, want 2", res.Retries)
 	}
-	if len(res.Transfers) != 1 || res.Transfers[0].To != "s9" {
-		t.Fatalf("transfers = %+v, want one transfer to s9", res.Transfers)
+	if res.Transfer.To != "s9" {
+		t.Fatalf("transfer = %+v, want a transfer to s9", res.Transfer)
 	}
 	// s1 keeps everything except the transferred group; all keys in 011* are
 	// still covered exactly once between s1's active groups and the transfer.
-	if res.Transfers[0].Group.String() != "011111*" {
-		t.Errorf("transferred group = %v, want 011111*", res.Transfers[0].Group)
+	if res.Transfer.Group.String() != "011111*" {
+		t.Errorf("transferred group = %v, want 011111*", res.Transfer.Group)
 	}
 	if err := s.Validate(); err != nil {
 		t.Error(err)
@@ -435,7 +435,7 @@ func TestLoadReportsOnlyForRemoteParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Transfers[0]
+	tr := res.Transfer
 	if err := child.HandleAcceptKeyGroup(tr.Group, tr.Parent); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestMergeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := res.Transfers[0]
+	tr := res.Transfer
 	if err := child.HandleAcceptKeyGroup(tr.Group, tr.Parent); err != nil {
 		t.Fatal(err)
 	}

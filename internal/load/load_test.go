@@ -37,33 +37,15 @@ func TestThresholds(t *testing.T) {
 	}
 }
 
-func TestMeterSnapshotResetsRatesKeepsQueries(t *testing.T) {
+func TestMeterSnapshotResetsRates(t *testing.T) {
 	m := NewMeterClock(10, nil)
 	g := bitkey.MustParseGroup("011*")
 	m.RecordPackets(g, 50)
-	m.AddQueries(g, 3)
-	snap := m.Snapshot()
-	if got := snap[g]; got.DataRate != 5 || got.Queries != 3 {
-		t.Fatalf("first snapshot = %+v, want rate 5 queries 3", got)
+	if got := m.Snapshot(); len(got) != 1 || got[g] != 5 {
+		t.Fatalf("first snapshot = %v, want %v at rate 5 (50 packets over a 10 s window)", got, g)
 	}
-	snap2 := m.Snapshot()
-	if got := snap2[g]; got.DataRate != 0 || got.Queries != 3 {
-		t.Fatalf("second snapshot = %+v, want rate reset to 0, queries kept", got)
-	}
-	m.AddQueries(g, -3)
-	if got := m.Snapshot()[g]; got.Queries != 0 {
-		t.Fatalf("queries not removed: %+v", got)
-	}
-}
-
-func TestMeterDrop(t *testing.T) {
-	m := NewMeterClock(1, nil)
-	g := bitkey.MustParseGroup("0*")
-	m.RecordPackets(g, 5)
-	m.SetQueries(g, 2)
-	m.Drop(g)
-	if len(m.Snapshot()) != 0 {
-		t.Error("Drop did not remove the group")
+	if got := m.Snapshot(); len(got) != 0 {
+		t.Fatalf("second snapshot = %v, want empty: rates reset each interval", got)
 	}
 }
 

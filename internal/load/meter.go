@@ -7,20 +7,19 @@ import (
 	"clash/internal/bitkey"
 )
 
-// Meter accumulates per-group work measurements over a measurement interval.
-// An overlay node (live or under the simulator) records packet arrivals and
-// query registrations against key groups; at each load-check period the
-// owner reads the per-group samples, converts them to loads with a Model and
-// resets the rate counters for the next interval. Groups are the map keys
-// themselves (bitkey.Group is comparable), so recording a packet formats no
-// label and allocates nothing once the group has an entry.
+// Meter measures per-group packet rates over a measurement interval. An
+// overlay node (live or under the simulator) records packet arrivals against
+// key groups; at each load-check period the owner reads the per-group rates,
+// adds each group's stored-query count from its query engine, converts the
+// samples to loads with a Model, and the rate counters start over. Groups are
+// the map keys themselves (bitkey.Group is comparable), so recording a packet
+// formats no label and allocates nothing once the group has an entry.
 //
 // Meter is safe for concurrent use so the live overlay can record arrivals
 // from many connection goroutines.
 type Meter struct {
 	mu      sync.Mutex
 	arrived map[bitkey.Group]float64 // packets observed this interval, per group
-	queries map[bitkey.Group]int     // currently registered queries, per group
 	window  float64                  // nominal interval length in seconds
 
 	// now, when set, timestamps snapshots so rates are computed over the
@@ -43,7 +42,6 @@ func NewMeterClock(windowSeconds float64, now func() time.Time) *Meter {
 	}
 	m := &Meter{
 		arrived: make(map[bitkey.Group]float64),
-		queries: make(map[bitkey.Group]int),
 		window:  windowSeconds,
 		now:     now,
 	}
@@ -60,43 +58,12 @@ func (m *Meter) RecordPackets(group bitkey.Group, n float64) {
 	m.arrived[group] += n
 }
 
-// SetQueries sets the current number of stored queries for a group.
-func (m *Meter) SetQueries(group bitkey.Group, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if n <= 0 {
-		delete(m.queries, group)
-		return
-	}
-	m.queries[group] = n
-}
-
-// AddQueries adjusts the stored-query count for a group by delta.
-func (m *Meter) AddQueries(group bitkey.Group, delta int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := m.queries[group] + delta
-	if n <= 0 {
-		delete(m.queries, group)
-		return
-	}
-	m.queries[group] = n
-}
-
-// Drop removes all state for a group (after it has been transferred away).
-func (m *Meter) Drop(group bitkey.Group) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.arrived, group)
-	delete(m.queries, group)
-}
-
-// Snapshot returns the per-group samples for the interval that just ended and
-// resets the packet counters (query counts persist, since queries are
-// long-lived state). With a clock (NewMeterClock) the rate denominator is the
-// clamped elapsed time since the previous snapshot; without one it is the
-// nominal window.
-func (m *Meter) Snapshot() map[bitkey.Group]Sample {
+// Snapshot returns the per-group packet rates (packets/second) for the
+// interval that just ended and resets the counters, so every interval starts
+// from zero. With a clock (NewMeterClock) the rate denominator is the clamped
+// elapsed time since the previous snapshot; without one it is the nominal
+// window.
+func (m *Meter) Snapshot() map[bitkey.Group]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	window := m.window
@@ -106,16 +73,9 @@ func (m *Meter) Snapshot() map[bitkey.Group]Sample {
 		m.lastSnap = t
 		window = min(max(elapsed, m.window/2), m.window*2)
 	}
-	out := make(map[bitkey.Group]Sample, len(m.arrived)+len(m.queries))
+	out := make(map[bitkey.Group]float64, len(m.arrived))
 	for g, pkts := range m.arrived {
-		s := out[g]
-		s.DataRate = pkts / window
-		out[g] = s
-	}
-	for g, q := range m.queries {
-		s := out[g]
-		s.Queries = q
-		out[g] = s
+		out[g] = pkts / window
 	}
 	m.arrived = make(map[bitkey.Group]float64)
 	return out

@@ -347,7 +347,6 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 				return core.AcceptObjectReplyMsg{}, false, err
 			}
 		} else {
-			n.meter.AddQueries(res.Group, 1)
 			changed = true
 		}
 		n.mu.Lock()
@@ -507,7 +506,6 @@ func (n *Node) handleAcceptKeyGroup(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	n.installQueries(states)
-	n.resetQueryCount(g)
 	// Accepting a group (split transfer or ownership re-homing) changes the
 	// replicable state: push the new snapshot to the successors.
 	n.replicate(spanRef{})
@@ -579,7 +577,6 @@ func (n *Node) handleReleaseKeyGroup(payload []byte) ([]byte, error) {
 		}
 		return marshalMsg(&reply), nil
 	}
-	n.meter.Drop(g)
 	// Releasing a group shrinks the replicable state; push the new snapshot
 	// so the successors stop holding the released range under this origin.
 	n.replicate(spanRef{})

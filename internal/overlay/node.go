@@ -231,7 +231,10 @@ func (n *Node) Addr() string { return n.tr.Addr() }
 // status endpoint).
 func (n *Node) Server() *core.Server { return n.server }
 
-// Engine exposes the continuous-query engine.
+// Engine exposes the continuous-query engine for reading (the status
+// endpoint, the hub, the simulator's checks and tests). Callers must not
+// mutate it: a query registered behind the node's back is in no
+// registration's replica delta, so no push carries it to the successors.
 func (n *Node) Engine() *cq.Engine { return n.engine }
 
 // Successors returns the node's current chord successor list (nearest first);
@@ -443,12 +446,12 @@ func (n *Node) successorsChanged(refs []chord.NodeRef) {
 
 // LoadCheck runs one CLASH load-check period (paper §5): it promotes replicas
 // of dead peers, retries pending transfers and orphaned query placements,
-// reconciles group ownership with the current ring, converts the meter's
-// per-group samples (keyed by bitkey.Group) into the server's per-group
-// loads, splits the server's hottest active group when overloaded (with a
-// real ACCEPT_KEYGROUP transfer), sends load reports to parents, consolidates
-// cold sibling pairs and re-pushes the node's key-group replicas to its
-// successors.
+// reconciles group ownership with the current ring, prices every active
+// group from the meter's packet rate and the engine's count of the queries
+// stored under it, splits the server's hottest active group when overloaded
+// (with a real ACCEPT_KEYGROUP transfer), sends load reports to parents,
+// consolidates cold sibling pairs and re-pushes the node's key-group
+// replicas to its successors.
 func (n *Node) LoadCheck(now time.Time) {
 	n.recoverFromReplicas()
 	n.retryPending()
@@ -463,9 +466,10 @@ func (n *Node) LoadCheck(now time.Time) {
 		n.reconcileOwnership()
 	}
 
-	samples := n.meter.Snapshot()
+	rates := n.meter.Snapshot()
 	for _, g := range n.server.ActiveGroups() {
-		_ = n.server.SetGroupLoad(g, n.cfg.Model.Load(samples[g]))
+		s := load.Sample{DataRate: rates[g], Queries: n.engine.CountInGroup(g)}
+		_ = n.server.SetGroupLoad(g, n.cfg.Model.Load(s))
 	}
 	total := n.server.TotalLoad()
 
@@ -528,25 +532,22 @@ func (n *Node) trySplit() {
 }
 
 // splitGroup splits one active group and delivers the resulting
-// ACCEPT_KEYGROUP transfer. It is the shared body of the overload path
-// (trySplit) and the admin verb (ForceSplit).
+// ACCEPT_KEYGROUP transfer with the transferred group's queries. The
+// children that stay here (Kept, and the left child of each self-mapped
+// retry) keep their queries in the engine, where the next load check counts
+// them. It is the shared body of the overload path (trySplit) and the admin
+// verb (ForceSplit).
 func (n *Node) splitGroup(g bitkey.Group) error {
 	res, err := n.server.ExecuteSplit(g, n.precomputeSplitTargets(g))
 	if err != nil {
 		return err
 	}
-	n.meter.Drop(res.Split)
-	n.resetQueryCount(res.Kept)
 	n.emit(Event{Type: EventSplit, Group: g.String(),
 		Detail: "kept=" + res.Kept.String() + " split=" + res.Split.String()})
-	for _, tr := range res.Transfers {
-		if tr.To == core.ServerID(n.Addr()) {
-			continue
-		}
-		// A split creates the right child fresh: its ownership chain starts
-		// at epoch 1.
-		n.deliverTransfer(pendingTransfer{transfer: tr, queries: n.extractQueries(tr.Group), epoch: 1})
-	}
+	// A split creates the right child fresh: its ownership chain starts at
+	// epoch 1.
+	tr := res.Transfer
+	n.deliverTransfer(pendingTransfer{transfer: tr, queries: n.extractQueries(tr.Group), epoch: 1})
 	return nil
 }
 
@@ -612,16 +613,15 @@ func (n *Node) extractQueries(g bitkey.Group) []queryState {
 	return out
 }
 
-// installQueries registers transferred query state locally and refreshes the
-// meter's stored-query count for every active group the queries land in —
-// including the covered-accept paths, where the containing group differs from
-// the group the state arrived under. A query whose identifier key falls under
-// no locally active group is NOT installed here: its packets route elsewhere
-// (it would never match again) and the engine-by-active-group replica
-// snapshot would never carry it, so it goes to the orphan requeue and is
-// re-placed on whichever server owns its key.
+// installQueries registers transferred query state locally under whichever
+// active group covers each query's identifier key — on the covered-accept
+// paths that group differs from the group the state arrived under. A query
+// whose identifier key falls under no locally active group is NOT installed
+// here: its packets route elsewhere (it would never match again) and the
+// engine-by-active-group replica snapshot would never carry it, so it goes
+// to the orphan requeue and is re-placed on whichever server owns its key.
 func (n *Node) installQueries(states []queryState) {
-	touched := make(map[string]bitkey.Group)
+	installed := false
 	var strays []queryState
 	for _, st := range states {
 		q, err := cq.UnmarshalQuery(st.Query)
@@ -632,8 +632,7 @@ func (n *Node) installQueries(states []queryState) {
 		if err != nil {
 			continue
 		}
-		g, ok := n.server.ManagesKey(ik)
-		if !ok {
+		if _, ok := n.server.ManagesKey(ik); !ok {
 			strays = append(strays, st)
 			continue
 		}
@@ -643,25 +642,16 @@ func (n *Node) installQueries(states []queryState) {
 		n.mu.Lock()
 		n.setSubscriberLocked(q.ID, st.Subscriber)
 		n.mu.Unlock()
-		touched[g.String()] = g
+		installed = true
 	}
-	if len(touched) > 0 {
+	if installed {
 		// The next replica push cannot be a delta: these queries are in no
 		// registration's record list.
 		n.mu.Lock()
 		n.repStale = true
 		n.mu.Unlock()
 	}
-	for _, g := range touched {
-		n.resetQueryCount(g)
-	}
 	n.orphanQueries(strays)
-}
-
-// resetQueryCount re-derives the meter's stored-query count for a group from
-// the engine (the queries under a group change across splits and merges).
-func (n *Node) resetQueryCount(g bitkey.Group) {
-	n.meter.SetQueries(g, n.engine.CountInGroup(g))
 }
 
 // acceptKeyGroupPayload builds the ACCEPT_KEYGROUP wire payload for a group
@@ -711,7 +701,6 @@ func (n *Node) deliverTransfer(p pendingTransfer) {
 	}
 	if _, err := n.caller.call(string(tr.To), TypeAcceptKeyGroup, payload); err != nil {
 		if IsRemote(err) {
-			n.meter.Drop(tr.Group)
 			n.orphanQueries(p.queries)
 			return
 		}
@@ -727,7 +716,6 @@ func (n *Node) deliverTransfer(p pendingTransfer) {
 		n.mu.Unlock()
 		return
 	}
-	n.meter.Drop(tr.Group)
 	if p.attempts > 0 {
 		// A parked retry may have been re-routed away from the split-time
 		// target the parent recorded; tell the parent who actually holds the
@@ -748,7 +736,6 @@ func (n *Node) takeBackTransfer(p pendingTransfer) {
 		return
 	}
 	n.installQueries(p.queries)
-	n.resetQueryCount(g)
 	n.notifyChildMoved(g, p.transfer.Parent, core.ServerID(n.Addr()))
 }
 
@@ -834,9 +821,7 @@ func (n *Node) transferGroup(e core.Entry, owner core.ServerID) int {
 			// The owner refused: its table already covers the range with
 			// finer groups (a stale copy on our side). Do not resurrect
 			// the group here — that is how a range ends up active on two
-			// nodes — just re-home the extracted queries and drop the
-			// meter entry with the group.
-			n.meter.Drop(e.Group)
+			// nodes — just re-home the extracted queries.
 			n.orphanQueries(states)
 			return 1
 		}
@@ -853,7 +838,6 @@ func (n *Node) transferGroup(e core.Entry, owner core.ServerID) int {
 		}
 		return 0
 	}
-	n.meter.Drop(e.Group)
 	n.notifyChildMoved(e.Group, e.Parent, owner)
 	return 1
 }
@@ -984,12 +968,6 @@ func (n *Node) reclaim(r pendingReclaim, now time.Time) {
 		return
 	}
 	n.installQueries(returned)
-	left, right, serr := res.Merged.Split()
-	if serr == nil {
-		n.meter.Drop(left)
-		n.meter.Drop(right)
-	}
-	n.resetQueryCount(res.Merged)
 	n.emit(Event{Type: EventMerge, Group: res.Merged.String(), Peer: string(prop.RightHolder)})
 }
 

@@ -120,7 +120,7 @@ func TestMalformedDataPayloadRejected(t *testing.T) {
 	if _, err := f.client.Publish(f.uncovered, map[string]float64{"speed": 80}, []byte("evt")); err != nil {
 		t.Fatal(err)
 	}
-	if got := node.meter.Snapshot()[g].DataRate; got != 1 {
+	if got := node.meter.Snapshot()[g]; got != 1 {
 		t.Errorf("metered %v packets for %s, want 1", got, g)
 	}
 }

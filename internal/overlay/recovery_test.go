@@ -299,8 +299,11 @@ func TestReconcileReplyLostIdempotent(t *testing.T) {
 	if moving.Depth() == 0 {
 		t.Fatal("no root group maps to node-1; test setup degenerate")
 	}
-	q := cq.Query{ID: "q-moving", Region: moving}
-	if err := n0.Engine().Register(q); err != nil {
+	c, err := NewClient(netw.Endpoint("client-1"), cfg.KeyBits, cfg.Space, n0.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(cq.Query{ID: "q-moving", Region: moving}); err != nil {
 		t.Fatal(err)
 	}
 

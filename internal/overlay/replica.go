@@ -745,7 +745,6 @@ func (n *Node) restoreReplicaGroups(groups []replicaGroupRec) int {
 		switch {
 		case err == nil && installed:
 			n.installQueries(states)
-			n.resetQueryCount(g)
 			n.notifyChildMoved(g, snap.Parent, core.ServerID(n.Addr()))
 			restored++
 		case err == nil:
