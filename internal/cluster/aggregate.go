@@ -56,7 +56,6 @@ var fleetCounters = map[string]string{
 	"groupsReleased": "clash_groups_released_total",
 	"recovered":      "clash_groups_recovered_total",
 	"matchDrops":     "clash_match_drops_total",
-	"transferDrops":  "clash_transfer_drops_total",
 	"orphanDrops":    "clash_orphan_drops_total",
 	"shed":           "clash_transport_shed_total",
 	"timeouts":       "clash_transport_timeouts_total",

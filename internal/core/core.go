@@ -112,7 +112,8 @@ type Transfer struct {
 	Parent ServerID
 }
 
-// SplitResult describes the outcome of splitting one overloaded key group.
+// SplitResult describes a split that succeeded: one right child leaves the
+// server. A failed split returns no SplitResult and changes nothing.
 type SplitResult struct {
 	// Split is the group that was split (now inactive on the server).
 	Split bitkey.Group

@@ -229,18 +229,17 @@ func (s *LegacyServer) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult
 		return nil, fmt.Errorf("%w: %v", ErrNotActive, g)
 	}
 
-	result := &SplitResult{Split: g}
-	cur := entry
-	for attempt := 0; ; attempt++ {
+	// Map the right spine first: a split that fails changes nothing.
+	retries := 0
+	var target ServerID
+	for cur := g; ; retries++ {
 		if cur.Depth() >= s.table.KeyBits() {
-			result.Kept = cur.Group
-			return result, fmt.Errorf("%w: group %v", ErrMaxDepth, cur.Group)
+			return nil, fmt.Errorf("%w: group %v", ErrMaxDepth, cur)
 		}
-		if attempt >= MaxSplitRetries {
-			result.Kept = cur.Group
-			return result, fmt.Errorf("%w: group %v after %d attempts", ErrSplitExhausted, g, attempt)
+		if retries >= MaxSplitRetries {
+			return nil, fmt.Errorf("%w: group %v after %d attempts", ErrSplitExhausted, g, retries)
 		}
-		left, right, err := cur.Group.Split()
+		_, right, err := cur.Split()
 		if err != nil {
 			return nil, err
 		}
@@ -248,14 +247,26 @@ func (s *LegacyServer) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult
 		if err != nil {
 			return nil, err
 		}
-		target, err := mapFn(vkey)
-		if err != nil {
+		if target, err = mapFn(vkey); err != nil {
 			return nil, fmt.Errorf("map right child %v: %w", right, err)
 		}
+		if target != s.id {
+			break
+		}
+		cur = right
+	}
 
+	result := &SplitResult{Split: g, Retries: retries}
+	cur := entry
+	for i := 0; ; i++ {
+		left, right, _ := cur.Group.Split()
+		holder := s.id
+		if i == retries {
+			holder = target
+		}
 		half := cur.localLoad / 2
 		cur.Active = false
-		cur.RightChild = target
+		cur.RightChild = holder
 		cur.RightChildGroup = right
 		cur.localLoad = 0
 
@@ -269,13 +280,12 @@ func (s *LegacyServer) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult
 		s.table.put(leftEntry)
 		s.counters.Splits++
 
-		if target != s.id {
+		if i == retries {
 			result.Kept = left
 			result.Transfer = Transfer{Group: right, To: target, Parent: s.id}
 			return result, nil
 		}
 
-		result.Retries++
 		rightEntry := &Entry{
 			Group:        right,
 			Parent:       s.id,

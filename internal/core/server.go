@@ -439,15 +439,16 @@ func (s *Server) HottestActiveGroup() (bitkey.Group, float64, bool) {
 // attempt), up to the retry budget.
 //
 // The returned SplitResult names the transfer the driver must deliver as an
-// ACCEPT_KEYGROUP message. On ErrMaxDepth or ErrSplitExhausted the table may
-// have been subdivided locally but no load left the server.
+// ACCEPT_KEYGROUP message. A split either moves a group or changes nothing:
+// the right spine g+"1", g+"11", ... is mapped before the table is touched,
+// so on any error (ErrMaxDepth, ErrSplitExhausted, a MapFunc error) the
+// result is nil and the table, counters and read snapshot are unchanged.
 func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, error) {
 	if mapFn == nil {
 		return nil, fmt.Errorf("clash: nil MapFunc")
 	}
 	s.lock()
 	defer s.mu.Unlock()
-	defer s.rebuildLocked()
 
 	entry, ok := s.table.get(g)
 	if !ok {
@@ -457,18 +458,18 @@ func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, erro
 		return nil, fmt.Errorf("%w: %v", ErrNotActive, g)
 	}
 
-	result := &SplitResult{Split: g}
-	cur := entry
-	for attempt := 0; ; attempt++ {
+	// Walk the right spine until a right child maps to a peer: every
+	// candidate before it maps back here and becomes a retry.
+	retries := 0
+	var target ServerID
+	for cur := g; ; retries++ {
 		if cur.Depth() >= s.table.KeyBits() {
-			result.Kept = cur.Group
-			return result, fmt.Errorf("%w: group %v", ErrMaxDepth, cur.Group)
+			return nil, fmt.Errorf("%w: group %v", ErrMaxDepth, cur)
 		}
-		if attempt >= MaxSplitRetries {
-			result.Kept = cur.Group
-			return result, fmt.Errorf("%w: group %v after %d attempts", ErrSplitExhausted, g, attempt)
+		if retries >= MaxSplitRetries {
+			return nil, fmt.Errorf("%w: group %v after %d attempts", ErrSplitExhausted, g, retries)
 		}
-		left, right, err := cur.Group.Split()
+		_, right, err := cur.Split()
 		if err != nil {
 			return nil, err
 		}
@@ -476,30 +477,42 @@ func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, erro
 		if err != nil {
 			return nil, err
 		}
-		target, err := mapFn(vkey)
-		if err != nil {
+		if target, err = mapFn(vkey); err != nil {
 			return nil, fmt.Errorf("map right child %v: %w", right, err)
 		}
+		if target != s.id {
+			break
+		}
+		cur = right
+	}
 
+	defer s.rebuildLocked()
+	result := &SplitResult{Split: g, Retries: retries}
+	cur := entry
+	for i := 0; ; i++ {
+		left, right, _ := cur.Group.Split()
+		holder := s.id
+		if i == retries {
+			holder = target
+		}
 		half := cur.localLoad / 2
 		// The current group stops being a leaf and records the split linkage.
 		cur.Active = false
-		cur.RightChild = target
+		cur.RightChild = holder
 		cur.RightChildGroup = right
 		cur.localLoad = 0
 
 		// The left child stays on this server.
-		leftEntry := &Entry{
+		s.table.put(&Entry{
 			Group:        left,
 			Parent:       s.id,
 			ParentIsSelf: true,
 			Active:       true,
 			localLoad:    half,
-		}
-		s.table.put(leftEntry)
+		})
 		s.splits.Add(1)
 
-		if target != s.id {
+		if i == retries {
 			result.Kept = left
 			result.Transfer = Transfer{Group: right, To: target, Parent: s.id}
 			return result, nil
@@ -507,7 +520,6 @@ func (s *Server) ExecuteSplit(g bitkey.Group, mapFn MapFunc) (*SplitResult, erro
 
 		// The DHT mapped the right child back onto this server: keep it
 		// locally as an active group and split it again.
-		result.Retries++
 		rightEntry := &Entry{
 			Group:        right,
 			Parent:       s.id,

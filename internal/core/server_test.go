@@ -351,8 +351,23 @@ func TestExecuteSplitExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	selfOnly := func(bitkey.Key) (ServerID, error) { return "s1", nil }
-	if _, err := s.ExecuteSplit(g, selfOnly); !errors.Is(err, ErrSplitExhausted) {
+	swaps := s.SnapshotSwaps()
+	res, err := s.ExecuteSplit(g, selfOnly)
+	if !errors.Is(err, ErrSplitExhausted) {
 		t.Errorf("err = %v, want ErrSplitExhausted", err)
+	}
+	// No load left the server, so the split changed nothing.
+	if res != nil {
+		t.Errorf("result = %+v, want nil", res)
+	}
+	if active := s.ActiveGroups(); len(active) != 1 || !active[0].Equal(g) {
+		t.Errorf("active groups = %v, want [%v]", active, g)
+	}
+	if c := s.Counters(); c.Splits != 0 {
+		t.Errorf("splits = %d, want 0", c.Splits)
+	}
+	if got := s.SnapshotSwaps(); got != swaps {
+		t.Errorf("snapshot swaps = %d, want %d", got, swaps)
 	}
 	if err := s.Validate(); err != nil {
 		t.Error(err)

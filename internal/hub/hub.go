@@ -102,8 +102,6 @@ func (h *Hub) registerCollectors() {
 		"Per-group load fraction at the last load check.", "group")
 	matchDrops := reg.Counter("clash_match_drops_total",
 		"Match notifications dropped after delivery failure.")
-	transferDrops := reg.Counter("clash_transfer_drops_total",
-		"Parked key-group transfers abandoned after exhausting retries.")
 	orphanDrops := reg.Counter("clash_orphan_drops_total",
 		"Orphaned queries dropped after exhausting placement retries.")
 	repPushes := reg.CounterVec("clash_replica_pushes_total",
@@ -160,7 +158,6 @@ func (h *Hub) registerCollectors() {
 		snapshotSwaps.Set(h.node.Server().SnapshotSwaps())
 
 		matchDrops.Set(uint64(h.node.MatchDrops()))
-		transferDrops.Set(uint64(h.node.TransferDrops()))
 		orphanDrops.Set(uint64(h.node.OrphanDrops()))
 		rp := h.node.ReplicaPushes()
 		repPushes.With("full").Set(uint64(rp.Full))

@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,9 @@ import (
 // active group by the queries the engine stores under it, including the
 // groups a split leaves behind when the DHT maps a right child back to the
 // splitting node: each such retry keeps its left child active here, and its
-// queries never moved. The check runs with no traffic, so a group's load is
-// its query term alone; a merge in the same check only adds load.
+// queries never moved. A split that exhausts its retries changes nothing.
+// The check runs with no traffic, so a group's load is its query term alone;
+// a merge in the same check only adds load.
 func TestLoadCheckCountsEngineQueries(t *testing.T) {
 	// child names the descendant of g under the given extra bits.
 	child := func(g bitkey.Group, bits string) bitkey.Group {
@@ -73,11 +75,18 @@ func TestLoadCheckCountsEngineQueries(t *testing.T) {
 		n := buildOverlay(t, netw, 1, cfg)[0]
 		g := n.Server().ActiveGroups()[0]
 		register(t, netw, n, cfg, g)
+		active := n.Server().ActiveGroups()
+		stored := n.Engine().CountInGroup(g)
 		// Every right child maps back to the only node.
 		if err := n.ForceSplit(g); !errors.Is(err, core.ErrSplitExhausted) {
 			t.Fatalf("ForceSplit(%v) = %v, want ErrSplitExhausted", g, err)
 		}
-		check(t, n, cfg)
+		if got := n.Server().ActiveGroups(); !reflect.DeepEqual(got, active) {
+			t.Errorf("active groups after the exhausted split = %v, want %v", got, active)
+		}
+		if got := n.Engine().CountInGroup(g); got != stored {
+			t.Errorf("%v stores %d queries after the exhausted split, want %d", g, got, stored)
+		}
 	})
 
 	t.Run("three nodes, first right child maps back", func(t *testing.T) {

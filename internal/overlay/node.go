@@ -90,23 +90,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// pendingTransfer is an ACCEPT_KEYGROUP delivery that failed and is retried
-// on subsequent load checks (the table already recorded the split, so until
-// delivery succeeds the keys of the group are unowned). Parked transfers are
-// deduplicated by group key — repeated load checks refresh the single entry
-// instead of stacking duplicates — and abandoned (with the queries handed to
-// the orphan requeue and a counted drop) once attempts exhausts the budget.
-type pendingTransfer struct {
-	transfer core.Transfer
-	queries  []queryState
-	epoch    uint64
-	attempts int
-}
-
-// transferRetryBudget bounds how many delivery attempts a parked
-// ACCEPT_KEYGROUP transfer gets before it is dropped.
-const transferRetryBudget = 8
-
 // pendingReclaim is a consolidation attempt whose RELEASE_KEYGROUP exchange
 // failed at the transport level; the outcome on the holder is unknown, so the
 // attempt is retried until it resolves or the budget runs out.
@@ -150,21 +133,19 @@ type Node struct {
 	// Replica pushes sent, by kind, and deltas refused (ReplicaPushes).
 	repFull, repDelta, repRefused int64
 
-	mu            sync.Mutex
-	queries       map[string]storedQuery     // query id → subscriber and wire record
-	pending       map[string]pendingTransfer // group key → parked transfer
-	reclaims      []pendingReclaim
-	orphans       []orphanQuery
-	replicas      map[string]*replicaSet // origin addr → its replicated state
-	repVersion    uint64
-	repDirty      []string // queries registered or re-subscribed since the last push
-	repStale      bool     // query state changed outside a registration since the last push
-	incarnation   uint64
-	mayPushEmpty  bool // guards empty replica pushes until past the recovery window
-	matchDrops    int64
-	transferDrops int64
-	orphanDrops   int64
-	joinTarget    string // last Join contact, for islanding self-repair
+	mu           sync.Mutex
+	queries      map[string]storedQuery // query id → subscriber and wire record
+	reclaims     []pendingReclaim
+	orphans      []orphanQuery
+	replicas     map[string]*replicaSet // origin addr → its replicated state
+	repVersion   uint64
+	repDirty     []string // queries registered or re-subscribed since the last push
+	repStale     bool     // query state changed outside a registration since the last push
+	incarnation  uint64
+	mayPushEmpty bool // guards empty replica pushes until past the recovery window
+	matchDrops   int64
+	orphanDrops  int64
+	joinTarget   string // last Join contact, for islanding self-repair
 
 	wg sync.WaitGroup
 }
@@ -204,7 +185,6 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		engine:      engine,
 		meter:       load.NewMeterClock(cfg.LoadCheckInterval.Seconds(), cfg.Clock.Now),
 		queries:     make(map[string]storedQuery),
-		pending:     make(map[string]pendingTransfer),
 		replicas:    make(map[string]*replicaSet),
 		incarnation: uint64(cfg.Clock.Now().UnixNano()),
 		spanSalt:    uint64(cfg.Space.HashString(tr.Addr())) << 32,
@@ -445,16 +425,15 @@ func (n *Node) successorsChanged(refs []chord.NodeRef) {
 }
 
 // LoadCheck runs one CLASH load-check period (paper §5): it promotes replicas
-// of dead peers, retries pending transfers and orphaned query placements,
-// reconciles group ownership with the current ring, prices every active
-// group from the meter's packet rate and the engine's count of the queries
-// stored under it, splits the server's hottest active group when overloaded
-// (with a real ACCEPT_KEYGROUP transfer), sends load reports to parents,
-// consolidates cold sibling pairs and re-pushes the node's key-group
-// replicas to its successors.
+// of dead peers, retries orphaned query placements, reconciles group
+// ownership with the current ring (which re-sends any group a failed
+// hand-off took back), prices every active group from the meter's packet
+// rate and the engine's count of the queries stored under it, splits the
+// server's hottest active group when overloaded (with a real ACCEPT_KEYGROUP
+// transfer), sends load reports to parents, consolidates cold sibling pairs
+// and re-pushes the node's key-group replicas to its successors.
 func (n *Node) LoadCheck(now time.Time) {
 	n.recoverFromReplicas()
-	n.retryPending()
 	n.requeueOrphans()
 	if n.draining.Load() {
 		// Drain mode replaces the DHT reconciliation: every active group is
@@ -526,13 +505,13 @@ func (n *Node) trySplit() {
 	if !ok {
 		return
 	}
-	// ErrMaxDepth / ErrSplitExhausted / DHT failure: nothing left the server;
-	// try again next period.
+	// ErrMaxDepth / ErrSplitExhausted / DHT failure: the split changed
+	// nothing; try again next period.
 	_ = n.splitGroup(g)
 }
 
-// splitGroup splits one active group and delivers the resulting
-// ACCEPT_KEYGROUP transfer with the transferred group's queries. The
+// splitGroup splits one active group and hands the right child that leaves
+// to its DHT owner with the group's queries (handOff). The
 // children that stay here (Kept, and the left child of each self-mapped
 // retry) keep their queries in the engine, where the next load check counts
 // them. It is the shared body of the overload path (trySplit) and the admin
@@ -547,7 +526,7 @@ func (n *Node) splitGroup(g bitkey.Group) error {
 	// A split creates the right child fresh: its ownership chain starts at
 	// epoch 1.
 	tr := res.Transfer
-	n.deliverTransfer(pendingTransfer{transfer: tr, queries: n.extractQueries(tr.Group), epoch: 1})
+	n.handOff(tr.Group, tr.Parent, 1, n.extractQueries(tr.Group), tr.To)
 	return nil
 }
 
@@ -656,7 +635,7 @@ func (n *Node) installQueries(states []queryState) {
 
 // acceptKeyGroupPayload builds the ACCEPT_KEYGROUP wire payload for a group
 // transfer carrying the extracted query state and the ownership epoch.
-func acceptKeyGroupPayload(g bitkey.Group, parent core.ServerID, states []queryState, epoch uint64) ([]byte, error) {
+func acceptKeyGroupPayload(g bitkey.Group, parent core.ServerID, states []queryState, epoch uint64) []byte {
 	msg := core.AcceptKeyGroupMsg{
 		GroupValue: g.Prefix.Value,
 		GroupBits:  g.Prefix.Bits,
@@ -666,102 +645,45 @@ func acceptKeyGroupPayload(g bitkey.Group, parent core.ServerID, states []queryS
 	for i := range states {
 		msg.Queries = append(msg.Queries, states[i].MarshalWire(nil))
 	}
-	return msg.MarshalWire(nil), nil
+	return msg.MarshalWire(nil)
 }
 
-// deliverTransfer sends one ACCEPT_KEYGROUP message. On transport failure the
-// transfer is parked (one entry per group — repeated failures refresh it, not
-// duplicate it) and retried next load check; each retry re-resolves the
-// group's current DHT owner (the original target may be dead and the ring
-// healed around it). After transferRetryBudget attempts the transfer is
-// abandoned — counted, and the group taken back locally so its key range
-// stays served (and replicated) until a later reconciliation pass re-homes
-// it. On a remote refusal the group is not retried — an earlier delivery
-// landed or the peer's tree moved on — but the queries are orphan-requeued so
-// they land on whichever servers cover their keys now.
-func (n *Node) deliverTransfer(p pendingTransfer) {
-	tr := p.transfer
-	self := core.ServerID(n.Addr())
-	if p.attempts > 0 {
-		// A parked retry: the split-time target may no longer own the range.
-		if vk, err := tr.Group.VirtualKey(n.cfg.KeyBits); err == nil {
-			if owner, err := n.mapGroup(vk); err == nil && owner != core.NoServer {
-				tr.To = owner
-			}
-		}
-		if tr.To == self {
-			// The ring now maps the range to us: keep the group.
-			n.takeBackTransfer(p)
-			return
-		}
+// handOff sends g, which is no longer active here, with its extracted query
+// state to owner in an ACCEPT_KEYGROUP message carrying ownership epoch
+// epoch. It is the one hand-off path of splits, reconciliation and drain,
+// and returns 1 when the group left this node, 0 when it stayed:
+//   - delivered: the parent is told the new holder;
+//   - refused: the owner's table already covers the range (a stale copy on
+//     our side). The group is not resurrected here — that is how a range ends
+//     up active on two nodes — and the queries go to the orphan requeue;
+//   - transport failure: the group is taken back so its range stays served,
+//     and the next load check's reconciliation (or drain) re-sends it with
+//     epoch+1. If the request did reach the owner (only the reply was lost),
+//     the group is briefly active on both nodes; ownership is deterministic,
+//     so that re-send lands on the same owner, whose idempotent accept
+//     collapses the duplicate.
+func (n *Node) handOff(g bitkey.Group, parent core.ServerID, epoch uint64, states []queryState, owner core.ServerID) int {
+	_, err := n.caller.call(string(owner), TypeAcceptKeyGroup, acceptKeyGroupPayload(g, parent, states, epoch))
+	if err == nil {
+		n.notifyChildMoved(g, parent, owner)
+		return 1
 	}
-	payload, err := acceptKeyGroupPayload(tr.Group, tr.Parent, p.queries, p.epoch)
-	if err != nil {
-		return
+	if IsRemote(err) {
+		n.orphanQueries(states)
+		return 1
 	}
-	if _, err := n.caller.call(string(tr.To), TypeAcceptKeyGroup, payload); err != nil {
-		if IsRemote(err) {
-			n.orphanQueries(p.queries)
-			return
-		}
-		p.attempts++
-		if p.attempts >= transferRetryBudget {
-			atomic.AddInt64(&n.transferDrops, 1)
-			n.takeBackTransfer(p)
-			return
-		}
-		p.transfer = tr
-		n.mu.Lock()
-		n.pending[tr.Group.String()] = p
-		n.mu.Unlock()
-		return
+	if err := n.server.HandleAcceptKeyGroupEpoch(g, parent, epoch); err != nil {
+		n.orphanQueries(states)
+		return 0
 	}
-	if p.attempts > 0 {
-		// A parked retry may have been re-routed away from the split-time
-		// target the parent recorded; tell the parent who actually holds the
-		// child, or its load-report and merge bookkeeping stay aimed at the
-		// dead original target. (No-op when the holder is unchanged.)
-		n.notifyChildMoved(tr.Group, tr.Parent, tr.To)
-	}
+	n.installQueries(states)
+	n.notifyChildMoved(g, parent, core.ServerID(n.Addr()))
+	return 0
 }
 
-// takeBackTransfer re-activates an undeliverable transfer's group locally so
-// its key range never goes unowned: the group becomes active (and replicated)
-// here, and the next reconciliation pass hands it to the proper DHT owner
-// once one is reachable.
-func (n *Node) takeBackTransfer(p pendingTransfer) {
-	g := p.transfer.Group
-	if err := n.server.HandleAcceptKeyGroupEpoch(g, p.transfer.Parent, p.epoch); err != nil {
-		n.orphanQueries(p.queries)
-		return
-	}
-	n.installQueries(p.queries)
-	n.notifyChildMoved(g, p.transfer.Parent, core.ServerID(n.Addr()))
-}
-
-// retryPending re-attempts parked ACCEPT_KEYGROUP deliveries in deterministic
-// group order.
-func (n *Node) retryPending() {
-	n.mu.Lock()
-	if len(n.pending) == 0 {
-		n.mu.Unlock()
-		return
-	}
-	keys := sortedKeys(n.pending)
-	pending := make([]pendingTransfer, 0, len(keys))
-	for _, k := range keys {
-		pending = append(pending, n.pending[k])
-	}
-	n.pending = make(map[string]pendingTransfer)
-	n.mu.Unlock()
-	for _, p := range pending {
-		n.deliverTransfer(p)
-	}
-}
-
-// TransferDrops returns how many parked transfers were abandoned after
-// exhausting their retry budget.
-func (n *Node) TransferDrops() int64 { return atomic.LoadInt64(&n.transferDrops) }
+// TransferDrops is always 0: a hand-off that fails is taken back (handOff),
+// so no transfer is ever abandoned. It is kept for callers that gate on it.
+func (n *Node) TransferDrops() int64 { return 0 }
 
 // OrphanDrops returns how many orphaned queries were dropped after exhausting
 // their placement budget.
@@ -796,50 +718,22 @@ func (n *Node) reconcileOwnership() int {
 	return moved
 }
 
-// transferGroup hands one active group (with its query state) to owner via
-// ACCEPT_KEYGROUP and returns 1 when the group left this node (delivered or
-// refused-as-covered), 0 when it stayed. Shared by the DHT reconciliation
+// transferGroup releases one active group and hands it (with its query
+// state) to owner under the next ownership epoch, so the receiver can drop
+// delayed duplicates of older transfers (handOff); it returns 1 when the
+// group left this node, 0 when it stayed. Shared by the DHT reconciliation
 // (reconcileOwnership) and the admin drain (drainStep).
 func (n *Node) transferGroup(e core.Entry, owner core.ServerID) int {
 	// Release before sending: a failed release means the snapshot is
 	// stale (a concurrent RELEASE_KEYGROUP or merge already removed the
 	// entry), and sending anyway would make the range active on two
-	// nodes at once. The transfer carries the next ownership epoch, so
-	// the receiving side can drop delayed duplicates of older transfers.
-	epoch := e.Epoch + 1
+	// nodes at once.
 	states := n.extractQueries(e.Group)
 	if err := n.server.HandleRelease(e.Group); err != nil {
 		n.installQueries(states)
 		return 0
 	}
-	payload, err := acceptKeyGroupPayload(e.Group, e.Parent, states, epoch)
-	if err == nil {
-		_, err = n.caller.call(string(owner), TypeAcceptKeyGroup, payload)
-	}
-	if err != nil {
-		if IsRemote(err) {
-			// The owner refused: its table already covers the range with
-			// finer groups (a stale copy on our side). Do not resurrect
-			// the group here — that is how a range ends up active on two
-			// nodes — just re-home the extracted queries.
-			n.orphanQueries(states)
-			return 1
-		}
-		// Transport failure: take the group back so its range stays
-		// served. If the request did reach the owner (only the reply was
-		// lost), the group is briefly active on both nodes; that is
-		// transient — ownership is deterministic, so the next
-		// reconciliation pass re-runs this transfer with a newer epoch
-		// and the owner's idempotent accept collapses the duplicate.
-		if aerr := n.server.HandleAcceptKeyGroupEpoch(e.Group, e.Parent, epoch); aerr == nil {
-			n.installQueries(states)
-		} else {
-			n.orphanQueries(states)
-		}
-		return 0
-	}
-	n.notifyChildMoved(e.Group, e.Parent, owner)
-	return 1
+	return n.handOff(e.Group, e.Parent, e.Epoch+1, states, owner)
 }
 
 // notifyChildMoved tells the parent of a re-homed right child who holds it

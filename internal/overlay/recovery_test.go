@@ -344,101 +344,93 @@ func TestReconcileReplyLostIdempotent(t *testing.T) {
 	}
 }
 
-// TestPendingTransferDedupAndDrop checks the parked-transfer bookkeeping on a
-// two-node ring whose transfer target stays dead: repeated failed deliveries
-// of the same group refresh one parked entry instead of stacking duplicates,
-// and after the retry budget is exhausted the transfer is dropped (counted)
-// and the group taken back locally — the key range and its query state must
-// not vanish.
-func TestPendingTransferDedupAndDrop(t *testing.T) {
+// splitTowardPeer builds a two-node overlay and finds an active group whose
+// right child the DHT maps to the other node: splitting it hands that right
+// child from one node to the other.
+func splitTowardPeer(t *testing.T, netw *MemNetwork, cfg Config) (from, to *Node, g bitkey.Group) {
+	t.Helper()
+	nodes := buildOverlay(t, netw, 2, cfg)
+	for i, n := range nodes {
+		for _, g := range n.Server().ActiveGroups() {
+			_, right, err := g.Split()
+			if err != nil {
+				t.Fatal(err)
+			}
+			vk, err := right.VirtualKey(cfg.KeyBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner, err := n.mapGroup(vk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if peer := nodes[1-i]; owner == core.ServerID(peer.Addr()) {
+				return n, peer, g
+			}
+		}
+	}
+	t.Fatal("no active group's right child maps to the other node (test setup degenerate)")
+	return nil, nil, bitkey.Group{}
+}
+
+// TestFailedHandOffIsTakenBack checks the take-back rule of a group
+// hand-off: a split whose right child's owner is down keeps that child
+// active on the splitter, with its query, and the next load check after the
+// owner comes back hands the child, query included, to it.
+func TestFailedHandOffIsTakenBack(t *testing.T) {
 	netw := NewMemNetwork()
 	cfg := testConfig()
-	n0, err := NewNode(netw.Endpoint("node-0"), cfg)
+	from, to, g := splitTowardPeer(t, netw, cfg)
+	_, right, err := g.Split()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1, err := NewNode(netw.Endpoint("node-1"), cfg)
+	c, err := NewClient(netw.Endpoint("client-1"), cfg.KeyBits, cfg.Space, from.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n1.Join(n0.Addr()); err != nil {
+	if _, err := c.Register(cq.Query{ID: "q-right", Region: right}); err != nil {
 		t.Fatal(err)
 	}
-	converge([]*Node{n0, n1}, 6)
-	// The target dies before the transfer is delivered; the ring still
-	// lists it (no maintenance runs), so every retry re-resolves to it.
-	netw.SetDown(n1.Addr(), true)
 
-	g := bitkey.MustParseGroup("0101")
-	tr := core.Transfer{Group: g, To: core.ServerID(n1.Addr()), Parent: core.ServerID(n0.Addr())}
-	q := cq.Query{ID: "q-x", Region: g}
-	data, err := q.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	netw.SetDown(to.Addr(), true)
+	if err := from.ForceSplit(g); err != nil {
+		t.Fatalf("ForceSplit(%v): %v", g, err)
 	}
-	states := []queryState{{Query: data}}
-
-	// Two independent delivery attempts for the same group park ONE entry.
-	n0.deliverTransfer(pendingTransfer{transfer: tr, queries: states, epoch: 1})
-	n0.deliverTransfer(pendingTransfer{transfer: tr, queries: states, epoch: 1})
-	n0.mu.Lock()
-	parked := len(n0.pending)
-	n0.mu.Unlock()
-	if parked != 1 {
-		t.Fatalf("parked entries = %d, want 1 (dedup by group)", parked)
+	if holderOf([]*Node{from}, right) == "" {
+		t.Fatalf("%v not taken back on %s after a failed hand-off", right, from.Addr())
+	}
+	if got := from.Engine().CountInGroup(right); got != 1 {
+		t.Errorf("%s stores %d queries in %v, want 1", from.Addr(), got, right)
 	}
 
-	// Retries burn the budget; the entry must then be abandoned — counted,
-	// and the group taken back locally so the range stays served.
-	for i := 0; i < transferRetryBudget+2; i++ {
-		n0.retryPending()
+	netw.SetDown(to.Addr(), false)
+	from.LoadCheck(time.Now())
+	if holderOf([]*Node{from}, right) != "" {
+		t.Errorf("%v still active on %s after the owner came back", right, from.Addr())
 	}
-	n0.mu.Lock()
-	parked = len(n0.pending)
-	n0.mu.Unlock()
-	if parked != 0 {
-		t.Errorf("parked entries = %d after budget, want 0", parked)
+	if holderOf([]*Node{to}, right) == "" {
+		t.Errorf("%v not active on its owner %s", right, to.Addr())
 	}
-	if n0.TransferDrops() != 1 {
-		t.Errorf("TransferDrops = %d, want 1", n0.TransferDrops())
+	if got := to.Engine().CountInGroup(right); got != 1 {
+		t.Errorf("%s stores %d queries in %v, want 1", to.Addr(), got, right)
 	}
-	if holderOf([]*Node{n0}, g) == "" {
-		t.Error("abandoned transfer's group not taken back: range unowned")
-	}
-	if got := n0.Engine().CountInGroup(g); got != 1 {
-		t.Errorf("taken-back group stores %d queries, want 1", got)
-	}
-	if st := n0.Status(); st.TransferDrops != 1 {
-		t.Errorf("status drops = %d, want 1", st.TransferDrops)
+	if got := from.Engine().CountInGroup(right); got != 0 {
+		t.Errorf("%s still stores %d queries in %v, want 0", from.Addr(), got, right)
 	}
 }
 
-// TestPendingTransferRehomesToSelf checks retry re-resolution: when the ring
-// re-maps an undeliverable transfer's range back to the sender (here: the
-// sender is the only node left), the retry keeps the group locally instead of
-// dialing the dead split-time target forever.
-func TestPendingTransferRehomesToSelf(t *testing.T) {
+// TestSplitToDownTargetKeepsRangeServed checks that a split whose right child
+// cannot be delivered leaves no key unserved: the two nodes' active groups
+// still tile the key space.
+func TestSplitToDownTargetKeepsRangeServed(t *testing.T) {
 	netw := NewMemNetwork()
-	node, err := NewNode(netw.Endpoint("node-0"), testConfig())
-	if err != nil {
-		t.Fatal(err)
+	from, to, g := splitTowardPeer(t, netw, testConfig())
+	netw.SetDown(to.Addr(), true)
+	if err := from.ForceSplit(g); err != nil {
+		t.Fatalf("ForceSplit(%v): %v", g, err)
 	}
-	g := bitkey.MustParseGroup("0110")
-	tr := core.Transfer{Group: g, To: "nowhere", Parent: core.ServerID(node.Addr())}
-	node.deliverTransfer(pendingTransfer{transfer: tr, epoch: 1})
-	node.retryPending() // re-resolves owner == self → take back
-	if holderOf([]*Node{node}, g) == "" {
-		t.Error("re-homed transfer's group not active locally")
-	}
-	if node.TransferDrops() != 0 {
-		t.Errorf("TransferDrops = %d, want 0 (re-home is not a drop)", node.TransferDrops())
-	}
-	node.mu.Lock()
-	parked := len(node.pending)
-	node.mu.Unlock()
-	if parked != 0 {
-		t.Errorf("parked entries = %d, want 0", parked)
-	}
+	assertTiling(t, []*Node{from, to})
 }
 
 // TestRecoverOwnStateAfterRestart checks the pull path: a node crashes, its
@@ -500,7 +492,7 @@ func TestRecoverOwnStateAfterRestart(t *testing.T) {
 }
 
 // TestLooseQueriesSurviveCrash checks that query state parked outside the
-// engine — here: extracted into an undeliverable transfer — rides the replica
+// engine — here: an orphan awaiting re-placement — rides the replica
 // pushes as loose records and is re-placed by the survivors after the parking
 // node crashes, instead of dying with it.
 func TestLooseQueriesSurviveCrash(t *testing.T) {
@@ -519,22 +511,16 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 	if victim == nil {
 		t.Fatal("no non-bootstrap holder")
 	}
-	// Park a query in an undeliverable transfer on the victim: the query is
-	// out of the engine (invisible to the per-group snapshot) and lives only
-	// in the pending map.
+	// Park a query as an orphan on the victim: the query is out of the
+	// engine (invisible to the per-group snapshot) and lives only in the
+	// orphan requeue.
 	g := victim.Server().ActiveGroups()[0]
 	q := cq.Query{ID: "q-loose", Region: g}
 	data, err := q.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim.mu.Lock()
-	victim.pending["parked"] = pendingTransfer{
-		transfer: core.Transfer{Group: bitkey.MustParseGroup("010101"), To: "unreachable-peer"},
-		queries:  []queryState{{Query: data}},
-		epoch:    1,
-	}
-	victim.mu.Unlock()
+	victim.orphanQueries([]queryState{{Query: data}})
 	victim.replicate(spanRef{}) // loose records reach the successors
 	netw.SetDown(victim.Addr(), true)
 

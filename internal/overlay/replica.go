@@ -33,7 +33,7 @@ import (
 // records of the queries registered or re-subscribed since, each under its
 // group's header, or no records at all (a heartbeat, the common load-check
 // push). It gets one only while the work table had no structural change
-// since the last push, no transfer or orphan is parked, no query state
+// since the last push, no orphaned query awaits re-placement, no query state
 // changed outside a registration, and the holder's delta log stays smaller
 // than the full push it rests on — so a holder keeps at most about twice the
 // state. Every other target gets the full state, the delta from version 0,
@@ -378,8 +378,8 @@ func (n *Node) push(targets []string, tc spanRef) {
 //   - the work table had no structural change since the last push (no
 //     split, merge, transfer, release or restore: the active groups'
 //     prefixes, epochs, parents and root flags are the ones pushed), no
-//     transfer or orphan is parked, and no query state changed outside a
-//     registration;
+//     orphaned query awaits re-placement (orphans ride only in the full
+//     state), and no query state changed outside a registration;
 //   - the target's log stays smaller than the full push it rests on once the
 //     delta is appended, which bounds a holder's copy at twice the state (a
 //     target with no ack has no full push to rest on).
@@ -397,7 +397,7 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 	swaps := n.server.SnapshotSwaps()
 	snaps := n.server.SnapshotActive()
 	n.mu.Lock()
-	empty := len(snaps) == 0 && len(n.pending) == 0 && len(n.orphans) == 0
+	empty := len(snaps) == 0 && len(n.orphans) == 0
 	if len(targets) == 0 || (empty && !n.mayPushEmpty) {
 		// The records changed since the last push reach no holder, so the
 		// next push cannot be a delta on top of it.
@@ -417,7 +417,7 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 		TraceID: tc.TraceID, ParentSpan: tc.Parent, Hop: tc.Hop}
 	delta := msg
 	delta.Base = prev
-	canDelta := !n.repStale && len(n.pending) == 0 && len(n.orphans) == 0 && swaps == n.repSwaps
+	canDelta := !n.repStale && len(n.orphans) == 0 && swaps == n.repSwaps
 	if canDelta {
 		delta.Groups, canDelta = n.deltaGroupsLocked(snaps)
 	}
@@ -456,24 +456,9 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 // the active groups in snaps. Callers hold n.mu.
 func (n *Node) fullStateLocked(snaps []core.GroupSnapshot) (groups []replicaGroupRec, loose [][]byte) {
 	groups = n.replicaGroupsLocked(snaps)
-	// State parked outside the table and engine would be invisible to the
-	// per-group snapshot — and gone with a crash. A parked transfer is a
-	// whole group in flight (released locally, not yet accepted remotely):
-	// it rides as a restorable group record with its queries and epoch.
-	// Orphaned query placements have no group and ride as loose records.
-	for _, k := range sortedKeys(n.pending) {
-		p := n.pending[k]
-		rec := replicaGroupRec{
-			GroupValue: p.transfer.Group.Prefix.Value,
-			GroupBits:  p.transfer.Group.Prefix.Bits,
-			Parent:     string(p.transfer.Parent),
-			Epoch:      p.epoch,
-		}
-		for i := range p.queries {
-			rec.Queries = append(rec.Queries, p.queries[i].MarshalWire(nil))
-		}
-		groups = append(groups, rec)
-	}
+	// Orphaned query placements are outside the table and engine, invisible
+	// to the per-group snapshot — and gone with a crash — so they ride as
+	// loose records.
 	for i := range n.orphans {
 		loose = append(loose, n.orphans[i].st.MarshalWire(nil))
 	}
@@ -922,9 +907,9 @@ func (n *Node) gcReplicas() {
 	}
 }
 
-// orphanQuery is query state whose home group is gone (its transfer was
-// dropped, or its group turned out stale during recovery); it is re-placed
-// through the standard depth resolution on subsequent load checks.
+// orphanQuery is query state whose home group is gone (the group's owner
+// refused its hand-off, or the group turned out stale during recovery); it is
+// re-placed through the standard depth resolution on subsequent load checks.
 type orphanQuery struct {
 	st       queryState
 	attempts int

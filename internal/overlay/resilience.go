@@ -45,9 +45,10 @@ func classTimeout(msgType string) time.Duration {
 // state, and a duplicate delta, which applies only on top of its base
 // version, finds the stored version already at or past its own and is
 // ignored. Excluded: accept_object/accept_batch (a resend double-meters the
-// packet's load), accept_keygroup and release_keygroup (ownership handoffs
-// guarded by their own parked-transfer retry machinery), and match
-// (at-most-once delivery to subscribers).
+// packet's load), accept_keygroup and release_keygroup (ownership hand-offs:
+// a failed accept_keygroup is taken back and re-sent by the next
+// reconciliation under a newer epoch, a failed release_keygroup is retried
+// as a parked reclaim), and match (at-most-once delivery to subscribers).
 var idempotentTypes = map[string]bool{
 	TypePing:              true,
 	TypeFindSuccessor:     true,

@@ -23,11 +23,6 @@ type Status struct {
 	TotalLoad float64 `json:"totalLoad"`
 	// Queries is the number of continuous queries stored here.
 	Queries int `json:"queries"`
-	// PendingTransfers counts parked ACCEPT_KEYGROUP deliveries.
-	PendingTransfers int `json:"pendingTransfers"`
-	// TransferDrops counts parked transfers abandoned after exhausting their
-	// retry budget.
-	TransferDrops int64 `json:"transferDrops"`
 	// OrphanQueries counts query states awaiting re-placement after their
 	// group was dropped or turned out stale.
 	OrphanQueries int `json:"orphanQueries"`
@@ -69,29 +64,26 @@ func (n *Node) Status() Status {
 		labels[i] = g.String()
 	}
 	n.mu.Lock()
-	pending := len(n.pending)
 	orphans := len(n.orphans)
 	n.mu.Unlock()
 	repOrigins, repGroups := n.replicaCounts()
 	return Status{
-		Addr:             n.Addr(),
-		ChordID:          uint64(n.chord.Self().ID),
-		Predecessor:      n.chord.PredecessorRef().Addr,
-		Successors:       succAddrs,
-		ActiveGroups:     labels,
-		TotalLoad:        n.server.TotalLoad(),
-		Queries:          n.engine.Len(),
-		PendingTransfers: pending,
-		TransferDrops:    atomic.LoadInt64(&n.transferDrops),
-		OrphanQueries:    orphans,
-		OrphanDrops:      atomic.LoadInt64(&n.orphanDrops),
-		ReplicaOrigins:   repOrigins,
-		ReplicaGroups:    repGroups,
-		ReplicaPushes:    n.ReplicaPushes(),
-		MatchDrops:       atomic.LoadInt64(&n.matchDrops),
-		Draining:         n.draining.Load(),
-		Counters:         n.server.Counters(),
-		Transport:        n.tr.Stats(),
-		Suspicion:        n.susp.snapshot(),
+		Addr:           n.Addr(),
+		ChordID:        uint64(n.chord.Self().ID),
+		Predecessor:    n.chord.PredecessorRef().Addr,
+		Successors:     succAddrs,
+		ActiveGroups:   labels,
+		TotalLoad:      n.server.TotalLoad(),
+		Queries:        n.engine.Len(),
+		OrphanQueries:  orphans,
+		OrphanDrops:    atomic.LoadInt64(&n.orphanDrops),
+		ReplicaOrigins: repOrigins,
+		ReplicaGroups:  repGroups,
+		ReplicaPushes:  n.ReplicaPushes(),
+		MatchDrops:     atomic.LoadInt64(&n.matchDrops),
+		Draining:       n.draining.Load(),
+		Counters:       n.server.Counters(),
+		Transport:      n.tr.Stats(),
+		Suspicion:      n.susp.snapshot(),
 	}
 }

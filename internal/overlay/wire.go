@@ -626,8 +626,7 @@ func (m *replicaGroupRec) UnmarshalWire(data []byte) error {
 // replacement, so a group the origin shed disappears from the replica without
 // tombstones (a recovery reply carries the stored set with its delta log
 // merged in). Loose carries query state the origin holds outside its engine
-// (parked transfers, orphaned placements awaiting re-homing); on recovery it
-// is re-placed through depth resolution rather than installed under a group.
+// (orphaned placements awaiting re-homing); on recovery it is re-placed through depth resolution rather than installed under a group.
 //
 // With Base > 0 it is a delta on top of exactly version Base of the same
 // incarnation: Groups carry only the query records registered or
