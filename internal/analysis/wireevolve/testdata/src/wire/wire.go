@@ -85,6 +85,71 @@ func (m *ackMsg) UnmarshalWire(data []byte) error {
 	return r.Err()
 }
 
+// ---- sectionMsg: an attribute section written from a map or copied as it
+// was read, one field either way. No diagnostics. ----
+
+type sectionMsg struct {
+	Attrs   map[string]float64
+	Section []byte
+	Tag     string
+}
+
+func (m *sectionMsg) MarshalWire(b []byte) []byte {
+	if m.Section != nil {
+		b = wirecodec.AppendAttrSection(b, m.Section)
+	} else {
+		b = wirecodec.AppendAttrs(b, m.Attrs)
+	}
+	return wirecodec.AppendString(b, m.Tag)
+}
+
+func (m *sectionMsg) UnmarshalWire(data []byte) error {
+	r := wirecodec.NewReader(data)
+	m.Section = r.AttrSection()
+	m.Tag = r.String()
+	return r.Err()
+}
+
+// ---- branchMsg: if/else branches with different layouts still splice in
+// order, so reading only one of them is a finding. ----
+
+type branchMsg struct {
+	Wide bool
+	N    int64
+	Name string
+}
+
+func (m *branchMsg) MarshalWire(b []byte) []byte {
+	if m.Wide {
+		b = wirecodec.AppendInt(b, m.N)
+	} else {
+		b = wirecodec.AppendString(b, m.Name)
+	}
+	return b
+}
+
+func (m *branchMsg) UnmarshalWire(data []byte) error { // want `branchMsg: MarshalWire and UnmarshalWire disagree on wire layout: MarshalWire writes 2 fields but UnmarshalWire reads 1`
+	r := wirecodec.NewReader(data)
+	m.N = r.Int()
+	return r.Err()
+}
+
+// ---- sectionSkewMsg: a section written where an int is read. ----
+
+type sectionSkewMsg struct {
+	Attrs map[string]float64
+}
+
+func (m *sectionSkewMsg) MarshalWire(b []byte) []byte {
+	return wirecodec.AppendAttrs(b, m.Attrs)
+}
+
+func (m *sectionSkewMsg) UnmarshalWire(data []byte) error { // want `sectionSkewMsg: MarshalWire and UnmarshalWire disagree on wire layout: field 1: attrs written but int read`
+	r := wirecodec.NewReader(data)
+	_ = r.Int()
+	return r.Err()
+}
+
 // ---- swappedMsg: the classic transposition bug. ----
 
 type swappedMsg struct {

@@ -10,7 +10,8 @@
 //
 //  1. parity — both sides name the same field kinds in the same order,
 //     including repeated groups (loops) and delegated sub-messages
-//     (return m.X.MarshalWire(b) / m.X.UnmarshalWire(data));
+//     (return m.X.MarshalWire(b) / m.X.UnmarshalWire(data)); the two
+//     branches of an if/else that write the same layout are one field;
 //  2. evolution — once UnmarshalWire starts reading fields behind an
 //     `r.Len() > 0` guard (the optional-trailing idiom for fields added
 //     after a release), every later field must be guarded too. New fields
@@ -40,7 +41,7 @@ var Analyzer = &analysis.Analyzer{
 // op is one field-sized step in a codec's wire order.
 type op struct {
 	// kind: a scalar kind ("int", "uvarint", "bytes", "string", "bool",
-	// "float64"), a delegated sub-message ("msg:TypeName"), a wildcard "?"
+	// "float64"), an attribute section ("attrs"), a delegated sub-message ("msg:TypeName"), a wildcard "?"
 	// for unclassifiable chain steps, or "rep" for a repeated group.
 	kind     string
 	optional bool
@@ -57,15 +58,19 @@ var appendKinds = map[string]string{
 	"AppendString":  "string",
 	"AppendBool":    "bool",
 	"AppendFloat64": "float64",
+	// An attribute section, encoded from a map or copied as it was read.
+	"AppendAttrs":       "attrs",
+	"AppendAttrSection": "attrs",
 }
 
 var readerKinds = map[string]string{
-	"Int":     "int",
-	"Uvarint": "uvarint",
-	"Bytes":   "bytes",
-	"String":  "string",
-	"Bool":    "bool",
-	"Float64": "float64",
+	"Int":         "int",
+	"Uvarint":     "uvarint",
+	"Bytes":       "bytes",
+	"String":      "string",
+	"Bool":        "bool",
+	"Float64":     "float64",
+	"AttrSection": "attrs",
 }
 
 type codec struct {
@@ -282,10 +287,12 @@ func (ex *extractor) marshalStmts(stmts []ast.Stmt, chain chainSet) []op {
 			if st.Init != nil {
 				ops = append(ops, ex.marshalStmts([]ast.Stmt{st.Init}, chain)...)
 			}
-			ops = append(ops, ex.marshalStmts(st.Body.List, chain)...)
+			then := ex.marshalStmts(st.Body.List, chain)
+			var els []op
 			if blk, ok := st.Else.(*ast.BlockStmt); ok {
-				ops = append(ops, ex.marshalStmts(blk.List, chain)...)
+				els = ex.marshalStmts(blk.List, chain)
 			}
+			ops = append(ops, branches(then, els)...)
 		case *ast.ForStmt:
 			if inner := ex.marshalStmts(st.Body.List, chain); len(inner) > 0 {
 				ops = append(ops, op{kind: "rep", rep: inner, pos: st.Pos()})
@@ -396,10 +403,12 @@ func (ex *extractor) unmarshalStmts(stmts []ast.Stmt, readers chainSet, dataPara
 				inner = append(inner, ex.unmarshalStmts([]ast.Stmt{st.Init}, readers, dataParam)...)
 			}
 			inner = append(inner, ex.readOps(st.Cond, readers, dataParam)...)
-			inner = append(inner, ex.unmarshalStmts(st.Body.List, readers, dataParam)...)
+			then := ex.unmarshalStmts(st.Body.List, readers, dataParam)
+			var els []op
 			if blk, ok := st.Else.(*ast.BlockStmt); ok {
-				inner = append(inner, ex.unmarshalStmts(blk.List, readers, dataParam)...)
+				els = ex.unmarshalStmts(blk.List, readers, dataParam)
 			}
+			inner = append(inner, branches(then, els)...)
 			if isOptionalGuard(ex.pass, st.Cond, readers) {
 				for i := range inner {
 					inner[i].optional = true
@@ -424,6 +433,16 @@ func (ex *extractor) unmarshalStmts(stmts []ast.Stmt, readers chainSet, dataPara
 		}
 	}
 	return ops
+}
+
+// branches joins the op sequences of an if statement's two branches. Two
+// branches with the same layout are alternative encodings of the same fields
+// and count once; otherwise they splice in order.
+func branches(then, els []op) []op {
+	if len(then) > 0 && compareOps(then, els) == "" {
+		return then
+	}
+	return append(then, els...)
 }
 
 // readOps collects reader-consuming calls inside one expression, in source

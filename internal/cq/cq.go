@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"clash/internal/bitkey"
+	"clash/internal/wirecodec"
 )
 
 // Errors returned by the query engine.
@@ -70,13 +71,8 @@ type Predicate struct {
 	Value float64 `json:"value"`
 }
 
-// Eval evaluates the predicate against an attribute map. A missing attribute
-// never matches.
-func (p Predicate) Eval(attrs map[string]float64) bool {
-	v, ok := attrs[p.Attr]
-	if !ok {
-		return false
-	}
+// holds reports whether an attribute value satisfies the predicate.
+func (p Predicate) holds(v float64) bool {
 	switch p.Op {
 	case OpEq:
 		return v == p.Value
@@ -136,7 +132,9 @@ func (q Query) IdentifierKey(keyBits int) (bitkey.Key, error) {
 	return q.Region.VirtualKey(keyBits)
 }
 
-// Matches reports whether the query matches a data event.
+// Matches reports whether the query matches a data event: the event's key
+// lies in the query's region and every predicate holds on the event's
+// attributes. A predicate on an attribute the event lacks never holds.
 //
 //clash:hotpath
 func (q Query) Matches(ev Event) bool {
@@ -144,7 +142,7 @@ func (q Query) Matches(ev Event) bool {
 		return false
 	}
 	for _, p := range q.Predicates {
-		if !p.Eval(ev.Attrs) {
+		if v, ok := ev.attr(p.Attr); !ok || !p.holds(v) {
 			return false
 		}
 	}
@@ -245,15 +243,32 @@ func UnmarshalQuery(data []byte) (Query, error) {
 	return q, nil
 }
 
-// Event is one data record flowing through the system.
+// Event is one data record flowing through the system. Its numeric
+// attributes (speed, fuel, score, ...) come either as a map or as the
+// attribute section they travel in on the wire; a node matches the section
+// in place rather than decode it into a map for every packet.
 type Event struct {
 	// Key is the event's N-bit identifier key (e.g. the quad-tree cell of the
 	// reporting vehicle).
 	Key bitkey.Key
-	// Attrs carries the event's numeric attributes (speed, fuel, score, ...).
+	// Attrs carries the event's attributes as a map. When it is nil the
+	// attributes are read from AttrSection.
 	Attrs map[string]float64
+	// AttrSection carries the event's attributes in their wire encoding
+	// (wirecodec.AppendAttrs): a count, then each name and value in the
+	// publisher's order. A name given twice takes its last value.
+	AttrSection []byte
 	// Payload is the opaque application payload.
 	Payload []byte
+}
+
+// attr returns the value of the event's named attribute.
+func (ev Event) attr(name string) (float64, bool) {
+	if ev.Attrs != nil {
+		v, ok := ev.Attrs[name]
+		return v, ok
+	}
+	return wirecodec.LookupAttr(ev.AttrSection, name)
 }
 
 // Engine stores continuous queries and matches events against them. Queries

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clash/internal/bitkey"
+	"clash/internal/wirecodec"
 )
 
 func mustEngine(t *testing.T, bits int) *Engine {
@@ -18,8 +19,16 @@ func mustEngine(t *testing.T, bits int) *Engine {
 	return e
 }
 
+// TestPredicateEval evaluates each operator through Query.Matches, with the
+// event's attributes given as a map and as a wire attribute section.
 func TestPredicateEval(t *testing.T) {
 	attrs := map[string]float64{"speed": 80, "fuel": 0.4}
+	region := bitkey.MustParseGroup("01*")
+	key := bitkey.Key{Value: 0b0110, Bits: 4}
+	events := map[string]Event{
+		"map":     {Key: key, Attrs: attrs},
+		"section": {Key: key, AttrSection: wirecodec.AppendAttrs(nil, attrs)},
+	}
 	tests := []struct {
 		p    Predicate
 		want bool
@@ -31,10 +40,14 @@ func TestPredicateEval(t *testing.T) {
 		{Predicate{"speed", OpLt, 80}, false},
 		{Predicate{"fuel", OpLe, 0.4}, true},
 		{Predicate{"missing", OpEq, 1}, false},
+		{Predicate{"speed", Op(99), 80}, false},
 	}
-	for _, tt := range tests {
-		if got := tt.p.Eval(attrs); got != tt.want {
-			t.Errorf("%s %s %g = %v, want %v", tt.p.Attr, tt.p.Op, tt.p.Value, got, tt.want)
+	for name, ev := range events {
+		for _, tt := range tests {
+			q := Query{ID: "q", Region: region, Predicates: []Predicate{tt.p}}
+			if got := q.Matches(ev); got != tt.want {
+				t.Errorf("%s: %s %s %g = %v, want %v", name, tt.p.Attr, tt.p.Op, tt.p.Value, got, tt.want)
+			}
 		}
 	}
 }

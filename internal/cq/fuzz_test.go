@@ -2,12 +2,15 @@ package cq
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"unicode/utf8"
 
 	"clash/internal/bitkey"
+	"clash/internal/wirecodec"
 )
 
 // FuzzQueryMarshal checks the reflection-free encoder against encoding/json,
@@ -85,5 +88,76 @@ func FuzzQueryMarshal(f *testing.F) {
 		if err != nil || !bytes.Equal(again, got) {
 			t.Fatalf("re-marshal %s, %v; want %s", again, err, got)
 		}
+	})
+}
+
+// FuzzPredicateBytes holds the attribute-section path of Query.Matches to its
+// map path: for any attribute list, a query gives the same result on an event
+// carrying the list's wire section as on one carrying the map built from it.
+// The list is the comma-separated names, cut to n%9 entries (0 included), with
+// values taken 8 bytes at a time from vals (big-endian IEEE-754 bits) or the
+// entry's index once vals runs out; names may repeat (the last value wins in
+// both) or be empty. Every operator, an invalid one, a missing name and a
+// conjunction of all the list's names are evaluated.
+func FuzzPredicateBytes(f *testing.F) {
+	bits := func(fs ...float64) []byte {
+		var b []byte
+		for _, v := range fs {
+			b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add("speed,fuel,lat", bits(80, 0.4, -12.25), uint8(3), 50.0)
+	f.Add("speed,speed", bits(10, 90), uint8(2), 50.0)
+	f.Add("", []byte(nil), uint8(0), 0.0)
+	f.Add("", bits(7), uint8(1), 7.0)
+	f.Add(",a,,a", bits(1, 2, 3, 4), uint8(4), 3.0)
+	f.Add("n,p,m,z", bits(math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)), uint8(4), 0.0)
+	f.Add("x", bits(math.NaN()), uint8(1), math.NaN())
+	f.Add("x,y", bits(1), uint8(8), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, names string, vals []byte, n uint8, value float64) {
+		list := strings.Split(names, ",")
+		if k := int(n) % 9; k < len(list) {
+			list = list[:k]
+		}
+		section := wirecodec.AppendInt(nil, len(list))
+		attrs := make(map[string]float64, len(list))
+		for i, name := range list {
+			v := float64(i)
+			if len(vals) >= 8*(i+1) {
+				v = math.Float64frombits(binary.BigEndian.Uint64(vals[8*i:]))
+			}
+			section = wirecodec.AppendString(section, name)
+			section = wirecodec.AppendFloat64(section, v)
+			attrs[name] = v
+		}
+		key := bitkey.Key{Value: 0b1011, Bits: 4}
+		byMap := Event{Key: key, Attrs: attrs}
+		bySection := Event{Key: key, AttrSection: section}
+
+		for name, want := range attrs {
+			got, ok := wirecodec.LookupAttr(section, name)
+			if !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("LookupAttr(%q) = %v, %v; want %v", name, got, ok, want)
+			}
+		}
+		names = strings.Join(list, ",")
+		check := func(preds []Predicate) {
+			t.Helper()
+			q := Query{ID: "q", Region: bitkey.MustParseGroup("10*"), Predicates: preds}
+			if m, s := q.Matches(byMap), q.Matches(bySection); m != s {
+				t.Fatalf("attrs %s = %v: %v matches %v on the map, %v on the section", names, attrs, preds, m, s)
+			}
+		}
+		all := make([]Predicate, 0, len(list))
+		for _, name := range append(list, "missing-attr") {
+			for op := OpEq; op <= OpGe+1; op++ {
+				check([]Predicate{{Attr: name, Op: op, Value: value}})
+				check([]Predicate{{Attr: name, Op: op, Value: attrs[name]}})
+			}
+			all = append(all, Predicate{Attr: name, Op: OpGe, Value: value})
+		}
+		check(all[:len(all)-1])
+		check(all)
 	})
 }

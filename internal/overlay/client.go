@@ -132,7 +132,7 @@ func (c *Client) handle(msgType string, payload []byte) ([]byte, error) {
 	select {
 	// The decoded payload aliases the transport's pooled request buffer; the
 	// Match escapes to the application, so it must own its bytes.
-	case c.matches <- Match{QueryID: m.QueryID, Key: key, Attrs: m.Attrs, Payload: bytes.Clone(m.Payload)}:
+	case c.matches <- Match{QueryID: m.QueryID, Key: key, Attrs: readAttrs(m.Attrs), Payload: bytes.Clone(m.Payload)}:
 	default:
 		c.drops.Add(1)
 	}

@@ -304,7 +304,7 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 				return core.AcceptObjectReplyMsg{}, false, fmt.Errorf("bad data payload: %v", err)
 			}
 		}
-		ev := cq.Event{Key: key, Attrs: data.Attrs, Payload: data.Payload}
+		ev := cq.Event{Key: key, AttrSection: data.AttrSection, Payload: data.Payload}
 		var matchStart time.Time
 		if obs != nil {
 			matchStart = n.cfg.Clock.Now()
@@ -418,15 +418,15 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 			QueryID:    t.id,
 			KeyValue:   ev.Key.Value,
 			KeyBits:    ev.Key.Bits,
-			Attrs:      ev.Attrs,
+			Attrs:      ev.AttrSection,
 			Payload:    ev.Payload,
 			TraceID:    tc.TraceID,
 			ParentSpan: spanID,
 			Hop:        tc.Hop,
 		}
-		// Marshal synchronously: ev.Payload may alias the pooled request
-		// buffer, which the transport recycles once the publish handler
-		// returns. The marshalled frame is self-contained, so the async
+		// Marshal synchronously: ev.AttrSection and ev.Payload may alias the
+		// pooled request buffer, which the transport recycles once the
+		// publish handler returns. The marshalled frame is self-contained, so the async
 		// delivery goroutine only ever touches the copy.
 		payload := marshalMsg(msg)
 		deliver := func(sub, queryID string, payload []byte) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,4 +136,82 @@ func TestLoadCheckCountsEngineQueries(t *testing.T) {
 		}
 		check(t, n, cfg)
 	})
+}
+
+// eventLog is an Observer that keeps a node's protocol events.
+type eventLog struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (l *eventLog) OnEvent(ev Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, ev)
+}
+
+func (l *eventLog) OnTrace(TraceRecord)        {}
+func (l *eventLog) OnTraceStage(string, int64) {}
+func (l *eventLog) OnSpan(Span)                {}
+
+// count returns how many events of the given type were logged.
+func (l *eventLog) count(typ string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, ev := range l.events {
+		if ev.Type == typ {
+			n++
+		}
+	}
+	return n
+}
+
+// TestExhaustedSplitNotRetried checks that an overloaded load check does not
+// plan again a split that ran out of retries. On a one-node overlay every
+// right child maps back to the node, so the first overloaded load check
+// resolves the hottest group's whole right spine and its split ends
+// exhausted. The second, with the same successor list, makes no attempt and
+// so no lookups for that group: no second exhausted split is reported. A
+// changed successor list lets the group be tried again.
+func TestExhaustedSplitNotRetried(t *testing.T) {
+	netw := NewMemNetwork()
+	cfg := testConfig()
+	cfg.KeyBits = 24                 // room for every retry before the key space runs out
+	cfg.Model = load.DefaultModel(1) // one stored query overloads the node
+	n := buildOverlay(t, netw, 1, cfg)[0]
+	g := n.Server().ActiveGroups()[0]
+	c, err := NewClient(netw.Endpoint("client"), cfg.KeyBits, cfg.Space, n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Register(cq.Query{ID: "q", Region: g}); err != nil {
+		t.Fatal(err)
+	}
+	events := &eventLog{}
+	n.SetObserver(events)
+	active := n.Server().ActiveGroups()
+
+	n.LoadCheck(time.Now())
+	if got := events.count(EventSplitExhausted); got != 1 {
+		t.Fatalf("%d exhausted splits after the first overloaded load check, want 1", got)
+	}
+	n.LoadCheck(time.Now())
+	if total := n.Server().TotalLoad(); total <= load.OverloadFraction {
+		t.Fatalf("load %g after the second load check, want overloaded (test setup degenerate)", total)
+	}
+	if got := events.count(EventSplitExhausted); got != 1 {
+		t.Errorf("%d exhausted splits after the second overloaded load check, want still 1", got)
+	}
+	if got := n.Server().ActiveGroups(); !reflect.DeepEqual(got, active) {
+		t.Errorf("active groups = %v, want %v unchanged", got, active)
+	}
+
+	n.mu.Lock()
+	n.exhausted.succ = nil // as if the split had been planned on another ring
+	n.mu.Unlock()
+	n.LoadCheck(time.Now())
+	if got := events.count(EventSplitExhausted); got != 2 {
+		t.Errorf("%d exhausted splits after the successor list changed, want 2", got)
+	}
 }

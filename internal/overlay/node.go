@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,7 +146,8 @@ type Node struct {
 	mayPushEmpty bool // guards empty replica pushes until past the recovery window
 	matchDrops   int64
 	orphanDrops  int64
-	joinTarget   string // last Join contact, for islanding self-repair
+	joinTarget   string          // last Join contact, for islanding self-repair
+	exhausted    *exhaustedSplit // the last split that ran out of retries (trySplit)
 
 	wg sync.WaitGroup
 }
@@ -500,14 +502,37 @@ func (n *Node) precomputeSplitTargets(g bitkey.Group) core.MapFunc {
 
 // trySplit splits the hottest active group and delivers the resulting
 // ACCEPT_KEYGROUP transfer (with extracted query state) over the wire.
+// A group whose split ran out of retries, every right child on its spine
+// mapping back here, is not tried again until the successor list that split
+// was planned against changes: until then its spine maps the same way, and
+// each try costs up to MaxSplitRetries+1 lookups.
 func (n *Node) trySplit() {
 	g, _, ok := n.server.HottestActiveGroup()
 	if !ok {
 		return
 	}
-	// ErrMaxDepth / ErrSplitExhausted / DHT failure: the split changed
-	// nothing; try again next period.
-	_ = n.splitGroup(g)
+	succ := n.chord.Successors()
+	n.mu.Lock()
+	e := n.exhausted
+	n.mu.Unlock()
+	if e != nil && e.group.Equal(g) && slices.Equal(e.succ, succ) {
+		return
+	}
+	// A failed split changes nothing. ErrMaxDepth and a DHT failure are
+	// tried again next period; an exhausted split waits for a new ring.
+	if err := n.splitGroup(g); errors.Is(err, core.ErrSplitExhausted) {
+		n.mu.Lock()
+		n.exhausted = &exhaustedSplit{group: g, succ: succ}
+		n.mu.Unlock()
+		n.emit(Event{Type: EventSplitExhausted, Group: g.String()})
+	}
+}
+
+// exhaustedSplit is the last group whose split ran out of retries and the
+// successor list it was planned against.
+type exhaustedSplit struct {
+	group bitkey.Group
+	succ  []chord.NodeRef
 }
 
 // splitGroup splits one active group and hands the right child that leaves

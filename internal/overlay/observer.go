@@ -16,6 +16,10 @@ const (
 	EventRingChange = "ring-change"
 	// EventSplit reports a key-group split executed on this node.
 	EventSplit = "split"
+	// EventSplitExhausted reports an overload split that changed nothing:
+	// every right child on the group's spine mapped back to this node. The
+	// group is not tried again until the node's successor list changes.
+	EventSplitExhausted = "split-exhausted"
 	// EventMerge reports a consolidation completed by this node (the parent).
 	EventMerge = "merge"
 	// EventRecovery reports replica promotion (a dead peer's groups restored

@@ -1,8 +1,10 @@
 package overlay
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -74,14 +76,124 @@ func TestPublishAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		publish() // learn the route, grow the meter map, warm the pools
 	}
-	// Measured 5 with go1.24: the decoded attribute map and its key string,
-	// the reply payload the caller keeps and the PublishResult. CI builds
-	// with go 1.22, where the count has not been measured (small maps differ
-	// there), so the ceiling keeps one allocation of headroom; a group label
-	// formatted for the load meter costs 2 more.
-	const ceiling = 6
+	// Measured 2 with go1.24, the toolchain CI builds with: the reply
+	// payload the caller keeps and the PublishResult. The node matches the
+	// attribute section in place, so it allocates nothing; an attribute map
+	// decoded on the node would cost 2 or 3 more, a group label formatted
+	// for the load meter 2.
+	const ceiling = 2
 	if allocs := testing.AllocsPerRun(500, publish); allocs > ceiling {
 		t.Errorf("allocations per Publish = %v, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestMatchCarriesPublisherAttrSection follows a packet's attributes from
+// publisher to subscriber: the node pushes the publisher's attribute section
+// byte for byte, in the order the publisher wrote it, and the subscriber's
+// Match.Attrs decodes it to the publisher's map. Each order is published
+// once; a push that re-encoded a map would scramble most of them.
+func TestMatchCarriesPublisherAttrSection(t *testing.T) {
+	f := newPublishFixture(t)
+	var pushed [][]byte
+	f.client.tr.SetHandler(func(msgType string, payload []byte) ([]byte, error) {
+		var m matchMsg
+		if msgType == TypeMatch && m.UnmarshalWire(payload) == nil {
+			pushed = append(pushed, bytes.Clone(m.Attrs))
+		}
+		return f.client.handle(msgType, payload)
+	})
+	want := map[string]float64{"speed": 80, "lat": -12.25, "fuel": 0.4}
+	for _, order := range [][]string{
+		{"speed", "lat", "fuel"}, {"speed", "fuel", "lat"}, {"lat", "speed", "fuel"},
+		{"lat", "fuel", "speed"}, {"fuel", "speed", "lat"}, {"fuel", "lat", "speed"},
+	} {
+		section := wirecodec.AppendInt(nil, len(order))
+		for _, name := range order {
+			section = wirecodec.AppendString(section, name)
+			section = wirecodec.AppendFloat64(section, want[name])
+		}
+		payload := wirecodec.AppendBytes(slices.Clone(section), []byte("evt"))
+		res, err := f.client.deliver(f.covered, core.ObjectData, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Matches, []string{"q-fast"}) {
+			t.Fatalf("order %v: matches %v, want [q-fast]", order, res.Matches)
+		}
+		// Inline match push: the match arrived before deliver returned.
+		if got := pushed[len(pushed)-1]; !bytes.Equal(got, section) {
+			t.Errorf("order %v: pushed attribute section %x, want the publisher's %x", order, got, section)
+		}
+		select {
+		case m := <-f.client.Matches():
+			if !maps.Equal(m.Attrs, want) || string(m.Payload) != "evt" {
+				t.Errorf("order %v: match attrs %v payload %q, want %v and \"evt\"", order, m.Attrs, m.Payload, want)
+			}
+		default:
+			t.Fatalf("order %v: no match delivered", order)
+		}
+	}
+	if len(pushed) != 6 {
+		t.Errorf("%d match pushes, want 6", len(pushed))
+	}
+}
+
+// TestAttrSectionScanRejects tables the sections a data payload's scan must
+// reject: every truncation of a valid section and every count its bytes
+// cannot hold. Each is rejected by the scan itself (Reader.AttrSection), by
+// dataMsg's decode, which then holds no section to evaluate, and by the node,
+// which answers "bad data payload" before matching: the registered query
+// (speed > 50) would match the intact section, yet nothing is pushed.
+func TestAttrSectionScanRejects(t *testing.T) {
+	valid := wirecodec.AppendInt(nil, 2)
+	valid = wirecodec.AppendString(valid, "speed")
+	valid = wirecodec.AppendFloat64(valid, 80)
+	valid = wirecodec.AppendString(valid, "lat")
+	valid = wirecodec.AppendFloat64(valid, -12.25)
+	cases := map[string][]byte{
+		"hostile count":          append(wirecodec.AppendInt(nil, 1000), make([]byte, 20)...),
+		"count past the attrs":   append(wirecodec.AppendInt(nil, 3), valid[1:]...),
+		"count beyond int32":     wirecodec.AppendUvarint(nil, 1<<40),
+		"count varint truncated": {0x80},
+		"name past the end":      append(wirecodec.AppendUvarint(wirecodec.AppendInt(nil, 1), 200), make([]byte, 10)...),
+	}
+	for i := 0; i < len(valid); i++ {
+		cases[fmt.Sprintf("cut at %d of %d", i, len(valid))] = valid[:i]
+	}
+	if sec := wirecodec.NewReader(valid).AttrSection(); !bytes.Equal(sec, valid) {
+		t.Fatalf("valid section scanned to %x, want %x", sec, valid)
+	}
+
+	f := newPublishFixture(t)
+	pushes := 0
+	f.client.tr.SetHandler(func(msgType string, payload []byte) ([]byte, error) {
+		pushes++
+		return f.client.handle(msgType, payload)
+	})
+	for name, section := range cases {
+		r := wirecodec.NewReader(section)
+		if sec := r.AttrSection(); sec != nil || r.Err() == nil {
+			t.Errorf("%s: scan returned %x, %v; want nil and an error", name, sec, r.Err())
+		}
+		var d dataMsg
+		if err := d.UnmarshalWire(section); err == nil || d.AttrSection != nil {
+			t.Errorf("%s: dataMsg decode kept section %x, err %v; want none and an error", name, d.AttrSection, err)
+		}
+		if len(section) == 0 {
+			continue // an empty payload is a packet without attributes
+		}
+		_, err := f.client.deliver(f.covered, core.ObjectData, section)
+		var re *RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "bad data payload") {
+			t.Errorf("%s: err = %v, want a remote bad data payload error", name, err)
+		}
+	}
+	if pushes != 0 {
+		t.Errorf("%d match pushes for rejected sections, want 0", pushes)
+	}
+	// The intact section matches: the pushes above were possible.
+	if _, err := f.client.deliver(f.covered, core.ObjectData, wirecodec.AppendBytes(slices.Clone(valid), nil)); err != nil || pushes != 1 {
+		t.Errorf("valid section: err %v, %d pushes; want a match pushed", err, pushes)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"clash/internal/core"
 	"clash/internal/sim/link"
+	"clash/internal/wirecodec"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -612,7 +613,7 @@ func TestCrossTransportByteIdentity(t *testing.T) {
 		{TypeReplicateKeyGroup, (&replicateMsg{Origin: "n1", Incarnation: 4, Base: 1, Version: 2, Groups: []replicaGroupRec{
 			{GroupValue: 1, GroupBits: 2, Epoch: 1, Queries: [][]byte{[]byte("q")}}}}).MarshalWire(nil)},
 		// Last: on TCP the call returns before the handler runs.
-		{TypeMatch, (&matchMsg{QueryID: "q-1", KeyValue: 9, KeyBits: 8, Attrs: map[string]float64{"speed": 61}, Payload: []byte("m")}).MarshalWire(nil)},
+		{TypeMatch, (&matchMsg{QueryID: "q-1", KeyValue: 9, KeyBits: 8, Attrs: wirecodec.AppendAttrs(nil, map[string]float64{"speed": 61}), Payload: []byte("m")}).MarshalWire(nil)},
 	}
 
 	type recorder struct {

@@ -419,60 +419,51 @@ func (m *notifyMsg) UnmarshalWire(data []byte) error {
 }
 
 // dataMsg is the application payload of a kind=data ACCEPT_OBJECT: the
-// attribute map the continuous-query predicates evaluate plus the opaque
-// record. Attribute iteration order is not part of the encoding contract
-// (round-trip preserves the map, not the byte order across separate encodes).
+// attributes the continuous-query predicates evaluate plus the opaque record.
+// A publisher encodes Attrs as an attribute section in the map's iteration
+// order; the node decodes the section in place into AttrSection, never into a
+// map, and matches and forwards those bytes as they are.
 type dataMsg struct {
-	Attrs   map[string]float64 `json:"attrs,omitempty"`
-	Payload []byte             `json:"payload,omitempty"`
+	Attrs       map[string]float64 `json:"attrs,omitempty"`
+	AttrSection []byte             `json:"-"`
+	Payload     []byte             `json:"payload,omitempty"`
 }
 
-// MarshalWire implements wireMsg.
+// MarshalWire implements wireMsg. A decoded message re-encodes its
+// AttrSection byte for byte; otherwise Attrs is encoded.
 func (m *dataMsg) MarshalWire(b []byte) []byte {
-	b = appendAttrs(b, m.Attrs)
+	if m.AttrSection != nil {
+		b = wirecodec.AppendAttrSection(b, m.AttrSection)
+	} else {
+		b = wirecodec.AppendAttrs(b, m.Attrs)
+	}
 	return wirecodec.AppendBytes(b, m.Payload)
 }
 
-// appendAttrs encodes a count-prefixed attribute map (the encode mirror of
-// readAttrs; both message types carrying attrs share the pair).
-func appendAttrs(b []byte, attrs map[string]float64) []byte {
-	b = wirecodec.AppendInt(b, len(attrs))
-	for k, v := range attrs {
-		b = wirecodec.AppendString(b, k)
-		b = wirecodec.AppendFloat64(b, v)
-	}
-	return b
-}
-
-// UnmarshalWire implements wireMsg. Payload aliases data.
+// UnmarshalWire implements wireMsg. It allocates nothing: AttrSection and
+// Payload alias data, and Attrs is left nil.
 func (m *dataMsg) UnmarshalWire(data []byte) error {
 	r := wirecodec.NewReader(data)
-	var err error
-	m.Attrs, err = readAttrs(r)
-	if err != nil {
-		return err
-	}
+	m.AttrSection = r.AttrSection()
 	m.Payload = r.Bytes()
 	return r.Err()
 }
 
-// readAttrs decodes a count-prefixed attribute map, validating the count
-// against the minimum encoded size per entry (1-byte name length + 8-byte
-// float) so a hostile count cannot force a huge map pre-allocation.
-func readAttrs(r *wirecodec.Reader) (map[string]float64, error) {
+// readAttrs decodes an attribute section that Reader.AttrSection accepted
+// into a map, for the subscriber's Match. A name given twice keeps its last
+// value.
+func readAttrs(section []byte) map[string]float64 {
+	r := wirecodec.NewReader(section)
 	n := r.Int()
-	if r.Err() == nil && n > r.Len()/9 {
-		return nil, fmt.Errorf("%w: %d attrs in %d bytes", wirecodec.ErrInvalid, n, r.Len())
-	}
 	if n == 0 {
-		return nil, r.Err()
+		return nil
 	}
 	attrs := make(map[string]float64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
+	for ; n > 0 && r.Err() == nil; n-- {
 		k := r.String()
 		attrs[k] = r.Float64()
 	}
-	return attrs, r.Err()
+	return attrs
 }
 
 // queryState is the application payload of a kind=query ACCEPT_OBJECT and the
@@ -520,13 +511,15 @@ func (m *childMovedMsg) UnmarshalWire(data []byte) error {
 	return r.Err()
 }
 
-// matchMsg is the payload of TypeMatch.
+// matchMsg is the payload of TypeMatch. Attrs is the matched packet's
+// attribute section, copied byte for byte from the publisher's data payload,
+// so a subscriber sees the attributes in the order the publisher wrote them.
 type matchMsg struct {
-	QueryID  string             `json:"queryId"`
-	KeyValue uint64             `json:"keyValue"`
-	KeyBits  int                `json:"keyBits"`
-	Attrs    map[string]float64 `json:"attrs,omitempty"`
-	Payload  []byte             `json:"payload,omitempty"`
+	QueryID  string `json:"queryId"`
+	KeyValue uint64 `json:"keyValue"`
+	KeyBits  int    `json:"keyBits"`
+	Attrs    []byte `json:"attrs,omitempty"`
+	Payload  []byte `json:"payload,omitempty"`
 	// TraceID/ParentSpan/Hop carry the sampled publish's trace context onto
 	// the subscriber-delivery hop so the receiving node's span joins the
 	// cross-node tree. All zero for untraced publishes and from pre-span
@@ -543,25 +536,21 @@ func (m *matchMsg) MarshalWire(b []byte) []byte {
 	b = wirecodec.AppendString(b, m.QueryID)
 	b = wirecodec.AppendInt(b, m.KeyBits)
 	b = wirecodec.AppendUvarint(b, m.KeyValue)
-	b = appendAttrs(b, m.Attrs)
+	b = wirecodec.AppendAttrSection(b, m.Attrs)
 	b = wirecodec.AppendBytes(b, m.Payload)
 	b = wirecodec.AppendUvarint(b, m.TraceID)
 	b = wirecodec.AppendUvarint(b, m.ParentSpan)
 	return wirecodec.AppendInt(b, m.Hop)
 }
 
-// UnmarshalWire implements wireMsg. Payload aliases data. A frame from an
-// old writer carries no trace context; it decodes as untraced.
+// UnmarshalWire implements wireMsg. Attrs and Payload alias data. A frame
+// from an old writer carries no trace context; it decodes as untraced.
 func (m *matchMsg) UnmarshalWire(data []byte) error {
 	r := wirecodec.NewReader(data)
 	m.QueryID = r.String()
 	m.KeyBits = r.Int()
 	m.KeyValue = r.Uvarint()
-	var err error
-	m.Attrs, err = readAttrs(r)
-	if err != nil {
-		return err
-	}
+	m.Attrs = r.AttrSection()
 	m.Payload = r.Bytes()
 	m.TraceID, m.ParentSpan, m.Hop = 0, 0, 0
 	if r.Err() == nil && r.Len() > 0 {

@@ -17,12 +17,14 @@ func overlayWireCases() []wireMsg {
 		&nodeRefMsg{Addr: "10.0.0.1:7001", ID: 1<<63 - 1},
 		&findSuccessorMsg{ID: 424242},
 		&notifyMsg{Candidate: nodeRefMsg{Addr: "n2", ID: 7}},
-		&dataMsg{Attrs: map[string]float64{"speed": 88.5, "lat": -12.25}, Payload: []byte("record")},
-		&dataMsg{},
+		// As decoded: the attribute section, not the map it was encoded from
+		// (TestDataMsgAttrSection covers the map).
+		&dataMsg{AttrSection: wirecodec.AppendAttrs(nil, map[string]float64{"speed": 88.5, "lat": -12.25}), Payload: []byte("record")},
+		&dataMsg{AttrSection: wirecodec.AppendAttrs(nil, nil)},
 		&queryState{Query: []byte(`{"id":"q"}`), Subscriber: "client-1"},
 		&childMovedMsg{GroupValue: 0b101, GroupBits: 3, Holder: "n3"},
 		&matchMsg{QueryID: "q-hot", KeyValue: 0xBEEF, KeyBits: 16,
-			Attrs: map[string]float64{"speed": 99}, Payload: []byte("evt")},
+			Attrs: wirecodec.AppendAttrs(nil, map[string]float64{"speed": 99}), Payload: []byte("evt")},
 		// Zero in their trailing fields, like any field an older writer
 		// leaves off: the truncations that drop them are older layouts
 		// (TestReplicateMsgWireRoundTrip covers populated pushes). An empty
@@ -297,7 +299,7 @@ func TestReplicateMsgWireRoundTrip(t *testing.T) {
 // frames stop cleanly with the trace bytes left trailing.
 func TestOverlayTraceContextWire(t *testing.T) {
 	mm := matchMsg{QueryID: "q1", KeyValue: 0b1010, KeyBits: 16,
-		Attrs: map[string]float64{"speed": 61}, Payload: []byte("evt"),
+		Attrs: wirecodec.AppendAttrs(nil, map[string]float64{"speed": 61}), Payload: []byte("evt"),
 		TraceID: 0xAB, ParentSpan: 0xCD, Hop: 3}
 	var gotM matchMsg
 	if err := gotM.UnmarshalWire(mm.MarshalWire(nil)); err != nil {
@@ -311,7 +313,7 @@ func TestOverlayTraceContextWire(t *testing.T) {
 	old := wirecodec.AppendString(nil, mm.QueryID)
 	old = wirecodec.AppendInt(old, mm.KeyBits)
 	old = wirecodec.AppendUvarint(old, mm.KeyValue)
-	old = appendAttrs(old, mm.Attrs)
+	old = wirecodec.AppendAttrSection(old, mm.Attrs)
 	old = wirecodec.AppendBytes(old, mm.Payload)
 	var legacy matchMsg
 	if err := legacy.UnmarshalWire(old); err != nil {
@@ -331,9 +333,7 @@ func TestOverlayTraceContextWire(t *testing.T) {
 	_ = r.String()  // query id
 	_ = r.Int()     // key bits
 	_ = r.Uvarint() // key value
-	if _, err := readAttrs(r); err != nil {
-		t.Fatalf("old-shape matchMsg attrs: %v", err)
-	}
+	_ = r.AttrSection()
 	_ = r.Bytes() // payload
 	if err := r.Err(); err != nil {
 		t.Fatalf("old-shape decode of new matchMsg: %v", err)

@@ -11,6 +11,8 @@
 //   - booleans: one byte, 0 or 1
 //   - float64: 8 fixed bytes, IEEE-754 bits big-endian
 //   - byte strings / strings: uvarint length followed by the raw bytes
+//   - attribute sections: a uvarint count, then per attribute its name as a
+//     string and its value as a float64; read and matched in place
 //
 // Decoders validate every length against the remaining input before touching
 // it, so malformed input errors out without over-allocating.
@@ -70,6 +72,44 @@ func AppendBytes(b, p []byte) []byte {
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// AppendAttrs appends attrs as an attribute section, in the map's iteration
+// order.
+func AppendAttrs(b []byte, attrs map[string]float64) []byte {
+	b = AppendInt(b, len(attrs))
+	for k, v := range attrs {
+		b = AppendString(b, k)
+		b = AppendFloat64(b, v)
+	}
+	return b
+}
+
+// AppendAttrSection appends an attribute section byte for byte, as
+// Reader.AttrSection returned it.
+func AppendAttrSection(b, section []byte) []byte {
+	return append(b, section...)
+}
+
+// LookupAttr returns the value of the named attribute in an attribute
+// section. A name that occurs more than once resolves to its last value, as
+// a map built from the section would; a missing name, or a section that is
+// malformed, reports false.
+//
+//clash:hotpath
+func LookupAttr(section []byte, name string) (v float64, ok bool) {
+	r := Reader{b: section}
+	for n := r.Int(); n > 0 && r.err == nil; n-- {
+		k := r.Bytes()
+		f := r.Float64()
+		if r.err == nil && string(k) == name {
+			v, ok = f, true
+		}
+	}
+	if r.err != nil {
+		return 0, false
+	}
+	return v, ok
 }
 
 // Reader decodes values sequentially from a byte slice. The first decoding
@@ -182,6 +222,30 @@ func (r *Reader) Bytes() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	return string(r.Bytes())
+}
+
+// AttrSection reads an attribute section without decoding it: every name and
+// value is bounds-checked and skipped, and the section is returned whole,
+// aliasing the input, so reading it allocates nothing. A count larger than
+// the remaining input could hold (9 bytes per attribute at least) is invalid
+// before any attribute is read.
+//
+//clash:hotpath
+func (r *Reader) AttrSection() []byte {
+	start := r.b
+	n := r.Int()
+	if r.err == nil && n > len(r.b)/9 {
+		r.fail(ErrInvalid)
+	}
+	for ; n > 0 && r.err == nil; n-- {
+		r.Bytes()
+		r.Float64()
+	}
+	if r.err != nil {
+		return nil
+	}
+	used := len(start) - len(r.b)
+	return start[:used:used]
 }
 
 // bufPool recycles encode scratch buffers. Buffers start at 512 bytes and

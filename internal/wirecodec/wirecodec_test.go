@@ -177,6 +177,50 @@ func TestEncodeAllocFree(t *testing.T) {
 	}
 }
 
+// TestAttrSection reads an attribute section in place: the scan returns the
+// section whole and leaves the reader after it, a lookup resolves a repeated
+// name to its last value and a missing one to false, and neither allocates.
+func TestAttrSection(t *testing.T) {
+	b := AppendAttrs(nil, map[string]float64{"speed": 80, "lat": -12.25})
+	b = AppendString(b, "speed") // a repeated name, in a section built by hand
+	b = AppendFloat64(b, 95)
+	b[0] = 3
+	section := b
+	b = AppendAttrSection(nil, section)
+	b = AppendString(b, "after")
+
+	r := NewReader(b)
+	got := r.AttrSection()
+	if !bytes.Equal(got, section) || r.String() != "after" || r.Err() != nil {
+		t.Fatalf("AttrSection = %x (then %v), want %x", got, r.Err(), section)
+	}
+	for name, want := range map[string]float64{"speed": 95, "lat": -12.25} {
+		if v, ok := LookupAttr(got, name); !ok || v != want {
+			t.Errorf("LookupAttr(%q) = %v, %v; want %v", name, v, ok, want)
+		}
+	}
+	for _, sec := range [][]byte{got, AppendAttrs(nil, nil), nil, got[:len(got)-1]} {
+		if v, ok := LookupAttr(sec, "fuel"); ok {
+			t.Errorf("LookupAttr(%x, fuel) = %v, want missing", sec, v)
+		}
+	}
+	if v, ok := LookupAttr(got[:len(got)-1], "lat"); ok {
+		t.Errorf("LookupAttr on a truncated section = %v, want missing", v)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		r := NewReader(b)
+		if sec := r.AttrSection(); sec == nil {
+			t.Fatal("scan failed")
+		}
+		if _, ok := LookupAttr(section, "lat"); !ok {
+			t.Fatal("lookup failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("scan and lookup allocations = %v, want 0", allocs)
+	}
+}
+
 // FuzzReaderPrimitives checks that arbitrary input never panics the reader
 // and that declared lengths are validated before use.
 func FuzzReaderPrimitives(f *testing.F) {
