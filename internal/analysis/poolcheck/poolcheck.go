@@ -18,8 +18,11 @@
 // Deliberate ownership handoffs (e.g. a queue whose consumer recycles the
 // buffers itself) carry //clashvet:ignore poolcheck <reason> directives.
 //
-// Tracked pooled sources: results of wirecodec.GetBuf, and []byte parameters
-// of handler functions (name beginning with "handle"/"Handle").
+// Tracked pooled sources: results of wirecodec.GetBuf, []byte parameters of
+// handler functions (name beginning with "handle"/"Handle"), and the reply of
+// a Call or CallOpts that the function itself hands to wirecodec.PutBuf: the
+// transport returns replies in pooled buffers, and a caller that recycles
+// one must not keep any of it.
 package poolcheck
 
 import (
@@ -53,6 +56,7 @@ func run(pass *analysis.Pass) error {
 // when spawned via go.
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	pooled := make(map[types.Object]bool)
+	recycled := recycledObjs(pass, fd.Body)
 	if isHandlerName(fd.Name.Name) && fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
@@ -63,7 +67,40 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			}
 		}
 	}
-	walkStmts(pass, fd.Body, pooled)
+	walkStmts(pass, fd.Body, pooled, recycled)
+}
+
+// recycledObjs collects the variables the body passes to wirecodec.PutBuf.
+func recycledObjs(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+	out := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 {
+			return true
+		}
+		if pkgPath, fn, ok := analysis.CalleePkgFunc(pass.Info, call); !ok ||
+			fn != "PutBuf" || analysis.LastSegment(pkgPath) != "wirecodec" {
+			return true
+		}
+		if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
+			if obj := pass.Info.Uses[id]; obj != nil {
+				out[obj] = true
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// isCallReply reports whether expr is a Call or CallOpts method call, whose
+// first result is a transport reply.
+func isCallReply(expr ast.Expr) bool {
+	call, ok := ast.Unparen(expr).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return ok && (sel.Sel.Name == "Call" || sel.Sel.Name == "CallOpts")
 }
 
 func isHandlerName(name string) bool {
@@ -81,14 +118,14 @@ func isByteSlice(t types.Type) bool {
 
 // walkStmts processes statements in source order so assignments update the
 // pooled set before later uses are judged.
-func walkStmts(pass *analysis.Pass, body *ast.BlockStmt, pooled map[types.Object]bool) {
+func walkStmts(pass *analysis.Pass, body *ast.BlockStmt, pooled, recycled map[types.Object]bool) {
 	// handled tracks append calls already judged as part of their enclosing
 	// assignment so the pre-order walk does not report them twice.
 	handled := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			handleAssign(pass, n, pooled, handled)
+			handleAssign(pass, n, pooled, recycled, handled)
 		case *ast.GoStmt:
 			handleGo(pass, n, pooled)
 			return false // contents judged as a unit
@@ -140,8 +177,24 @@ func isPoolSource(pass *analysis.Pass, expr ast.Expr, pooled map[types.Object]bo
 	return false
 }
 
-func handleAssign(pass *analysis.Pass, as *ast.AssignStmt, pooled map[types.Object]bool, handled map[*ast.CallExpr]bool) {
+func handleAssign(pass *analysis.Pass, as *ast.AssignStmt, pooled, recycled map[types.Object]bool, handled map[*ast.CallExpr]bool) {
 	n := len(as.Rhs)
+	if n == 1 && len(as.Lhs) > 1 && isCallReply(as.Rhs[0]) {
+		// reply, err := tr.Call(...): the reply is pooled when this function
+		// recycles it.
+		if id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {
+			obj := pass.Info.Defs[id]
+			if obj == nil {
+				obj = pass.Info.Uses[id]
+			}
+			if obj != nil && recycled[obj] {
+				pooled[obj] = true
+			} else if obj != nil {
+				delete(pooled, obj)
+			}
+		}
+		return
+	}
 	if n != len(as.Lhs) {
 		return
 	}

@@ -74,4 +74,33 @@ func badDirective(s *server) {
 	s.outbox <- buf                                                    // want `pooled buffer buf sent on a channel`
 }
 
+// transport stands in for overlay.Transport: Call returns its reply in a
+// pooled buffer the caller may recycle.
+type transport interface {
+	Call(addr, msgType string, payload []byte) ([]byte, error)
+}
+
+// recycledReply hands its Call reply back to the pool, so the reply is
+// pooled: a sub-slice of it kept, sent or captured past the call is flagged.
+func recycledReply(s *server, tr transport) {
+	reply, err := tr.Call("peer", "ping", nil)
+	if err != nil {
+		return
+	}
+	s.stash = reply[2:]   // want `pooled buffer reply stored into s\.stash`
+	s.outbox <- reply[:1] // want `pooled buffer reply sent on a channel`
+	go func() {
+		use(reply) // want `pooled buffer reply captured by a spawned goroutine`
+	}()
+	s.history = append(s.history, append([]byte(nil), reply...)) // copy: fine
+	wirecodec.PutBuf(reply)
+}
+
+// keptReply never recycles its reply, which the caller then owns outright:
+// keeping it is fine.
+func keptReply(s *server, tr transport) {
+	reply, _ := tr.Call("peer", "ping", nil)
+	s.stash = reply[2:]
+}
+
 func use(b []byte) {}

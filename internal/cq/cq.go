@@ -362,22 +362,28 @@ func (e *Engine) Unregister(id string) error {
 
 // Match returns the queries matched by an event, ordered by query ID for
 // determinism.
+func (e *Engine) Match(ev Event) []Query { return e.AppendMatch(nil, ev) }
+
+// AppendMatch appends the queries matched by an event to dst, ordered by
+// query ID among themselves, and returns the extended slice. A caller that
+// passes a stack array's slice matches without allocating while the matches
+// fit in it.
 //
 //clash:hotpath
-func (e *Engine) Match(ev Event) []Query {
+func (e *Engine) AppendMatch(dst []Query, ev Event) []Query {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var out []Query
+	start := len(dst)
 	e.byRegion.VisitMatches(ev.Key, func(_ bitkey.Key, qs []Query) bool {
 		for i := range qs {
 			if qs[i].Matches(ev) {
-				out = append(out, qs[i])
+				dst = append(dst, qs[i])
 			}
 		}
 		return true
 	})
-	sortQueriesByID(out)
-	return out
+	sortQueriesByID(dst[start:])
+	return dst
 }
 
 // sortQueriesByID orders queries by ID without the sort package's interface

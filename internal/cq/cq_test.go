@@ -191,6 +191,23 @@ func TestEngineMatchRegionAndPredicates(t *testing.T) {
 	if got := e.Match(outside); len(got) != 0 {
 		t.Errorf("event outside all regions matched %v", got)
 	}
+
+	// AppendMatch keeps what dst holds, sorts only what it appends, and
+	// matches into dst's array while the matches fit.
+	var buf [4]Query
+	dst := append(buf[:0], Query{ID: "zz-kept"})
+	got = e.AppendMatch(dst, ev)
+	if len(got) != 4 || got[0].ID != "zz-kept" || &got[0] != &buf[0] {
+		t.Fatalf("AppendMatch = %v, want zz-kept then the 3 matches in dst's array", got)
+	}
+	for i, id := range wantIDs {
+		if got[i+1].ID != id {
+			t.Errorf("AppendMatch[%d] = %s, want %s", i+1, got[i+1].ID, id)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.AppendMatch(buf[:0], ev) }); allocs != 0 {
+		t.Errorf("AppendMatch into a large enough array allocates %v, want 0", allocs)
+	}
 }
 
 func TestEngineExtractGroupMigratesState(t *testing.T) {

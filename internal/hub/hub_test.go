@@ -655,7 +655,7 @@ func TestHubAdminDrainZeroLostCQ(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res *overlay.PublishResult
+		var res overlay.PublishResult
 		for attempt := 0; attempt < 20; attempt++ {
 			if res, err = cli.Publish(key, map[string]float64{"speed": 80}, nil); err == nil {
 				break

@@ -19,11 +19,12 @@ type BatchItem struct {
 // shipped in one TypeAcceptBatch frame each (one read-snapshot load per
 // frame on the remote side); cache misses and items the server redirects
 // fall back to the single-object depth-resolution path.
-// results[i] describes items[i]; a nil entry means errs[i] carries that
-// item's failure. The call itself only fails on empty input validation —
-// per-item failures never abort the rest of the batch.
-func (c *Client) PublishBatch(items []BatchItem) (results []*PublishResult, errs []error) {
-	results = make([]*PublishResult, len(items))
+// results[i] describes items[i]; when errs[i] is non-nil it carries that
+// item's failure and results[i] is the zero PublishResult. The call itself
+// only fails on empty input validation — per-item failures never abort the
+// rest of the batch.
+func (c *Client) PublishBatch(items []BatchItem) (results []PublishResult, errs []error) {
+	results = make([]PublishResult, len(items))
 	errs = make([]error, len(items))
 
 	// Partition: per-server vectors of item indexes for cache hits, the rest
@@ -70,7 +71,7 @@ func (c *Client) PublishBatch(items []BatchItem) (results []*PublishResult, errs
 
 // sendBatch ships one per-server TypeAcceptBatch frame and applies its
 // replies; items the server did not accept are appended to slow.
-func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, items []BatchItem, results []*PublishResult, errs []error, slow *[]int) {
+func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, items []BatchItem, results []PublishResult, errs []error, slow *[]int) {
 	req := core.AcceptBatchMsg{Objects: make([]core.AcceptObjectMsg, len(idx))}
 	payloadBufs := make([][]byte, len(idx))
 	for j, i := range idx {
@@ -120,7 +121,7 @@ func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, 
 		case core.StatusOK, core.StatusOKCorrected:
 			c.router.Learn(res.Group, srv)
 			c.lastDepth.Store(int64(res.CorrectDepth))
-			results[i] = &PublishResult{Server: string(srv), Group: res.Group, Probes: 1, Matches: rep.Matches}
+			results[i] = PublishResult{Server: string(srv), Group: res.Group, Probes: 1, Matches: rep.Matches}
 		default:
 			// INCORRECT_DEPTH: the group moved; re-resolve individually.
 			c.router.Forget(groups[j])

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -12,16 +11,34 @@ import (
 	"clash/internal/wirecodec"
 )
 
-// Match is one continuous-query match pushed to the subscribing client.
+// Match is one continuous-query match pushed to the subscribing client. It
+// owns one copy of the packet's payload and attribute section, so it stays
+// valid after the push's frame buffer is recycled.
 type Match struct {
 	// QueryID is the matched query.
 	QueryID string
 	// Key is the identifier key of the matching data packet.
 	Key bitkey.Key
-	// Attrs are the packet's attributes.
-	Attrs map[string]float64
-	// Payload is the packet's opaque payload.
+	// Payload is the packet's opaque payload. The attribute section is
+	// stored in its spare capacity: appending to Payload overwrites it, so
+	// read Attrs first.
 	Payload []byte
+	// attrsLen is the length of the attribute section at the end of
+	// Payload's capacity. Keeping the section there rather than in a slice
+	// of its own keeps Match at four words, and the client's match channel
+	// buffers matchBuffer of them.
+	attrsLen int
+}
+
+// Attrs decodes the packet's attributes, as the publisher wrote them (the
+// node forwards the section verbatim), into a fresh map; nil when the packet
+// carried none. A name given twice keeps its last value.
+func (m Match) Attrs() map[string]float64 {
+	full := m.Payload[:cap(m.Payload)]
+	if m.attrsLen > len(full) {
+		return nil
+	}
+	return readAttrs(full[len(full)-m.attrsLen:])
 }
 
 // matchBuffer is the client-side match channel capacity; deliveries beyond it
@@ -129,10 +146,16 @@ func (c *Client) handle(msgType string, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The decoded payload and section alias the transport's pooled request
+	// buffer; the Match escapes to the application, so it owns one copy of
+	// both: the payload, then the section in its spare capacity.
+	match := Match{QueryID: m.QueryID, Key: key, attrsLen: len(m.Attrs)}
+	if n := len(m.Payload) + len(m.Attrs); n > 0 {
+		buf := append(append(make([]byte, 0, n), m.Payload...), m.Attrs...)
+		match.Payload = buf[:len(m.Payload)]
+	}
 	select {
-	// The decoded payload aliases the transport's pooled request buffer; the
-	// Match escapes to the application, so it must own its bytes.
-	case c.matches <- Match{QueryID: m.QueryID, Key: key, Attrs: readAttrs(m.Attrs), Payload: bytes.Clone(m.Payload)}:
+	case c.matches <- match:
 	default:
 		c.drops.Add(1)
 	}
@@ -187,6 +210,7 @@ func decodeAccept(reply *core.AcceptObjectReplyMsg) (core.AcceptObjectResult, er
 // the contacted server chains its own span under. It encodes and decodes the
 // concrete messages directly and returns the reply by value: passing them
 // through call's wireMsg interface would heap-allocate both on every probe.
+// The reply buffer is recycled once decoded.
 func (c *Client) acceptObject(addr string, key bitkey.Key, depth int, kind core.ObjectKind, payload []byte, traceID, parentSpan uint64, hop int) (core.AcceptObjectResult, core.AcceptObjectReplyMsg, error) {
 	req := core.AcceptObjectMsg{
 		KeyValue:   key.Value,
@@ -205,7 +229,11 @@ func (c *Client) acceptObject(addr string, key bitkey.Key, depth int, kind core.
 		return core.AcceptObjectResult{}, core.AcceptObjectReplyMsg{}, err
 	}
 	var reply core.AcceptObjectReplyMsg
-	if err := reply.UnmarshalWire(data); err != nil {
+	err = reply.UnmarshalWire(data)
+	// The decode copied every string out of the reply, so its pooled buffer
+	// goes back at once.
+	wirecodec.PutBuf(data)
+	if err != nil {
 		return core.AcceptObjectResult{}, core.AcceptObjectReplyMsg{}, fmt.Errorf("overlay: decode %s reply: %w", TypeAcceptObject, err)
 	}
 	res, err := decodeAccept(&reply)
@@ -215,7 +243,8 @@ func (c *Client) acceptObject(addr string, key bitkey.Key, depth int, kind core.
 	return res, reply, nil
 }
 
-// PublishResult summarises one delivered object.
+// PublishResult summarises one delivered object. Publish, Register and
+// PublishBatch return it by value, so a delivery allocates no result.
 type PublishResult struct {
 	// Server is the overlay node that accepted the object.
 	Server string
@@ -232,9 +261,9 @@ type PublishResult struct {
 // first and falls back to a full depth resolution on a miss or redirect. The
 // object payload rides on every probe and takes effect exactly once, on the
 // probe the responsible server answers with OK.
-func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (*PublishResult, error) {
+func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (PublishResult, error) {
 	if key.Bits != c.keyBits {
-		return nil, fmt.Errorf("%w: key %d bits, want %d", core.ErrBadKey, key.Bits, c.keyBits)
+		return PublishResult{}, fmt.Errorf("%w: key %d bits, want %d", core.ErrBadKey, key.Bits, c.keyBits)
 	}
 	// One trace ID covers the whole delivery: every probe of a sampled
 	// object carries it, so the resolve hops and the final landing are
@@ -265,7 +294,7 @@ func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (
 		case res.Status == core.StatusOK || res.Status == core.StatusOKCorrected:
 			c.router.Learn(res.Group, srv)
 			c.lastDepth.Store(int64(res.CorrectDepth))
-			return &PublishResult{Server: string(srv), Group: res.Group, Probes: 1, Matches: reply.Matches}, nil
+			return PublishResult{Server: string(srv), Group: res.Group, Probes: 1, Matches: reply.Matches}, nil
 		default:
 			// INCORRECT_DEPTH: the cached group moved or changed depth.
 			c.router.Forget(g)
@@ -305,17 +334,17 @@ func (c *Client) deliver(key bitkey.Key, kind core.ObjectKind, payload []byte) (
 	}
 	rr, err := core.ResolveDepth(c.keyBits, int(c.lastDepth.Load()), probe)
 	if err != nil {
-		return nil, err
+		return PublishResult{}, err
 	}
 	c.router.Learn(rr.Group, core.ServerID(lastAddr))
 	c.lastDepth.Store(int64(rr.Depth))
-	return &PublishResult{Server: lastAddr, Group: rr.Group, Probes: rr.Probes, Matches: lastMatches}, nil
+	return PublishResult{Server: lastAddr, Group: rr.Group, Probes: rr.Probes, Matches: lastMatches}, nil
 }
 
 // Publish delivers one data packet to the overlay node responsible for its
 // identifier key and returns where it landed and which continuous queries it
 // matched.
-func (c *Client) Publish(key bitkey.Key, attrs map[string]float64, payload []byte) (*PublishResult, error) {
+func (c *Client) Publish(key bitkey.Key, attrs map[string]float64, payload []byte) (PublishResult, error) {
 	// Direct call rather than marshalMsg, which would box msg into wireMsg.
 	msg := dataMsg{Attrs: attrs, Payload: payload}
 	data := msg.MarshalWire(wirecodec.GetBuf())
@@ -326,17 +355,17 @@ func (c *Client) Publish(key bitkey.Key, attrs map[string]float64, payload []byt
 // Register installs a continuous query on the overlay node responsible for
 // the query's identifier key. Matches are pushed to this client's transport
 // address and surface on Matches().
-func (c *Client) Register(q cq.Query) (*PublishResult, error) {
+func (c *Client) Register(q cq.Query) (PublishResult, error) {
 	data, err := q.Marshal()
 	if err != nil {
-		return nil, err
+		return PublishResult{}, err
 	}
 	st := queryState{Query: data, Subscriber: c.tr.Addr()}
 	payload := marshalMsg(&st)
 	defer wirecodec.PutBuf(payload)
 	ik, err := q.IdentifierKey(c.keyBits)
 	if err != nil {
-		return nil, err
+		return PublishResult{}, err
 	}
 	return c.deliver(ik, core.ObjectQuery, payload)
 }

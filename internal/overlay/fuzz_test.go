@@ -51,7 +51,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(two)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
+		got, err := readFrameInto(bufio.NewReader(bytes.NewReader(data)), nil)
 		inPlace, ierr := decodeFrame(data)
 		if c, ic := frameErrClass(err), frameErrClass(ierr); c != ic {
 			t.Fatalf("stream reader: %v (%s); slice decoder: %v (%s)", err, c, ierr, ic)

@@ -102,7 +102,10 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 	if !codecStart.IsZero() && req.TraceID != 0 {
 		codecMicros = n.cfg.Clock.Now().Sub(codecStart).Microseconds()
 	}
-	reply, changed, err := n.acceptOne(&req, codecMicros)
+	// The reply's matched query IDs go into this frame's array while they
+	// fit: the reply is encoded below and never outlives the handler.
+	var ids [inlineMatches]string
+	reply, changed, err := n.acceptOne(&req, ids[:0], codecMicros)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +182,7 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 			out.Replies[i] = core.AcceptObjectReplyMsg{Error: errs[i].Error()}
 			continue
 		}
-		rep, changed, err := n.applyObject(&req.Objects[i], keys[i], results[i], routeMicros, codecMicros)
+		rep, changed, err := n.applyObject(&req.Objects[i], keys[i], results[i], nil, routeMicros, codecMicros)
 		if err != nil {
 			out.Replies[i] = core.AcceptObjectReplyMsg{Error: err.Error()}
 			continue
@@ -202,11 +205,11 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 }
 
 // acceptOne runs one object through the server state machine and its side
-// effects. The bool reports whether the stored query state changed (see
-// applyObject).
+// effects. The bool reports whether the stored query state changed, and ids
+// is the reply's scratch for matched query IDs (see applyObject).
 // codecMicros is the frame decode time the caller measured (only meaningful
 // on a traced request).
-func (n *Node) acceptOne(req *core.AcceptObjectMsg, codecMicros int64) (core.AcceptObjectReplyMsg, bool, error) {
+func (n *Node) acceptOne(req *core.AcceptObjectMsg, ids []string, codecMicros int64) (core.AcceptObjectReplyMsg, bool, error) {
 	key, err := bitkey.New(req.KeyValue, req.KeyBits)
 	if err != nil {
 		return core.AcceptObjectReplyMsg{}, false, err
@@ -224,17 +227,24 @@ func (n *Node) acceptOne(req *core.AcceptObjectMsg, codecMicros int64) (core.Acc
 	if traced {
 		routeMicros = n.cfg.Clock.Now().Sub(routeStart).Microseconds()
 	}
-	return n.applyObject(req, key, res, routeMicros, codecMicros)
+	return n.applyObject(req, key, res, ids, routeMicros, codecMicros)
 }
+
+// inlineMatches sizes the stack arrays the publish path matches into: the
+// matched queries, their reply IDs and their push targets. A publish that
+// matches more queries grows them onto the heap.
+const inlineMatches = 8
 
 // applyObject converts a state-machine result into the wire reply and, when
 // the object landed on the right server, applies its application effect
 // (meter + query match for data, engine registration for queries). The bool
 // reports whether the stored query state changed: a new continuous query, or
 // a new subscriber for a stored one (the caller pushes a replica update when
-// so). routeMicros is the state-machine time the caller
-// measured for this object (only meaningful on a traced request).
-func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.AcceptObjectResult, routeMicros, codecMicros int64) (core.AcceptObjectReplyMsg, bool, error) {
+// so). The reply's Matches are appended to ids, an empty slice: nil, or
+// the caller's stack array.
+// routeMicros is the state-machine time the caller measured for this object
+// (only meaningful on a traced request).
+func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.AcceptObjectResult, ids []string, routeMicros, codecMicros int64) (core.AcceptObjectReplyMsg, bool, error) {
 	var obs Observer
 	if req.TraceID != 0 {
 		obs = n.obs.get()
@@ -309,13 +319,15 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 		if obs != nil {
 			matchStart = n.cfg.Clock.Now()
 		}
-		matched := n.engine.Match(ev)
+		var qs [inlineMatches]cq.Query
+		matched := n.engine.AppendMatch(qs[:0], ev)
 		if obs != nil {
 			matchMicros = n.cfg.Clock.Now().Sub(matchStart).Microseconds()
 		}
-		for _, q := range matched {
-			reply.Matches = append(reply.Matches, q.ID)
+		for i := range matched {
+			ids = append(ids, matched[i].ID)
 		}
+		reply.Matches = ids
 		pushCtx := spanRef{TraceID: req.TraceID, Hop: req.Hop + 1}
 		if obs != nil {
 			// The engine match is a same-node child span of the accept span;
@@ -384,7 +396,9 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 // data path, or inline when Config.InlineMatchPush is set (the simulator's
 // single-threaded mode). Deliveries follow the matched order (engine.Match
 // sorts by query ID), so a deterministic transport sees a deterministic
-// message sequence.
+// message sequence. The inline path allocates nothing while the targets fit
+// in inlineMatches: each push is encoded into a pooled buffer and delivered
+// by a method, not a closure.
 // tc, when it carries a non-zero TraceID, marks the originating publish as
 // sampled: each delivery's time is reported as a deliver-stage observation
 // plus a subscriber-deliver span chained under tc.Parent (the cq-match span).
@@ -398,82 +412,97 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 	if len(matched) == 0 {
 		return
 	}
-	type target struct{ id, sub string }
+	var buf [inlineMatches]matchPush
+	pushes := buf[:0]
 	n.mu.Lock()
-	targets := make([]target, 0, len(matched))
-	for _, q := range matched {
-		if sub := n.queries[q.ID].subscriber; sub != "" {
-			targets = append(targets, target{id: q.ID, sub: sub})
+	for i := range matched {
+		if sub := n.queries[matched[i].ID].subscriber; sub != "" {
+			pushes = append(pushes, matchPush{tc: tc, queryID: matched[i].ID, sub: sub})
 		}
 	}
 	n.mu.Unlock()
-	for _, t := range targets {
-		var spanID uint64
-		var enqueued time.Time
+	for i := range pushes {
+		p := &pushes[i]
 		if tc.TraceID != 0 && n.obs.get() != nil {
-			spanID = n.nextSpanID()
-			enqueued = n.cfg.Clock.Now()
+			p.spanID = n.nextSpanID()
+			p.enqueued = n.cfg.Clock.Now()
 		}
-		msg := &matchMsg{
-			QueryID:    t.id,
+		msg := matchMsg{
+			QueryID:    p.queryID,
 			KeyValue:   ev.Key.Value,
 			KeyBits:    ev.Key.Bits,
 			Attrs:      ev.AttrSection,
 			Payload:    ev.Payload,
 			TraceID:    tc.TraceID,
-			ParentSpan: spanID,
+			ParentSpan: p.spanID,
 			Hop:        tc.Hop,
 		}
 		// Marshal synchronously: ev.AttrSection and ev.Payload may alias the
 		// pooled request buffer, which the transport recycles once the
-		// publish handler returns. The marshalled frame is self-contained, so the async
-		// delivery goroutine only ever touches the copy.
-		payload := marshalMsg(msg)
-		deliver := func(sub, queryID string, payload []byte) {
-			defer wirecodec.PutBuf(payload)
-			obs := n.obs.get()
-			var start time.Time
-			if tc.TraceID != 0 && obs != nil {
-				start = n.cfg.Clock.Now()
-			}
-			// Match delivery is at-most-once (not idempotent), but the caller
-			// still supplies the data-class deadline and retries a shed — the
-			// handler never ran, so a resend cannot duplicate a notification.
-			// On TCP the push is one-way: it returns once written, and a shed
-			// or handler error never comes back.
-			if _, err := n.caller.call(sub, TypeMatch, payload); err != nil {
-				atomic.AddInt64(&n.matchDrops, 1)
-			}
-			if tc.TraceID != 0 && obs != nil {
-				rtt := n.cfg.Clock.Now().Sub(start).Microseconds()
-				obs.OnTraceStage(TraceStageDeliver, rtt)
-				if spanID == 0 {
-					// The observer appeared between enqueue and delivery; no
-					// span ID (or queue stamp) was drawn, so skip the span.
-					return
-				}
-				n.emitSpan(obs, Span{
-					TraceID:       tc.TraceID,
-					SpanID:        spanID,
-					Parent:        tc.Parent,
-					Hop:           tc.Hop,
-					Kind:          HopDeliver,
-					Detail:        "query=" + queryID,
-					QueueMicros:   start.Sub(enqueued).Microseconds(),
-					NetworkMicros: rtt,
-				})
-			}
-		}
+		// publish handler returns. The marshalled frame is self-contained, so
+		// the async delivery goroutine only ever touches the copy.
+		p.payload = msg.MarshalWire(wirecodec.GetBuf())
 		if n.cfg.InlineMatchPush {
-			deliver(t.sub, t.id, payload)
+			n.deliverMatch(p)
 			continue
 		}
 		n.wg.Add(1)
-		go func(sub, queryID string, payload []byte) {
+		go func(p matchPush) {
 			defer n.wg.Done()
-			deliver(sub, queryID, payload)
-		}(t.sub, t.id, payload)
+			n.deliverMatch(&p)
+		}(*p)
 	}
+}
+
+// matchPush is one planned match notification: the subscriber, the matched
+// query, the encoded frame payload (a pooled buffer deliverMatch recycles)
+// and, for a sampled publish, the trace context with the push span's ID and
+// enqueue time.
+type matchPush struct {
+	tc       spanRef
+	queryID  string
+	sub      string
+	payload  []byte
+	spanID   uint64
+	enqueued time.Time
+}
+
+// deliverMatch sends one planned match push and recycles its payload.
+func (n *Node) deliverMatch(p *matchPush) {
+	defer wirecodec.PutBuf(p.payload)
+	obs := n.obs.get()
+	var start time.Time
+	if p.tc.TraceID != 0 && obs != nil {
+		start = n.cfg.Clock.Now()
+	}
+	// Match delivery is at-most-once (not idempotent), but the caller still
+	// supplies the data-class deadline and retries a shed — the handler never
+	// ran, so a resend cannot duplicate a notification. On TCP the push is
+	// one-way: it returns once written, and a shed or handler error never
+	// comes back.
+	if _, err := n.caller.call(p.sub, TypeMatch, p.payload); err != nil {
+		atomic.AddInt64(&n.matchDrops, 1)
+	}
+	if p.tc.TraceID == 0 || obs == nil {
+		return
+	}
+	rtt := n.cfg.Clock.Now().Sub(start).Microseconds()
+	obs.OnTraceStage(TraceStageDeliver, rtt)
+	if p.spanID == 0 {
+		// The observer appeared between enqueue and delivery; no span ID (or
+		// queue stamp) was drawn, so skip the span.
+		return
+	}
+	n.emitSpan(obs, Span{
+		TraceID:       p.tc.TraceID,
+		SpanID:        p.spanID,
+		Parent:        p.tc.Parent,
+		Hop:           p.tc.Hop,
+		Kind:          HopDeliver,
+		Detail:        "query=" + p.queryID,
+		QueueMicros:   start.Sub(p.enqueued).Microseconds(),
+		NetworkMicros: rtt,
+	})
 }
 
 func (n *Node) handleAcceptKeyGroup(payload []byte) ([]byte, error) {

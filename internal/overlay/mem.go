@@ -512,20 +512,31 @@ func (e *MemEndpoint) CallOpts(addr, msgType string, payload []byte, opts CallOp
 	if err != nil {
 		return nil, err
 	}
-	// The reply payload escapes to the caller, so it is copied out of the
-	// pooled frame once.
-	out := append([]byte(nil), rf.payload...)
-	wirecodec.PutBuf(repBuf)
 	if rf.seq != seq {
+		wirecodec.PutBuf(repBuf)
 		return nil, fmt.Errorf("%w: reply seq %d for call %d", ErrBadFrame, rf.seq, seq)
 	}
+	// The reply payload escapes to the caller, so it is copied out of the
+	// frame once, into a pooled buffer the caller may recycle (see
+	// Transport.Call). An error's text becomes a string instead.
+	size := frameHeaderSize + len(rf.payload)
+	var out []byte
+	var remote *RemoteError
+	switch {
+	case rtyp == typeReplyErr:
+		remote = &RemoteError{Msg: string(rf.payload)}
+	case len(rf.payload) > 0:
+		out = append(wirecodec.GetBuf(), rf.payload...)
+	}
+	wirecodec.PutBuf(repBuf)
 	if lc != nil {
 		if err := lc.leg(target, e, false); err != nil {
+			wirecodec.PutBuf(out)
 			return nil, err
 		}
 		lc.spend(0, lc.elapsed)
 	}
-	e.stats.countIn(frameHeaderSize + len(out))
+	e.stats.countIn(size)
 	if opts.RTT != nil {
 		if lc != nil && lc.virtual {
 			// Virtual time does not pass during a call: report the modeled
@@ -535,8 +546,8 @@ func (e *MemEndpoint) CallOpts(addr, msgType string, payload []byte, opts CallOp
 			*opts.RTT = n.clk.Now().Sub(start)
 		}
 	}
-	if rtyp == typeReplyErr {
-		return nil, &RemoteError{Msg: string(out)}
+	if remote != nil {
+		return nil, remote
 	}
 	return out, nil
 }

@@ -146,7 +146,7 @@ func TestOverlayCrashRecoveryTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res *PublishResult
+		var res PublishResult
 		for attempt := 0; attempt < 5; attempt++ {
 			res, err = client.Publish(key, map[string]float64{"speed": 80}, nil)
 			if err == nil {

@@ -509,7 +509,9 @@ func (n *Node) sendPush(p *replicaPush, t pushTarget, tc spanRef) {
 	}
 	atomic.AddInt64(counter, 1)
 	raw, err := n.caller.call(t.addr, TypeReplicateKeyGroup, payload)
-	if n.noteAck(p, t, raw, err) {
+	refused := n.noteAck(p, t, raw, err)
+	wirecodec.PutBuf(raw) // the ack decodes into integers only
+	if refused {
 		atomic.AddInt64(&n.repRefused, 1)
 		n.push([]string{t.addr}, tc)
 	}
@@ -994,7 +996,7 @@ func (n *Node) placeQuery(st queryState) error {
 		}
 		var reply core.AcceptObjectReplyMsg
 		if owner == self {
-			reply, _, err = n.acceptOne(&req, 0)
+			reply, _, err = n.acceptOne(&req, nil, 0)
 			if err != nil {
 				return core.AcceptObjectResult{}, err
 			}
@@ -1003,7 +1005,9 @@ func (n *Node) placeQuery(st queryState) error {
 			if err != nil {
 				return core.AcceptObjectResult{}, err
 			}
-			if err := reply.UnmarshalWire(raw); err != nil {
+			err = reply.UnmarshalWire(raw)
+			wirecodec.PutBuf(raw) // the decode copied its strings out
+			if err != nil {
 				return core.AcceptObjectResult{}, err
 			}
 		}

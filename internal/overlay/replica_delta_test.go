@@ -431,7 +431,7 @@ func TestRetiredDeltaTypeRefused(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := readFrame(bufio.NewReader(conn))
+	reply, err := readFrameInto(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatalf("reading the reply: %v", err)
 	}

@@ -100,23 +100,31 @@ func newCaller(tr Transport, susp *suspicion, now func() time.Time, sleep func(t
 	return c
 }
 
+// rttCells recycles the RTT out-parameter of CallOpts: a pointer passed
+// through the Transport interface escapes, so a local Duration would cost an
+// allocation on every call (every match push among them).
+var rttCells = sync.Pool{New: func() any { return new(time.Duration) }}
+
 // call performs one logical RPC under the call policy and returns the reply
 // payload. Errors keep their transport identity (ErrDeadline, ErrShed,
 // ErrUnreachable wraps, *RemoteError).
 func (c *caller) call(addr, msgType string, payload []byte) ([]byte, error) {
 	class := classTimeout(msgType)
 	idempotent := idempotentTypes[msgType]
+	rtt := rttCells.Get().(*time.Duration)
+	defer rttCells.Put(rtt)
 	for attempt := 0; ; attempt++ {
 		timeout := c.susp.timeoutFor(addr, class, bulkTimeout)
-		var rtt time.Duration
+		*rtt = 0
 		start := c.now()
-		reply, err := c.tr.CallOpts(addr, msgType, payload, CallOpts{Timeout: timeout, RTT: &rtt})
+		reply, err := c.tr.CallOpts(addr, msgType, payload, CallOpts{Timeout: timeout, RTT: rtt})
 		if err == nil || IsRemote(err) {
 			// A remote application error still proves the peer alive.
-			if rtt == 0 {
-				rtt = c.now().Sub(start)
+			d := *rtt
+			if d == 0 {
+				d = c.now().Sub(start)
 			}
-			c.susp.observeSuccess(addr, rtt)
+			c.susp.observeSuccess(addr, d)
 			return reply, err
 		}
 		shed := errors.Is(err, ErrShed)

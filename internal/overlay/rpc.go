@@ -27,7 +27,9 @@ type callFunc func(addr, msgType string, payload []byte) ([]byte, error)
 // callWith encodes req with the binary codec, performs the exchange through do
 // and decodes the reply into resp (which may be nil for fire-and-forget
 // replies). The request buffer comes from the codec pool, so the encode path
-// does not allocate in steady state.
+// does not allocate in steady state, and the pooled reply goes back to it
+// once decoded: resp must copy what it keeps (every reply type decoded here,
+// nodeRefMsg and core.AcceptBatchReplyMsg, copies its strings out).
 func callWith(do callFunc, addr, msgType string, req, resp wireMsg) error {
 	var payload []byte
 	if req != nil {
@@ -38,6 +40,7 @@ func callWith(do callFunc, addr, msgType string, req, resp wireMsg) error {
 	if err != nil {
 		return err
 	}
+	defer wirecodec.PutBuf(reply)
 	if resp == nil {
 		return nil
 	}

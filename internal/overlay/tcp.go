@@ -432,9 +432,9 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 	for {
 		// Request payloads live in pooled buffers end-to-end: the handler
 		// decodes in place and the worker recycles the buffer once the reply
-		// frame (a copy) is built. readFrameInto hands the buffer back through
-		// f.payload on every path, so every path below recycles it.
-		f, err := readFrameInto(br, wirecodec.GetBuf())
+		// frame (a copy) is built. readPooledFrame hands the buffer back
+		// through f.payload on every path, so every path below recycles it.
+		f, err := readPooledFrame(br)
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The oversized payload was skipped and framing is intact:
@@ -476,6 +476,19 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			go in.worker(f)
 		}
 	}
+}
+
+// readPooledFrame reads the next frame with readFrameInto into a pooled
+// buffer, drawn only once the frame's header is in: a connection's reader
+// idles here between frames, and a buffer drawn ahead (grown to any size by
+// an earlier user) would stay pinned all that time. As with readFrameInto,
+// the caller recycles f.payload on every path; it is nil when no header
+// arrived.
+func readPooledFrame(r *bufio.Reader) (frame, error) {
+	if _, err := r.Peek(frameHeaderSize); err != nil {
+		return frame{}, err
+	}
+	return readFrameInto(r, wirecodec.GetBuf())
 }
 
 // callResult is what the demux reader delivers to a waiting Call.
@@ -566,16 +579,20 @@ func (m *muxConn) fail(err error) {
 
 // readLoop demultiplexes reply frames to the in-flight calls and reaps the
 // connection after tcpMuxIdle without traffic. Frames are read through a
-// small buffer, so a header and its payload usually cost one read. The idle
-// deadline is armed once; the idleReader moves it from lastUsed when it
-// fires, so it surfaces here only after tcpMuxIdle with no call, no
-// notification and no reply byte.
+// small buffer, so a header and its payload usually cost one read, and each
+// payload into a pooled buffer that travels to the waiting call (the caller
+// may recycle it; see Transport.Call). A reply no call takes, and every
+// empty one, goes straight back to the pool. The idle deadline is armed
+// once; the idleReader moves it from lastUsed when it fires, so it surfaces
+// here only after tcpMuxIdle with no call, no notification and no reply
+// byte.
 func (m *muxConn) readLoop() {
 	defer m.t.wg.Done()
 	br := bufio.NewReaderSize(armIdle(m.conn, tcpMuxIdle, &m.lastUsed), frameReadBuffer)
 	for {
-		f, err := readFrame(br)
+		f, err := readPooledFrame(br)
 		if err != nil {
+			wirecodec.PutBuf(f.payload)
 			if errors.Is(err, ErrFrameTooLarge) {
 				// Only the oversized reply's call fails; the connection and
 				// the other in-flight calls stay healthy.
@@ -601,25 +618,34 @@ func (m *muxConn) readLoop() {
 			return
 		}
 		if f.typ != typeReplyOK && f.typ != typeReplyErr && f.typ != typeReplyShed {
+			wirecodec.PutBuf(f.payload)
 			m.fail(fmt.Errorf("%w: reply type %#x", ErrBadFrame, f.typ))
 			return
 		}
 		m.t.stats.countIn(frameHeaderSize + len(f.payload))
+		if len(f.payload) == 0 {
+			// An empty reply reaches the caller as nil, as on the in-memory
+			// fabric.
+			wirecodec.PutBuf(f.payload)
+			f.payload = nil
+		}
 		m.deliver(f.seq, callResult{typ: f.typ, payload: f.payload})
 	}
 }
 
 // deliver hands a result to the call waiting on seq. Replies for unknown
 // sequence IDs (a call that timed out meanwhile, or seq 0 from a peer that
-// answers notifications) are dropped.
+// answers notifications) are dropped, their payload recycled.
 func (m *muxConn) deliver(seq uint64, res callResult) {
 	m.mu.Lock()
 	ch, ok := m.inflight[seq]
 	delete(m.inflight, seq)
 	m.mu.Unlock()
-	if ok {
-		ch <- res
+	if !ok {
+		wirecodec.PutBuf(res.payload)
+		return
 	}
+	ch <- res
 }
 
 // send is notify for a one-way type and call for every other.
@@ -671,11 +697,15 @@ func (m *muxConn) call(typ byte, payload []byte, timeout time.Duration) ([]byte,
 		}
 		switch res.typ {
 		case typeReplyErr:
-			return nil, &RemoteError{Msg: string(res.payload)}
+			err = &RemoteError{Msg: string(res.payload)}
 		case typeReplyShed:
-			return nil, fmt.Errorf("%w: %s: %s", ErrShed, m.addr, res.payload)
+			err = fmt.Errorf("%w: %s: %s", ErrShed, m.addr, res.payload)
+		default:
+			return res.payload, nil
 		}
-		return res.payload, nil
+		// The error copied the text out of the pooled reply.
+		wirecodec.PutBuf(res.payload)
+		return nil, err
 	case <-cw.timer.C:
 		m.abandon(seq)
 		m.t.stats.timeouts.Add(1)

@@ -55,7 +55,8 @@ func IsRemote(err error) bool {
 // them) must copy them first. The returned reply transfers ownership to the
 // transport, which encodes it into the reply frame and may recycle it into the
 // same pool; a reply must therefore be a fresh or pool-drawn buffer, never a
-// slice aliasing the request payload or any long-lived state.
+// slice aliasing the request payload or any long-lived state. The caller
+// never sees the handler's buffer: Call hands it a copy of its own.
 type Handler func(msgType string, payload []byte) ([]byte, error)
 
 // TransportStats is a snapshot of one transport's cumulative counters,
@@ -172,10 +173,17 @@ type Transport interface {
 	// and neither the handler's error nor a frame lost with a dying
 	// connection comes back. The in-memory fabric still runs every type as a
 	// round trip.
+	//
+	// Reply ownership: the reply belongs to the caller and lives in a pooled
+	// buffer (wirecodec.GetBuf); an empty reply is nil. A caller that is
+	// done with it, and keeps nothing aliasing it (a decode that copies its
+	// strings out, say), may hand it back with wirecodec.PutBuf so the next
+	// reply reuses it; a caller that keeps the reply simply leaves it to the
+	// garbage collector.
 	Call(addr, msgType string, payload []byte) ([]byte, error)
 	// CallOpts is Call with per-call options: a deadline (ErrDeadline when it
 	// expires before the reply) and an optional latency report. Call is
-	// CallOpts with the zero options.
+	// CallOpts with the zero options, and its reply is owned the same way.
 	CallOpts(addr, msgType string, payload []byte, opts CallOpts) ([]byte, error)
 	// Stats returns the transport's cumulative counters.
 	Stats() TransportStats

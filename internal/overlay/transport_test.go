@@ -36,9 +36,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("appendFrame(%d): %v", tc.seq, err)
 		}
-		streamed, err := readFrame(bufio.NewReader(bytes.NewReader(buf)))
+		streamed, err := readFrameInto(bufio.NewReader(bytes.NewReader(buf)), nil)
 		if err != nil {
-			t.Fatalf("readFrame(%d): %v", tc.seq, err)
+			t.Fatalf("readFrameInto(%d): %v", tc.seq, err)
 		}
 		inPlace, err := decodeFrame(buf)
 		if err != nil {
@@ -77,11 +77,11 @@ func TestFrameGoldenBytes(t *testing.T) {
 func TestFrameRejectsBadInput(t *testing.T) {
 	stream := func(b []byte) *bufio.Reader { return bufio.NewReader(bytes.NewReader(b)) }
 	// A clean close before a frame is io.EOF; one inside a header is not.
-	if _, err := readFrame(stream(nil)); err != io.EOF {
-		t.Errorf("readFrame(empty) = %v, want io.EOF", err)
+	if _, err := readFrameInto(stream(nil), nil); err != io.EOF {
+		t.Errorf("readFrameInto(empty) = %v, want io.EOF", err)
 	}
-	if _, err := readFrame(stream([]byte{0, 0})); err != io.ErrUnexpectedEOF {
-		t.Errorf("readFrame(truncated header) = %v, want io.ErrUnexpectedEOF", err)
+	if _, err := readFrameInto(stream([]byte{0, 0}), nil); err != io.ErrUnexpectedEOF {
+		t.Errorf("readFrameInto(truncated header) = %v, want io.ErrUnexpectedEOF", err)
 	}
 	// Unknown version is unrecoverable framing corruption.
 	buf, err := appendFrame(nil, 1, typePing, nil)
@@ -90,8 +90,8 @@ func TestFrameRejectsBadInput(t *testing.T) {
 	}
 	bad := append([]byte(nil), buf...)
 	bad[12] = 99
-	if _, err := readFrame(stream(bad)); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("readFrame(bad version) = %v, want ErrBadFrame", err)
+	if _, err := readFrameInto(stream(bad), nil); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("readFrameInto(bad version) = %v, want ErrBadFrame", err)
 	}
 	// Oversized payload on the write side is rejected before any I/O.
 	if _, err := appendFrame(nil, 1, typePing, make([]byte, maxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
@@ -123,16 +123,16 @@ func TestFrameOversizeRecoverable(t *testing.T) {
 	stream.Write(good)
 
 	br := bufio.NewReader(&stream)
-	f, err := readFrame(br)
+	f, err := readFrameInto(br, nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("readFrame(oversized) = %v, want ErrFrameTooLarge", err)
+		t.Fatalf("readFrameInto(oversized) = %v, want ErrFrameTooLarge", err)
 	}
 	if f.seq != 42 || f.typ != typeAcceptObject {
 		t.Errorf("oversized header = (%d, %#x), want (42, accept_object)", f.seq, f.typ)
 	}
-	f, err = readFrame(br)
+	f, err = readFrameInto(br, nil)
 	if err != nil {
-		t.Fatalf("readFrame after oversized: %v", err)
+		t.Fatalf("readFrameInto after oversized: %v", err)
 	}
 	if f.seq != 43 || string(f.payload) != "after" {
 		t.Errorf("next frame = (%d, %q)", f.seq, f.payload)
@@ -564,7 +564,7 @@ func TestTCPOversizedFrameKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	f, err := readFrame(br)
+	f, err := readFrameInto(br, nil)
 	if err != nil {
 		t.Fatalf("reading error reply: %v", err)
 	}
@@ -580,7 +580,7 @@ func TestTCPOversizedFrameKeepsConnection(t *testing.T) {
 	if _, err := conn.Write(good); err != nil {
 		t.Fatal(err)
 	}
-	f, err = readFrame(br)
+	f, err = readFrameInto(br, nil)
 	if err != nil {
 		t.Fatalf("reading reply after oversized frame: %v", err)
 	}
@@ -705,4 +705,55 @@ func TestTCPTransportClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
+}
+
+// testRepliesOwnedByCaller holds the reply-ownership rule of Transport.Call:
+// every reply is a pooled buffer the caller owns. Replies a caller keeps must
+// stay intact while the replies of other, concurrent calls are recycled and
+// their buffers handed out again.
+func testRepliesOwnedByCaller(t *testing.T, srv, cli Transport) {
+	srv.SetHandler(func(_ string, payload []byte) ([]byte, error) {
+		return append(append(wirecodec.GetBuf(), "r:"...), payload...), nil
+	})
+	const workers, calls = 4, 200
+	var wg sync.WaitGroup
+	kept := make([][][]byte, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				req := fmt.Sprintf("w%d-%d", w, i)
+				reply, err := cli.Call(srv.Addr(), TypePing, []byte(req))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if string(reply) != "r:"+req {
+					t.Errorf("reply %q, want r:%s", reply, req)
+				}
+				if i%2 == 0 {
+					kept[w] = append(kept[w], reply)
+				} else {
+					wirecodec.PutBuf(reply)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range kept {
+		for j, reply := range kept[w] {
+			if want := fmt.Sprintf("r:w%d-%d", w, 2*j); string(reply) != want {
+				t.Errorf("kept reply %d of worker %d reads %q, want %q", j, w, reply, want)
+			}
+		}
+	}
+}
+
+// TestMemRepliesOwnedByCaller runs testRepliesOwnedByCaller on the in-memory
+// fabric, which copies each reply out of its pooled frame into a buffer of
+// its own.
+func TestMemRepliesOwnedByCaller(t *testing.T) {
+	netw := NewMemNetwork()
+	testRepliesOwnedByCaller(t, netw.Endpoint("srv"), netw.Endpoint("cli"))
 }

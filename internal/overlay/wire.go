@@ -222,8 +222,8 @@ const (
 var (
 	// ErrFrameTooLarge is returned when a frame payload exceeds maxFrameSize.
 	// On the read side it is recoverable: the oversized payload has been
-	// skipped and the connection remains framed (readFrame returns the header
-	// so the server can answer with a framed error).
+	// skipped and the connection remains framed (readFrameInto returns the
+	// header so the server can answer with a framed error).
 	ErrFrameTooLarge = errors.New("overlay: frame exceeds size limit")
 	// ErrBadFrame is returned when a frame is structurally invalid
 	// (unknown version, unregistered type on the write path). It is
@@ -293,21 +293,14 @@ func decodeFrame(b []byte) (frame, error) {
 	return f, nil
 }
 
-// readFrame reads one frame from r. The payload is freshly allocated, so it
-// may escape to application code (the client-side demux path hands reply
-// payloads to callers that keep them).
-func readFrame(r *bufio.Reader) (frame, error) {
-	return readFrameInto(r, nil)
-}
-
 // readFrameInto reads one frame from r, reading the payload into buf
 // (typically a pooled wirecodec buffer) — the zero-copy entry of the pooled
 // request path: the payload buffer travels from the socket read through
 // decode and dispatch and back to the pool after the reply is flushed. The
 // returned frame's payload is buf, grown as needed, on EVERY return path
 // (even errors), so the caller can always recycle f.payload with PutBuf. A
-// nil buf allocates fresh (readFrame's behaviour). The header is decoded in
-// r's own buffer (Peek, then Discard), so reading it allocates nothing.
+// nil buf allocates fresh. The header is decoded in r's own buffer (Peek,
+// then Discard), so reading it allocates nothing.
 //
 // A stream that ends cleanly before a frame returns io.EOF, one that ends
 // inside a header io.ErrUnexpectedEOF. When the advertised payload exceeds

@@ -180,7 +180,7 @@ func TestBatchThroughOverlay(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
 		}
-		if results[i] == nil || results[i].Server == "" {
+		if results[i].Server == "" {
 			t.Fatalf("item %d: missing result", i)
 		}
 	}

@@ -248,22 +248,28 @@ func (r *Reader) AttrSection() []byte {
 	return start[:used:used]
 }
 
-// bufPool recycles encode scratch buffers. Buffers start at 512 bytes and
-// grow with use; oversized ones (a rare huge state transfer) are dropped
-// instead of pinned. The pool stores *[]byte so a Put does not box a slice
+// bufPool recycles encode scratch buffers. Buffers start at minPooledBuf
+// bytes and grow with use; oversized ones (a rare huge state transfer) are
+// dropped instead of pinned, and so are undersized ones (an exact-size copy
+// handed in by mistake), which would make the next GetBuf grow. The pool stores *[]byte so a Put does not box a slice
 // header; the empty *[]byte holders themselves cycle through holderPool, so a
 // steady-state GetBuf/PutBuf pair allocates nothing.
 var (
 	bufPool = sync.Pool{
-		New: func() any { b := make([]byte, 0, 512); return &b },
+		New: func() any { b := make([]byte, 0, minPooledBuf); return &b },
 	}
 	holderPool = sync.Pool{
 		New: func() any { return new([]byte) },
 	}
 )
 
-// maxPooledBuf bounds the capacity of buffers returned to the pool.
-const maxPooledBuf = 1 << 20
+// minPooledBuf is the capacity of a fresh pooled buffer and the smallest
+// one PutBuf keeps; maxPooledBuf bounds the capacity of buffers returned to
+// the pool.
+const (
+	minPooledBuf = 512
+	maxPooledBuf = 1 << 20
+)
 
 // GetBuf returns an empty scratch buffer from the pool. Append to it freely
 // (reassigning on growth) and hand the final slice back with PutBuf.
@@ -276,9 +282,10 @@ func GetBuf() []byte {
 }
 
 // PutBuf returns a buffer obtained from GetBuf (or grown from one) to the
-// pool. The caller must not use b afterwards.
+// pool. The caller must not use b afterwards. A buffer below the pool's
+// starting size is dropped, so any slice may be passed safely.
 func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
+	if cap(b) < minPooledBuf || cap(b) > maxPooledBuf {
 		return
 	}
 	h := holderPool.Get().(*[]byte)

@@ -139,6 +139,24 @@ func TestBufPool(t *testing.T) {
 	PutBuf(make([]byte, 0, maxPooledBuf+1))
 }
 
+// TestBufPoolDropsSmall holds the pool's floor: a buffer below the starting
+// capacity handed to PutBuf (an exact-size reply copy, say) never comes back
+// from GetBuf, where its first append would have to grow it. Without the
+// guard the pool's per-P slot returns it on the very next Get.
+func TestBufPoolDropsSmall(t *testing.T) {
+	for _, c := range []int{1, 16, minPooledBuf - 1} {
+		small := make([]byte, 0, c)
+		PutBuf(small)
+		for i := 0; i < 4; i++ {
+			b := GetBuf()
+			if cap(b) < minPooledBuf {
+				t.Fatalf("GetBuf returned a %d-byte buffer after PutBuf of cap %d, want >= %d", cap(b), c, minPooledBuf)
+			}
+			defer PutBuf(b)
+		}
+	}
+}
+
 // TestBufPoolAllocFree pins the package doc's promise: once warm, a
 // GetBuf/PutBuf cycle allocates nothing (neither the buffer nor the *[]byte
 // holder the pool stores).
