@@ -355,6 +355,12 @@ func run(seedAddrs string, inproc, conns, packets, batch, queries int, kindFlag 
 	fmt.Printf("  transport: frames in=%d out=%d bytes in=%d out=%d in-flight=%d reconnects=%d oversized=%d\n",
 		ts.FramesIn, ts.FramesOut, ts.BytesIn, ts.BytesOut, ts.InFlight, ts.Reconnects, ts.OversizedDrops)
 	fmt.Printf("  resilience: timeouts=%d retries=%d shed=%d\n", ts.Timeouts, ts.Retries, ts.Shed)
+	if agg.ok > 0 {
+		// The client's own sockets; 0 on the in-memory fabric. Reads count
+		// only those that returned bytes (see TransportStats.SocketReads).
+		fmt.Printf("  syscalls/packet: reads=%.3f writes=%.3f\n",
+			float64(ts.SocketReads)/float64(agg.ok), float64(ts.SocketWrites)/float64(agg.ok))
+	}
 	if traces != nil {
 		if stages := traces.StageSummaries(); len(stages) > 0 {
 			var parts []string

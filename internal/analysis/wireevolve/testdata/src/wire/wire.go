@@ -150,6 +150,42 @@ func (m *sectionSkewMsg) UnmarshalWire(data []byte) error { // want `sectionSkew
 	return r.Err()
 }
 
+// ---- recordMsg: a query record is one field, written and read by its own
+// pair. No diagnostics. ----
+
+type recordMsg struct {
+	Query      []byte
+	Subscriber string
+}
+
+func (m *recordMsg) MarshalWire(b []byte) []byte {
+	b = wirecodec.AppendQueryRecord(b, m.Query)
+	return wirecodec.AppendString(b, m.Subscriber)
+}
+
+func (m *recordMsg) UnmarshalWire(data []byte) error {
+	r := wirecodec.NewReader(data)
+	m.Query = r.QueryRecord()
+	m.Subscriber = r.String()
+	return r.Err()
+}
+
+// ---- recordSkewMsg: plain bytes written where a query record is read. ----
+
+type recordSkewMsg struct {
+	Query []byte
+}
+
+func (m *recordSkewMsg) MarshalWire(b []byte) []byte {
+	return wirecodec.AppendBytes(b, m.Query)
+}
+
+func (m *recordSkewMsg) UnmarshalWire(data []byte) error { // want `recordSkewMsg: MarshalWire and UnmarshalWire disagree on wire layout: field 1: bytes written but query read`
+	r := wirecodec.NewReader(data)
+	m.Query = r.QueryRecord()
+	return r.Err()
+}
+
 // ---- swappedMsg: the classic transposition bug. ----
 
 type swappedMsg struct {

@@ -11,6 +11,7 @@ func AppendFloat64(b []byte, f float64) []byte { return b }
 
 func AppendAttrs(b []byte, attrs map[string]float64) []byte { return b }
 func AppendAttrSection(b, section []byte) []byte            { return b }
+func AppendQueryRecord(b, rec []byte) []byte                { return b }
 
 func GetBuf() []byte  { return nil }
 func PutBuf(b []byte) {}
@@ -29,5 +30,6 @@ func (r *Reader) String() string      { return "" }
 func (r *Reader) Bool() bool          { return false }
 func (r *Reader) Float64() float64    { return 0 }
 func (r *Reader) AttrSection() []byte { return nil }
+func (r *Reader) QueryRecord() []byte { return nil }
 func (r *Reader) Err() error          { return r.err }
 func (r *Reader) Len() int            { return len(r.data) }

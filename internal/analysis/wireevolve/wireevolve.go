@@ -41,7 +41,8 @@ var Analyzer = &analysis.Analyzer{
 // op is one field-sized step in a codec's wire order.
 type op struct {
 	// kind: a scalar kind ("int", "uvarint", "bytes", "string", "bool",
-	// "float64"), an attribute section ("attrs"), a delegated sub-message ("msg:TypeName"), a wildcard "?"
+	// "float64"), an attribute section ("attrs"), a query record ("query"),
+	// a delegated sub-message ("msg:TypeName"), a wildcard "?"
 	// for unclassifiable chain steps, or "rep" for a repeated group.
 	kind     string
 	optional bool
@@ -61,6 +62,8 @@ var appendKinds = map[string]string{
 	// An attribute section, encoded from a map or copied as it was read.
 	"AppendAttrs":       "attrs",
 	"AppendAttrSection": "attrs",
+	// A length-prefixed query record (cq.Query.AppendWire's encoding).
+	"AppendQueryRecord": "query",
 }
 
 var readerKinds = map[string]string{
@@ -71,6 +74,7 @@ var readerKinds = map[string]string{
 	"Bool":        "bool",
 	"Float64":     "float64",
 	"AttrSection": "attrs",
+	"QueryRecord": "query",
 }
 
 type codec struct {

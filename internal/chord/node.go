@@ -134,6 +134,14 @@ func (n *Node) Successors() []NodeRef {
 	return out
 }
 
+// AppendSuccessors appends the successor list to dst and returns the
+// extended slice.
+func (n *Node) AppendSuccessors(dst []NodeRef) []NodeRef {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return append(dst, n.successors...)
+}
+
 // SetSuccessorsListener installs fn to be called with a copy of the successor
 // list every time its content changes (after joins, stabilization rounds and
 // successor failures). The callback runs on whatever goroutine mutated the

@@ -314,17 +314,15 @@ func (s *Server) HandleAcceptObject(k bitkey.Key, estimatedDepth int) (AcceptObj
 // against one snapshot load (the server side of the batched publish path).
 // Keys are grouped per counter cell as they stream through, so the batch
 // performs at most one atomic add per touched cell counter rather than one
-// per key, and no lock is held at any point. results[i] and errs[i] describe
-// keys[i]; a per-item validation failure fills errs[i] and leaves results[i]
-// zero without affecting the other items.
+// per key, and no lock is held at any point. The caller's results[i] and
+// errs[i] are set to describe keys[i]; a per-item validation failure fills
+// errs[i] and leaves results[i] zero without affecting the other items.
 //
 //clash:hotpath
-func (s *Server) HandleAcceptObjectBatch(keys []bitkey.Key, depths []int) (results []AcceptObjectResult, errs []error) {
-	if len(depths) != len(keys) {
-		panic("clash: batch keys/depths length mismatch")
+func (s *Server) HandleAcceptObjectBatch(keys []bitkey.Key, depths []int, results []AcceptObjectResult, errs []error) {
+	if len(depths) != len(keys) || len(results) != len(keys) || len(errs) != len(keys) {
+		panic("clash: batch keys/depths/results/errs length mismatch")
 	}
-	results = make([]AcceptObjectResult, len(keys))
-	errs = make([]error, len(keys))
 	snap := s.snap.Load()
 	var deltas [1 << counterCellBits]objDeltas
 	for i, k := range keys {
@@ -333,7 +331,6 @@ func (s *Server) HandleAcceptObjectBatch(keys []bitkey.Key, depths []int) (resul
 	for i := range deltas {
 		deltas[i].flush(s.cells[i])
 	}
-	return results, errs
 }
 
 // acceptOnSnapshot is the ACCEPT_OBJECT state machine evaluated against one
@@ -600,19 +597,19 @@ type GroupSnapshot struct {
 	Epoch  uint64
 }
 
-// SnapshotActive captures the replicable state of every active entry, in
-// prefix order (the trie's deterministic visit order).
-func (s *Server) SnapshotActive() []GroupSnapshot {
+// SnapshotActive appends the replicable state of every active entry to dst,
+// in prefix order (the trie's deterministic visit order), and returns the
+// extended slice; the overlay's replica push passes pooled scratch.
+func (s *Server) SnapshotActive(dst []GroupSnapshot) []GroupSnapshot {
 	s.lock()
 	defer s.mu.Unlock()
-	var out []GroupSnapshot
 	s.table.forEach(func(e *Entry) bool {
 		if e.Active {
-			out = append(out, snapshotEntry(e))
+			dst = append(dst, snapshotEntry(e))
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 func snapshotEntry(e *Entry) GroupSnapshot {

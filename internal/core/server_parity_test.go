@@ -96,7 +96,7 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 		if e1, e2 := srv.Validate(), legacy.Validate(); errString(e1) != errString(e2) {
 			t.Fatalf("step %d: Validate diverged: %v vs %v", step, e1, e2)
 		}
-		if !reflect.DeepEqual(srv.SnapshotActive(), legacy.SnapshotActive()) {
+		if !reflect.DeepEqual(srv.SnapshotActive(nil), legacy.SnapshotActive()) {
 			t.Fatalf("step %d: SnapshotActive diverged", step)
 		}
 		if !reflect.DeepEqual(srv.LoadReports(), legacy.LoadReports()) {
@@ -137,7 +137,8 @@ func runShardParity(t *testing.T, keyBits int, seed int64) {
 			for i := range keys {
 				keys[i], depths[i] = randKey(rng, keyBits), rng.Intn(keyBits+1)
 			}
-			r1, e1 := srv.HandleAcceptObjectBatch(keys, depths)
+			r1, e1 := make([]AcceptObjectResult, n), make([]error, n)
+			srv.HandleAcceptObjectBatch(keys, depths, r1, e1)
 			r2, e2 := legacy.HandleAcceptObjectBatch(keys, depths)
 			if !reflect.DeepEqual(r1, r2) {
 				t.Fatalf("step %d: batch results diverged", step)
@@ -296,7 +297,8 @@ func TestServerSplitDuringPublishStorm(t *testing.T) {
 					for i := range keys {
 						keys[i], depths[i] = randKey(rng, keyBits), rng.Intn(keyBits+1)
 					}
-					_, errs := s.HandleAcceptObjectBatch(keys, depths)
+					errs := make([]error, len(keys))
+					s.HandleAcceptObjectBatch(keys, depths, make([]AcceptObjectResult, len(keys)), errs)
 					for _, err := range errs {
 						if err != nil {
 							t.Errorf("batch publish: %v", err)

@@ -33,7 +33,7 @@ func mustServer(t *testing.T, id ServerID, bits int) *Server {
 
 // activeSnapshot returns the replicable state of g if g is active on s.
 func activeSnapshot(s *Server, g bitkey.Group) (GroupSnapshot, bool) {
-	for _, snap := range s.SnapshotActive() {
+	for _, snap := range s.SnapshotActive(nil) {
 		if snap.Group.Equal(g) {
 			return snap, true
 		}
@@ -740,7 +740,7 @@ func TestSnapshotRestoreGroup(t *testing.T) {
 	if err := s.Bootstrap(g); err != nil {
 		t.Fatal(err)
 	}
-	snaps := s.SnapshotActive()
+	snaps := s.SnapshotActive(nil)
 	if len(snaps) != 1 || !snaps[0].Group.Equal(g) || !snaps[0].IsRoot {
 		t.Fatalf("SnapshotActive = %+v", snaps)
 	}

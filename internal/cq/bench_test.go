@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -67,31 +66,32 @@ func BenchmarkCQMatchParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryMarshal compares the reflection-free encoder, appending into
-// a reused buffer as a replica push does, with encoding/json on the same
-// query.
+// BenchmarkQueryMarshal times the binary query record both ways: the
+// encode appends into a reused buffer, as a replica push does, and the
+// decode is a registration's.
 func BenchmarkQueryMarshal(b *testing.B) {
 	q := Query{
 		ID:         "q-00042",
 		Region:     bitkey.MustParseGroup("0110101*"),
 		Predicates: []Predicate{{Attr: "speed", Op: OpGe, Value: 30.5}},
 	}
+	rec, err := q.AppendWire(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("append", func(b *testing.B) {
 		buf := make([]byte, 0, 256)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if buf, err = q.AppendJSON(buf[:0]); err != nil {
+			if buf, err = q.AppendWire(buf[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("encoding-json", func(b *testing.B) {
-		ref := q
-		ref.RegionPrefix = q.Region.String()
+	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(ref); err != nil {
+			if _, err := UnmarshalQuery(rec); err != nil {
 				b.Fatal(err)
 			}
 		}

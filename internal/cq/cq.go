@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -66,9 +65,9 @@ func (o Op) String() string {
 
 // Predicate is a single comparison over a named numeric attribute.
 type Predicate struct {
-	Attr  string  `json:"attr"`
-	Op    Op      `json:"op"`
-	Value float64 `json:"value"`
+	Attr  string
+	Op    Op
+	Value float64
 }
 
 // holds reports whether an attribute value satisfies the predicate.
@@ -96,15 +95,13 @@ func (p Predicate) holds(v float64) bool {
 // predicate.
 type Query struct {
 	// ID uniquely identifies the query (client-assigned).
-	ID string `json:"id"`
+	ID string
 	// Region is the key-space scope of the query (a key-group prefix). Its
 	// virtual key, padded to the full key length, is the query's identifier
 	// key for CLASH placement purposes.
-	Region bitkey.Group `json:"-"`
-	// RegionPrefix is the serialised form of Region ("0110*").
-	RegionPrefix string `json:"region"`
+	Region bitkey.Group
 	// Predicates are the attribute conditions; all must hold (conjunction).
-	Predicates []Predicate `json:"predicates,omitempty"`
+	Predicates []Predicate
 }
 
 // Validate checks the query is well formed.
@@ -149,98 +146,103 @@ func (q Query) Matches(ev Event) bool {
 	return true
 }
 
-// Marshal serialises the query to JSON (used for registration payloads,
-// state transfer and replica pushes). The RegionPrefix field is ignored: the
-// region is always rendered from Region. The bytes equal what json.Marshal
-// produces for the query with RegionPrefix set from Region.
-func (q Query) Marshal() ([]byte, error) {
-	// Room for the fixed syntax, a 24-digit float per predicate and the
-	// strings unescaped, so the common query encodes in one allocation.
-	n := 40 + len(q.ID) + q.Region.Depth()
+// AppendWire appends the query's binary record to b: the format byte
+// wirecodec.QueryFormat, the ID, the region as depth and value, the
+// predicate count, then each predicate's attribute name, operator byte and
+// value (see wirecodec). Registration, state transfer, replica pushes and
+// recovery all carry this record. A non-finite predicate value or an
+// operator outside OpEq..OpGe is an error, and b is then returned
+// unextended.
+func (q Query) AppendWire(b []byte) ([]byte, error) {
 	for _, p := range q.Predicates {
-		n += 56 + len(p.Attr)
-	}
-	return q.AppendJSON(make([]byte, 0, n))
-}
-
-// AppendJSON appends the query's Marshal encoding to b without reflection.
-// A non-finite predicate value is an error, as in encoding/json; b is then
-// returned unextended.
-func (q Query) AppendJSON(b []byte) ([]byte, error) {
-	start := len(b)
-	b = append(b, `{"id":`...)
-	b = appendJSONString(b, q.ID)
-	b = append(b, `,"region":"`...)
-	b = q.Region.AppendString(b) // only '0', '1' and '*': nothing to escape
-	b = append(b, '"')
-	if len(q.Predicates) > 0 {
-		b = append(b, `,"predicates":[`...)
-		for i, p := range q.Predicates {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
-				return b[:start], fmt.Errorf("cq: marshal query %q: unsupported value %v", q.ID, p.Value)
-			}
-			b = append(b, `{"attr":`...)
-			b = appendJSONString(b, p.Attr)
-			b = append(b, `,"op":`...)
-			b = strconv.AppendInt(b, int64(p.Op), 10)
-			b = append(b, `,"value":`...)
-			b = appendJSONFloat(b, p.Value)
-			b = append(b, '}')
+		if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+			return b, fmt.Errorf("cq: encode query %q: unsupported value %v", q.ID, p.Value)
 		}
-		b = append(b, ']')
-	}
-	return append(b, '}'), nil
-}
-
-// appendJSONString appends s as a JSON string. Printable ASCII other than
-// '"', '\\' and the HTML-escaped '<', '>', '&' is copied as is; any other
-// string is handed whole to json.Marshal, which owns the rules for escapes,
-// invalid UTF-8 and U+2028/U+2029.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s) // a string always encodes
-			return append(b, enc...)
+		if p.Op < OpEq || p.Op > OpGe {
+			return b, fmt.Errorf("cq: encode query %q: bad operator %d", q.ID, p.Op)
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	b = append(b, wirecodec.QueryFormat)
+	b = wirecodec.AppendString(b, q.ID)
+	b = wirecodec.AppendInt(b, q.Region.Prefix.Bits)
+	b = wirecodec.AppendUvarint(b, q.Region.Prefix.Value)
+	b = wirecodec.AppendInt(b, len(q.Predicates))
+	for _, p := range q.Predicates {
+		b = wirecodec.AppendString(b, p.Attr)
+		b = append(b, byte(p.Op))
+		b = wirecodec.AppendFloat64(b, p.Value)
+	}
+	return b, nil
 }
 
-// appendJSONFloat appends a finite f exactly as encoding/json formats a
-// float64: shortest round-trip digits, exponent form below 1e-6 and from 1e21
-// on, with a single-digit negative exponent unpadded ("1e-7", not "1e-07").
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+// UnmarshalQuery decodes a query record: the binary record AppendWire
+// writes or, when its first byte is '{', the JSON record that earlier
+// writers sent. A binary decode allocates the ID, the predicate slice and
+// one string per attribute name.
+func UnmarshalQuery(rec []byte) (Query, error) {
+	if len(rec) > 0 && rec[0] == '{' {
+		return unmarshalJSON(rec)
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// UnmarshalQuery parses a query serialised with Marshal.
-func UnmarshalQuery(data []byte) (Query, error) {
-	var q Query
-	if err := json.Unmarshal(data, &q); err != nil {
+	r := wirecodec.NewReader(rec)
+	id, bits, value, n := r.QueryHeader()
+	if err := r.Err(); err != nil {
 		return Query{}, fmt.Errorf("cq: unmarshal query: %w", err)
 	}
-	g, err := bitkey.ParseGroup(q.RegionPrefix)
+	region, err := bitkey.New(value, bits)
 	if err != nil {
 		return Query{}, fmt.Errorf("cq: unmarshal region: %w", err)
 	}
-	q.Region = g
+	q := Query{ID: string(id), Region: bitkey.NewGroup(region)}
+	if n > 0 {
+		q.Predicates = make([]Predicate, 0, n)
+	}
+	for ; n > 0; n-- {
+		name, op, v := r.Predicate()
+		if err := r.Err(); err != nil {
+			return Query{}, fmt.Errorf("cq: unmarshal query: %w", err)
+		}
+		if Op(op) < OpEq || Op(op) > OpGe || math.IsNaN(v) || math.IsInf(v, 0) {
+			return Query{}, fmt.Errorf("cq: unmarshal query %q: bad predicate (op %d, value %v)", q.ID, op, v)
+		}
+		q.Predicates = append(q.Predicates, Predicate{Attr: string(name), Op: Op(op), Value: v})
+	}
 	return q, nil
+}
+
+// RecordKey returns a query record's ID and region. A binary record is read
+// in place, and id aliases it; the JSON record of an earlier writer is
+// decoded.
+func RecordKey(rec []byte) (id []byte, region bitkey.Key, err error) {
+	if len(rec) > 0 && rec[0] == '{' {
+		q, err := unmarshalJSON(rec)
+		return []byte(q.ID), q.Region.Prefix, err
+	}
+	r := wirecodec.NewReader(rec)
+	id, bits, value, _ := r.QueryHeader()
+	if err := r.Err(); err != nil {
+		return nil, bitkey.Key{}, fmt.Errorf("cq: query record: %w", err)
+	}
+	region, err = bitkey.New(value, bits)
+	return id, region, err
+}
+
+// unmarshalJSON decodes the JSON query record of earlier writers:
+// {"id":..,"region":"0110*","predicates":[{"attr":..,"op":..,"value":..}]}.
+// encoding/json matches the untagged field names case-insensitively.
+func unmarshalJSON(rec []byte) (Query, error) {
+	var j struct {
+		ID         string
+		Region     string
+		Predicates []Predicate
+	}
+	if err := json.Unmarshal(rec, &j); err != nil {
+		return Query{}, fmt.Errorf("cq: unmarshal query: %w", err)
+	}
+	g, err := bitkey.ParseGroup(j.Region)
+	if err != nil {
+		return Query{}, fmt.Errorf("cq: unmarshal region: %w", err)
+	}
+	return Query{ID: j.ID, Region: g, Predicates: j.Predicates}, nil
 }
 
 // Event is one data record flowing through the system. Its numeric

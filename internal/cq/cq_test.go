@@ -3,7 +3,9 @@ package cq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"clash/internal/bitkey"
@@ -77,27 +79,106 @@ func TestQueryMarshalRoundTrip(t *testing.T) {
 		Region:     bitkey.MustParseGroup("011010*"),
 		Predicates: []Predicate{{"speed", OpGe, 120}, {"lane", OpEq, 2}},
 	}
-	data, err := q.Marshal()
+	data, err := q.AppendWire(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if data[0] != wirecodec.QueryFormat {
+		t.Fatalf("record starts with %#x, want the format byte", data[0])
 	}
 	got, err := UnmarshalQuery(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != q.ID || !got.Region.Equal(q.Region) || len(got.Predicates) != 2 {
-		t.Errorf("round trip mismatch: %+v", got)
+	if !reflect.DeepEqual(got, q) {
+		t.Errorf("round trip %+v, want %+v", got, q)
 	}
-	// Marshal sizes its buffer up front: a query needing no escapes costs
-	// exactly the returned slice.
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = q.Marshal() }); allocs != 1 {
-		t.Errorf("Marshal allocates %v times, want 1", allocs)
+	// The JSON record of earlier writers still decodes.
+	js := []byte(`{"id":"q42","region":"011010*","predicates":[{"attr":"speed","op":6,"value":120},{"attr":"lane","op":1,"value":2}]}`)
+	if got, err := UnmarshalQuery(js); err != nil || !reflect.DeepEqual(got, q) {
+		t.Errorf("JSON record decodes to %+v, %v; want %+v", got, err, q)
 	}
 	if _, err := UnmarshalQuery([]byte("{bad")); err == nil {
 		t.Error("garbage accepted")
 	}
 	if _, err := UnmarshalQuery([]byte(`{"id":"x","region":"01x*"}`)); err == nil {
 		t.Error("bad region accepted")
+	}
+	for _, bad := range []Query{
+		{ID: "nan", Predicates: []Predicate{{"a", OpEq, math.NaN()}}},
+		{ID: "inf", Predicates: []Predicate{{"a", OpEq, math.Inf(1)}}},
+		{ID: "op", Predicates: []Predicate{{"a", Op(7), 1}}},
+	} {
+		if out, err := bad.AppendWire([]byte("x")); err == nil || string(out) != "x" {
+			t.Errorf("AppendWire(%s) = %q, %v; want the input back and an error", bad.ID, out, err)
+		}
+	}
+}
+
+// TestUnmarshalQueryAllocs holds a binary decode to what the query keeps:
+// its ID, its predicate slice and one string per attribute name.
+func TestUnmarshalQueryAllocs(t *testing.T) {
+	q := Query{ID: "q-00042", Region: bitkey.MustParseGroup("0110101*"),
+		Predicates: []Predicate{{Attr: "speed", Op: OpGt, Value: 50}}}
+	rec, err := q.AppendWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalQuery(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("UnmarshalQuery allocates %v times for one predicate, want <= 3", allocs)
+	}
+}
+
+// TestUnmarshalQueryRejects tables hostile binary records: each must fail
+// the decoder and the in-place validator alike.
+func TestUnmarshalQueryRejects(t *testing.T) {
+	head := func(preds int) []byte {
+		b := []byte{wirecodec.QueryFormat}
+		b = wirecodec.AppendString(b, "q")
+		b = wirecodec.AppendInt(b, 3)
+		b = wirecodec.AppendUvarint(b, 0b011)
+		return wirecodec.AppendInt(b, preds)
+	}
+	pred := func(b []byte, op byte, v float64) []byte {
+		b = wirecodec.AppendString(b, "a")
+		return wirecodec.AppendFloat64(append(b, op), v)
+	}
+	good := pred(head(1), byte(OpGt), 1)
+	if _, err := UnmarshalQuery(good); err != nil {
+		t.Fatalf("well-formed record rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+		// valid is true where the record is well formed and only its
+		// meaning is wrong: the validator passes it, the decoder refuses.
+		valid bool
+	}{
+		{"empty", nil, false},
+		{"format byte", append([]byte{0x02}, good[1:]...), false},
+		{"count beyond remaining/10", append(head(2), good[len(head(1)):]...), false},
+		{"huge count", head(1 << 30), false},
+		{"truncated float", good[:len(good)-3], false},
+		{"truncated op", good[:len(head(1))+2], false},
+		{"truncated id", head(0)[:2], false},
+		{"bad op byte", pred(head(1), 0, 1), true},
+		{"op beyond range", pred(head(1), byte(OpGe)+1, 1), true},
+		{"NaN value", pred(head(1), byte(OpEq), math.NaN()), true},
+		{"region overflow", append(append([]byte{wirecodec.QueryFormat, 1, 'q', 2}, 0b111), 0), true},
+	} {
+		if _, err := UnmarshalQuery(tc.rec); err == nil {
+			t.Errorf("%s: UnmarshalQuery accepted %x", tc.name, tc.rec)
+		}
+		r := wirecodec.NewReader(wirecodec.AppendQueryRecord(nil, tc.rec))
+		r.QueryRecord()
+		if (r.Err() == nil) != tc.valid {
+			t.Errorf("%s: Reader.QueryRecord error %v, want valid=%t", tc.name, r.Err(), tc.valid)
+		}
 	}
 }
 

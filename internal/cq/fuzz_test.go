@@ -13,11 +13,13 @@ import (
 	"clash/internal/wirecodec"
 )
 
-// FuzzQueryMarshal checks the reflection-free encoder against encoding/json,
-// the reference it replaced: Marshal must produce json.Marshal's exact bytes
-// (or fail exactly when it fails, on a non-finite value) for any ID,
-// attribute name, operator, value and region, and its output must round-trip
-// through UnmarshalQuery.
+// FuzzQueryMarshal holds the binary query record to two properties for any
+// ID, attribute name, operator, value and region. Round trip: AppendWire
+// fails exactly on a non-finite value or an operator outside OpEq..OpGe,
+// returning its input unextended, and otherwise UnmarshalQuery gives back
+// the query bit for bit, invalid UTF-8 and -0 included, after any prefix.
+// Two formats: the JSON record earlier writers sent for the same query
+// decodes to an equal query wherever JSON can carry it (valid UTF-8).
 func FuzzQueryMarshal(f *testing.F) {
 	f.Add("q-0001", "speed", 50.0, int64(OpGt), uint64(0b011), uint8(3), uint8(1))
 	f.Add("", "", 0.0, int64(0), uint64(0), uint8(0), uint8(0))
@@ -31,64 +33,89 @@ func FuzzQueryMarshal(f *testing.F) {
 	f.Add("frac", "x", -123.456e-5, int64(OpLt), uint64(0), uint8(5), uint8(1))
 	f.Add("nan", "x", math.NaN(), int64(OpEq), uint64(0), uint8(1), uint8(1))
 	f.Add("inf", "x", math.Inf(-1), int64(OpEq), uint64(0), uint8(1), uint8(2))
+	f.Add(strings.Repeat("i", 123), "x", 1.5, int64(OpGt), uint64(0), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, id, attr string, value float64, op int64, prefix uint64, bits, preds uint8) {
 		depth := int(bits) % (bitkey.MaxBits + 1)
 		if depth < bitkey.MaxBits {
 			prefix &= 1<<uint(depth) - 1
 		}
 		q := Query{ID: id, Region: bitkey.NewGroup(bitkey.Key{Value: prefix, Bits: depth})}
+		encodes := true
 		for i := 0; i < int(preds%3); i++ {
-			// A second predicate flips the sign and renames the attribute,
-			// so both separators and negative values are covered.
-			q.Predicates = append(q.Predicates, Predicate{Attr: attr + string(rune('a'+i)), Op: Op(op) + Op(i), Value: value * float64(1-2*i)})
+			// A second predicate flips the sign, renames the attribute and
+			// moves the operator, so negative values are covered too.
+			p := Predicate{Attr: attr + string(rune('a'+i)), Op: Op(op) + Op(i), Value: value * float64(1-2*i)}
+			q.Predicates = append(q.Predicates, p)
+			encodes = encodes && p.Op >= OpEq && p.Op <= OpGe && !math.IsNaN(p.Value) && !math.IsInf(p.Value, 0)
 		}
 
-		ref := q
-		ref.RegionPrefix = q.Region.String()
-		want, wantErr := json.Marshal(ref)
-		got, err := q.Marshal()
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("Marshal error %v, json.Marshal error %v", err, wantErr)
-		}
-		appended, appendErr := q.AppendJSON([]byte("prefix"))
-		if err != nil {
-			if appendErr == nil || string(appended) != "prefix" {
-				t.Fatalf("failed AppendJSON returned %q, %v; want the input back and an error", appended, appendErr)
+		rec, err := q.AppendWire([]byte("prefix"))
+		if !encodes {
+			if err == nil || string(rec) != "prefix" {
+				t.Fatalf("AppendWire = %q, %v; want the input back and an error", rec, err)
 			}
 			return
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("Marshal mismatch:\n got %s\nwant %s", got, want)
+		if err != nil || !bytes.HasPrefix(rec, []byte("prefix")) {
+			t.Fatalf("AppendWire = %q, %v; want the record appended", rec, err)
 		}
-		if appendErr != nil || string(appended) != "prefix"+string(want) {
-			t.Fatalf("AppendJSON = %q, %v; want the encoding appended", appended, appendErr)
+		rec = rec[len("prefix"):]
+		if rec[0] == '{' {
+			t.Fatalf("binary record starts with '{': %x", rec)
 		}
-
-		back, err := UnmarshalQuery(got)
+		back, err := UnmarshalQuery(rec)
 		if err != nil {
-			t.Fatalf("UnmarshalQuery(%s): %v", got, err)
+			t.Fatalf("UnmarshalQuery(%x): %v", rec, err)
 		}
-		if !back.Region.Equal(q.Region) || len(back.Predicates) != len(q.Predicates) {
+		if back.ID != q.ID || !back.Region.Equal(q.Region) || len(back.Predicates) != len(q.Predicates) {
 			t.Fatalf("round trip %+v, want %+v", back, q)
 		}
 		for i, p := range back.Predicates {
-			if p.Op != q.Predicates[i].Op || p.Value != q.Predicates[i].Value {
-				t.Fatalf("predicate %d round trip %+v, want %+v", i, p, q.Predicates[i])
+			w := q.Predicates[i]
+			if p.Attr != w.Attr || p.Op != w.Op || math.Float64bits(p.Value) != math.Float64bits(w.Value) {
+				t.Fatalf("predicate %d round trip %+v, want %+v", i, p, w)
 			}
 		}
-		// Invalid UTF-8 is replaced by U+FFFD on the way out, as
-		// encoding/json does; valid strings survive exactly.
+
 		if !utf8.ValidString(id) || !utf8.ValidString(attr) {
-			return
+			return // encoding/json would replace the invalid bytes
 		}
-		if back.ID != id {
-			t.Fatalf("id round trip %q, want %q", back.ID, id)
+		js, err := json.Marshal(jsonRecord(q))
+		if err != nil {
+			t.Fatalf("json.Marshal: %v", err)
 		}
-		again, err := back.Marshal()
-		if err != nil || !bytes.Equal(again, got) {
-			t.Fatalf("re-marshal %s, %v; want %s", again, err, got)
+		fromJSON, err := UnmarshalQuery(js)
+		if err != nil {
+			t.Fatalf("UnmarshalQuery(%s): %v", js, err)
+		}
+		if fromJSON.ID != back.ID || !fromJSON.Region.Equal(back.Region) || len(fromJSON.Predicates) != len(back.Predicates) {
+			t.Fatalf("JSON record decodes to %+v, binary to %+v", fromJSON, back)
+		}
+		for i, p := range fromJSON.Predicates {
+			if p != back.Predicates[i] {
+				t.Fatalf("predicate %d: JSON %+v, binary %+v", i, p, back.Predicates[i])
+			}
 		}
 	})
+}
+
+// jsonRecord is the JSON query record earlier writers sent.
+func jsonRecord(q Query) any {
+	type pred struct {
+		Attr  string  `json:"attr"`
+		Op    Op      `json:"op"`
+		Value float64 `json:"value"`
+	}
+	type record struct {
+		ID         string `json:"id"`
+		Region     string `json:"region"`
+		Predicates []pred `json:"predicates,omitempty"`
+	}
+	r := record{ID: q.ID, Region: q.Region.String()}
+	for _, p := range q.Predicates {
+		r.Predicates = append(r.Predicates, pred(p))
+	}
+	return r
 }
 
 // FuzzPredicateBytes holds the attribute-section path of Query.Matches to its

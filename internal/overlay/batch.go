@@ -47,7 +47,7 @@ func (c *Client) PublishBatch(items []BatchItem) (results []PublishResult, errs 
 		}
 		sb := perServer[srv]
 		if sb == nil {
-			sb = &serverBatch{}
+			sb = &serverBatch{idx: make([]int, 0, len(items)), groups: make([]bitkey.Group, 0, len(items))}
 			perServer[srv] = sb
 		}
 		sb.idx = append(sb.idx, i)
@@ -61,8 +61,10 @@ func (c *Client) PublishBatch(items []BatchItem) (results []PublishResult, errs 
 	// Slow path: individual delivery with full depth resolution (which also
 	// re-warms the cache for the next batch).
 	for _, i := range slow {
+		// Direct calls rather than marshalMsg, which would box msg into
+		// wireMsg per item.
 		msg := dataMsg{Attrs: items[i].Attrs}
-		data := marshalMsg(&msg)
+		data := msg.MarshalWire(wirecodec.GetBuf())
 		results[i], errs[i] = c.deliver(items[i].Key, core.ObjectData, data)
 		wirecodec.PutBuf(data)
 	}
@@ -76,7 +78,7 @@ func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, 
 	payloadBufs := make([][]byte, len(idx))
 	for j, i := range idx {
 		msg := dataMsg{Attrs: items[i].Attrs}
-		payloadBufs[j] = marshalMsg(&msg)
+		payloadBufs[j] = msg.MarshalWire(wirecodec.GetBuf())
 		req.Objects[j] = core.AcceptObjectMsg{
 			KeyValue: items[i].Key.Value,
 			KeyBits:  items[i].Key.Bits,
@@ -86,7 +88,7 @@ func (c *Client) sendBatch(srv core.ServerID, idx []int, groups []bitkey.Group, 
 			TraceID:  c.nextTraceID(),
 		}
 	}
-	var reply core.AcceptBatchReplyMsg
+	reply := core.AcceptBatchReplyMsg{Replies: make([]core.AcceptObjectReplyMsg, 0, len(idx))}
 	err := call(c.tr, string(srv), TypeAcceptBatch, &req, &reply)
 	for _, buf := range payloadBufs {
 		wirecodec.PutBuf(buf)

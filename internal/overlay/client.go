@@ -356,16 +356,18 @@ func (c *Client) Publish(key bitkey.Key, attrs map[string]float64, payload []byt
 // the query's identifier key. Matches are pushed to this client's transport
 // address and surface on Matches().
 func (c *Client) Register(q cq.Query) (PublishResult, error) {
-	data, err := q.Marshal()
-	if err != nil {
-		return PublishResult{}, err
-	}
-	st := queryState{Query: data, Subscriber: c.tr.Addr()}
-	payload := marshalMsg(&st)
-	defer wirecodec.PutBuf(payload)
 	ik, err := q.IdentifierKey(c.keyBits)
 	if err != nil {
 		return PublishResult{}, err
 	}
+	rec, err := q.AppendWire(wirecodec.GetBuf())
+	defer wirecodec.PutBuf(rec)
+	if err != nil {
+		return PublishResult{}, err
+	}
+	// Direct call rather than marshalMsg, which would box st into wireMsg.
+	st := queryState{Query: rec, Subscriber: c.tr.Addr()}
+	payload := st.MarshalWire(wirecodec.GetBuf())
+	defer wirecodec.PutBuf(payload)
 	return c.deliver(ik, core.ObjectQuery, payload)
 }

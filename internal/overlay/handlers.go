@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -132,6 +134,8 @@ func (n *Node) handleAcceptObject(payload []byte) ([]byte, error) {
 // lock taken, then the per-object side effects (metering, query matching,
 // match push) run. The reply carries one entry per object in request order;
 // per-object failures fill that entry's Error instead of failing the frame.
+// The frame is planned in pooled scratch (batchScratch), so a batch of
+// unmatched objects allocates nothing once the pool is warm.
 //
 //clash:hotpath
 func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
@@ -139,12 +143,12 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 	if n.obs.get() != nil {
 		codecStart = n.cfg.Clock.Now()
 	}
-	var req core.AcceptBatchMsg
+	b := batchPool.Get().(*batchScratch)
+	defer b.release()
+	req := &b.req
 	if err := req.UnmarshalWire(payload); err != nil {
 		return nil, err
 	}
-	keys := make([]bitkey.Key, len(req.Objects))
-	depths := make([]int, len(req.Objects))
 	traced := false
 	for i := range req.Objects {
 		o := &req.Objects[i]
@@ -152,8 +156,8 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = k
-		depths[i] = o.Depth
+		b.keys = append(b.keys, k)
+		b.depths = append(b.depths, o.Depth)
 		traced = traced || o.TraceID != 0
 	}
 	var codecMicros int64
@@ -166,7 +170,9 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 	if traced {
 		routeStart = n.cfg.Clock.Now()
 	}
-	results, errs := n.server.HandleAcceptObjectBatch(keys, depths)
+	b.results = slices.Grow(b.results, len(b.keys))[:len(b.keys)]
+	b.errs = slices.Grow(b.errs, len(b.keys))[:len(b.keys)]
+	n.server.HandleAcceptObjectBatch(b.keys, b.depths, b.results, b.errs)
 	var routeMicros int64
 	if traced {
 		// The batch passes the state machine as one unit against one
@@ -174,24 +180,27 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 		// batch duration (the time its delivery actually spent in routing).
 		routeMicros = n.cfg.Clock.Now().Sub(routeStart).Microseconds()
 	}
-	out := core.AcceptBatchReplyMsg{Replies: make([]core.AcceptObjectReplyMsg, len(req.Objects))}
 	changedAny := false
 	var regSpan spanRef
 	for i := range req.Objects {
-		if errs[i] != nil {
-			out.Replies[i] = core.AcceptObjectReplyMsg{Error: errs[i].Error()}
+		if b.errs[i] != nil {
+			b.replies = append(b.replies, core.AcceptObjectReplyMsg{Error: b.errs[i].Error()})
 			continue
 		}
-		rep, changed, err := n.applyObject(&req.Objects[i], keys[i], results[i], nil, routeMicros, codecMicros)
+		// The object's matched IDs go into the frame's ID scratch while it
+		// has room; appending them there afterwards claims that room (or, when
+		// applyObject outgrew it, grows the scratch for the next frame).
+		rep, changed, err := n.applyObject(&req.Objects[i], b.keys[i], b.results[i], b.ids[len(b.ids):], routeMicros, codecMicros)
 		if err != nil {
-			out.Replies[i] = core.AcceptObjectReplyMsg{Error: err.Error()}
+			b.replies = append(b.replies, core.AcceptObjectReplyMsg{Error: err.Error()})
 			continue
 		}
+		b.ids = append(b.ids, rep.Matches...)
 		if changed && regSpan.TraceID == 0 && rep.SpanID != 0 {
 			regSpan = spanRef{TraceID: req.Objects[i].TraceID, Parent: rep.SpanID, Hop: req.Objects[i].Hop + 1}
 		}
 		changedAny = changedAny || changed
-		out.Replies[i] = rep
+		b.replies = append(b.replies, rep)
 	}
 	if changedAny {
 		// The coalesced push carries the first sampled registration's span
@@ -201,7 +210,37 @@ func (n *Node) handleAcceptBatch(payload []byte) ([]byte, error) {
 	}
 	// Direct call rather than marshalMsg: boxing the reply into wireMsg would
 	// heap-allocate it on every batch.
+	out := core.AcceptBatchReplyMsg{Replies: b.replies}
 	return out.MarshalWire(wirecodec.GetBuf()), nil
+}
+
+// batchScratch is one ACCEPT_BATCH frame's working memory: the decoded
+// request, the keys and depths the state machine reads, its results, the
+// replies and the matched query IDs they share. It comes from batchPool and
+// goes back once the reply is encoded.
+type batchScratch struct {
+	req     core.AcceptBatchMsg
+	keys    []bitkey.Key
+	depths  []int
+	results []core.AcceptObjectResult
+	errs    []error
+	replies []core.AcceptObjectReplyMsg
+	ids     []string
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release clears the scratch, so the pooled frame pins no payload, error or
+// query ID, and returns it to batchPool.
+func (b *batchScratch) release() {
+	clear(b.req.Objects)
+	clear(b.errs)
+	clear(b.replies)
+	clear(b.ids)
+	b.req.Objects = b.req.Objects[:0]
+	b.keys, b.depths, b.results, b.errs = b.keys[:0], b.depths[:0], b.results[:0], b.errs[:0]
+	b.replies, b.ids = b.replies[:0], b.ids[:0]
+	batchPool.Put(b)
 }
 
 // acceptOne runs one object through the server state machine and its side
@@ -398,7 +437,8 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 // sorts by query ID), so a deterministic transport sees a deterministic
 // message sequence. The inline path allocates nothing while the targets fit
 // in inlineMatches: each push is encoded into a pooled buffer and delivered
-// by a method, not a closure.
+// by a method, not a closure. An async push goes to a parked worker
+// (matchWorker), and a new worker is spawned only when none is parked.
 // tc, when it carries a non-zero TraceID, marks the originating publish as
 // sampled: each delivery's time is reported as a deliver-stage observation
 // plus a subscriber-deliver span chained under tc.Parent (the cq-match span).
@@ -446,11 +486,37 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 			n.deliverMatch(p)
 			continue
 		}
-		n.wg.Add(1)
-		go func(p matchPush) {
-			defer n.wg.Done()
-			n.deliverMatch(&p)
-		}(*p)
+		select {
+		case n.matchJobs <- *p:
+		default:
+			n.wg.Add(1)
+			go n.matchWorker(*p)
+		}
+	}
+}
+
+// idleMatchWorkers bounds the match-push workers a node keeps parked.
+const idleMatchWorkers = 4
+
+// matchWorker delivers push p and then, unless idleMatchWorkers are parked
+// already, parks for the next one, so a steady stream of async pushes spawns
+// no goroutine per push. Close releases the parked workers.
+func (n *Node) matchWorker(p matchPush) {
+	defer n.wg.Done()
+	for {
+		n.deliverMatch(&p)
+		p = matchPush{} // a parked worker pins no subscriber or trace
+		if n.matchIdle.Add(1) > idleMatchWorkers {
+			n.matchIdle.Add(-1)
+			return
+		}
+		select {
+		case p = <-n.matchJobs:
+			n.matchIdle.Add(-1)
+		case <-n.closed:
+			n.matchIdle.Add(-1)
+			return
+		}
 	}
 }
 

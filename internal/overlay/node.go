@@ -149,6 +149,14 @@ type Node struct {
 	joinTarget   string          // last Join contact, for islanding self-repair
 	exhausted    *exhaustedSplit // the last split that ran out of retries (trySplit)
 
+	// matchJobs hands async match pushes to parked workers (matchWorker);
+	// matchIdle counts the parked ones. closed is closed by Close, which
+	// releases them.
+	matchJobs chan matchPush
+	matchIdle atomic.Int32
+	closed    chan struct{}
+	closeOnce sync.Once
+
 	wg sync.WaitGroup
 }
 
@@ -190,6 +198,8 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		replicas:    make(map[string]*replicaSet),
 		incarnation: uint64(cfg.Clock.Now().UnixNano()),
 		spanSalt:    uint64(cfg.Space.HashString(tr.Addr())) << 32,
+		matchJobs:   make(chan matchPush),
+		closed:      make(chan struct{}),
 	}
 	n.chord.SetSuccessorsListener(n.successorsChanged)
 	// Failure-detector verdict transitions surface as events too.
@@ -250,6 +260,7 @@ func (n *Node) replicaCounts() (origins, groups int) {
 // Close stops background deliveries and closes the transport.
 func (n *Node) Close() error {
 	err := n.tr.Close()
+	n.closeOnce.Do(func() { close(n.closed) })
 	n.wg.Wait()
 	return err
 }
@@ -583,15 +594,13 @@ func (n *Node) setSubscriberLocked(id, sub string) bool {
 func (n *Node) queryRecordLocked(q cq.Query) []byte {
 	sq := n.queries[q.ID]
 	if sq.rec == nil {
-		js, err := q.AppendJSON(wirecodec.GetBuf())
-		if err != nil {
-			wirecodec.PutBuf(js)
-			return nil
+		rec, err := q.AppendWire(wirecodec.GetBuf())
+		if err == nil {
+			st := queryState{Query: rec, Subscriber: sq.subscriber}
+			sq.rec = st.MarshalWire(make([]byte, 0, len(rec)+len(sq.subscriber)+2*binary.MaxVarintLen32))
+			n.queries[q.ID] = sq
 		}
-		st := queryState{Query: js, Subscriber: sq.subscriber}
-		sq.rec = st.MarshalWire(make([]byte, 0, len(js)+len(sq.subscriber)+2*binary.MaxVarintLen32))
-		wirecodec.PutBuf(js)
-		n.queries[q.ID] = sq
+		wirecodec.PutBuf(rec)
 	}
 	return sq.rec
 }

@@ -29,9 +29,16 @@ type publishFixture struct {
 
 func newPublishFixture(t testing.TB) *publishFixture {
 	t.Helper()
+	return newPublishFixturePush(t, true)
+}
+
+// newPublishFixturePush is newPublishFixture with match pushes inline or,
+// when inline is false, handed to the nodes' push workers.
+func newPublishFixturePush(t testing.TB, inline bool) *publishFixture {
+	t.Helper()
 	netw := NewMemNetwork()
 	cfg := testConfig()
-	cfg.InlineMatchPush = true
+	cfg.InlineMatchPush = inline
 	nodes := buildOverlay(t, netw, 3, cfg)
 	client, err := NewClient(netw.Endpoint("client-1"), cfg.KeyBits, nodes[0].cfg.Space, nodes[0].Addr())
 	if err != nil {
@@ -129,6 +136,79 @@ func TestMatchedPublishAllocs(t *testing.T) {
 	const ceiling = 4
 	if allocs := testing.AllocsPerRun(500, publish); allocs > ceiling {
 		t.Errorf("allocations per matched Publish = %v, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestAsyncMatchedPublishAllocs is TestMatchedPublishAllocs with the match
+// pushed asynchronously, as a live node pushes it: the node hands the push
+// to a parked worker instead of spawning a goroutine, so the count is the
+// inline one.
+func TestAsyncMatchedPublishAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f := newPublishFixturePush(t, false)
+	attrs := map[string]float64{"speed": 80}
+	payload := []byte("evt")
+	publish := func() {
+		res, err := f.client.Publish(f.covered, attrs, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Probes != 1 || len(res.Matches) != 1 {
+			t.Fatalf("probes %d, matches %v; want a cache hit and one match", res.Probes, res.Matches)
+		}
+		if m := <-f.client.Matches(); m.QueryID != "q-fast" || string(m.Payload) != "evt" {
+			t.Fatalf("match %q payload %q, want q-fast and \"evt\"", m.QueryID, m.Payload)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		publish()
+	}
+	// Measured 4 with go1.24, as on the inline path. A goroutine and
+	// closure per push cost 1 or 2 more.
+	const ceiling = 4
+	if allocs := testing.AllocsPerRun(500, publish); allocs > ceiling {
+		t.Errorf("allocations per async matched Publish = %v, want <= %d", allocs, ceiling)
+	}
+}
+
+// TestPublishBatchAllocs caps the allocations per object of a 64-object
+// PublishBatch on the warmed in-memory fixture, counted end to end: the
+// client's partition, encode and reply decode, and each node's ACCEPT_BATCH
+// handler. The keys spread over the key space, so every node gets a frame;
+// none matches the registered query.
+func TestPublishBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f := newPublishFixture(t)
+	attrs := map[string]float64{"speed": 10}
+	items := make([]BatchItem, 64)
+	for i := range items {
+		items[i] = BatchItem{Key: bitkey.Key{Value: uint64(i) << 10, Bits: 16}, Attrs: attrs}
+	}
+	publish := func() {
+		_, errs := f.client.PublishBatch(items)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("item %d: %v", i, err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		publish() // learn the routes, warm the pools
+	}
+	perObject := testing.AllocsPerRun(100, publish) / float64(len(items))
+	t.Logf("allocations per batched object: %.3f", perObject)
+	// Measured 18 per batch (0.281 per object) with go1.24, the toolchain CI
+	// builds with, all on the client: its result slices, its per-server
+	// partition and each frame's request and reply slices. The nodes plan
+	// their frames in pooled scratch. With frames planned on the heap and
+	// each item's data payload boxed into wireMsg it read 2.09.
+	const ceiling = 18.0 / 64
+	if perObject > ceiling {
+		t.Errorf("allocations per batched object = %.3f, want <= %.3f", perObject, ceiling)
 	}
 }
 
@@ -353,6 +433,56 @@ func TestMalformedDataPayloadRejected(t *testing.T) {
 	}
 	if got := node.meter.Snapshot()[g]; got != 1 {
 		t.Errorf("metered %v packets for %s, want 1", got, g)
+	}
+}
+
+// TestRegisterAllocs caps the allocations of one Register on the warmed
+// in-memory fixture, replication 2, counted end to end: the client's encode
+// and call, the node's decode, registration and delta push to its two
+// replica holders, the holders' storing of the delta and the replies.
+func TestRegisterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f := newPublishFixture(t)
+	var holder *Node
+	for _, n := range f.nodes {
+		if _, ok := n.Server().ManagesKey(f.covered); ok {
+			holder = n
+		}
+	}
+	if holder == nil {
+		t.Fatal("no node holds the fixture's group")
+	}
+	preds := []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}}
+	queries := make([]cq.Query, 400)
+	for i := range queries {
+		queries[i] = cq.Query{ID: fmt.Sprintf("q-%05d", i), Region: bitkey.MustParseGroup("001"), Predicates: preds}
+	}
+	next := 0
+	register := func() {
+		if _, err := f.client.Register(queries[next]); err != nil {
+			t.Fatalf("Register %s: %v", queries[next].ID, err)
+		}
+		next++
+	}
+	for next < 100 {
+		register() // warm the pools, the maps and the holders' delta logs
+	}
+	before := holder.ReplicaPushes()
+	allocs := testing.AllocsPerRun(100, register)
+	pushes := pushDiff(before, holder.ReplicaPushes())
+	t.Logf("allocs per Register: %.1f; replica pushes %+v", allocs, pushes)
+	if pushes.Delta < 10*pushes.Full {
+		t.Fatalf("replica pushes %+v: want registrations pushed as deltas", pushes)
+	}
+	// Measured 5 with go1.24, the toolchain CI builds with: what the node
+	// keeps of the query (its subscriber, ID, predicate slice and attribute
+	// name) and its stored replica record. A JSON decode costs about 10, a
+	// push planned on the heap about 12 more.
+	const ceiling = 5
+	if allocs > ceiling {
+		t.Errorf("allocations per Register = %v, want <= %d", allocs, ceiling)
 	}
 }
 

@@ -516,7 +516,7 @@ func TestLooseQueriesSurviveCrash(t *testing.T) {
 	// orphan requeue.
 	g := victim.Server().ActiveGroups()[0]
 	q := cq.Query{ID: "q-loose", Region: g}
-	data, err := q.Marshal()
+	data, err := q.AppendWire(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,7 +563,7 @@ func TestStoredReplicaOwnsItsBytes(t *testing.T) {
 	defer n.Close()
 	rec := func(id string) []byte {
 		q := cq.Query{ID: id, Region: bitkey.MustParseGroup("01")}
-		data, err := q.Marshal()
+		data, err := q.AppendWire(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -151,16 +151,16 @@ func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 	}
 	type entry struct {
 		region bitkey.Key
-		id     string
+		id     []byte
 		rec    []byte
 	}
+	// Each queryState record is keyed by its query's ID and region, read in
+	// place; an undecodable record sorts first.
 	keyed := func(rec []byte) entry {
 		e := entry{rec: rec}
-		var st queryState
-		if st.UnmarshalWire(rec) == nil {
-			if q, err := cq.UnmarshalQuery(st.Query); err == nil {
-				e.region, e.id = q.Region.Prefix, q.ID
-			}
+		r := wirecodec.NewReader(rec)
+		if q := r.QueryRecord(); r.Err() == nil {
+			e.id, e.region, _ = cq.RecordKey(q)
 		}
 		return e
 	}
@@ -185,7 +185,7 @@ func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 		}
 		for _, rec := range d.Queries {
 			e := keyed(rec)
-			if i := slices.IndexFunc(entries, func(x entry) bool { return x.id == e.id }); i >= 0 {
+			if i := slices.IndexFunc(entries, func(x entry) bool { return bytes.Equal(x.id, e.id) }); i >= 0 {
 				entries[i] = e
 			} else {
 				entries = append(entries, e)
@@ -198,7 +198,7 @@ func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 			if c := a.region.Compare(b.region); c != 0 {
 				return c
 			}
-			return strings.Compare(a.id, b.id)
+			return bytes.Compare(a.id, b.id)
 		})
 		queries := make([][]byte, len(entries))
 		for i, e := range entries {
@@ -211,65 +211,29 @@ func mergeDeltaLog(groups []replicaGroupRec, log []byte) {
 // replicationTargets returns the first ReplicationFactor distinct successors
 // (excluding self) — the peers that hold this node's replicas.
 func (n *Node) replicationTargets() []string {
+	var p replicaPush
+	return n.appendTargets(&p)
+}
+
+// appendTargets appends the replication targets to p.addrs, reading the
+// successor list into p's scratch, and returns the extended slice.
+func (n *Node) appendTargets(p *replicaPush) []string {
 	k := n.cfg.ReplicationFactor
 	if k <= 0 {
-		return nil
+		return p.addrs
 	}
-	var out []string
-	for _, s := range n.chord.Successors() {
-		if s.Addr == "" || s.Addr == n.Addr() {
+	p.succ = n.chord.AppendSuccessors(p.succ[:0])
+	start := len(p.addrs)
+	for _, s := range p.succ {
+		if s.Addr == "" || s.Addr == n.Addr() || slices.Contains(p.addrs[start:], s.Addr) {
 			continue
 		}
-		dup := false
-		for _, t := range out {
-			if t == s.Addr {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		out = append(out, s.Addr)
-		if len(out) == k {
+		p.addrs = append(p.addrs, s.Addr)
+		if len(p.addrs)-start == k {
 			break
 		}
 	}
-	return out
-}
-
-// snapshotQueriesLocked returns the queryState wire records of the queries
-// stored in g, by region and then ID — the replication mirror of
-// extractQueries. The records are the stored ones, shared rather than
-// copied. Callers hold n.mu.
-func (n *Node) snapshotQueriesLocked(g bitkey.Group) [][]byte {
-	var recs [][]byte
-	n.engine.VisitInGroup(g, func(q cq.Query) {
-		if rec := n.queryRecordLocked(q); rec != nil {
-			recs = append(recs, rec)
-		}
-	})
-	return recs
-}
-
-// replicaGroupsLocked builds the wire records for the given active groups,
-// in the table's deterministic prefix order. Callers hold n.mu.
-func (n *Node) replicaGroupsLocked(snaps []core.GroupSnapshot) []replicaGroupRec {
-	if len(snaps) == 0 {
-		return nil
-	}
-	out := make([]replicaGroupRec, 0, len(snaps))
-	for _, s := range snaps {
-		out = append(out, replicaGroupRec{
-			GroupValue: s.Group.Prefix.Value,
-			GroupBits:  s.Group.Prefix.Bits,
-			Parent:     string(s.Parent),
-			IsRoot:     s.IsRoot,
-			Epoch:      s.Epoch,
-			Queries:    n.snapshotQueriesLocked(s.Group),
-		})
-	}
-	return out
+	return p.addrs
 }
 
 // replicaAck is what the origin knows a replication target holds: the
@@ -308,13 +272,46 @@ func (n *Node) ReplicaPushes() ReplicaPushStats {
 	}
 }
 
-// replicaPush is one planned push round.
+// replicaPush is one push round: its version, the payloads its targets get
+// and the scratch it was planned in. Rounds come from pushPool, and the last
+// of a round's sends returns the payloads to the wirecodec pool and the round
+// to pushPool, so a push allocates nothing once the pools are warm and a
+// node keeps no scratch between pushes.
 type replicaPush struct {
 	incarnation, version uint64
 	full                 []byte // marshalled full state; nil when every target gets the delta
 	delta                []byte // marshalled delta; nil when the round cannot send one
 	section              int    // the delta's group record bytes, what a holder appends to its log
 	targets              []pushTarget
+	pending              atomic.Int32 // sends not yet finished
+
+	// Planning scratch: the successor list, the target addresses, the
+	// active groups, and the group records and query records of a payload.
+	succ   []chord.NodeRef
+	addrs  []string
+	snaps  []core.GroupSnapshot
+	groups []replicaGroupRec
+	recs   [][]byte
+	owner  []int // a delta's staged records' group indexes
+}
+
+var pushPool = sync.Pool{New: func() any { return new(replicaPush) }}
+
+// release returns the round's payloads and the round itself to their pools.
+// The scratch is cleared so the pooled round pins no record or address.
+func (p *replicaPush) release() {
+	wirecodec.PutBuf(p.full)
+	wirecodec.PutBuf(p.delta)
+	p.full, p.delta, p.section = nil, nil, 0
+	clear(p.targets)
+	clear(p.succ)
+	clear(p.addrs)
+	clear(p.snaps)
+	clear(p.groups)
+	clear(p.recs)
+	p.targets, p.succ, p.addrs = p.targets[:0], p.succ[:0], p.addrs[:0]
+	p.snaps, p.groups, p.recs, p.owner = p.snaps[:0], p.groups[:0], p.recs[:0], p.owner[:0]
+	pushPool.Put(p)
 }
 
 // pushTarget is one target of a push round and what it had acknowledged
@@ -336,22 +333,26 @@ type pushTarget struct {
 // registration's span, the push frames carry it so every replica holder
 // records a replica-push span chained under the registration's accept span.
 func (n *Node) replicate(tc spanRef) {
-	targets := n.replicationTargets()
+	p := pushPool.Get().(*replicaPush)
+	targets := n.appendTargets(p)
 	// Forget targets that left the replication set: should one return, it
 	// starts over with a full push.
 	n.repMu.Lock()
 	n.repAcks = slices.DeleteFunc(n.repAcks, func(a replicaAck) bool { return !slices.Contains(targets, a.target) })
 	n.repMu.Unlock()
-	n.push(targets, tc)
+	n.push(p, targets, tc)
 }
 
-// push plans one push round and sends it.
-func (n *Node) push(targets []string, tc spanRef) {
-	p, ok := n.planPush(targets, tc)
-	if !ok {
+// push plans round p for targets (which may alias p's scratch) and sends it.
+func (n *Node) push(p *replicaPush, targets []string, tc spanRef) {
+	if !n.planPush(p, targets, tc) {
+		p.release()
 		return
 	}
-	for _, t := range p.targets {
+	sends := len(p.targets)
+	p.pending.Store(int32(sends))
+	for i := 0; i < sends; i++ {
+		t := p.targets[i]
 		// A suspected (gray — slow or shedding) target gets its push on a
 		// background goroutine so one wedged successor cannot stall the
 		// remaining targets' pushes — or the maintenance pass driving this
@@ -360,19 +361,19 @@ func (n *Node) push(targets []string, tc spanRef) {
 		// wall, time.
 		if !n.cfg.InlineMatchPush && n.susp.state(t.addr) == chord.PeerSuspect {
 			n.wg.Add(1)
-			go func(t pushTarget) {
+			go func() {
 				defer n.wg.Done()
-				n.sendPush(&p, t, tc)
-			}(t)
+				n.sendPush(p, t, tc)
+			}()
 			continue
 		}
-		n.sendPush(&p, t, tc)
+		n.sendPush(p, t, tc)
 	}
 }
 
-// planPush stamps the next replica version and builds what each target gets.
-// A target gets the delta on the previous version only when all of these
-// hold:
+// planPush stamps the next replica version and builds, in round p, what each
+// target gets. A target gets the delta on the previous version only when all
+// of these hold:
 //   - the target acknowledged exactly the previous version of this
 //     incarnation, in an ack that says it applies deltas;
 //   - the work table had no structural change since the last push (no
@@ -384,8 +385,8 @@ func (n *Node) push(targets []string, tc spanRef) {
 //     delta is appended, which bounds a holder's copy at twice the state (a
 //     target with no ack has no full push to rest on).
 //
-// ok is false when nothing is pushed.
-func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
+// It reports false when nothing is pushed.
+func (n *Node) planPush(p *replicaPush, targets []string, tc spanRef) bool {
 	// Snapshot and version are assigned under one mutex: two concurrent
 	// pushes (a handler's post-registration push racing the load check)
 	// must not stamp the older snapshot with the newer version, or the
@@ -395,9 +396,9 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 	// landing in between leaves the stored count behind the pushed shape,
 	// which only makes the next push full.
 	swaps := n.server.SnapshotSwaps()
-	snaps := n.server.SnapshotActive()
+	p.snaps = n.server.SnapshotActive(p.snaps[:0])
 	n.mu.Lock()
-	empty := len(snaps) == 0 && len(n.orphans) == 0
+	empty := len(p.snaps) == 0 && len(n.orphans) == 0
 	if len(targets) == 0 || (empty && !n.mayPushEmpty) {
 		// The records changed since the last push reach no holder, so the
 		// next push cannot be a delta on top of it.
@@ -405,26 +406,25 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 		n.repDirty = n.repDirty[:0]
 		n.mu.Unlock()
 		n.repMu.Unlock()
-		return p, false
+		return false
 	}
 	if !empty {
 		n.mayPushEmpty = true
 	}
 	prev := n.repVersion
 	n.repVersion++
-	p = replicaPush{incarnation: n.incarnation, version: n.repVersion}
+	p.incarnation, p.version = n.incarnation, n.repVersion
 	msg := replicateMsg{Origin: n.Addr(), Incarnation: p.incarnation, Version: p.version,
 		TraceID: tc.TraceID, ParentSpan: tc.Parent, Hop: tc.Hop}
-	delta := msg
-	delta.Base = prev
 	canDelta := !n.repStale && len(n.orphans) == 0 && swaps == n.repSwaps
 	if canDelta {
-		delta.Groups, canDelta = n.deltaGroupsLocked(snaps)
-	}
-	if canDelta {
-		p.delta = delta.MarshalWire(nil)
-		h, _ := scanReplicate(p.delta)
-		p.section = len(h.Section)
+		delta := msg
+		delta.Base = prev
+		if delta.Groups, canDelta = n.deltaGroupsLocked(p); canDelta {
+			p.delta = delta.MarshalWire(wirecodec.GetBuf())
+			h, _ := scanReplicate(p.delta)
+			p.section = len(h.Section)
+		}
 	}
 	anyFull := false
 	for _, addr := range targets {
@@ -437,7 +437,7 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 		anyFull = anyFull || !d
 	}
 	if anyFull {
-		msg.Groups, msg.Loose = n.fullStateLocked(snaps)
+		msg.Groups, msg.Loose = n.fullStateLocked(p)
 	}
 	n.repSwaps = swaps
 	n.repDirty = n.repDirty[:0]
@@ -447,32 +447,55 @@ func (n *Node) planPush(targets []string, tc spanRef) (p replicaPush, ok bool) {
 	// The records are never modified once built, so the full payload is
 	// encoded outside the locks.
 	if anyFull {
-		p.full = msg.MarshalWire(nil)
+		p.full = msg.MarshalWire(wirecodec.GetBuf())
 	}
-	return p, true
+	return true
 }
 
 // fullStateLocked builds the group and loose records of the full state for
-// the active groups in snaps. Callers hold n.mu.
-func (n *Node) fullStateLocked(snaps []core.GroupSnapshot) (groups []replicaGroupRec, loose [][]byte) {
-	groups = n.replicaGroupsLocked(snaps)
+// the active groups in p.snaps, the groups in p's scratch. Each group lists
+// its queries' stored records by region and then ID, shared rather than
+// copied. Callers hold n.mu.
+func (n *Node) fullStateLocked(p *replicaPush) (groups []replicaGroupRec, loose [][]byte) {
+	p.groups, p.recs = p.groups[:0], p.recs[:0]
+	for _, s := range p.snaps {
+		start := len(p.recs)
+		n.engine.VisitInGroup(s.Group, func(q cq.Query) {
+			if rec := n.queryRecordLocked(q); rec != nil {
+				p.recs = append(p.recs, rec)
+			}
+		})
+		// A later append may move p.recs; this group keeps the array its
+		// records were written to.
+		p.groups = append(p.groups, replicaGroupRec{
+			GroupValue: s.Group.Prefix.Value,
+			GroupBits:  s.Group.Prefix.Bits,
+			Parent:     string(s.Parent),
+			IsRoot:     s.IsRoot,
+			Epoch:      s.Epoch,
+			Queries:    p.recs[start:len(p.recs):len(p.recs)],
+		})
+	}
 	// Orphaned query placements are outside the table and engine, invisible
 	// to the per-group snapshot — and gone with a crash — so they ride as
 	// loose records.
 	for i := range n.orphans {
 		loose = append(loose, n.orphans[i].st.MarshalWire(nil))
 	}
-	return groups, loose
+	return p.groups, loose
 }
 
-// deltaGroupsLocked builds the delta's group records: the records of the
-// queries registered or re-subscribed since the last push, each under the
-// header of the active group in snaps that holds it. ok is false when a
-// query cannot be sent as a record (gone from the engine, or under no group
-// in snaps): the push must then be full. Callers hold n.mu.
-func (n *Node) deltaGroupsLocked(snaps []core.GroupSnapshot) (groups []replicaGroupRec, ok bool) {
+// deltaGroupsLocked builds the delta's group records in p's scratch: the
+// records of the queries registered or re-subscribed since the last push,
+// each under the header of the active group in p.snaps that holds it, the
+// groups in the order their first record comes in. ok is false when a query
+// cannot be sent as a record (gone from the engine, or under no group in
+// p.snaps): the push must then be full. Callers hold n.mu.
+func (n *Node) deltaGroupsLocked(p *replicaPush) (groups []replicaGroupRec, ok bool) {
 	slices.Sort(n.repDirty)
-	for _, id := range slices.Compact(n.repDirty) {
+	ids := slices.Compact(n.repDirty)
+	p.groups, p.recs, p.owner = p.groups[:0], p.recs[:0], p.owner[:0]
+	for _, id := range ids {
 		q, found := n.engine.Get(id)
 		if !found {
 			return nil, false
@@ -481,27 +504,40 @@ func (n *Node) deltaGroupsLocked(snaps []core.GroupSnapshot) (groups []replicaGr
 		if err != nil {
 			return nil, false
 		}
-		i := slices.IndexFunc(snaps, func(s core.GroupSnapshot) bool { return s.Group.Contains(ik) })
+		i := slices.IndexFunc(p.snaps, func(s core.GroupSnapshot) bool { return s.Group.Contains(ik) })
 		rec := n.queryRecordLocked(q)
 		if i < 0 || rec == nil {
 			return nil, false
 		}
-		s := snaps[i]
-		gi := slices.IndexFunc(groups, func(g replicaGroupRec) bool {
+		s := p.snaps[i]
+		gi := slices.IndexFunc(p.groups, func(g replicaGroupRec) bool {
 			return g.GroupValue == s.Group.Prefix.Value && g.GroupBits == s.Group.Prefix.Bits
 		})
 		if gi < 0 {
-			gi = len(groups)
-			groups = append(groups, replicaGroupRec{GroupValue: s.Group.Prefix.Value, GroupBits: s.Group.Prefix.Bits,
+			gi = len(p.groups)
+			p.groups = append(p.groups, replicaGroupRec{GroupValue: s.Group.Prefix.Value, GroupBits: s.Group.Prefix.Bits,
 				Parent: string(s.Parent), IsRoot: s.IsRoot, Epoch: s.Epoch})
 		}
-		groups[gi].Queries = append(groups[gi].Queries, rec)
+		p.recs = append(p.recs, rec)
+		p.owner = append(p.owner, gi)
 	}
-	return groups, true
+	// The records were staged in ID order; each group's run of them is
+	// appended behind the staging area, group by group.
+	for gi := range p.groups {
+		start := len(p.recs)
+		for j, owner := range p.owner {
+			if owner == gi {
+				p.recs = append(p.recs, p.recs[j])
+			}
+		}
+		p.groups[gi].Queries = p.recs[start:len(p.recs):len(p.recs)]
+	}
+	return p.groups, true
 }
 
-// sendPush sends one target its push and records the acknowledgement. A
-// target that refused a delta gets one fallback full push at once.
+// sendPush sends one target its push and records the acknowledgement; the
+// round's last send releases it. A target that refused a delta gets one
+// fallback full push at once, in a round of its own.
 func (n *Node) sendPush(p *replicaPush, t pushTarget, tc spanRef) {
 	payload, counter := p.full, &n.repFull
 	if t.delta {
@@ -511,9 +547,14 @@ func (n *Node) sendPush(p *replicaPush, t pushTarget, tc spanRef) {
 	raw, err := n.caller.call(t.addr, TypeReplicateKeyGroup, payload)
 	refused := n.noteAck(p, t, raw, err)
 	wirecodec.PutBuf(raw) // the ack decodes into integers only
+	if p.pending.Add(-1) == 0 {
+		p.release()
+	}
 	if refused {
 		atomic.AddInt64(&n.repRefused, 1)
-		n.push([]string{t.addr}, tc)
+		fallback := pushPool.Get().(*replicaPush)
+		fallback.addrs = append(fallback.addrs, t.addr)
+		n.push(fallback, fallback.addrs, tc)
 	}
 }
 

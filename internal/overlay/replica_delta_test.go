@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,10 +33,10 @@ func pushHeader(t *testing.T, payload []byte) replicateHeader {
 // from its current state.
 func originFullState(origin *Node, version uint64) []byte {
 	origin.repMu.Lock()
-	snaps := origin.server.SnapshotActive()
+	p := &replicaPush{snaps: origin.server.SnapshotActive(nil)}
 	origin.mu.Lock()
 	msg := replicateMsg{Origin: origin.Addr(), Incarnation: origin.incarnation, Version: version}
-	msg.Groups, msg.Loose = origin.fullStateLocked(snaps)
+	msg.Groups, msg.Loose = origin.fullStateLocked(p)
 	origin.mu.Unlock()
 	origin.repMu.Unlock()
 	return msg.MarshalWire(nil)
@@ -301,10 +302,22 @@ func pushDiff(a, b ReplicaPushStats) ReplicaPushStats {
 // TestDeltaRefusedFallsBackToFull empties one holder's replica store, as a
 // restart does, between two registrations: the second registration's delta
 // is refused there, the same registration falls back to one full push, and
-// the holder ends up with the origin's current state.
+// the holder ends up with the origin's current state. The first registrations
+// run until one pushes the full state to both holders, so each rests on a
+// full push larger than the next one-record delta and the delta-log bound
+// cannot be what turns that delta into a full push.
 func TestDeltaRefusedFallsBackToFull(t *testing.T) {
 	f := newDeltaFixture(t)
-	f.register(t, "q-1")
+	for i := 0; ; i++ {
+		before := f.origin.ReplicaPushes()
+		f.register(t, fmt.Sprintf("q-1%s", strings.Repeat("+", i)))
+		if pushDiff(before, f.origin.ReplicaPushes()).Full == 2 {
+			break
+		}
+		if i == 10 {
+			t.Fatal("ten registrations and no full push to both holders")
+		}
+	}
 	holders := f.targets(t)
 	restarted := holders[0]
 	restarted.mu.Lock()
@@ -509,10 +522,10 @@ func TestHeartbeatKeepsReplicasAlive(t *testing.T) {
 // prefix on the first of nodes that serves it, or nil.
 func promotedGroup(nodes []*Node, g replicaGroupRec) *replicaGroupRec {
 	for _, n := range nodes {
-		for _, s := range n.server.SnapshotActive() {
+		for _, s := range n.server.SnapshotActive(nil) {
 			if s.Group.Prefix.Value == g.GroupValue && s.Group.Prefix.Bits == g.GroupBits {
 				n.mu.Lock()
-				recs := n.replicaGroupsLocked([]core.GroupSnapshot{s})
+				recs, _ := n.fullStateLocked(&replicaPush{snaps: []core.GroupSnapshot{s}})
 				n.mu.Unlock()
 				return &recs[0]
 			}
@@ -675,7 +688,7 @@ func TestDeltaLogBoundForcesFullPush(t *testing.T) {
 func TestInstalledQueriesForceFullPush(t *testing.T) {
 	f := newDeltaFixture(t)
 	f.register(t, "q-1")
-	js, err := (cq.Query{ID: "q-installed", Region: f.region}).Marshal()
+	js, err := (cq.Query{ID: "q-installed", Region: f.region}).AppendWire(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

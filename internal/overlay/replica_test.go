@@ -13,7 +13,7 @@ import (
 func replicaRec(t *testing.T, id, sub string) []byte {
 	t.Helper()
 	q := cq.Query{ID: id, Region: bitkey.MustParseGroup("01")}
-	data, err := q.Marshal()
+	data, err := q.AppendWire(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -289,6 +289,7 @@ func (w *frameWriter) flush() bool {
 		w.deadline = now.Add(2 * w.timeout)
 		_ = w.conn.SetWriteDeadline(w.deadline)
 	}
+	w.stats.socketWrites.Add(1)
 	_, err := w.vec.WriteTo(w.conn)
 	for i, b := range w.batch {
 		wirecodec.PutBuf(b)
@@ -304,15 +305,17 @@ func (w *frameWriter) flush() bool {
 // never cut. Read returns the timeout only once idle has passed with nothing
 // read and no other activity stamped into last.
 type idleReader struct {
-	conn net.Conn
-	idle time.Duration
-	last *atomic.Int64 // UnixNano of the last activity
+	conn  net.Conn
+	idle  time.Duration
+	last  *atomic.Int64 // UnixNano of the last activity
+	stats *transportStats
 }
 
 func (r idleReader) Read(p []byte) (int, error) {
 	for {
 		n, err := r.conn.Read(p)
 		if n > 0 {
+			r.stats.socketReads.Add(1)
 			//clashvet:ignore clockcheck idle reaping of real sockets is wall-clock by nature; TCP never runs under the simulator
 			r.last.Store(time.Now().UnixNano())
 			return n, err
@@ -331,13 +334,13 @@ func (r idleReader) Read(p []byte) (int, error) {
 }
 
 // armIdle arms conn's first idle read deadline and returns the reader that
-// keeps it: reads through it stamp last.
-func armIdle(conn net.Conn, idle time.Duration, last *atomic.Int64) idleReader {
+// keeps it: reads through it stamp last and count into stats.
+func armIdle(conn net.Conn, idle time.Duration, last *atomic.Int64, stats *transportStats) idleReader {
 	//clashvet:ignore clockcheck kernel socket deadlines need the wall clock; TCP never runs under the simulator
 	now := time.Now()
 	last.Store(now.UnixNano())
 	_ = conn.SetReadDeadline(now.Add(idle))
-	return idleReader{conn: conn, idle: idle, last: last}
+	return idleReader{conn: conn, idle: idle, last: last, stats: stats}
 }
 
 // inbound is one served connection's reply writer and dispatch state.
@@ -428,7 +431,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	var last atomic.Int64
-	br := bufio.NewReaderSize(armIdle(conn, t.cfg.IdleTimeout, &last), frameReadBuffer)
+	br := bufio.NewReaderSize(armIdle(conn, t.cfg.IdleTimeout, &last, &t.stats), frameReadBuffer)
 	for {
 		// Request payloads live in pooled buffers end-to-end: the handler
 		// decodes in place and the worker recycles the buffer once the reply
@@ -588,7 +591,7 @@ func (m *muxConn) fail(err error) {
 // byte.
 func (m *muxConn) readLoop() {
 	defer m.t.wg.Done()
-	br := bufio.NewReaderSize(armIdle(m.conn, tcpMuxIdle, &m.lastUsed), frameReadBuffer)
+	br := bufio.NewReaderSize(armIdle(m.conn, tcpMuxIdle, &m.lastUsed, &m.t.stats), frameReadBuffer)
 	for {
 		f, err := readPooledFrame(br)
 		if err != nil {

@@ -777,3 +777,44 @@ func TestTCPLateReplyRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPSocketCounts checks the syscall counters: sequential calls cost the
+// client one writev each and the server one writev per reply, and every
+// frame arrives in at least one read that returned bytes. The in-memory
+// fabric has no sockets and counts none.
+func TestTCPSocketCounts(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetHandler(echoHandler)
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	const calls = 10
+	for i := 0; i < calls; i++ {
+		reply, err := cli.Call(srv.Addr(), TypePing, []byte("p"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wirecodec.PutBuf(reply)
+	}
+	for name, st := range map[string]TransportStats{"client": cli.Stats(), "server": srv.Stats()} {
+		if st.SocketWrites != calls || st.SocketReads < calls || st.SocketReads > 2*calls {
+			t.Errorf("%s: socket writes %d, reads %d; want %d writes and %d to %d reads", name, st.SocketWrites, st.SocketReads, calls, calls, 2*calls)
+		}
+	}
+
+	netw := NewMemNetwork()
+	a, b := netw.Endpoint("a"), netw.Endpoint("b")
+	b.SetHandler(echoHandler)
+	if _, err := a.Call("b", TypePing, []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Stats(); st.SocketReads != 0 || st.SocketWrites != 0 {
+		t.Errorf("in-memory endpoint counts socket reads %d, writes %d; want 0", st.SocketReads, st.SocketWrites)
+	}
+}

@@ -88,6 +88,15 @@ type TransportStats struct {
 	// (answered with a framed shed reply instead of dispatching; a shed
 	// notification is dropped without one).
 	Shed uint64 `json:"shed"`
+	// SocketReads counts socket reads that returned bytes. Reads that
+	// returned none are left out, and so are the retries internal/poll
+	// makes after EAGAIN, which the transport never sees: this is a floor
+	// on read syscalls. 0 on a MemNetwork.
+	SocketReads uint64 `json:"socketReads"`
+	// SocketWrites counts writev flushes, each carrying every frame queued
+	// on its connection at the time; a flush the kernel accepts only in
+	// part is still one. 0 on a MemNetwork.
+	SocketWrites uint64 `json:"socketWrites"`
 }
 
 // transportStats is the shared atomic counter block embedded by both
@@ -101,6 +110,8 @@ type transportStats struct {
 	timeouts            atomic.Uint64
 	retries             atomic.Uint64
 	shed                atomic.Uint64
+	socketReads         atomic.Uint64
+	socketWrites        atomic.Uint64
 }
 
 func (s *transportStats) countIn(bytes int) {
@@ -125,6 +136,8 @@ func (s *transportStats) snapshot() TransportStats {
 		Timeouts:       s.timeouts.Load(),
 		Retries:        s.retries.Load(),
 		Shed:           s.shed.Load(),
+		SocketReads:    s.socketReads.Load(),
+		SocketWrites:   s.socketWrites.Load(),
 	}
 }
 

@@ -460,8 +460,9 @@ func readAttrs(section []byte) map[string]float64 {
 }
 
 // queryState is the application payload of a kind=query ACCEPT_OBJECT and the
-// per-query unit of state transfer: the serialised cq.Query plus the transport
-// address match notifications are pushed to.
+// per-query unit of state transfer: the cq.Query's record (binary, or the
+// JSON of an earlier writer) plus the transport address match notifications
+// are pushed to.
 type queryState struct {
 	Query      []byte `json:"query"`
 	Subscriber string `json:"subscriber,omitempty"`
@@ -469,14 +470,15 @@ type queryState struct {
 
 // MarshalWire implements wireMsg.
 func (m *queryState) MarshalWire(b []byte) []byte {
-	b = wirecodec.AppendBytes(b, m.Query)
+	b = wirecodec.AppendQueryRecord(b, m.Query)
 	return wirecodec.AppendString(b, m.Subscriber)
 }
 
-// UnmarshalWire implements wireMsg. Query aliases data.
+// UnmarshalWire implements wireMsg. Query aliases data; a binary record is
+// validated in place.
 func (m *queryState) UnmarshalWire(data []byte) error {
 	r := wirecodec.NewReader(data)
-	m.Query = r.Bytes()
+	m.Query = r.QueryRecord()
 	m.Subscriber = r.String()
 	return r.Err()
 }

@@ -91,6 +91,21 @@ func AppendAttrSection(b, section []byte) []byte {
 	return append(b, section...)
 }
 
+// QueryFormat is the first byte of a binary query record. The JSON query
+// records of earlier writers, which readers still accept, start with '{';
+// no JSON text starts with QueryFormat.
+const QueryFormat byte = 0x01
+
+// minPredicate is the fewest bytes one predicate of a query record takes:
+// an empty name's length, the operator and the value.
+const minPredicate = 1 + 1 + 8
+
+// AppendQueryRecord appends a query record with its length prefix, byte for
+// byte as Reader.QueryRecord returned it.
+func AppendQueryRecord(b, rec []byte) []byte {
+	return AppendBytes(b, rec)
+}
+
 // LookupAttr returns the value of the named attribute in an attribute
 // section. A name that occurs more than once resolves to its last value, as
 // a map built from the section would; a missing name, or a section that is
@@ -246,6 +261,84 @@ func (r *Reader) AttrSection() []byte {
 	}
 	used := len(start) - len(r.b)
 	return start[:used:used]
+}
+
+// QueryRecord reads a length-prefixed query record and returns it, aliasing
+// the input. A binary record is validated in place: its head, its predicate
+// count against the remaining bytes and every predicate's bounds; a record
+// that starts with '{' is a JSON record, checked only when it is decoded.
+// Reading it allocates nothing.
+func (r *Reader) QueryRecord() []byte {
+	rec := r.Bytes()
+	if r.err != nil {
+		return nil
+	}
+	if len(rec) == 0 || rec[0] != '{' && !validQueryRecord(rec) {
+		r.fail(ErrInvalid)
+		return nil
+	}
+	return rec
+}
+
+// validQueryRecord reports whether a binary query record reads whole.
+// Fields a later writer appends after the predicates are skipped.
+func validQueryRecord(rec []byte) bool {
+	r := Reader{b: rec}
+	_, _, _, n := r.QueryHeader()
+	for ; n > 0 && r.err == nil; n-- {
+		r.Predicate()
+	}
+	return r.err == nil
+}
+
+// QueryHeader reads the head of a binary query record: its format byte, the
+// query ID (aliasing the input), the region's depth and value and the
+// predicate count. Another format byte is invalid, and so is a count larger
+// than the remaining input could hold (10 bytes per predicate at least),
+// before any predicate is read.
+func (r *Reader) QueryHeader() (id []byte, bits int, value uint64, preds int) {
+	if r.err != nil {
+		return nil, 0, 0, 0
+	}
+	if len(r.b) == 0 {
+		r.fail(ErrTruncated)
+		return nil, 0, 0, 0
+	}
+	if r.b[0] != QueryFormat {
+		r.fail(ErrInvalid)
+		return nil, 0, 0, 0
+	}
+	r.b = r.b[1:]
+	id = r.Bytes()
+	bits = r.Int()
+	value = r.Uvarint()
+	preds = r.Int()
+	if r.err == nil && preds > len(r.b)/minPredicate {
+		r.fail(ErrInvalid)
+	}
+	if r.err != nil {
+		return nil, 0, 0, 0
+	}
+	return id, bits, value, preds
+}
+
+// Predicate reads one predicate of a binary query record: the attribute
+// name (aliasing the input), the operator byte and the value.
+func (r *Reader) Predicate() (name []byte, op byte, v float64) {
+	name = r.Bytes()
+	if r.err == nil && len(r.b) == 0 {
+		r.fail(ErrTruncated)
+	}
+	if r.err != nil {
+		return nil, 0, 0
+	}
+	op = r.b[0]
+	r.b = r.b[1:]
+	v = r.Float64()
+	if r.err != nil {
+		return nil, 0, 0
+	}
+	return name, op, v
 }
 
 // bufPool recycles encode scratch buffers. Buffers start at minPooledBuf
