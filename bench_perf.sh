@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Records BENCH_perf.json: every perfbench workload (BENCHMARK.json) over
 # seeds 1-5, once at GOMAXPROCS=1 and once at GOMAXPROCS=2, reduced to the
-# median and interquartile range of each end-to-end metric. Run it from the
+# median and interquartile range of each end-to-end metric, with each seed's
+# own value beside them (by_seed, which bench_gate.sh reads). Run it from the
 # repository root on an otherwise idle machine:
 #
 #   bash bench_perf.sh
@@ -20,7 +21,7 @@ for w in $workloads; do
 		for seed in "${seeds[@]}"; do
 			echo "bench_perf: $w GOMAXPROCS=$procs seed $seed" >&2
 			GOMAXPROCS=$procs bash perfbench/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 |
-				tail -n 1 | jq -c --arg w "$w" --argjson p "$procs" '{workload: $w, gomaxprocs: $p} + .' >>"$runs"
+				tail -n 1 | jq -c --arg w "$w" --argjson p "$procs" --argjson s "$seed" '{workload: $w, gomaxprocs: $p, seed: $s} + .' >>"$runs"
 		done
 	done
 done
@@ -44,7 +45,8 @@ jq -s \
 			metrics: ($rs[0].metrics | with_entries(.key as $m | .value |= {
 				unit: .unit,
 				median: ([$rs[].metrics[$m].value] | quantile(0.5)),
-				iqr: (([$rs[].metrics[$m].value] | quantile(0.75)) - ([$rs[].metrics[$m].value] | quantile(0.25)))
+				iqr: (([$rs[].metrics[$m].value] | quantile(0.75)) - ([$rs[].metrics[$m].value] | quantile(0.25))),
+				by_seed: ($rs | map({key: (.seed | tostring), value: .metrics[$m].value}) | from_entries)
 			}))
 		}]
 	}' "$runs" >BENCH_perf.json

@@ -11,7 +11,6 @@
 package cq
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -175,14 +174,9 @@ func (q Query) AppendWire(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalQuery decodes a query record: the binary record AppendWire
-// writes or, when its first byte is '{', the JSON record that earlier
-// writers sent. A binary decode allocates the ID, the predicate slice and
-// one string per attribute name.
+// UnmarshalQuery decodes the query record AppendWire writes. A decode
+// allocates the ID, the predicate slice and one string per attribute name.
 func UnmarshalQuery(rec []byte) (Query, error) {
-	if len(rec) > 0 && rec[0] == '{' {
-		return unmarshalJSON(rec)
-	}
 	r := wirecodec.NewReader(rec)
 	id, bits, value, n := r.QueryHeader()
 	if err := r.Err(); err != nil {
@@ -209,14 +203,9 @@ func UnmarshalQuery(rec []byte) (Query, error) {
 	return q, nil
 }
 
-// RecordKey returns a query record's ID and region. A binary record is read
-// in place, and id aliases it; the JSON record of an earlier writer is
-// decoded.
+// RecordKey returns a query record's ID and region, read in place: id
+// aliases the record.
 func RecordKey(rec []byte) (id []byte, region bitkey.Key, err error) {
-	if len(rec) > 0 && rec[0] == '{' {
-		q, err := unmarshalJSON(rec)
-		return []byte(q.ID), q.Region.Prefix, err
-	}
 	r := wirecodec.NewReader(rec)
 	id, bits, value, _ := r.QueryHeader()
 	if err := r.Err(); err != nil {
@@ -224,25 +213,6 @@ func RecordKey(rec []byte) (id []byte, region bitkey.Key, err error) {
 	}
 	region, err = bitkey.New(value, bits)
 	return id, region, err
-}
-
-// unmarshalJSON decodes the JSON query record of earlier writers:
-// {"id":..,"region":"0110*","predicates":[{"attr":..,"op":..,"value":..}]}.
-// encoding/json matches the untagged field names case-insensitively.
-func unmarshalJSON(rec []byte) (Query, error) {
-	var j struct {
-		ID         string
-		Region     string
-		Predicates []Predicate
-	}
-	if err := json.Unmarshal(rec, &j); err != nil {
-		return Query{}, fmt.Errorf("cq: unmarshal query: %w", err)
-	}
-	g, err := bitkey.ParseGroup(j.Region)
-	if err != nil {
-		return Query{}, fmt.Errorf("cq: unmarshal region: %w", err)
-	}
-	return Query{ID: j.ID, Region: g, Predicates: j.Predicates}, nil
 }
 
 // Event is one data record flowing through the system. Its numeric

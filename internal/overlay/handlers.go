@@ -437,8 +437,8 @@ func (n *Node) applyObject(req *core.AcceptObjectMsg, key bitkey.Key, res core.A
 // sorts by query ID), so a deterministic transport sees a deterministic
 // message sequence. The inline path allocates nothing while the targets fit
 // in inlineMatches: each push is encoded into a pooled buffer and delivered
-// by a method, not a closure. An async push goes to a parked worker
-// (matchWorker), and a new worker is spawned only when none is parked.
+// by a method, not a closure. An async push goes to a parked matchWorker,
+// and a new worker is spawned only when none is parked.
 // tc, when it carries a non-zero TraceID, marks the originating publish as
 // sampled: each delivery's time is reported as a deliver-stage observation
 // plus a subscriber-deliver span chained under tc.Parent (the cq-match span).
@@ -486,37 +486,20 @@ func (n *Node) pushMatches(matched []cq.Query, ev cq.Event, tc spanRef) {
 			n.deliverMatch(p)
 			continue
 		}
-		select {
-		case n.matchJobs <- *p:
-		default:
+		if !n.pushers.submit(*p) {
 			n.wg.Add(1)
 			go n.matchWorker(*p)
 		}
 	}
 }
 
-// idleMatchWorkers bounds the match-push workers a node keeps parked.
-const idleMatchWorkers = 4
-
-// matchWorker delivers push p and then, unless idleMatchWorkers are parked
-// already, parks for the next one, so a steady stream of async pushes spawns
-// no goroutine per push. Close releases the parked workers.
+// matchWorker delivers push p and then parks for the next one (see
+// parked). Close releases the parked workers.
 func (n *Node) matchWorker(p matchPush) {
 	defer n.wg.Done()
-	for {
+	for ok := true; ok; p, ok = n.pushers.park() {
 		n.deliverMatch(&p)
 		p = matchPush{} // a parked worker pins no subscriber or trace
-		if n.matchIdle.Add(1) > idleMatchWorkers {
-			n.matchIdle.Add(-1)
-			return
-		}
-		select {
-		case p = <-n.matchJobs:
-			n.matchIdle.Add(-1)
-		case <-n.closed:
-			n.matchIdle.Add(-1)
-			return
-		}
 	}
 }
 

@@ -149,12 +149,9 @@ type Node struct {
 	joinTarget   string          // last Join contact, for islanding self-repair
 	exhausted    *exhaustedSplit // the last split that ran out of retries (trySplit)
 
-	// matchJobs hands async match pushes to parked workers (matchWorker);
-	// matchIdle counts the parked ones. closed is closed by Close, which
+	// pushers hands async match pushes to parked matchWorkers; Close
 	// releases them.
-	matchJobs chan matchPush
-	matchIdle atomic.Int32
-	closed    chan struct{}
+	pushers   *parked[matchPush]
 	closeOnce sync.Once
 
 	wg sync.WaitGroup
@@ -198,8 +195,7 @@ func NewNode(tr Transport, cfg Config) (*Node, error) {
 		replicas:    make(map[string]*replicaSet),
 		incarnation: uint64(cfg.Clock.Now().UnixNano()),
 		spanSalt:    uint64(cfg.Space.HashString(tr.Addr())) << 32,
-		matchJobs:   make(chan matchPush),
-		closed:      make(chan struct{}),
+		pushers:     newParked[matchPush](),
 	}
 	n.chord.SetSuccessorsListener(n.successorsChanged)
 	// Failure-detector verdict transitions surface as events too.
@@ -260,7 +256,7 @@ func (n *Node) replicaCounts() (origins, groups int) {
 // Close stops background deliveries and closes the transport.
 func (n *Node) Close() error {
 	err := n.tr.Close()
-	n.closeOnce.Do(func() { close(n.closed) })
+	n.closeOnce.Do(n.pushers.stop)
 	n.wg.Wait()
 	return err
 }

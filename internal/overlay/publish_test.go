@@ -478,7 +478,7 @@ func TestRegisterAllocs(t *testing.T) {
 	}
 	// Measured 5 with go1.24, the toolchain CI builds with: what the node
 	// keeps of the query (its subscriber, ID, predicate slice and attribute
-	// name) and its stored replica record. A JSON decode costs about 10, a
+	// name) and its stored replica record. A JSON decode cost about 10, a
 	// push planned on the heap about 12 more.
 	const ceiling = 5
 	if allocs > ceiling {

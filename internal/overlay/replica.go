@@ -275,8 +275,9 @@ func (n *Node) ReplicaPushes() ReplicaPushStats {
 // replicaPush is one push round: its version, the payloads its targets get
 // and the scratch it was planned in. Rounds come from pushPool, and the last
 // of a round's sends returns the payloads to the wirecodec pool and the round
-// to pushPool, so a push allocates nothing once the pools are warm and a
-// node keeps no scratch between pushes.
+// to pushPool, so a push allocates nothing once the pools are warm. A pooled
+// round keeps at most maxPushScratch entries of each scratch slice, so what
+// the pool holds does not grow with a node's stored state.
 type replicaPush struct {
 	incarnation, version uint64
 	full                 []byte // marshalled full state; nil when every target gets the delta
@@ -297,21 +298,35 @@ type replicaPush struct {
 
 var pushPool = sync.Pool{New: func() any { return new(replicaPush) }}
 
+// maxPushScratch is the most entries a pooled round keeps in one scratch
+// slice; a larger one is dropped, as wirecodec.PutBuf drops oversized
+// buffers.
+const maxPushScratch = 256
+
 // release returns the round's payloads and the round itself to their pools.
 // The scratch is cleared so the pooled round pins no record or address.
 func (p *replicaPush) release() {
 	wirecodec.PutBuf(p.full)
 	wirecodec.PutBuf(p.delta)
 	p.full, p.delta, p.section = nil, nil, 0
-	clear(p.targets)
-	clear(p.succ)
-	clear(p.addrs)
-	clear(p.snaps)
-	clear(p.groups)
-	clear(p.recs)
-	p.targets, p.succ, p.addrs = p.targets[:0], p.succ[:0], p.addrs[:0]
-	p.snaps, p.groups, p.recs, p.owner = p.snaps[:0], p.groups[:0], p.recs[:0], p.owner[:0]
+	p.targets = resetScratch(p.targets)
+	p.succ = resetScratch(p.succ)
+	p.addrs = resetScratch(p.addrs)
+	p.snaps = resetScratch(p.snaps)
+	p.groups = resetScratch(p.groups)
+	p.recs = resetScratch(p.recs)
+	p.owner = resetScratch(p.owner)
 	pushPool.Put(p)
+}
+
+// resetScratch returns s cleared and emptied for reuse, or nil when it holds
+// more than maxPushScratch entries.
+func resetScratch[T any](s []T) []T {
+	if cap(s) > maxPushScratch {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }
 
 // pushTarget is one target of a push round and what it had acknowledged
@@ -381,9 +396,10 @@ func (n *Node) push(p *replicaPush, targets []string, tc spanRef) {
 //     prefixes, epochs, parents and root flags are the ones pushed), no
 //     orphaned query awaits re-placement (orphans ride only in the full
 //     state), and no query state changed outside a registration;
-//   - the target's log stays smaller than the full push it rests on once the
-//     delta is appended, which bounds a holder's copy at twice the state (a
-//     target with no ack has no full push to rest on).
+//   - the target's log stays smaller than the full push it rests on, or than
+//     minDeltaLog when that push is smaller, once the delta is appended. A
+//     holder's copy is then at most twice the state or the state plus
+//     minDeltaLog (a target with no ack has no full push to rest on).
 //
 // It reports false when nothing is pushed.
 func (n *Node) planPush(p *replicaPush, targets []string, tc spanRef) bool {
@@ -432,7 +448,7 @@ func (n *Node) planPush(p *replicaPush, targets []string, tc spanRef) bool {
 		if i := n.ackIndex(addr); i >= 0 {
 			a = n.repAcks[i]
 		}
-		d := canDelta && a.incarnation == p.incarnation && a.version == prev && a.log+p.section < a.base
+		d := canDelta && a.incarnation == p.incarnation && a.version == prev && a.log+p.section < max(a.base, minDeltaLog)
 		p.targets = append(p.targets, pushTarget{addr: addr, delta: d, ack: a})
 		anyFull = anyFull || !d
 	}
@@ -452,12 +468,19 @@ func (n *Node) planPush(p *replicaPush, targets []string, tc spanRef) bool {
 	return true
 }
 
+// minDeltaLog is the delta log a holder may keep on a full push smaller than
+// it: one pooled buffer's worth, so a near-empty origin, whose full push is
+// about as large as a one-record delta, still pushes deltas.
+const minDeltaLog = 512
+
 // fullStateLocked builds the group and loose records of the full state for
 // the active groups in p.snaps, the groups in p's scratch. Each group lists
 // its queries' stored records by region and then ID, shared rather than
 // copied. Callers hold n.mu.
 func (n *Node) fullStateLocked(p *replicaPush) (groups []replicaGroupRec, loose [][]byte) {
-	p.groups, p.recs = p.groups[:0], p.recs[:0]
+	// Sized for every stored query up front: one allocation at most, and no
+	// append moves the records a group already slices.
+	p.groups, p.recs = p.groups[:0], slices.Grow(p.recs[:0], len(n.queries))
 	for _, s := range p.snaps {
 		start := len(p.recs)
 		n.engine.VisitInGroup(s.Group, func(q cq.Query) {
@@ -465,8 +488,6 @@ func (n *Node) fullStateLocked(p *replicaPush) (groups []replicaGroupRec, loose 
 				p.recs = append(p.recs, rec)
 			}
 		})
-		// A later append may move p.recs; this group keeps the array its
-		// records were written to.
 		p.groups = append(p.groups, replicaGroupRec{
 			GroupValue: s.Group.Prefix.Value,
 			GroupBits:  s.Group.Prefix.Bits,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,7 +57,8 @@ func heldReplica(holder *Node, origin string, incarnation, version uint64) (enc 
 
 // checkHeldReplica fails the test unless holder's copy of origin at version
 // decodes to exactly what origin would push in full at that version, with a
-// delta log smaller than the full push it rests on. A holder that does not
+// delta log smaller than the full push it rests on or, when that push is
+// smaller, than minDeltaLog. A holder that does not
 // store that version (the push was stale) is not checked.
 func checkHeldReplica(t *testing.T, holder, origin *Node, version uint64, what string) bool {
 	t.Helper()
@@ -69,8 +69,8 @@ func checkHeldReplica(t *testing.T, holder, origin *Node, version uint64, what s
 	if !ok {
 		return false
 	}
-	if log >= payload {
-		t.Fatalf("%s: %s's log for %s is %d bytes, not below its %d-byte full push", what, holder.Addr(), origin.Addr(), log, payload)
+	if log >= max(payload, minDeltaLog) {
+		t.Fatalf("%s: %s's log for %s is %d bytes, not below its %d-byte full push or %d", what, holder.Addr(), origin.Addr(), log, payload, minDeltaLog)
 	}
 	if want := originFullState(origin, version); !bytes.Equal(got, want) {
 		var g, w replicateMsg
@@ -302,22 +302,10 @@ func pushDiff(a, b ReplicaPushStats) ReplicaPushStats {
 // TestDeltaRefusedFallsBackToFull empties one holder's replica store, as a
 // restart does, between two registrations: the second registration's delta
 // is refused there, the same registration falls back to one full push, and
-// the holder ends up with the origin's current state. The first registrations
-// run until one pushes the full state to both holders, so each rests on a
-// full push larger than the next one-record delta and the delta-log bound
-// cannot be what turns that delta into a full push.
+// the holder ends up with the origin's current state.
 func TestDeltaRefusedFallsBackToFull(t *testing.T) {
 	f := newDeltaFixture(t)
-	for i := 0; ; i++ {
-		before := f.origin.ReplicaPushes()
-		f.register(t, fmt.Sprintf("q-1%s", strings.Repeat("+", i)))
-		if pushDiff(before, f.origin.ReplicaPushes()).Full == 2 {
-			break
-		}
-		if i == 10 {
-			t.Fatal("ten registrations and no full push to both holders")
-		}
-	}
+	f.register(t, "q-1")
 	holders := f.targets(t)
 	restarted := holders[0]
 	restarted.mu.Lock()
@@ -340,6 +328,22 @@ func TestDeltaRefusedFallsBackToFull(t *testing.T) {
 	}
 	if subs := pushedSubscribers(t, []*Node{restarted}, f.origin, "q-1"); len(subs) != 1 {
 		t.Errorf("the fallback push restored q-1 %d times, want once", len(subs))
+	}
+}
+
+// TestSmallOriginPushesDeltas holds a near-empty origin to delta pushes:
+// its full push is about the size of a one-record delta, so without a floor
+// under the log bound every other registration would push the full state to
+// both holders.
+func TestSmallOriginPushesDeltas(t *testing.T) {
+	f := newDeltaFixture(t)
+	f.register(t, "q-0")
+	before := f.origin.ReplicaPushes()
+	for i := 1; i <= 10; i++ {
+		f.register(t, fmt.Sprintf("q-%d", i))
+	}
+	if got, want := pushDiff(before, f.origin.ReplicaPushes()), (ReplicaPushStats{Delta: 20}); got != want {
+		t.Errorf("ten registrations sent %+v, want %+v", got, want)
 	}
 }
 

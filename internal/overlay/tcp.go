@@ -211,12 +211,8 @@ func (t *TCPTransport) numServing() int {
 }
 
 // frameReadBuffer sizes each connection's small read buffer: a header and a
-// short payload arrive in one read, longer payloads bypass it. Each inbound
-// connection keeps at most idleDispatchWorkers dispatch workers parked.
-const (
-	frameReadBuffer     = 256
-	idleDispatchWorkers = 4
-)
+// short payload arrive in one read, longer payloads bypass it.
+const frameReadBuffer = 256
 
 // frameWriter serialises frames onto one connection without a goroutine of
 // its own: the caller that finds the socket idle writes its frame, and every
@@ -345,12 +341,11 @@ func armIdle(conn net.Conn, idle time.Duration, last *atomic.Int64, stats *trans
 
 // inbound is one served connection's reply writer and dispatch state.
 type inbound struct {
-	t    *TCPTransport
-	w    *frameWriter
-	sem  chan struct{}  // bounds dispatched requests (cfg.MaxConcurrent)
-	hwg  sync.WaitGroup // dispatched requests whose reply is not yet written
-	jobs chan frame     // unbuffered: a send succeeds only into a parked worker
-	idle atomic.Int32   // workers parked on jobs
+	t       *TCPTransport
+	w       *frameWriter
+	sem     chan struct{}  // bounds dispatched requests (cfg.MaxConcurrent)
+	hwg     sync.WaitGroup // dispatched requests whose reply is not yet written
+	workers *parked[frame] // dispatch workers waiting for the next request
 }
 
 // writeReply frames and writes one reply. An oversized reply becomes a framed
@@ -368,10 +363,9 @@ func (in *inbound) writeReply(seq uint64, typ byte, payload []byte) {
 	in.w.write(buf)
 }
 
-// worker serves request f and then, unless idleDispatchWorkers are parked
-// already, parks for the next one. Each reply is written before its request's
-// dispatch slot and shutdown count are released. Closing jobs at connection
-// shutdown releases the parked workers.
+// worker serves request f and then parks for the next one (see parked).
+// Each reply is written before its request's dispatch slot and shutdown
+// count are released. Connection shutdown releases the parked workers.
 func (in *inbound) worker(f frame) {
 	defer in.t.wg.Done()
 	for {
@@ -390,10 +384,7 @@ func (in *inbound) worker(f frame) {
 		<-in.sem
 		in.hwg.Done()
 		var ok bool
-		if in.idle.Add(1) <= idleDispatchWorkers {
-			f, ok = <-in.jobs
-		}
-		if in.idle.Add(-1); !ok {
+		if f, ok = in.workers.park(); !ok {
 			return
 		}
 	}
@@ -412,10 +403,10 @@ func (in *inbound) worker(f frame) {
 func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	in := &inbound{
-		t:    t,
-		w:    &frameWriter{conn: conn, stats: &t.stats, timeout: t.cfg.CallTimeout, onFail: func() { conn.Close() }},
-		sem:  make(chan struct{}, t.cfg.MaxConcurrent),
-		jobs: make(chan frame),
+		t:       t,
+		w:       &frameWriter{conn: conn, stats: &t.stats, timeout: t.cfg.CallTimeout, onFail: func() { conn.Close() }},
+		sem:     make(chan struct{}, t.cfg.MaxConcurrent),
+		workers: newParked[frame](),
 	}
 	defer func() {
 		// Workers write each reply before hwg.Done, so a peer that half-closed
@@ -424,7 +415,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 		// Deregister before closing, so the connection is no longer counted
 		// by the time the peer sees EOF.
 		in.hwg.Wait()
-		close(in.jobs)
+		in.workers.stop()
 		t.mu.Lock()
 		delete(t.serving, conn)
 		t.mu.Unlock()
@@ -472,9 +463,7 @@ func (t *TCPTransport) serveConn(conn net.Conn) {
 			}
 		}
 		in.hwg.Add(1)
-		select {
-		case in.jobs <- f:
-		default:
+		if !in.workers.submit(f) {
 			t.wg.Add(1)
 			go in.worker(f)
 		}

@@ -114,7 +114,7 @@ func waitGoroutines(cond func(int) bool) int {
 }
 
 // TestTCPDispatchWorkersSettle bounds the goroutines a burst leaves behind:
-// after 200 concurrent calls on one connection, at most idleDispatchWorkers
+// after 200 concurrent calls on one connection, at most maxParked
 // dispatch workers stay parked next to the fixed loops, and Close returns the
 // goroutine count to its baseline.
 func TestTCPDispatchWorkersSettle(t *testing.T) {
@@ -170,10 +170,10 @@ func TestTCPDispatchWorkersSettle(t *testing.T) {
 		t.Errorf("server connections = %d, want 1", got)
 	}
 
-	limit := base + fixedLoops + idleDispatchWorkers
+	limit := base + fixedLoops + maxParked
 	if n := waitGoroutines(func(n int) bool { return n <= limit }); n > limit {
 		t.Errorf("goroutines after the burst = %d, want <= %d (baseline %d + %d loops + %d idle workers)",
-			n, limit, base, fixedLoops, idleDispatchWorkers)
+			n, limit, base, fixedLoops, maxParked)
 	}
 	cli.Close()
 	srv.Close()

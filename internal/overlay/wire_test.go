@@ -21,7 +21,8 @@ func overlayWireCases() []wireMsg {
 		// (TestDataMsgAttrSection covers the map).
 		&dataMsg{AttrSection: wirecodec.AppendAttrs(nil, map[string]float64{"speed": 88.5, "lat": -12.25}), Payload: []byte("record")},
 		&dataMsg{AttrSection: wirecodec.AppendAttrs(nil, nil)},
-		&queryState{Query: []byte(`{"id":"q"}`), Subscriber: "client-1"},
+		&queryState{Query: queryRecord(cq.Query{ID: "q", Region: bitkey.MustParseGroup("01*"),
+			Predicates: []cq.Predicate{{Attr: "speed", Op: cq.OpGt, Value: 50}}}), Subscriber: "client-1"},
 		&childMovedMsg{GroupValue: 0b101, GroupBits: 3, Holder: "n3"},
 		&matchMsg{QueryID: "q-hot", KeyValue: 0xBEEF, KeyBits: 16,
 			Attrs: wirecodec.AppendAttrs(nil, map[string]float64{"speed": 99}), Payload: []byte("evt")},
@@ -34,6 +35,16 @@ func overlayWireCases() []wireMsg {
 			{GroupValue: 1, GroupBits: 2, Parent: "n1", Epoch: 1, Queries: [][]byte{[]byte("q")}}}},
 		&replicateAck{},
 	}
+}
+
+// queryRecord encodes a query whose values are finite and whose operators
+// are valid, which AppendWire never refuses.
+func queryRecord(q cq.Query) []byte {
+	rec, err := q.AppendWire(nil)
+	if err != nil {
+		panic(err)
+	}
+	return rec
 }
 
 func TestOverlayMsgWireRoundTrip(t *testing.T) {

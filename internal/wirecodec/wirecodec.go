@@ -91,9 +91,8 @@ func AppendAttrSection(b, section []byte) []byte {
 	return append(b, section...)
 }
 
-// QueryFormat is the first byte of a binary query record. The JSON query
-// records of earlier writers, which readers still accept, start with '{';
-// no JSON text starts with QueryFormat.
+// QueryFormat is the first byte of a binary query record. No JSON text
+// starts with it, so a JSON record sent by mistake is refused at once.
 const QueryFormat byte = 0x01
 
 // minPredicate is the fewest bytes one predicate of a query record takes:
@@ -264,16 +263,15 @@ func (r *Reader) AttrSection() []byte {
 }
 
 // QueryRecord reads a length-prefixed query record and returns it, aliasing
-// the input. A binary record is validated in place: its head, its predicate
-// count against the remaining bytes and every predicate's bounds; a record
-// that starts with '{' is a JSON record, checked only when it is decoded.
-// Reading it allocates nothing.
+// the input. The record is validated in place: its head, its predicate
+// count against the remaining bytes and every predicate's bounds. Reading
+// it allocates nothing.
 func (r *Reader) QueryRecord() []byte {
 	rec := r.Bytes()
 	if r.err != nil {
 		return nil
 	}
-	if len(rec) == 0 || rec[0] != '{' && !validQueryRecord(rec) {
+	if !validQueryRecord(rec) {
 		r.fail(ErrInvalid)
 		return nil
 	}
